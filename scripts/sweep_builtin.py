@@ -22,7 +22,6 @@ def main() -> int:
     parser.add_argument("--out", default="sweep.csv")
     parser.add_argument("--families", default=None,
                         help="comma-separated: all,abelian,powerful,powerfully-embedded")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--stable-timing", action="store_true")
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args()
@@ -40,7 +39,6 @@ def main() -> int:
         families=families,
         out_csv=args.out,
         cache=None if args.no_cache else LatticeCache(),
-        workers=args.workers,
         stable_timing=args.stable_timing,
     )
     elapsed = time.perf_counter() - t0

@@ -6,14 +6,14 @@ wrong group: renaming or re-deriving a group with the same table still hits,
 while any change to the table misses.  Serialization is deterministic, so a
 cache hit is byte-identical to what recomputation would store.  Corrupted or
 version-mismatched entries are silently recomputed and overwritten; I/O
-failures degrade to recomputation with a warning.
+failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
-import warnings
 from typing import Dict, Optional
 
 from .bitset import ElementSet
@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 CACHE_FORMAT_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 
 def default_cache_dir() -> str:
@@ -127,7 +129,7 @@ class LatticeCache:
         except FileNotFoundError:
             return None
         except OSError as e:
-            warnings.warn(f"lattice cache read failed ({e}); recomputing")
+            logger.warning("lattice cache read failed (%s); recomputing", e)
             return None
         try:
             return deserialize_lattice(text, g)
@@ -141,16 +143,16 @@ class LatticeCache:
             os.makedirs(self.directory, exist_ok=True)
             atomic_write_text(path, serialize_lattice(lat))
         except OSError as e:
-            warnings.warn(f"lattice cache write failed ({e}); continuing without cache")
+            logger.warning("lattice cache write failed (%s); continuing without cache", e)
             return None
         return path
 
-    def get_or_compute(self, g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
+    def get_or_compute(self, g: FiniteGroup) -> Lattice:
         """Cache hit, or enumerate + store (overwriting any unusable entry)."""
         hit = self.get(g)
         if hit is not None:
             return hit
-        lat = enumerate_subgroups(g, cap=cap)
+        lat = enumerate_subgroups(g)
         self.put(g, lat)
         return lat
 
@@ -158,11 +160,7 @@ class LatticeCache:
 _MEMO: Dict[str, Lattice] = {}
 
 
-def memo_lattice(
-    g: FiniteGroup,
-    cache: Optional[LatticeCache] = None,
-    cap: Optional[int] = None,
-) -> Lattice:
+def memo_lattice(g: FiniteGroup, cache: Optional[LatticeCache] = None) -> Lattice:
     """Process-wide memo over enumerate_subgroups, optionally backed by a
     disk cache.  Suites that revisit the same group (by table content) pay
     for enumeration once."""
@@ -171,9 +169,9 @@ def memo_lattice(
     if hit is not None:
         return hit
     if cache is not None:
-        lat = cache.get_or_compute(g, cap=cap)
+        lat = cache.get_or_compute(g)
     else:
-        lat = enumerate_subgroups(g, cap=cap)
+        lat = enumerate_subgroups(g)
     _MEMO[key] = lat
     return lat
 

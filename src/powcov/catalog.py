@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
+from .descriptors import parse_descriptor
 from .groups import FiniteGroup, build_group
 
 __all__ = ["CatalogEntry", "builtin_catalog", "load_catalog_file"]
@@ -40,12 +41,12 @@ class CatalogEntry:
     id: str
     source: str
 
-    def build(self, cap: Optional[int] = None) -> FiniteGroup:
+    def build(self) -> FiniteGroup:
         if self.source.startswith("perm:"):
             from .fileio import load_permutation_generators
 
-            return load_permutation_generators(self.source[len("perm:"):], cap=cap)
-        return build_group(self.source, cap=cap)
+            return load_permutation_generators(self.source[len("perm:"):])
+        return build_group(self.source)
 
 
 def _prime_powers(limit: int) -> List[int]:
@@ -84,27 +85,11 @@ def builtin_catalog(max_order: int = 128) -> List[CatalogEntry]:
         "product:(dihedral:8,dihedral:8)",
     ]
 
-    def order_of(spec: str) -> int:
-        if spec.startswith("cyclic:"):
-            return int(spec.split(":")[1])
-        if spec.startswith("elementary:"):
-            p, k = spec.split(":")[1].split("^")
-            return int(p) ** int(k)
-        if spec.startswith("product:"):
-            inner = spec[len("product:(") : -1]
-            depth, cut = 0, None
-            for i, ch in enumerate(inner):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    cut = i
-                    break
-            return order_of(inner[:cut]) * order_of(inner[cut + 1 :])
-        return int(spec.split(":")[1])
-
-    return [CatalogEntry(id=s, source=s) for s in specs if order_of(s) <= max_order]
+    return [
+        CatalogEntry(id=s, source=s)
+        for s in specs
+        if parse_descriptor(s).order <= max_order
+    ]
 
 
 def load_catalog_file(path: str) -> List[CatalogEntry]:

@@ -109,7 +109,6 @@ def cmd_sweep(args) -> int:
         families=families,
         out_csv=args.out,
         cache=None if args.no_cache else LatticeCache(),
-        workers=args.workers,
         stable_timing=args.stable_timing,
     )
     failed = [r for r in rows if r.error]
@@ -162,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="CSV output path (.md lands beside it)")
     p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument(
         "--stable-timing",
         action="store_true",

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .bitset import ElementSet
-from .groups import FiniteGroup, GroupError, is_subgroup
+from .groups import FiniteGroup, GroupError, is_abelian, is_subgroup
 from .lattice import (
     Lattice,
     Subgroup,
@@ -279,11 +279,7 @@ def verify_witness(
         if len(w) == g.order:
             return False
         if family is FamilySelector.ABELIAN:
-            import numpy as np
-
-            idx = np.fromiter(w, dtype=np.int64, count=len(w))
-            sub = g.table[np.ix_(idx, idx)]
-            if not np.array_equal(sub, sub.T):
+            if not is_abelian(g, w):
                 return False
         elif family is FamilySelector.POWERFUL:
             if not is_powerful(g, w):

@@ -15,7 +15,7 @@ group at order 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 __all__ = ["DescriptorError", "GroupDescriptor", "parse_descriptor"]
 
@@ -65,6 +65,20 @@ class GroupDescriptor:
             a, b = self.params
             return f"product:({a.canonical()},{b.canonical()})"
         return f"{self.kind}:{self.params[0]}"
+
+    @property
+    def order(self) -> Optional[int]:
+        """Group order, or None for file: (unknown until the file is loaded)."""
+        if self.kind == "file":
+            return None
+        if self.kind == "elementary":
+            p, k = self.params
+            return p**k
+        if self.kind == "product":
+            # the grammar admits no file: factor, so both orders are known
+            a, b = self.params
+            return a.order * b.order
+        return self.params[0]
 
     def __str__(self) -> str:
         return self.canonical()

@@ -36,6 +36,7 @@ __all__ = [
     "subgroup_as_group",
     "closure",
     "is_subgroup",
+    "is_abelian",
     "commutator_subgroup",
     "power_subgroup",
     "center",
@@ -408,6 +409,13 @@ def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
     mask = np.zeros(g.order, dtype=bool)
     mask[idx] = True
     return bool(mask[prods].all())
+
+
+def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
+    """True iff every two members commute."""
+    idx = np.fromiter(members, dtype=np.int64, count=len(members))
+    sub = g.table[np.ix_(idx, idx)]
+    return bool(np.array_equal(sub, sub.T))
 
 
 def _require_subgroup(g: FiniteGroup, members: ElementSet, what: str) -> np.ndarray:

@@ -20,6 +20,7 @@ from .groups import (
     GroupError,
     closure,
     commutator_subgroup,
+    is_abelian,
     is_normal,
     is_p_group,
     is_subgroup,
@@ -245,16 +246,15 @@ def enumerate_subgroups(g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
 
     p_defined = p is not None
     entries = []
-    for bits, mask in known.items():
+    for bits in known:
         es = ElementSet(bits, n)
-        idx = np.flatnonzero(mask).astype(np.int64)
-        sub = table[np.ix_(idx, idx)]
+        order = len(es)
         entries.append(
             {
                 "elements": es,
-                "order": int(idx.size),
-                "is_proper": int(idx.size) < n,
-                "is_abelian": bool(np.array_equal(sub, sub.T)),
+                "order": order,
+                "is_proper": order < n,
+                "is_abelian": is_abelian(g, es),
                 "is_normal": is_normal(g, es),
                 "is_powerful": is_powerful(g, es) if p_defined else None,
                 "is_powerfully_embedded": (

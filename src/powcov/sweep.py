@@ -1,14 +1,15 @@
 """Batch computation of covering numbers over a catalog, with CSV/Markdown
 reports.
 
-One row per catalog entry, in input order regardless of worker scheduling.
-The CSV has a fixed column order (id, order, p, class, coclass, sigma,
-sigma_A, sigma_P, sigma_PE, time_ms, error); families that were not
-requested stay blank, infeasible values print as INF, and per-entry errors
-land in the error column without stopping the sweep.  The Markdown report
-carries a per-family summary plus a violations section for the chain
-inequality, the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, and subgroup
-monotonicity over structurally nested entries.
+One row per catalog entry, in input order.  The CSV has a fixed column
+order (id, order, p, class, coclass, sigma, sigma_A, sigma_P, sigma_PE,
+time_ms, error); families that were not requested stay blank, infeasible
+values print as INF, and per-entry errors land in the error column without
+stopping the sweep.  Fields holding a comma (product ids, error messages)
+are quoted, as standard CSV readers expect.  The Markdown report carries a
+per-family summary plus a violations section for the chain inequality,
+the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, and subgroup monotonicity
+over structurally nested entries.
 
 time_ms is wall-clock and therefore varies run to run; stable_timing=True
 writes 0 there instead, making the reports byte-for-byte reproducible.
@@ -16,14 +17,16 @@ writes 0 there instead, making the reports byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import csv
+import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .cache import LatticeCache, memo_lattice
 from .catalog import CatalogEntry
 from .cover import FamilySelector, covering_number
+from .descriptors import DescriptorError, parse_descriptor
 from .groups import FiniteGroup, GroupError, coclass, is_p_group, nilpotence_class
 
 __all__ = [
@@ -76,10 +79,6 @@ class SweepRow:
     time_ms: int
     error: str
     witness_summaries: Tuple[Tuple[str, str], ...]
-
-
-def _cell(value) -> str:
-    return "" if value is None else str(value)
 
 
 def sweep_entry(
@@ -141,26 +140,16 @@ def sweep_entry(
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.id,
-                    _cell(r.order),
-                    _cell(r.p),
-                    _cell(r.nilpotence_class),
-                    _cell(r.coclass),
-                    _cell(r.sigma),
-                    _cell(r.sigma_a),
-                    _cell(r.sigma_p),
-                    _cell(r.sigma_pe),
-                    str(r.time_ms),
-                    r.error.replace(",", ";"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """The CSV report; blank cells for None, fields quoted where needed."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        [r.id, r.order, r.p, r.nilpotence_class, r.coclass, r.sigma,
+         r.sigma_a, r.sigma_p, r.sigma_pe, r.time_ms, r.error]
+        for r in rows
+    )
+    return buf.getvalue()
 
 
 def _finite(cell: SigmaCell) -> Optional[int]:
@@ -203,44 +192,29 @@ def _structural_pairs(rows: Sequence[SweepRow]) -> List[Tuple[SweepRow, SweepRow
     """(subgroup-row, group-row) pairs nested by construction: each 2-power
     family embeds its half-order member, a semidihedral group embeds the
     half-order dihedral and quaternion groups, elementary groups embed lower
-    ranks, and direct-product factors embed in the product."""
-    by_source = {r.source: r for r in rows}
-    pairs = []
-
-    def link(sub_source: str, row: SweepRow):
-        sub = by_source.get(sub_source)
-        if sub is not None:
-            pairs.append((sub, row))
-
+    ranks, and direct-product factors embed in the product.  Rows whose
+    source is not a descriptor (perm:) take no part."""
+    parsed = []
     for r in rows:
-        if ":" not in r.source or r.order is None:
+        try:
+            parsed.append((parse_descriptor(r.source), r))
+        except DescriptorError:
             continue
-        kind, _, arg = r.source.partition(":")
-        if kind in ("cyclic", "dihedral", "quaternion", "semidihedral", "modular"):
-            half = r.order // 2
-            if kind == "semidihedral":
-                link(f"dihedral:{half}", r)
-                link(f"quaternion:{half}", r)
-            else:
-                link(f"{kind}:{half}", r)
-        elif kind == "elementary":
-            p_str, k_str = arg.split("^")
-            if int(k_str) > 1:
-                link(f"elementary:{p_str}^{int(k_str) - 1}", r)
-        elif kind == "product":
-            inner = arg[1:-1]
-            depth, cut = 0, None
-            for i, ch in enumerate(inner):
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                elif ch == "," and depth == 0:
-                    cut = i
-                    break
-            if cut is not None:
-                link(inner[:cut], r)
-                link(inner[cut + 1 :], r)
+    by_canonical = {d.canonical(): r for d, r in parsed}
+    pairs = []
+    for d, r in parsed:
+        if d.kind in ("cyclic", "dihedral", "quaternion", "modular"):
+            subs = [f"{d.kind}:{d.order // 2}"]
+        elif d.kind == "semidihedral":
+            subs = [f"dihedral:{d.order // 2}", f"quaternion:{d.order // 2}"]
+        elif d.kind == "elementary":
+            p, k = d.params
+            subs = [f"elementary:{p}^{k - 1}"] if k > 1 else []
+        elif d.kind == "product":
+            subs = [factor.canonical() for factor in d.params]
+        else:
+            subs = []
+        pairs += [(by_canonical[s], r) for s in subs if s in by_canonical]
     return pairs
 
 
@@ -288,28 +262,17 @@ def run_sweep(
     families: Sequence[FamilySelector] = ALL_FAMILIES,
     out_csv: Optional[str] = None,
     cache: Optional[LatticeCache] = None,
-    workers: int = 4,
     stable_timing: bool = False,
 ) -> List[SweepRow]:
     """Sweep all entries; write CSV and Markdown reports when out_csv is set.
 
     The Markdown lands next to the CSV with the extension replaced by .md.
-    Rows come back in input order regardless of worker completion order.
+    Rows come back in input order.
     """
-    if workers <= 1 or len(entries) <= 1:
-        rows = [
-            sweep_entry(e, families, cache=cache, stable_timing=stable_timing)
-            for e in entries
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    sweep_entry, e, families, cache=cache, stable_timing=stable_timing
-                )
-                for e in entries
-            ]
-            rows = [f.result() for f in futures]
+    rows = [
+        sweep_entry(e, families, cache=cache, stable_timing=stable_timing)
+        for e in entries
+    ]
 
     if out_csv is not None:
         from .fileio import atomic_write_text

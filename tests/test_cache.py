@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 from powcov.cache import (
@@ -96,14 +97,23 @@ def test_version_and_group_mismatches_miss(tmp_path):
     assert cache2.get(other) is None
 
 
-def test_unwritable_directory_degrades_gracefully(tmp_path):
+def test_unwritable_directory_degrades_gracefully(tmp_path, caplog):
     blocked = tmp_path / "file-in-the-way"
     blocked.write_text("not a directory")
     cache = LatticeCache(str(blocked / "sub"))
     g = build_group("dihedral:8")
-    # put fails with a warning, not an exception; get_or_compute still works
-    lat = cache.get_or_compute(g)
+    # get and put fail with a logged warning, not an exception;
+    # get_or_compute still works
+    with caplog.at_level(logging.WARNING, logger="powcov.cache"):
+        lat = cache.get_or_compute(g)
     assert len(lat) == 10
+    messages = [
+        r.getMessage()
+        for r in caplog.records
+        if r.name == "powcov.cache" and r.levelno == logging.WARNING
+    ]
+    assert any(m.startswith("lattice cache read failed") for m in messages)
+    assert any(m.startswith("lattice cache write failed") for m in messages)
 
 
 def test_memo_identity_across_equal_groups(tmp_path):

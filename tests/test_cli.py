@@ -109,7 +109,7 @@ def test_sweep_builtin_small(tmp_path, capsys):
     out_csv = tmp_path / "s.csv"
     rc, out, _ = run(
         capsys, "sweep", "--out", str(out_csv), "--max-order", "16",
-        "--stable-timing", "--workers", "2",
+        "--stable-timing",
     )
     assert rc == 0
     assert "(0 errors)" in out

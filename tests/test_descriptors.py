@@ -26,6 +26,23 @@ def test_file_kind():
     assert d.kind == "file" and d.params == ("/tmp/some.cayley",)
 
 
+def test_order_property():
+    assert parse_descriptor("cyclic:1").order == 1
+    assert parse_descriptor("dihedral:32").order == 32
+    assert parse_descriptor("elementary:3^4").order == 81
+    nested = parse_descriptor("product:(product:(cyclic:2,quaternion:8),elementary:5^2)")
+    assert nested.order == 2 * 8 * 25
+    assert parse_descriptor("file:/tmp/some.cayley").order is None
+
+
+def test_order_matches_built_group():
+    from powcov.catalog import builtin_catalog
+    from powcov.groups import build_group
+
+    for e in builtin_catalog(max_order=32):
+        assert parse_descriptor(e.source).order == build_group(e.source).order
+
+
 @pytest.mark.parametrize(
     "bad",
     [

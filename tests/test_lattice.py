@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov.bitset import ElementSet
+from powcov.catalog import builtin_catalog
+from powcov.descriptors import parse_descriptor
 from powcov.groups import CapError, GroupError, build_group, closure, is_subgroup
 from powcov.lattice import (
     classify_small,
@@ -34,6 +36,70 @@ def lattice_sets(g):
 )
 def test_subgroup_counts(spec, count):
     assert len(enumerate_subgroups(build_group(spec))) == count
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _prime_power(q):
+    """(p, k) with q = p^k; (None, 0) for q = 1."""
+    if q == 1:
+        return None, 0
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    assert q == 1, "not a prime power"
+    return p, k
+
+
+def _gaussian_binomial(k, i, p):
+    num = den = 1
+    for j in range(i):
+        num *= p ** (k - j) - 1
+        den *= p ** (j + 1) - 1
+    return num // den
+
+
+def closed_form_subgroup_count(desc):
+    """Subgroup count from the standard formulas, never from a table."""
+    if desc.kind == "cyclic":  # C_{p^k}: k + 1
+        return _prime_power(desc.order)[1] + 1
+    if desc.kind == "dihedral":  # D_{2m}: tau(m) + sigma(m)
+        divs = _divisors(desc.order // 2)
+        return len(divs) + sum(divs)
+    if desc.kind == "quaternion":  # Q_{2^n}: n + 2^(n-1) - 1
+        n = _prime_power(desc.order)[1]
+        return n + 2 ** (n - 1) - 1
+    if desc.kind == "elementary":  # sum of Gaussian binomials [k choose i]_p
+        p, k = desc.params
+        return sum(_gaussian_binomial(k, i, p) for i in range(k + 1))
+    raise ValueError(desc.kind)
+
+
+CLOSED_FORM_KINDS = {"cyclic", "dihedral", "quaternion", "elementary"}
+CLOSED_FORM_SPECS = [
+    e.source
+    for e in builtin_catalog()
+    if parse_descriptor(e.source).kind in CLOSED_FORM_KINDS
+]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_subgroup_counts_match_closed_forms(spec):
+    expected = closed_form_subgroup_count(parse_descriptor(spec))
+    assert len(enumerate_subgroups(build_group(spec))) == expected
+
+
+def test_closed_forms_cover_the_catalog_families():
+    assert {parse_descriptor(s).kind for s in CLOSED_FORM_SPECS} == CLOSED_FORM_KINDS
+    # spot values of the formulas themselves
+    assert closed_form_subgroup_count(parse_descriptor("dihedral:128")) == 134
+    assert closed_form_subgroup_count(parse_descriptor("quaternion:128")) == 70
+    assert closed_form_subgroup_count(parse_descriptor("elementary:2^5")) == 374
+    assert closed_form_subgroup_count(parse_descriptor("elementary:3^4")) == 212
 
 
 @pytest.mark.parametrize(
