@@ -1,13 +1,23 @@
 """Complete subgroup lattices of small groups, with structural flags.
 
-Enumeration seeds with the trivial and cyclic subgroups and extends every
-known subgroup by every outside element until no new subgroup appears.
-That is exhaustive for any finite group; the soft order cap keeps it at
-desk scale.
+Two enumeration paths, chosen by the group's order:
+
+* p-groups descend from G by the Burnside basis theorem.  For each subgroup
+  K found, Phi(K) = K^p [K, K] is the Frattini subgroup, K/Phi(K) is the
+  vector space F_p^d, and the maximal subgroups of K are exactly the
+  preimages of its hyperplanes.  Every subgroup of a p-group lies on a chain
+  of maximal subgroups down from G, so the descent reaches all of them with
+  one Frattini computation per subgroup and no closure per candidate.
+* Every other group (and the trivial one) seeds with the trivial and cyclic
+  subgroups and extends every known subgroup by every outside element until
+  no new subgroup appears.  That is exhaustive for any finite group.
+
+The soft order cap keeps both at desk scale.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -189,26 +199,18 @@ def _mask_bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def enumerate_subgroups(g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
-    """Every subgroup of g, flags included.  Refuses groups above the cap."""
-    cap = lattice_order_cap() if cap is None else cap
-    if g.order > cap:
-        raise CapError(
-            f"order {g.order} exceeds the lattice cap {cap}; "
-            "raise POWCOV_MAX_ORDER to override"
-        )
+def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
+    """Bitmasks of every subgroup of any finite group, by cyclic extension."""
     n = g.order
     table = g.table
-    p = is_p_group(g)
-
-    known: dict[int, np.ndarray] = {}
-    queue: list[int] = []
+    seen: set[int] = set()
+    queue: list[np.ndarray] = []
 
     def admit(mask: np.ndarray) -> None:
         bits = _mask_bits(mask)
-        if bits not in known:
-            known[bits] = mask
-            queue.append(bits)
+        if bits not in seen:
+            seen.add(bits)
+            queue.append(mask)
 
     seed = np.zeros(n, dtype=bool)
     seed[g.identity] = True
@@ -221,28 +223,98 @@ def enumerate_subgroups(g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
             cur = int(table[cur, s])
         admit(mask)
 
-    if p is not None:
-        # p-th powers of every element; used to filter extension candidates.
-        pth = np.arange(n, dtype=np.int64)
-        for _ in range(p - 1):
-            pth = table[pth, np.arange(n)].astype(np.int64)
-
-    full_count = n
     head = 0
     while head < len(queue):
-        bits = queue[head]
+        mask = queue[head]
         head += 1
-        mask = known[bits]
-        if int(mask.sum()) == full_count:
-            continue
-        outside = np.flatnonzero(~mask)
-        if p is not None:
-            # In a p-group every strict extension H < K is reachable through a
-            # chain of index-p steps, and any g in K \ M for M maximal in K has
-            # g^p in M, so restricting to g with g^p in H loses no subgroup.
-            outside = outside[mask[pth[outside]]]
-        for elt in outside:
+        for elt in np.flatnonzero(~mask):
             admit(_extend(table, mask, int(elt)))
+    return seen
+
+
+def _frattini_coordinates(
+    g: FiniteGroup, mask: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members of a p-subgroup K and their images in K/Phi(K) = F_p^d.
+
+    Returns (members, coords) with coords[i] the coordinate vector of
+    members[i].  The basis x_1..x_d is greedy: each x_i is the least member
+    outside <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in K with
+    quotient of order p, so adjoining x_i is the union of its cosets by
+    x_i^j for 0 <= j < p, and the members of the j-th coset gain coordinate j.
+    """
+    k = ElementSet(_mask_bits(mask), g.order)
+    frattini = closure(g, commutator_subgroup(g, k, k) | power_subgroup(g, k, p))
+    d = 0
+    index = len(k) // len(frattini)
+    while index > 1:
+        index //= p
+        d += 1
+
+    table = g.table
+    members = np.flatnonzero(mask)
+    coords = np.zeros((g.order, d), dtype=np.int64)
+    spanned = np.zeros(g.order, dtype=bool)
+    spanned[list(frattini)] = True
+    for i in range(d):
+        x = int(members[~spanned[members]][0])
+        span = np.flatnonzero(spanned)
+        power = x
+        for j in range(1, p):
+            coset = table[span, power]
+            coords[coset] = coords[span]
+            coords[coset, i] = j
+            spanned[coset] = True
+            power = int(table[power, x])
+    return members, coords[members]
+
+
+def _hyperplane_functionals(p: int, d: int) -> np.ndarray:
+    """(d, (p^d - 1)/(p - 1)) array: one functional per hyperplane of F_p^d,
+    normalised so that its first nonzero coordinate is 1."""
+    cols = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d)
+        for tail in itertools.product(range(p), repeat=d - lead - 1)
+    ]
+    return np.array(cols, dtype=np.int64).T
+
+
+def _subgroups_by_descent(g: FiniteGroup, p: int) -> set[int]:
+    """Bitmasks of every subgroup of the p-group g, descending through
+    maximal subgroups: those of K are the hyperplane preimages in K/Phi(K)."""
+    full = np.ones(g.order, dtype=bool)
+    seen = {_mask_bits(full)}
+    queue = [full]
+    head = 0
+    while head < len(queue):
+        mask = queue[head]
+        head += 1
+        if mask.sum() == 1:
+            continue
+        members, coords = _frattini_coordinates(g, mask, p)
+        inside = (coords @ _hyperplane_functionals(p, coords.shape[1])) % p == 0
+        for column in inside.T:
+            sub = np.zeros(g.order, dtype=bool)
+            sub[members[column]] = True
+            bits = _mask_bits(sub)
+            if bits not in seen:
+                seen.add(bits)
+                queue.append(sub)
+    return seen
+
+
+def enumerate_subgroups(g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
+    """Every subgroup of g, flags included.  Refuses groups above the cap."""
+    cap = lattice_order_cap() if cap is None else cap
+    if g.order > cap:
+        raise CapError(
+            f"order {g.order} exceeds the lattice cap {cap}; "
+            "raise POWCOV_MAX_ORDER to override"
+        )
+    n = g.order
+    p = is_p_group(g)
+    known = _subgroups_by_extension(g) if p is None else _subgroups_by_descent(g, p)
 
     p_defined = p is not None
     entries = []

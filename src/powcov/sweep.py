@@ -189,11 +189,13 @@ def _bound_violations(rows: Sequence[SweepRow]) -> List[str]:
 
 
 def _structural_pairs(rows: Sequence[SweepRow]) -> List[Tuple[SweepRow, SweepRow]]:
-    """(subgroup-row, group-row) pairs nested by construction: each 2-power
-    family embeds its half-order member, a semidihedral group embeds the
-    half-order dihedral and quaternion groups, elementary groups embed lower
-    ranks, and direct-product factors embed in the product.  Rows whose
-    source is not a descriptor (perm:) take no part."""
+    """(subgroup-row, group-row) pairs nested by construction: cyclic:M
+    embeds cyclic:M/q for q the least prime dividing M, the dihedral,
+    quaternion and modular families embed their half-order member, a
+    semidihedral group embeds the half-order dihedral and quaternion groups,
+    elementary groups embed lower ranks, and direct-product factors embed in
+    the product.  Rows whose source is not a descriptor (perm:) take no
+    part."""
     parsed = []
     for r in rows:
         try:
@@ -203,7 +205,10 @@ def _structural_pairs(rows: Sequence[SweepRow]) -> List[Tuple[SweepRow, SweepRow
     by_canonical = {d.canonical(): r for d, r in parsed}
     pairs = []
     for d, r in parsed:
-        if d.kind in ("cyclic", "dihedral", "quaternion", "modular"):
+        if d.kind == "cyclic":
+            q = next((q for q in range(2, d.order + 1) if d.order % q == 0), None)
+            subs = [f"cyclic:{d.order // q}"] if q else []
+        elif d.kind in ("dihedral", "quaternion", "modular"):
             subs = [f"{d.kind}:{d.order // 2}"]
         elif d.kind == "semidihedral":
             subs = [f"dihedral:{d.order // 2}", f"quaternion:{d.order // 2}"]

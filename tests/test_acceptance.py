@@ -53,17 +53,19 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({label}): {detail or 'check failed'}"
 
 
-def test_criterion_01_dihedral_powerful_tower():
-    expected = {2: 3, 3: 5, 4: 9, 5: 17, 6: 33}
-    got = {n: tower(n)["powerful"].size for n in range(2, 7)}
-    total = sum(tower(n)["elapsed"] for n in range(2, 7))
+def test_criterion_01_dihedral_powerful_tower(monkeypatch):
+    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")  # orders 256 and 512
+    expected = {2: 3, 3: 5, 4: 9, 5: 17, 6: 33, 7: 65, 8: 129}
+    got = {n: tower(n)["powerful"].size for n in range(2, 9)}
+    total = sum(tower(n)["elapsed"] for n in range(2, 9))
     ok = got == expected and total < 10.0
     report(1, "dihedral-powerful-tower", ok, f"sizes {got}, runtime {total:.2f}s")
 
 
-def test_criterion_02_abelian_matches_powerful_on_tower():
+def test_criterion_02_abelian_matches_powerful_on_tower(monkeypatch):
+    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")  # orders 256 and 512
     mismatches = []
-    for n in range(2, 7):
+    for n in range(2, 9):
         t = tower(n)
         res = solve_exact(build_instance(t["group"], t["lattice"], AB))
         if res.size != t["powerful"].size:

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import powcov
+from powcov.catalog import CatalogEntry
 from powcov.cli import main
 
 
@@ -89,6 +91,15 @@ def test_verify_pass(capsys):
     assert "dihedral:32: tower index n=4" in out
 
 
+def test_verify_main_theorem_to_order_512(capsys, monkeypatch):
+    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")
+    rc, out, _ = run(capsys, "verify", "main-theorem", "--max-n", "8")
+    assert rc == 0
+    assert out.startswith("suite main-theorem: PASS  [dihedral groups of order 8..512]")
+    assert "dihedral:256: tower index n=7: sigma_P = 65, expected 65" in out
+    assert "dihedral:512: tower index n=8: sigma_P = 129, expected 129" in out
+
+
 def test_verify_with_catalog_file(tmp_path, capsys):
     cat = tmp_path / "two.catalog"
     cat.write_text("d8 dihedral:8\nq8 quaternion:8\n")
@@ -131,6 +142,40 @@ def test_sweep_catalog_with_bad_entry(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()
     assert rows[1].startswith("good,8,2,")
     assert "DescriptorError" in rows[2]
+
+
+def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, monkeypatch):
+    (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
+    cat = tmp_path / "m.catalog"
+    cat.write_text(
+        "d8 dihedral:8\nd32 dihedral:32\nbad dihedral:6\nc5 perm:c5.perm\n"
+        "q16 quaternion:16\nbig product:(dihedral:16,dihedral:8)\n"
+    )
+    builds = Counter()
+    build = CatalogEntry.build
+
+    def counting_build(entry):
+        builds[entry.id] += 1
+        return build(entry)
+
+    monkeypatch.setattr(CatalogEntry, "build", counting_build)
+    out_csv = tmp_path / "m.csv"
+    rc, _, _ = run(
+        capsys, "sweep", "--catalog", str(cat), "--out", str(out_csv),
+        "--max-order", "16", "--stable-timing",
+    )
+    assert rc == 0
+    # Descriptor orders are read without a build; the perm: source and the
+    # unparsable one are built to filter and again by their sweep rows.
+    assert builds == {"d8": 1, "q16": 1, "bad": 2, "c5": 2}
+    assert out_csv.read_text() == (
+        "id,order,p,class,coclass,sigma,sigma_A,sigma_P,sigma_PE,time_ms,error\n"
+        "d8,8,2,2,1,3,3,3,INF,0,\n"
+        "bad,,,,,,,,,0,\"DescriptorError: dihedral order must be a power of 2, "
+        ">= 4; got 6 (in 'dihedral:6' at position 9)\"\n"
+        "c5,5,5,1,0,INF,INF,INF,INF,0,\n"
+        "q16,16,2,3,1,3,5,5,INF,0,\n"
+    )
 
 
 def test_sweep_family_subset(tmp_path, capsys):

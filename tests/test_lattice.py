@@ -4,8 +4,20 @@ from hypothesis import given, settings, strategies as st
 from powcov.bitset import ElementSet
 from powcov.catalog import builtin_catalog
 from powcov.descriptors import parse_descriptor
-from powcov.groups import CapError, GroupError, build_group, closure, is_subgroup
+from powcov.groups import (
+    CapError,
+    FiniteGroup,
+    GroupError,
+    build_group,
+    closure,
+    is_normal,
+    is_p_group,
+    is_subgroup,
+    quotient_group,
+)
 from powcov.lattice import (
+    _subgroups_by_descent,
+    _subgroups_by_extension,
     classify_small,
     enumerate_subgroups,
     is_powerful,
@@ -103,11 +115,32 @@ def test_closed_forms_cover_the_catalog_families():
 
 
 @pytest.mark.parametrize(
+    "spec,count",
+    [("dihedral:256", 263), ("dihedral:512", 520), ("quaternion:256", 135)],
+)
+def test_subgroup_counts_past_order_128(spec, count, monkeypatch):
+    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")
+    assert closed_form_subgroup_count(parse_descriptor(spec)) == count
+    assert len(enumerate_subgroups(build_group(spec))) == count
+
+
+@pytest.mark.parametrize(
     "spec", ["dihedral:16", "quaternion:16", "semidihedral:16", "cyclic:12", "elementary:3^2"]
 )
 def test_matches_subset_closure_oracle(spec):
     g = build_group(spec)
     assert lattice_sets(g) == subset_closure_subgroups(g.table.tolist())
+
+
+def test_product_and_quotient_match_subset_closure_oracle():
+    product = build_group("product:(quaternion:8,cyclic:2)")
+    # Q8 x C4 modulo its central element (x^2, z^2), numbered 2*4 + 2 = 10:
+    # the order-16 central product Q8 o C4, which no descriptor builds.
+    big = build_group("product:(quaternion:8,cyclic:4)")
+    central_product = quotient_group(big, closure(big, [10]))
+    for g in (product, central_product):
+        assert g.order == 16
+        assert lattice_sets(g) == subset_closure_subgroups(g.table.tolist())
 
 
 def test_lattice_is_sorted_and_flags_consistent():
@@ -239,3 +272,60 @@ def test_every_member_is_a_subgroup_and_closed(spec):
         seen.add(key)
         assert is_subgroup(g, s.elements)
         assert closure(g, list(s.elements)).bits == s.elements.bits
+
+
+def heisenberg_table(p):
+    """Unitriangular 3x3 matrices over F_p as triples:
+    (a, b, c)(x, y, z) = (a + x, b + y, c + z + a*y)."""
+    elements = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+    index = {e: i for i, e in enumerate(elements)}
+    return [
+        [index[(a + x) % p, (b + y) % p, (c + z + a * y) % p] for x, y, z in elements]
+        for a, b, c in elements
+    ]
+
+
+@pytest.mark.parametrize("p,count", [(3, 19), (5, 39)])
+def test_heisenberg_group_lattice(p, count):
+    # Nonabelian of exponent p, so Phi(K) = [K, K] with K^p trivial: no
+    # built-in odd-p group exercises the commutator part of the descent.
+    # Subgroups: 1, the p^2 + p + 1 of order p, the p + 1 maximal ones, G.
+    assert count == 1 + (p**2 + p + 1) + (p + 1) + 1
+    table = heisenberg_table(p)
+    g = FiniteGroup(table)
+    lat = enumerate_subgroups(g)
+    assert {s.elements.bits for s in lat.subgroups} == _subgroups_by_extension(g)
+    assert len(lat) == count
+    if p == 3:
+        assert lattice_sets(g) == subset_closure_subgroups(table)
+
+
+def _prime(spec):
+    return _prime_power(parse_descriptor(spec).order)[0]
+
+
+P_GROUP_FACTORS = [e.source for e in builtin_catalog(max_order=32) if e.source != "cyclic:1"]
+P_GROUP_PRODUCTS = [
+    f"product:({a},{b})"
+    for i, a in enumerate(P_GROUP_FACTORS)
+    for b in P_GROUP_FACTORS[i:]
+    if _prime(a) == _prime(b)
+    and parse_descriptor(a).order * parse_descriptor(b).order <= 64
+]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(P_GROUP_PRODUCTS), st.data())
+def test_descent_matches_extension_on_products_and_quotients(spec, data):
+    # The cyclic-extension path is exhaustive for any finite group, which
+    # makes it an oracle for the Frattini descent past order 32.
+    g = build_group(spec)
+    subgroups = _subgroups_by_descent(g, is_p_group(g))
+    assert subgroups == _subgroups_by_extension(g)
+    normal = [
+        es
+        for es in (ElementSet(bits, g.order) for bits in subgroups)
+        if 1 < len(es) < g.order and is_normal(g, es)
+    ]
+    q = quotient_group(g, data.draw(st.sampled_from(normal)))
+    assert _subgroups_by_descent(q, is_p_group(q)) == _subgroups_by_extension(q)
