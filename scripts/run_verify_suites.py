@@ -9,7 +9,7 @@ import argparse
 import sys
 import time
 
-from powcov.cache import LatticeCache
+from powcov.cache import LatticeCache, default_cache_dir
 from powcov.verify import SUITE_NAMES, format_report, run_suite
 
 
@@ -20,7 +20,7 @@ def main() -> int:
     parser.add_argument("--no-cache", action="store_true")
     args = parser.parse_args()
 
-    cache = None if args.no_cache else LatticeCache()
+    cache = LatticeCache(None if args.no_cache else default_cache_dir())
     worst = 0
     for name in SUITE_NAMES:
         t0 = time.perf_counter()

@@ -10,7 +10,7 @@ import os
 import sys
 import time
 
-from powcov.cache import LatticeCache
+from powcov.cache import LatticeCache, default_cache_dir
 from powcov.catalog import builtin_catalog
 from powcov.cover import FamilySelector
 from powcov.sweep import ALL_FAMILIES, run_sweep
@@ -38,7 +38,7 @@ def main() -> int:
         entries,
         families=families,
         out_csv=args.out,
-        cache=None if args.no_cache else LatticeCache(),
+        cache=LatticeCache(None if args.no_cache else default_cache_dir()),
         stable_timing=args.stable_timing,
     )
     elapsed = time.perf_counter() - t0

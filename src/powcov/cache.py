@@ -1,16 +1,20 @@
-"""Content-addressed disk cache for enumerated subgroup lattices.
+"""The lattices of one run, kept in memory and optionally on disk.
 
-Entries are JSON sidecar files named by the group's content key (a digest of
-its multiplication table), so a cache hit can never pair a lattice with the
-wrong group: renaming or re-deriving a group with the same table still hits,
-while any change to the table misses.  Serialization is deterministic, so a
-cache hit is byte-identical to what recomputation would store.  Corrupted or
-version-mismatched entries are silently recomputed and overwritten; I/O
-failures degrade to recomputation and are logged.
+A LatticeCache holds every lattice a run has needed, keyed by the group's
+content key (a digest of its multiplication table), so groups with equal
+tables share one lattice.  Given a directory, it also keeps each lattice in
+a JSON sidecar file named by that key, so a cache hit can never pair a
+lattice with the wrong group: renaming or re-deriving a group with the same
+table still hits, while any change to the table misses.  Serialization is
+deterministic, so a cache hit is byte-identical to what recomputation would
+store.  Each entry carries a SHA-256 digest of its subgroup records;
+corrupted, edited or version-mismatched entries are silently recomputed and
+overwritten.  I/O failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -28,10 +32,9 @@ __all__ = [
     "serialize_lattice",
     "deserialize_lattice",
     "memo_lattice",
-    "clear_memo",
 ]
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 logger = logging.getLogger(__name__)
 
@@ -43,28 +46,35 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "powcov")
 
 
+def _records_digest(records) -> str:
+    text = json.dumps(records, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def serialize_lattice(lat: Lattice) -> str:
     """Deterministic JSON text for a lattice (stable key order, no float
     content, trailing newline)."""
+    records = [
+        {
+            "bits": format(s.elements.bits, "x"),
+            "order": s.order,
+            "proper": s.is_proper,
+            "abelian": s.is_abelian,
+            "normal": s.is_normal,
+            "maximal": s.is_maximal,
+            "powerful": s.is_powerful,
+            "powerfully_embedded": s.is_powerfully_embedded,
+            "tag": s.tag,
+        }
+        for s in lat.subgroups
+    ]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "content_key": lat.group.content_key(),
         "descriptor": lat.group.descriptor,
         "order": lat.group.order,
-        "subgroups": [
-            {
-                "bits": format(s.elements.bits, "x"),
-                "order": s.order,
-                "proper": s.is_proper,
-                "abelian": s.is_abelian,
-                "normal": s.is_normal,
-                "maximal": s.is_maximal,
-                "powerful": s.is_powerful,
-                "powerfully_embedded": s.is_powerfully_embedded,
-                "tag": s.tag,
-            }
-            for s in lat.subgroups
-        ],
+        "subgroups": records,
+        "subgroups_sha256": _records_digest(records),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -75,7 +85,7 @@ class CacheEntryError(ValueError):
 
 def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
     """Rebuild a Lattice for g from cached text; raises CacheEntryError on
-    any mismatch (bad JSON, wrong version, wrong group)."""
+    any mismatch (bad JSON, wrong version, wrong group, edited records)."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -90,6 +100,8 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
         raise CacheEntryError("content key does not match the group")
     if payload.get("order") != g.order:
         raise CacheEntryError("order does not match the group")
+    if payload.get("subgroups_sha256") != _records_digest(payload.get("subgroups")):
+        raise CacheEntryError("subgroup records do not match their digest")
     subs = []
     try:
         for row in payload["subgroups"]:
@@ -112,16 +124,23 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
 
 
 class LatticeCache:
-    """get/put of lattices keyed by the group's content key."""
+    """The lattices of one run: in memory, and on disk when directory is set.
+
+    memo_lattice is the lookup; get and put touch only the disk entries.
+    """
 
     def __init__(self, directory: Optional[str] = None):
-        self.directory = directory or default_cache_dir()
+        self.directory = directory
+        self.lattices: Dict[str, Lattice] = {}
 
     def path_for(self, g: FiniteGroup) -> str:
         return os.path.join(self.directory, f"{g.content_key()}.lattice.json")
 
     def get(self, g: FiniteGroup) -> Optional[Lattice]:
-        """Cached lattice for g, or None on miss/corruption/I-O trouble."""
+        """Disk entry for g, or None on miss/corruption/I-O trouble or with no
+        directory."""
+        if self.directory is None:
+            return None
         path = self.path_for(g)
         try:
             with open(path) as fh:
@@ -137,7 +156,10 @@ class LatticeCache:
             return None
 
     def put(self, g: FiniteGroup, lat: Lattice) -> Optional[str]:
-        """Store the lattice; returns the path, or None if writing failed."""
+        """Store the lattice on disk; returns the path, or None if writing
+        failed or there is no directory."""
+        if self.directory is None:
+            return None
         path = self.path_for(g)
         try:
             os.makedirs(self.directory, exist_ok=True)
@@ -147,34 +169,19 @@ class LatticeCache:
             return None
         return path
 
-    def get_or_compute(self, g: FiniteGroup) -> Lattice:
-        """Cache hit, or enumerate + store (overwriting any unusable entry)."""
-        hit = self.get(g)
-        if hit is not None:
-            return hit
-        lat = enumerate_subgroups(g)
-        self.put(g, lat)
-        return lat
-
-
-_MEMO: Dict[str, Lattice] = {}
-
 
 def memo_lattice(g: FiniteGroup, cache: Optional[LatticeCache] = None) -> Lattice:
-    """Process-wide memo over enumerate_subgroups, optionally backed by a
-    disk cache.  Suites that revisit the same group (by table content) pay
-    for enumeration once."""
+    """The lattice of g, enumerated at most once per cache (and per table
+    content): from the cache's memory, then its disk entry, else enumerated
+    and stored (overwriting any unusable entry).  With no cache, enumerate."""
+    if cache is None:
+        return enumerate_subgroups(g)
     key = g.content_key()
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    if cache is not None:
-        lat = cache.get_or_compute(g)
-    else:
-        lat = enumerate_subgroups(g)
-    _MEMO[key] = lat
+    lat = cache.lattices.get(key)
+    if lat is None:
+        lat = cache.get(g)
+        if lat is None:
+            lat = enumerate_subgroups(g)
+            cache.put(g, lat)
+        cache.lattices[key] = lat
     return lat
-
-
-def clear_memo() -> None:
-    _MEMO.clear()

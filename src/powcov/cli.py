@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from typing import List, Optional
 
-from .cache import LatticeCache, memo_lattice
+from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import CatalogEntry, builtin_catalog, load_catalog_file
 from .cover import FamilySelector, covering_number
 from .descriptors import DescriptorError, parse_descriptor
@@ -32,10 +32,15 @@ def _print_members(g: FiniteGroup, members) -> str:
     return "{" + ", ".join(g.name_of(i) for i in members) + "}"
 
 
+def _run_cache(args) -> LatticeCache:
+    """The command's one lattice cache: memory only under --no-cache."""
+    return LatticeCache(None if args.no_cache else default_cache_dir())
+
+
 def cmd_sigma(args) -> int:
     g = build_group(args.descriptor)
     family = FamilySelector.from_name(args.family)
-    lat = memo_lattice(g, cache=None if args.no_cache else LatticeCache())
+    lat = memo_lattice(g, cache=_run_cache(args))
     res = covering_number(g, family, lat=lat)
     if res.infeasible:
         if int(g.element_orders.max()) == g.order:
@@ -52,7 +57,7 @@ def cmd_sigma(args) -> int:
 
 def cmd_lattice(args) -> int:
     g = build_group(args.descriptor)
-    lat = memo_lattice(g, cache=None if args.no_cache else LatticeCache())
+    lat = memo_lattice(g, cache=_run_cache(args))
     c = lat.counts()
     print(f"{args.descriptor}: order {g.order}, {c['subgroups']} subgroups")
     for key in ("proper", "abelian", "normal", "maximal", "powerful", "powerfully_embedded"):
@@ -78,7 +83,7 @@ def cmd_verify(args) -> int:
         max_n=args.max_n,
         max_order=args.max_order,
         catalog=catalog,
-        cache=None if args.no_cache else LatticeCache(),
+        cache=_run_cache(args),
     )
     print(format_report(report))
     return 0 if report.passed else 1
@@ -122,7 +127,7 @@ def cmd_sweep(args) -> int:
         entries,
         families=families,
         out_csv=args.out,
-        cache=None if args.no_cache else LatticeCache(),
+        cache=_run_cache(args),
         stable_timing=args.stable_timing,
     )
     failed = [r for r in rows if r.error]

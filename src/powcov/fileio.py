@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .groups import CapError, FiniteGroup, GroupError, max_order_cap
+from .groups import HARD_MAX_ORDER, CapError, FiniteGroup, GroupError
 
 __all__ = [
     "FileFormatError",
@@ -105,8 +105,11 @@ def _check_version(lines: List[Tuple[int, str]], path: str) -> None:
         raise FileFormatError(f"line {lineno}: unsupported format version {version}")
 
 
-def load_cayley_file(path: str, cap: Optional[int] = None) -> FiniteGroup:
-    """Read a Cayley file and validate it as a group."""
+def load_cayley_file(path: str) -> FiniteGroup:
+    """Read a Cayley file and validate it as a group.
+
+    An order header above HARD_MAX_ORDER is refused before any row is read.
+    """
     lines = _content_lines(path)
     _check_version(lines, path)
     pos = 1
@@ -120,6 +123,10 @@ def load_cayley_file(path: str, cap: Optional[int] = None) -> FiniteGroup:
     order = _expect_int(parts[1], "order", lineno)
     if order < 1:
         raise FileFormatError(f"line {lineno}: order must be >= 1, got {order}")
+    if order > HARD_MAX_ORDER:
+        raise CapError(
+            f"line {lineno}: group order {order} exceeds construction cap {HARD_MAX_ORDER}"
+        )
     pos += 1
 
     if pos >= len(lines) or lines[pos][1] != "table":
@@ -155,7 +162,7 @@ def load_cayley_file(path: str, cap: Optional[int] = None) -> FiniteGroup:
             )
         names = tokens
 
-    return FiniteGroup(rows, descriptor=f"file:{path}", names=names, cap=cap)
+    return FiniteGroup(rows, descriptor=f"file:{path}", names=names)
 
 
 def save_cayley_file(g: FiniteGroup, path: str) -> None:
@@ -182,13 +189,12 @@ def _parse_permutation(tokens: List[str], degree: int, lineno: int) -> Tuple[int
     return images
 
 
-def load_permutation_generators(path: str, cap: Optional[int] = None) -> FiniteGroup:
+def load_permutation_generators(path: str) -> FiniteGroup:
     """Close a set of permutation generators into a full Cayley table.
 
     Composition is (p * q)(i) = p(q(i)): q acts first.  Raises CapError as
-    soon as the closure exceeds the construction cap.
+    soon as the closure exceeds HARD_MAX_ORDER.
     """
-    limit = max_order_cap() if cap is None else cap
     lines = _content_lines(path)
     _check_version(lines, path)
     if len(lines) < 2 or lines[1][1].split()[0] != "degree":
@@ -220,10 +226,10 @@ def load_permutation_generators(path: str, cap: Optional[int] = None) -> FiniteG
         for q in gens:
             r = tuple(p[q[i]] for i in range(degree))
             if r not in index:
-                if len(elements) >= limit:
+                if len(elements) >= HARD_MAX_ORDER:
                     raise CapError(
-                        f"permutation closure exceeds the cap of {limit} elements "
-                        f"(set POWCOV_MAX_ORDER to raise it, hard ceiling 512)"
+                        f"permutation closure exceeds the construction cap of "
+                        f"{HARD_MAX_ORDER} elements"
                     )
                 index[r] = len(elements)
                 elements.append(r)
@@ -234,4 +240,4 @@ def load_permutation_generators(path: str, cap: Optional[int] = None) -> FiniteG
     for i in range(n):
         composed = arr[i][arr]
         table[i] = [index[tuple(int(v) for v in row)] for row in composed]
-    return FiniteGroup(table, descriptor=f"perm:{path}", cap=limit)
+    return FiniteGroup(table, descriptor=f"perm:{path}")

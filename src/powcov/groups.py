@@ -18,7 +18,6 @@ generator powers first and the reflection-type coset second:
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -46,12 +45,10 @@ __all__ = [
     "nilpotence_class",
     "coclass",
     "is_p_group",
-    "max_order_cap",
     "HARD_MAX_ORDER",
 ]
 
 HARD_MAX_ORDER = 512
-DEFAULT_LATTICE_CAP = 256
 
 
 class GroupError(ValueError):
@@ -63,30 +60,12 @@ class ConstructionError(GroupError):
 
 
 class CapError(GroupError):
-    """A requested construction or enumeration exceeds the configured cap."""
+    """A requested group is larger than HARD_MAX_ORDER."""
 
 
-def _env_cap(default: int) -> int:
-    raw = os.environ.get("POWCOV_MAX_ORDER")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise GroupError(f"POWCOV_MAX_ORDER is not an integer: {raw!r}") from None
-    if value < 1:
-        raise GroupError(f"POWCOV_MAX_ORDER must be >= 1, got {value}")
-    return min(value, HARD_MAX_ORDER)
-
-
-def max_order_cap() -> int:
-    """Largest group order this process will construct (env-overridable, <=512)."""
-    return _env_cap(HARD_MAX_ORDER)
-
-
-def lattice_order_cap() -> int:
-    """Largest group order the lattice enumerator will accept."""
-    return _env_cap(DEFAULT_LATTICE_CAP)
+def _check_order(n: int) -> None:
+    if n > HARD_MAX_ORDER:
+        raise CapError(f"group order {n} exceeds construction cap {HARD_MAX_ORDER}")
 
 
 class FiniteGroup:
@@ -107,7 +86,6 @@ class FiniteGroup:
         table: Union[np.ndarray, Sequence[Sequence[int]]],
         descriptor: str = "",
         names: Optional[Sequence[str]] = None,
-        cap: Optional[int] = None,
     ):
         table = np.asarray(table, dtype=np.int32)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -115,9 +93,7 @@ class FiniteGroup:
         n = table.shape[0]
         if n == 0:
             raise ConstructionError("empty table")
-        cap = max_order_cap() if cap is None else min(cap, HARD_MAX_ORDER)
-        if n > cap:
-            raise CapError(f"group order {n} exceeds construction cap {cap}")
+        _check_order(n)
         if table.min() < 0 or table.max() >= n:
             bad = np.argwhere((table < 0) | (table >= n))[0]
             raise ConstructionError(
@@ -277,12 +253,10 @@ def _elementary(p: int, k: int):
     return table, names
 
 
-def direct_product(a: "FiniteGroup", b: "FiniteGroup", cap: Optional[int] = None) -> "FiniteGroup":
+def direct_product(a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
     """External direct product; element (x, y) is numbered x*|B| + y."""
     n = a.order * b.order
-    limit = max_order_cap() if cap is None else cap
-    if n > limit:
-        raise CapError(f"product order {n} exceeds cap {limit}")
+    _check_order(n)
     ta = a.table.astype(np.int64)
     tb = b.table.astype(np.int64)
     table = (
@@ -292,34 +266,27 @@ def direct_product(a: "FiniteGroup", b: "FiniteGroup", cap: Optional[int] = None
     if a.names and b.names:
         names = [f"({na},{nb})" for na in a.names for nb in b.names]
     desc = f"product:({a.descriptor},{b.descriptor})" if a.descriptor and b.descriptor else ""
-    return FiniteGroup(table, descriptor=desc, names=names, cap=limit)
+    return FiniteGroup(table, descriptor=desc, names=names)
 
 
-def build_group(spec: Union[str, GroupDescriptor], cap: Optional[int] = None) -> FiniteGroup:
+def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
     """Construct the group a descriptor names.  See parse_descriptor for the grammar."""
     desc = parse_descriptor(spec)
-    limit = max_order_cap() if cap is None else min(cap, HARD_MAX_ORDER)
 
     if desc.kind == "file":
         from .fileio import load_cayley_file
 
-        return load_cayley_file(desc.params[0], cap=limit)
+        return load_cayley_file(desc.params[0])
 
+    _check_order(desc.order)
     if desc.kind == "product":
-        left = build_group(desc.params[0], cap=limit)
-        right = build_group(desc.params[1], cap=limit)
-        return direct_product(left, right, cap=limit)
+        return direct_product(build_group(desc.params[0]), build_group(desc.params[1]))
 
     if desc.kind == "elementary":
-        p, k = desc.params
-        if p**k > limit:
-            raise CapError(f"order {p**k} exceeds construction cap {limit}")
-        table, names = _elementary(p, k)
-        return FiniteGroup(table, descriptor=desc.canonical(), names=names, cap=limit)
+        table, names = _elementary(*desc.params)
+        return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
     (m,) = desc.params
-    if m > limit:
-        raise CapError(f"order {m} exceeds construction cap {limit}")
     if desc.kind == "cyclic":
         table, names = _cyclic(m)
     elif desc.kind == "dihedral":
@@ -340,7 +307,7 @@ def build_group(spec: Union[str, GroupDescriptor], cap: Optional[int] = None) ->
         names = _family_names(h, "z", "t")
     else:  # pragma: no cover - parse_descriptor screens kinds
         raise DescriptorError(f"cannot build kind {desc.kind!r}")
-    return FiniteGroup(table, descriptor=desc.canonical(), names=names, cap=limit)
+    return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
 
 def subgroup_as_group(g: FiniteGroup, members: ElementSet) -> FiniteGroup:

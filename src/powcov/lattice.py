@@ -8,11 +8,10 @@ Two enumeration paths, chosen by the group's order:
   preimages of its hyperplanes.  Every subgroup of a p-group lies on a chain
   of maximal subgroups down from G, so the descent reaches all of them with
   one Frattini computation per subgroup and no closure per candidate.
-* Every other group (and the trivial one) seeds with the trivial and cyclic
-  subgroups and extends every known subgroup by every outside element until
-  no new subgroup appears.  That is exhaustive for any finite group.
-
-The soft order cap keeps both at desk scale.
+* Every other group (and the trivial one) starts from the trivial subgroup
+  and extends every subgroup found by a generator of each cyclic subgroup
+  outside it, until no new subgroup appears.  Every subgroup is generated by
+  its cyclic subgroups, so that is exhaustive for any finite group.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import numpy as np
 
 from .bitset import ElementSet
 from .groups import (
-    CapError,
     FiniteGroup,
     GroupError,
     closure,
@@ -34,7 +32,6 @@ from .groups import (
     is_normal,
     is_p_group,
     is_subgroup,
-    lattice_order_cap,
     power_subgroup,
 )
 
@@ -200,35 +197,44 @@ def _mask_bits(mask: np.ndarray) -> int:
 
 
 def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
-    """Bitmasks of every subgroup of any finite group, by cyclic extension."""
+    """Bitmasks of every subgroup of any finite group, by cyclic extension.
+
+    <H, x> depends only on <x>, so each subgroup is extended by one
+    generator of each cyclic subgroup outside it.
+    """
     n = g.order
     table = g.table
     seen: set[int] = set()
     queue: list[np.ndarray] = []
 
-    def admit(mask: np.ndarray) -> None:
+    def admit(mask: np.ndarray) -> bool:
         bits = _mask_bits(mask)
-        if bits not in seen:
-            seen.add(bits)
-            queue.append(mask)
+        if bits in seen:
+            return False
+        seen.add(bits)
+        queue.append(mask)
+        return True
 
     seed = np.zeros(n, dtype=bool)
     seed[g.identity] = True
     admit(seed)
+    generators = []
     for s in range(n):
         mask = seed.copy()
         cur = s
         while cur != g.identity:
             mask[cur] = True
             cur = int(table[cur, s])
-        admit(mask)
+        if admit(mask):
+            generators.append(s)
 
     head = 0
     while head < len(queue):
         mask = queue[head]
         head += 1
-        for elt in np.flatnonzero(~mask):
-            admit(_extend(table, mask, int(elt)))
+        for x in generators:
+            if not mask[x]:
+                admit(_extend(table, mask, x))
     return seen
 
 
@@ -304,14 +310,8 @@ def _subgroups_by_descent(g: FiniteGroup, p: int) -> set[int]:
     return seen
 
 
-def enumerate_subgroups(g: FiniteGroup, cap: Optional[int] = None) -> Lattice:
-    """Every subgroup of g, flags included.  Refuses groups above the cap."""
-    cap = lattice_order_cap() if cap is None else cap
-    if g.order > cap:
-        raise CapError(
-            f"order {g.order} exceeds the lattice cap {cap}; "
-            "raise POWCOV_MAX_ORDER to override"
-        )
+def enumerate_subgroups(g: FiniteGroup) -> Lattice:
+    """Every subgroup of g, flags included."""
     n = g.order
     p = is_p_group(g)
     known = _subgroups_by_extension(g) if p is None else _subgroups_by_descent(g, p)

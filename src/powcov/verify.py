@@ -11,13 +11,13 @@ a finding to report, not a malfunction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry, builtin_catalog
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
 from .groups import FiniteGroup, build_group, coclass, quotient_group, subgroup_as_group
-from .lattice import Lattice, is_powerful
+from .lattice import is_powerful
 
 __all__ = [
     "CheckResult",
@@ -57,25 +57,6 @@ def _fmt(res: CoverResult) -> str:
     return str(res.size) if res.optimal else "INF"
 
 
-class _Session:
-    """Shared lattice/result reuse across the suites of one process run."""
-
-    def __init__(self, cache: Optional[LatticeCache] = None):
-        self.cache = cache
-        self._sigma_memo: Dict[Tuple[str, str], CoverResult] = {}
-
-    def lattice(self, g: FiniteGroup) -> Lattice:
-        return memo_lattice(g, cache=self.cache)
-
-    def sigma(self, g: FiniteGroup, family: FamilySelector) -> CoverResult:
-        key = (g.content_key(), family.value)
-        hit = self._sigma_memo.get(key)
-        if hit is None:
-            hit = covering_number(g, family, lat=self.lattice(g))
-            self._sigma_memo[key] = hit
-        return hit
-
-
 def _is_cyclic(g: FiniteGroup) -> bool:
     return int(g.element_orders.max()) == g.order
 
@@ -100,13 +81,13 @@ def _tower_index(order: int) -> int:
     return order.bit_length() - 2
 
 
-def suite_main_theorem(session: _Session, max_n: int = 6) -> SuiteReport:
+def suite_main_theorem(cache: LatticeCache, max_n: int = 6) -> SuiteReport:
     """sigma_P of the dihedral group of order 2^(n+1) equals 2^(n-1)+1."""
     checks = []
     for n in range(2, max_n + 1):
         order = 1 << (n + 1)
         g = build_group(f"dihedral:{order}")
-        res = session.sigma(g, FamilySelector.POWERFUL)
+        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
         expected = (1 << (n - 1)) + 1
         ok = res.optimal and res.size == expected
         checks.append(
@@ -125,7 +106,7 @@ def suite_main_theorem(session: _Session, max_n: int = 6) -> SuiteReport:
 
 
 def suite_sigma_equals_p_plus_1(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: Optional[int] = None,
 ) -> SuiteReport:
@@ -135,7 +116,7 @@ def suite_sigma_equals_p_plus_1(
     count = 0
     for e, g in _entries(catalog, max_order):
         count += 1
-        res = session.sigma(g, FamilySelector.ALL)
+        res = covering_number(g, FamilySelector.ALL, lat=memo_lattice(g, cache))
         if _is_cyclic(g):
             ok = res.infeasible
             detail = f"cyclic: sigma = {_fmt(res)}, expected INF"
@@ -153,7 +134,7 @@ def suite_sigma_equals_p_plus_1(
 
 
 def suite_chain(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: Optional[int] = None,
 ) -> SuiteReport:
@@ -162,9 +143,10 @@ def suite_chain(
     count = 0
     for e, g in _entries(catalog, max_order):
         count += 1
-        s = session.sigma(g, FamilySelector.ALL)
-        sp = session.sigma(g, FamilySelector.POWERFUL)
-        sa = session.sigma(g, FamilySelector.ABELIAN)
+        lat = memo_lattice(g, cache)
+        s = covering_number(g, FamilySelector.ALL, lat=lat)
+        sp = covering_number(g, FamilySelector.POWERFUL, lat=lat)
+        sa = covering_number(g, FamilySelector.ABELIAN, lat=lat)
         ok = True
         if s.optimal and sp.optimal:
             ok = ok and s.size <= sp.size
@@ -188,7 +170,7 @@ def suite_chain(
 
 
 def suite_quotient(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: Optional[int] = None,
 ) -> SuiteReport:
@@ -200,14 +182,15 @@ def suite_quotient(
         if not e.source.startswith("dihedral:"):
             continue
         scanned += 1
-        bound = session.sigma(g, FamilySelector.POWERFUL)
-        for sub in session.lattice(g).subgroups:
+        lat = memo_lattice(g, cache)
+        bound = covering_number(g, FamilySelector.POWERFUL, lat=lat)
+        for sub in lat.subgroups:
             if not sub.is_normal or sub.order == g.order:
                 continue
             q = quotient_group(g, sub.elements)
             if _is_cyclic(q) or _group_is_powerful(q):
                 continue
-            res = session.sigma(q, FamilySelector.POWERFUL)
+            res = covering_number(q, FamilySelector.POWERFUL, lat=memo_lattice(q, cache))
             ok = (
                 bound.optimal
                 and res.optimal
@@ -241,7 +224,7 @@ _PRODUCT_CASES = (
 
 
 def suite_product_powerful(
-    session: _Session, max_order: Optional[int] = None
+    cache: LatticeCache, max_order: Optional[int] = None
 ) -> SuiteReport:
     """sigma_P(G x K) = sigma_P(G) for noncyclic G and powerful K."""
     checks = []
@@ -250,8 +233,8 @@ def suite_product_powerful(
         prod = build_group(f"product:({left},{right})")
         if max_order is not None and prod.order > max_order:
             continue
-        base = session.sigma(g, FamilySelector.POWERFUL)
-        both = session.sigma(prod, FamilySelector.POWERFUL)
+        base = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
+        both = covering_number(prod, FamilySelector.POWERFUL, lat=memo_lattice(prod, cache))
         ok = base.optimal and both.optimal and base.size == both.size
         checks.append(
             CheckResult(
@@ -269,7 +252,7 @@ def suite_product_powerful(
 
 
 def suite_conjecture1(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: int = 64,
 ) -> SuiteReport:
@@ -286,7 +269,7 @@ def suite_conjecture1(
             continue
         n = _tower_index(g.order)
         expected = (1 << (n - 1)) + 1
-        res = session.sigma(g, FamilySelector.POWERFUL)
+        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
         checks.append(
             CheckResult(
                 label=e.id,
@@ -303,7 +286,7 @@ def suite_conjecture1(
 
 
 def suite_conjecture2(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: int = 128,
 ) -> SuiteReport:
@@ -318,7 +301,7 @@ def suite_conjecture2(
             continue
         n = _tower_index(g.order)
         bound = (1 << (n - 1)) + 1
-        res = session.sigma(g, FamilySelector.POWERFUL)
+        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
         checks.append(
             CheckResult(
                 label=e.id,
@@ -334,11 +317,11 @@ def suite_conjecture2(
     )
 
 
-def suite_pe_d32(session: _Session) -> SuiteReport:
+def suite_pe_d32(cache: LatticeCache) -> SuiteReport:
     """No cover of dihedral:32 by powerfully embedded subgroups exists."""
     g = build_group("dihedral:32")
-    res = session.sigma(g, FamilySelector.POWERFULLY_EMBEDDED)
-    lat = session.lattice(g)
+    lat = memo_lattice(g, cache)
+    res = covering_number(g, FamilySelector.POWERFULLY_EMBEDDED, lat=lat)
     pe = [s for s in lat.subgroups if s.is_proper and s.is_powerfully_embedded]
     union = sum(s.order - 1 for s in pe) + 1  # crude upper bound on coverage
     check = CheckResult(
@@ -359,7 +342,7 @@ def suite_pe_d32(session: _Session) -> SuiteReport:
 
 
 def suite_monotonicity(
-    session: _Session,
+    cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]] = None,
     max_order: int = 16,
 ) -> SuiteReport:
@@ -373,17 +356,18 @@ def suite_monotonicity(
     for e, g in _entries(catalog, max_order):
         if _is_cyclic(g):
             continue
-        outer = session.sigma(g, FamilySelector.POWERFUL)
+        lat = memo_lattice(g, cache)
+        outer = covering_number(g, FamilySelector.POWERFUL, lat=lat)
         if not outer.optimal:
             continue
-        for sub in session.lattice(g).subgroups:
+        for sub in lat.subgroups:
             if not sub.is_proper or sub.order < 4:
                 continue
             h = subgroup_as_group(g, sub.elements)
             if _is_cyclic(h):
                 continue
             scanned += 1
-            inner = session.sigma(h, FamilySelector.POWERFUL)
+            inner = covering_number(h, FamilySelector.POWERFUL, lat=memo_lattice(h, cache))
             if not (inner.optimal and inner.size <= outer.size):
                 checks.append(
                     CheckResult(
@@ -431,31 +415,35 @@ def run_suite(
     catalog: Optional[Sequence[CatalogEntry]] = None,
     cache: Optional[LatticeCache] = None,
 ) -> SuiteReport:
-    """Run one suite by its public name with optional range bounds."""
-    session = _Session(cache=cache)
+    """Run one suite by its public name with optional range bounds.
+
+    cache holds the run's lattices; pass one instance to share them across
+    suites.  Without one, the suite gets a memory-only cache of its own.
+    """
+    cache = LatticeCache() if cache is None else cache
     if name == "main-theorem":
-        return suite_main_theorem(session, max_n=max_n if max_n is not None else 6)
+        return suite_main_theorem(cache, max_n=max_n if max_n is not None else 6)
     if name == "sigma-equals-p-plus-1":
-        return suite_sigma_equals_p_plus_1(session, catalog, max_order)
+        return suite_sigma_equals_p_plus_1(cache, catalog, max_order)
     if name == "chain":
-        return suite_chain(session, catalog, max_order)
+        return suite_chain(cache, catalog, max_order)
     if name == "quotient":
-        return suite_quotient(session, catalog, max_order)
+        return suite_quotient(cache, catalog, max_order)
     if name == "product-powerful":
-        return suite_product_powerful(session, max_order)
+        return suite_product_powerful(cache, max_order)
     if name == "conjecture1":
         return suite_conjecture1(
-            session, catalog, max_order if max_order is not None else 64
+            cache, catalog, max_order if max_order is not None else 64
         )
     if name == "conjecture2":
         return suite_conjecture2(
-            session, catalog, max_order if max_order is not None else 128
+            cache, catalog, max_order if max_order is not None else 128
         )
     if name == "pe-d32":
-        return suite_pe_d32(session)
+        return suite_pe_d32(cache)
     if name == "monotonicity":
         return suite_monotonicity(
-            session, catalog, max_order if max_order is not None else 16
+            cache, catalog, max_order if max_order is not None else 16
         )
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
 

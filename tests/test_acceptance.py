@@ -53,8 +53,7 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} ({label}): {detail or 'check failed'}"
 
 
-def test_criterion_01_dihedral_powerful_tower(monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")  # orders 256 and 512
+def test_criterion_01_dihedral_powerful_tower():
     expected = {2: 3, 3: 5, 4: 9, 5: 17, 6: 33, 7: 65, 8: 129}
     got = {n: tower(n)["powerful"].size for n in range(2, 9)}
     total = sum(tower(n)["elapsed"] for n in range(2, 9))
@@ -62,8 +61,7 @@ def test_criterion_01_dihedral_powerful_tower(monkeypatch):
     report(1, "dihedral-powerful-tower", ok, f"sizes {got}, runtime {total:.2f}s")
 
 
-def test_criterion_02_abelian_matches_powerful_on_tower(monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")  # orders 256 and 512
+def test_criterion_02_abelian_matches_powerful_on_tower():
     mismatches = []
     for n in range(2, 9):
         t = tower(n)

@@ -5,7 +5,6 @@ import os
 from powcov.cache import (
     CACHE_FORMAT_VERSION,
     LatticeCache,
-    clear_memo,
     default_cache_dir,
     deserialize_lattice,
     memo_lattice,
@@ -55,7 +54,7 @@ def test_cache_file_name_and_hit_bytes(tmp_path):
     cache = LatticeCache(str(tmp_path))
     g = build_group("dihedral:32")
     assert cache.get(g) is None  # cold
-    lat = cache.get_or_compute(g)
+    lat = memo_lattice(g, cache)
     path = cache.path_for(g)
     assert os.path.basename(path) == f"{g.content_key()}.lattice.json"
     assert os.path.exists(path)
@@ -70,12 +69,12 @@ def test_cache_file_name_and_hit_bytes(tmp_path):
 def test_corrupt_entries_are_recomputed(tmp_path):
     cache = LatticeCache(str(tmp_path))
     g = build_group("dihedral:16")
-    cache.get_or_compute(g)
+    memo_lattice(g, cache)
     path = cache.path_for(g)
     with open(path, "w") as fh:
         fh.write("{ not json")
     assert cache.get(g) is None
-    lat = cache.get_or_compute(g)  # heals the entry
+    lat = memo_lattice(g, LatticeCache(str(tmp_path)))  # heals the entry
     assert len(lat) == 19
     assert cache.get(g) is not None
 
@@ -83,7 +82,7 @@ def test_corrupt_entries_are_recomputed(tmp_path):
 def test_version_and_group_mismatches_miss(tmp_path):
     cache = LatticeCache(str(tmp_path))
     g = build_group("dihedral:16")
-    cache.get_or_compute(g)
+    memo_lattice(g, cache)
     # bump the version field in place
     path = cache.path_for(g)
     doc = json.loads(open(path).read())
@@ -103,9 +102,9 @@ def test_unwritable_directory_degrades_gracefully(tmp_path, caplog):
     cache = LatticeCache(str(blocked / "sub"))
     g = build_group("dihedral:8")
     # get and put fail with a logged warning, not an exception;
-    # get_or_compute still works
+    # memo_lattice still works
     with caplog.at_level(logging.WARNING, logger="powcov.cache"):
-        lat = cache.get_or_compute(g)
+        lat = memo_lattice(g, cache)
     assert len(lat) == 10
     messages = [
         r.getMessage()
@@ -116,27 +115,84 @@ def test_unwritable_directory_degrades_gracefully(tmp_path, caplog):
     assert any(m.startswith("lattice cache write failed") for m in messages)
 
 
-def test_memo_identity_across_equal_groups(tmp_path):
-    clear_memo()
+def test_memo_identity_across_equal_groups():
+    cache = LatticeCache()
     g1 = build_group("dihedral:16")
     g2 = build_group("dihedral:16")
     assert g1 is not g2
-    lat1 = memo_lattice(g1)
-    lat2 = memo_lattice(g2)
-    assert lat1 is lat2  # same content key -> same memoized lattice
-    clear_memo()
-    assert memo_lattice(g1) is not lat1
+    lat1 = memo_lattice(g1, cache)
+    assert memo_lattice(g2, cache) is lat1  # same content key -> same lattice
+    assert memo_lattice(g1, LatticeCache()) is not lat1  # caches share nothing
+
+
+def test_memo_without_cache_shares_nothing():
+    g = build_group("dihedral:16")
+    assert memo_lattice(g) is not memo_lattice(g)
+
+
+def test_memory_only_cache_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("POWCOV_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("HOME", str(tmp_path))
+    cache = LatticeCache()
+    g = build_group("dihedral:8")
+    assert len(memo_lattice(g, cache)) == 10
+    assert cache.get(g) is None
+    assert cache.put(g, memo_lattice(g, cache)) is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_memo_backed_by_disk_cache(tmp_path):
-    clear_memo()
-    cache = LatticeCache(str(tmp_path))
     g = build_group("semidihedral:32")
-    lat = memo_lattice(g, cache=cache)
-    assert os.path.exists(cache.path_for(g))
-    clear_memo()
-    # second process-equivalent: memo empty, disk warm
-    lat2 = memo_lattice(g, cache=cache)
+    lat = memo_lattice(g, LatticeCache(str(tmp_path)))
+    assert os.path.exists(LatticeCache(str(tmp_path)).path_for(g))
+    # second process-equivalent: memory empty, disk warm
+    lat2 = memo_lattice(g, LatticeCache(str(tmp_path)))
+    assert lat2 is not lat
     assert [s.elements.bits for s in lat2.subgroups] == [
         s.elements.bits for s in lat.subgroups
+    ]
+
+
+def _edit_entry(cache, g, edit):
+    path = cache.path_for(g)
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc["subgroups"])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_edited_subgroup_bits_are_recomputed(tmp_path):
+    # Adding the reflection s (element 8) to the cyclic subgroup <r> of order 8
+    # once made `powcov sigma dihedral:16 powerful` print a 9-element witness.
+    g = build_group("dihedral:16")
+    memo_lattice(g, LatticeCache(str(tmp_path)))
+    cache = LatticeCache(str(tmp_path))
+
+    def add_reflection(records):
+        (row,) = [r for r in records if r["tag"] == "cyclic(8)"]
+        row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")
+
+    _edit_entry(cache, g, add_reflection)
+    assert cache.get(g) is None
+    lat = memo_lattice(g, cache)  # recomputed and overwritten
+    assert all(len(s.elements) == s.order for s in lat.subgroups)
+    with open(cache.path_for(g)) as fh:
+        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
+def test_flipped_flag_is_recomputed(tmp_path):
+    g = build_group("dihedral:16")
+    cache = LatticeCache(str(tmp_path))
+    memo_lattice(g, cache)
+
+    def flip_powerful(records):
+        row = next(r for r in records if r["powerful"] is False)
+        row["powerful"] = True
+
+    _edit_entry(cache, g, flip_powerful)
+    assert cache.get(g) is None
+    fresh = memo_lattice(g, LatticeCache(str(tmp_path)))
+    assert [s.is_powerful for s in fresh.subgroups] == [
+        s.is_powerful for s in enumerate_subgroups(g).subgroups
     ]

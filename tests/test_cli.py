@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,21 @@ def test_sigma_powerful_dihedral(capsys):
     assert len(member_lines) == 5
     assert member_lines[0].startswith("  order   8: {e, r, ")
     assert all(l.startswith("  order   4: {") for l in member_lines[1:])
+
+
+def test_sigma_ignores_an_edited_cache_entry(capsys, tmp_path):
+    # conftest points POWCOV_CACHE_DIR at tmp_path / "cache"
+    rc, first, _ = run(capsys, "sigma", "dihedral:16", "powerful")
+    assert rc == 0
+    (path,) = (tmp_path / "cache").iterdir()
+    doc = json.loads(path.read_text())
+    (row,) = [r for r in doc["subgroups"] if r["tag"] == "cyclic(8)"]
+    row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")  # add s to <r>
+    path.write_text(json.dumps(doc))
+    rc, second, _ = run(capsys, "sigma", "dihedral:16", "powerful")
+    assert rc == 0
+    assert second == first
+    assert "order   9" not in second
 
 
 def test_sigma_cyclic_is_infeasible_with_reason(capsys):
@@ -91,8 +107,7 @@ def test_verify_pass(capsys):
     assert "dihedral:32: tower index n=4" in out
 
 
-def test_verify_main_theorem_to_order_512(capsys, monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")
+def test_verify_main_theorem_to_order_512(capsys):
     rc, out, _ = run(capsys, "verify", "main-theorem", "--max-n", "8")
     assert rc == 0
     assert out.startswith("suite main-theorem: PASS  [dihedral groups of order 8..512]")

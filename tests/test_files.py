@@ -97,11 +97,19 @@ def test_file_errors_are_group_errors(tmp_path):
 
 
 def test_cayley_cap(tmp_path):
-    g = build_group("cyclic:20")
-    p = tmp_path / "c20.cayley"
-    save_cayley_file(g, str(p))
-    with pytest.raises(CapError):
-        load_cayley_file(str(p), cap=16)
+    # a well-formed cyclic table one past the ceiling
+    n = 513
+    rows = "\n".join(" ".join(str((i + j) % n) for j in range(n)) for i in range(n))
+    path = write(tmp_path, "c513.cayley", f"version 1\norder {n}\ntable\n{rows}\n")
+    with pytest.raises(CapError, match="513"):
+        load_cayley_file(path)
+
+
+def test_cayley_order_header_checked_before_rows(tmp_path):
+    # the rows are missing and malformed: only the header is ever read
+    path = write(tmp_path, "h.cayley", "version 1\norder 513\ntable\n0 x\n")
+    with pytest.raises(CapError, match="line 2: group order 513 exceeds"):
+        load_cayley_file(path)
 
 
 # -------------------------------------------------------- permutation files
@@ -133,11 +141,11 @@ def test_single_transposition_gives_c2(tmp_path):
 
 
 def test_permutation_closure_cap(tmp_path):
-    # a 300-cycle closes to a group bigger than the default 256 lattice cap
-    images = " ".join(str((i + 1) % 300) for i in range(300))
-    path = write(tmp_path, "big.perm", f"version 1\ndegree 300\ngen {images}\n")
-    with pytest.raises(CapError, match="POWCOV_MAX_ORDER"):
-        load_permutation_generators(path, cap=256)
+    # a 600-cycle closes to a group past the construction cap of 512
+    images = " ".join(str((i + 1) % 600) for i in range(600))
+    path = write(tmp_path, "big.perm", f"version 1\ndegree 600\ngen {images}\n")
+    with pytest.raises(CapError, match="512"):
+        load_permutation_generators(path)
 
 
 @pytest.mark.parametrize(

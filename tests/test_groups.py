@@ -218,25 +218,13 @@ def test_content_key_tracks_table_not_names():
 def test_hard_cap():
     with pytest.raises(CapError):
         build_group("cyclic:513")
-
-
-def test_env_cap_override(monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "32")
+    with pytest.raises(CapError, match="544"):
+        build_group("product:(dihedral:32,cyclic:17)")
+    with pytest.raises(CapError, match="544"):
+        direct_product(build_group("dihedral:32"), build_group("cyclic:17"))
     with pytest.raises(CapError):
-        build_group("dihedral:64")
-    assert build_group("dihedral:32").order == 32
-
-
-def test_env_cap_clamped_to_hard_ceiling(monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "100000")
-    with pytest.raises(CapError):
-        build_group("cyclic:513")
-
-
-def test_env_cap_rejects_junk(monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "soon")
-    with pytest.raises(GroupError):
-        build_group("cyclic:4")
+        FiniteGroup(np.zeros((513, 513), dtype=np.int32))
+    assert build_group("dihedral:512").order == 512
 
 
 # ------------------------------------------------------------ property tests

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,6 @@ from powcov.bitset import ElementSet
 from powcov.catalog import builtin_catalog
 from powcov.descriptors import parse_descriptor
 from powcov.groups import (
-    CapError,
     FiniteGroup,
     GroupError,
     build_group,
@@ -118,18 +119,35 @@ def test_closed_forms_cover_the_catalog_families():
     "spec,count",
     [("dihedral:256", 263), ("dihedral:512", 520), ("quaternion:256", 135)],
 )
-def test_subgroup_counts_past_order_128(spec, count, monkeypatch):
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")
+def test_subgroup_counts_past_order_128(spec, count):
     assert closed_form_subgroup_count(parse_descriptor(spec)) == count
     assert len(enumerate_subgroups(build_group(spec))) == count
 
 
 @pytest.mark.parametrize(
-    "spec", ["dihedral:16", "quaternion:16", "semidihedral:16", "cyclic:12", "elementary:3^2"]
+    "spec",
+    [
+        "dihedral:16",
+        "quaternion:16",
+        "semidihedral:16",
+        "cyclic:12",
+        "elementary:3^2",
+        "product:(dihedral:8,cyclic:3)",  # nonabelian, not a p-group
+    ],
 )
 def test_matches_subset_closure_oracle(spec):
     g = build_group(spec)
     assert lattice_sets(g) == subset_closure_subgroups(g.table.tolist())
+
+
+def test_symmetric_group_s4_matches_subset_closure_oracle():
+    # S4 is not nilpotent, unlike every group a descriptor builds.
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
+    g = FiniteGroup(table)
+    assert len(lattice_sets(g)) == 30
+    assert lattice_sets(g) == subset_closure_subgroups(table)
 
 
 def test_product_and_quotient_match_subset_closure_oracle():
@@ -246,12 +264,9 @@ def test_classify_small_labels():
 
 # --------------------------------------------------------------------- caps
 
-def test_lattice_cap_mentions_override(monkeypatch):
-    g = build_group("cyclic:300")
-    with pytest.raises(CapError, match="POWCOV_MAX_ORDER"):
-        enumerate_subgroups(g)
-    monkeypatch.setenv("POWCOV_MAX_ORDER", "512")
-    assert len(enumerate_subgroups(g)) == 18  # divisors of 300
+@pytest.mark.parametrize("m,divisors", [(300, 18), (504, 24), (510, 16)])
+def test_no_lattice_cap_below_the_construction_cap(m, divisors):
+    assert len(enumerate_subgroups(build_group(f"cyclic:{m}"))) == divisors
 
 
 # ------------------------------------------------------------ property tests
