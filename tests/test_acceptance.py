@@ -183,8 +183,9 @@ def test_criterion_09_product_and_quotient_bounds():
         bad.append(("product", sp_product, sp_base))
     for order in (4, 8, 16, 32, 64, 128):
         g = build_group(f"dihedral:{order}")
-        sp_g = covering_number(g, POW, lat=memo_lattice(g)).size
-        for s in memo_lattice(g).subgroups:
+        lat = memo_lattice(g)
+        sp_g = covering_number(g, POW, lat=lat).size
+        for s in lat.subgroups:
             if not (s.is_normal and s.is_proper):
                 continue
             q = quotient_group(g, s.elements)
