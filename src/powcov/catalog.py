@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
-from .descriptors import parse_descriptor
+from .descriptors import DescriptorError, parse_descriptor
 from .groups import FiniteGroup, build_group
 
-__all__ = ["CatalogEntry", "builtin_catalog", "load_catalog_file"]
+__all__ = ["CatalogEntry", "builtin_catalog", "entry_order", "load_catalog_file"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,24 @@ class CatalogEntry:
 
             return load_permutation_generators(self.source[len("perm:"):])
         return build_group(self.source)
+
+
+def entry_order(entry: CatalogEntry) -> Optional[int]:
+    """The entry's group order, read from its descriptor where it names one.
+
+    Only perm:, file: and unparsable sources are built; None when that build
+    fails, so the caller meets the error again when it builds the entry.
+    """
+    try:
+        order = parse_descriptor(entry.source).order
+    except DescriptorError:
+        order = None
+    if order is None:
+        try:
+            order = entry.build().order
+        except Exception:
+            return None
+    return order
 
 
 def _prime_powers(limit: int) -> List[int]:

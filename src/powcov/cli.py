@@ -17,9 +17,9 @@ from collections import Counter
 from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
-from .catalog import CatalogEntry, builtin_catalog, load_catalog_file
+from .catalog import builtin_catalog, entry_order, load_catalog_file
 from .cover import FamilySelector, covering_number
-from .descriptors import DescriptorError, parse_descriptor
+from .descriptors import DescriptorError
 from .fileio import FileFormatError, save_cayley_file
 from .groups import FiniteGroup, GroupError, build_group
 from .sweep import ALL_FAMILIES, run_sweep
@@ -89,24 +89,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _entry_order(entry: CatalogEntry) -> Optional[int]:
-    """The entry's group order, read from its descriptor where it names one.
-
-    Only perm:, file: and unparsable sources are built; None when that build
-    fails, so the sweep row records the error.
-    """
-    try:
-        order = parse_descriptor(entry.source).order
-    except DescriptorError:
-        order = None
-    if order is None:
-        try:
-            order = entry.build().order
-        except Exception:
-            return None
-    return order
-
-
 def cmd_sweep(args) -> int:
     if args.catalog:
         entries = load_catalog_file(args.catalog)
@@ -115,7 +97,7 @@ def cmd_sweep(args) -> int:
     if args.max_order is not None and args.catalog:
         entries = [
             e for e in entries
-            if (order := _entry_order(e)) is None or order <= args.max_order
+            if (order := entry_order(e)) is None or order <= args.max_order
         ]
     if args.families:
         families = tuple(

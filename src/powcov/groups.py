@@ -378,28 +378,70 @@ def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
     return bool(mask[prods].all())
 
 
-def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
-    """True iff every two members commute."""
-    idx = np.fromiter(members, dtype=np.int64, count=len(members))
-    sub = g.table[np.ix_(idx, idx)]
-    return bool(np.array_equal(sub, sub.T))
-
-
 def _require_subgroup(g: FiniteGroup, members: ElementSet, what: str) -> np.ndarray:
+    """The member indices of a checked subgroup; raises GroupError otherwise.
+
+    The private cores below take such index arrays and trust them, so each
+    public operation checks its arguments here once and then calls a core.
+    """
     if not is_subgroup(g, members):
         raise GroupError(f"{what} is not a subgroup")
     return np.fromiter(members, dtype=np.int64, count=len(members))
+
+
+def _commutator_values(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The distinct commutators x^-1 y^-1 x y over x in xs and y in ys."""
+    inv = g.inverses
+    prod = g.table[np.ix_(xs, ys)]                  # x*y
+    invprod = g.table[np.ix_(inv[xs], inv[ys])]     # x^-1 * y^-1
+    return np.unique(g.table[invprod, prod])
+
+
+def _commutator_subgroup(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> ElementSet:
+    return closure(g, _commutator_values(g, xs, ys))
+
+
+def _power_map(g: FiniteGroup, k: int) -> np.ndarray:
+    """x -> x^k on every element, by repeated squaring."""
+    cur = np.full(g.order, g.identity, dtype=np.int64)
+    base = np.arange(g.order, dtype=np.int64)
+    while k:
+        if k & 1:
+            cur = g.table[cur, base].astype(np.int64)
+        base = g.table[base, base].astype(np.int64)
+        k >>= 1
+    return cur
+
+
+def _power_subgroup(g: FiniteGroup, idx: np.ndarray, power_map: np.ndarray) -> ElementSet:
+    """H^k, given H's members and the map x -> x^k from _power_map."""
+    return closure(g, np.unique(power_map[idx]))
+
+
+def _is_normal(g: FiniteGroup, idx: np.ndarray, conjugators: np.ndarray) -> bool:
+    """True iff y^-1 K y lies in K for every y in conjugators.
+
+    Conjugating by a generating set of G is enough: the elements that
+    normalise K form a subgroup.
+    """
+    half = g.table[np.ix_(g.inverses[conjugators], idx)]
+    conj = g.table[half, conjugators[:, None]]
+    mask = np.zeros(g.order, dtype=bool)
+    mask[idx] = True
+    return bool(mask[conj].all())
+
+
+def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
+    """True iff every two members commute: [H, H] is trivial."""
+    idx = np.fromiter(members, dtype=np.int64, count=len(members))
+    return len(_commutator_subgroup(g, idx, idx)) == 1
 
 
 def commutator_subgroup(g: FiniteGroup, a: ElementSet, b: ElementSet) -> ElementSet:
     """[A, B]: the subgroup generated by all commutators x^-1 y^-1 x y."""
     ai = _require_subgroup(g, a, "first argument")
     bi = _require_subgroup(g, b, "second argument")
-    inv = g.inverses
-    prod = g.table[np.ix_(ai, bi)]                  # x*y
-    invprod = g.table[np.ix_(inv[ai], inv[bi])]     # x^-1 * y^-1
-    gens = np.unique(g.table[invprod, prod])
-    return closure(g, gens)
+    return _commutator_subgroup(g, ai, bi)
 
 
 def power_subgroup(g: FiniteGroup, members: ElementSet, k: int) -> ElementSet:
@@ -407,15 +449,7 @@ def power_subgroup(g: FiniteGroup, members: ElementSet, k: int) -> ElementSet:
     idx = _require_subgroup(g, members, "argument")
     if k < 0:
         raise GroupError(f"power exponent must be >= 0, got {k}")
-    cur = np.full(g.order, g.identity, dtype=np.int64)
-    base = np.arange(g.order, dtype=np.int64)
-    e = k
-    while e:
-        if e & 1:
-            cur = g.table[cur, base].astype(np.int64)
-        base = g.table[base, base].astype(np.int64)
-        e >>= 1
-    return closure(g, np.unique(cur[idx]))
+    return _power_subgroup(g, idx, _power_map(g, k))
 
 
 def center(g: FiniteGroup) -> ElementSet:
@@ -439,12 +473,7 @@ def normal_closure(g: FiniteGroup, seed) -> ElementSet:
 def is_normal(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff the subgroup is invariant under conjugation by every element."""
     idx = _require_subgroup(g, members, "argument")
-    allg = np.arange(g.order, dtype=np.int64)
-    half = g.table[np.ix_(g.inverses[allg], idx)]
-    conj = g.table[half, allg[:, None]]
-    mask = np.zeros(g.order, dtype=bool)
-    mask[idx] = True
-    return bool(mask[conj].all())
+    return _is_normal(g, idx, np.arange(g.order, dtype=np.int64))
 
 
 def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
@@ -454,7 +483,7 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
     pair of elements.
     """
     idx = _require_subgroup(g, normal, "normal subgroup")
-    if not is_normal(g, normal):
+    if not _is_normal(g, idx, np.arange(g.order, dtype=np.int64)):
         raise GroupError("subgroup is not normal")
     n = g.order
     coset_id = np.full(n, -1, dtype=np.int64)
@@ -482,11 +511,11 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
 
 def nilpotence_class(g: FiniteGroup) -> int:
     """Length of the lower central series: least c with G_c trivial (G_0 = G)."""
-    whole = g.full_set()
-    term = whole
+    whole = np.arange(g.order, dtype=np.int64)
+    term = g.full_set()
     c = 0
     while len(term) > 1:
-        nxt = commutator_subgroup(g, term, whole)
+        nxt = _commutator_subgroup(g, np.fromiter(term, dtype=np.int64, count=len(term)), whole)
         if nxt.bits == term.bits:
             raise GroupError("group is not nilpotent: lower central series stalls")
         term = nxt

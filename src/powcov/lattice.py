@@ -12,6 +12,27 @@ Two enumeration paths, chosen by the group's order:
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
   its cyclic subgroups, so that is exhaustive for any finite group.
+
+Each subgroup K is checked to be a subgroup once, when it enters the
+lattice; its flags then come from data the descent already holds, with no
+second check:
+
+* abelian: [K, K] is trivial.  The descent computed [K, K] for Phi(K).
+* normal: conjugating K by each element of G's own Burnside basis keeps K
+  inside K.  The normaliser of K is a subgroup, so it is all of G once it
+  holds a generating set of G.
+* powerful: [K, K] lies in K^k, with k = p at odd p (the K^p of Phi(K))
+  and k = 4 at p = 2 (the closure of the 4th powers of K's members).
+* powerfully embedded: K is normal and [x, y] lies in K^k for every x in
+  K's Burnside basis and every y in G's.  [K, G] is the normal closure in G
+  of those [x, y] (Robinson 5.1.7), and K^k is characteristic in K, hence
+  normal in G, so it holds [K, G] iff it holds them.
+* maximal: a proper subgroup no larger maximal subgroup contains.
+
+Groups that are not p-groups get the abelian and normal flags from the same
+cores, with every element of G as a conjugator, and no powerful flags.  The
+public is_powerful and is_powerfully_embedded check their argument, compute
+the same inputs from scratch and call the same flag code.
 """
 
 from __future__ import annotations
@@ -26,13 +47,15 @@ from .bitset import ElementSet
 from .groups import (
     FiniteGroup,
     GroupError,
+    _commutator_subgroup,
+    _commutator_values,
+    _is_normal,
+    _power_map,
+    _power_subgroup,
+    _require_subgroup,
     closure,
-    commutator_subgroup,
-    is_abelian,
-    is_normal,
+    is_normal,  # re-exported: perfbench's traced pass looks it up here by name
     is_p_group,
-    is_subgroup,
-    power_subgroup,
 )
 
 __all__ = [
@@ -54,6 +77,30 @@ def _power_index(g: FiniteGroup) -> int:
     return 4 if p == 2 else p
 
 
+def _powerful(commutators: ElementSet, power: ElementSet) -> bool:
+    """[K, K] <= K^k, given both sides."""
+    return commutators.issubset(power)
+
+
+def _powerfully_embedded(
+    g: FiniteGroup, normal: bool, k_gens: np.ndarray, g_gens: np.ndarray, power: ElementSet
+) -> bool:
+    """K normal with [K, G] <= K^k, given generators of K and of G.
+
+    Exact on generators: [K, G] is the normal closure in G of the [x, y]
+    with x in k_gens and y in g_gens (Robinson, A Course in the Theory of
+    Groups, 5.1.7), and K^k, characteristic in the normal subgroup K, is
+    normal in G.  So K^k contains [K, G] iff it contains those [x, y].
+    Those [x, y] lying in K already force K to be normal, as
+    y^-1 x y = x [x, y]; the normal test only skips the work when K is not.
+    """
+    if not normal:
+        return False
+    inside = np.zeros(g.order, dtype=bool)
+    inside[list(power)] = True
+    return bool(inside[_commutator_values(g, k_gens, g_gens)].all())
+
+
 def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff [H, H] lies inside H^4 (p = 2) or H^p (p odd).
 
@@ -61,8 +108,9 @@ def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
     elements, so the answer is independent of the ambient group.
     """
     k = _power_index(g)
-    comm = commutator_subgroup(g, members, members)
-    return comm.issubset(power_subgroup(g, members, k))
+    idx = _require_subgroup(g, members, "argument")
+    power = _power_subgroup(g, idx, _power_map(g, k))
+    return _powerful(_commutator_subgroup(g, idx, idx), power)
 
 
 def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
@@ -72,10 +120,10 @@ def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
     keeps the reported reason honest when the argument is not normal.
     """
     k = _power_index(g)
-    if not is_normal(g, members):
-        return False
-    comm = commutator_subgroup(g, members, g.full_set())
-    return comm.issubset(power_subgroup(g, members, k))
+    idx = _require_subgroup(g, members, "argument")
+    everything = np.arange(g.order, dtype=np.int64)
+    power = _power_subgroup(g, idx, _power_map(g, k))
+    return _powerfully_embedded(g, _is_normal(g, idx, everything), idx, everything, power)
 
 
 def classify_small(g: FiniteGroup, members: ElementSet) -> str:
@@ -85,12 +133,13 @@ def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     (noncyclic 2-group with a unique involution), or "other".  m is the
     subgroup's total order.
     """
-    if not is_subgroup(g, members):
-        raise GroupError("element set is not a subgroup")
-    h = len(members)
+    return _classify(g, _require_subgroup(g, members, "element set"))
+
+
+def _classify(g: FiniteGroup, idx: np.ndarray) -> str:
+    h = len(idx)
     if h == 1:
         return "trivial"
-    idx = np.fromiter(members, dtype=np.int64, count=h)
     orders = g.element_orders[idx]
     if (orders == h).any():
         return f"cyclic({h})"
@@ -238,32 +287,47 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
     return seen
 
 
-def _frattini_coordinates(
-    g: FiniteGroup, mask: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The members of a p-subgroup K and their images in K/Phi(K) = F_p^d.
+@dataclass(frozen=True)
+class _Frattini:
+    """What the descent computes for one subgroup K of a p-group."""
 
-    Returns (members, coords) with coords[i] the coordinate vector of
-    members[i].  The basis x_1..x_d is greedy: each x_i is the least member
-    outside <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in K with
-    quotient of order p, so adjoining x_i is the union of its cosets by
-    x_i^j for 0 <= j < p, and the members of the j-th coset gain coordinate j.
+    members: np.ndarray       # K's elements, ascending
+    commutators: ElementSet   # [K, K]
+    powers: ElementSet        # K^p
+    basis: np.ndarray         # a Burnside basis of K/Phi(K); it generates K
+
+
+def _frattini_coordinates(
+    g: FiniteGroup, mask: np.ndarray, p: int, power_p: np.ndarray
+) -> tuple[_Frattini, np.ndarray]:
+    """K's Frattini record, and the images of its members in K/Phi(K) = F_p^d.
+
+    power_p is the map x -> x^p on g.  Returns (record, coords) with
+    coords[i] the coordinate vector of record.members[i].  The basis
+    x_1..x_d is greedy: each x_i is the least member outside
+    <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in K with quotient of
+    order p, so adjoining x_i is the union of its cosets by x_i^j for
+    0 <= j < p, and the members of the j-th coset gain coordinate j.
     """
-    k = ElementSet(_mask_bits(mask), g.order)
-    frattini = closure(g, commutator_subgroup(g, k, k) | power_subgroup(g, k, p))
+    members = np.flatnonzero(mask)
+    commutators = _commutator_subgroup(g, members, members)
+    powers = _power_subgroup(g, members, power_p)
+    # K^p[K, K] is K^p whenever K^p already holds [K, K], as it always does at p = 2.
+    frattini = powers if commutators.issubset(powers) else closure(g, commutators | powers)
     d = 0
-    index = len(k) // len(frattini)
+    index = len(members) // len(frattini)
     while index > 1:
         index //= p
         d += 1
 
     table = g.table
-    members = np.flatnonzero(mask)
     coords = np.zeros((g.order, d), dtype=np.int64)
     spanned = np.zeros(g.order, dtype=bool)
     spanned[list(frattini)] = True
+    basis = np.zeros(d, dtype=np.int64)
     for i in range(d):
         x = int(members[~spanned[members]][0])
+        basis[i] = x
         span = np.flatnonzero(spanned)
         power = x
         for j in range(1, p):
@@ -272,7 +336,7 @@ def _frattini_coordinates(
             coords[coset, i] = j
             spanned[coset] = True
             power = int(table[power, x])
-    return members, coords[members]
+    return _Frattini(members, commutators, powers, basis), coords[members]
 
 
 def _hyperplane_functionals(p: int, d: int) -> np.ndarray:
@@ -286,63 +350,114 @@ def _hyperplane_functionals(p: int, d: int) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def _subgroups_by_descent(g: FiniteGroup, p: int) -> set[int]:
-    """Bitmasks of every subgroup of the p-group g, descending through
-    maximal subgroups: those of K are the hyperplane preimages in K/Phi(K)."""
+def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, _Frattini]:
+    """Every subgroup of the p-group g, as {bitmask: Frattini record},
+    descending through maximal subgroups: those of K are the hyperplane
+    preimages in K/Phi(K)."""
+    power_p = _power_map(g, p)
     full = np.ones(g.order, dtype=bool)
-    seen = {_mask_bits(full)}
-    queue = [full]
+    records: dict[int, _Frattini] = {}
+    queue = [(_mask_bits(full), full)]
+    seen = {queue[0][0]}
     head = 0
     while head < len(queue):
-        mask = queue[head]
+        bits, mask = queue[head]
         head += 1
-        if mask.sum() == 1:
+        record, coords = _frattini_coordinates(g, mask, p, power_p)
+        records[bits] = record
+        if not record.basis.size:
             continue
-        members, coords = _frattini_coordinates(g, mask, p)
         inside = (coords @ _hyperplane_functionals(p, coords.shape[1])) % p == 0
         for column in inside.T:
             sub = np.zeros(g.order, dtype=bool)
-            sub[members[column]] = True
-            bits = _mask_bits(sub)
-            if bits not in seen:
-                seen.add(bits)
-                queue.append(sub)
-    return seen
+            sub[record.members[column]] = True
+            sub_bits = _mask_bits(sub)
+            if sub_bits not in seen:
+                seen.add(sub_bits)
+                queue.append((sub_bits, sub))
+    return records
+
+
+def _entry(
+    g: FiniteGroup,
+    es: ElementSet,
+    idx: np.ndarray,
+    commutators: ElementSet,
+    normal: bool,
+    powerful: Optional[bool],
+    embedded: Optional[bool],
+) -> dict:
+    return {
+        "elements": es,
+        "order": len(idx),
+        "is_proper": len(idx) < g.order,
+        "is_abelian": len(commutators) == 1,
+        "is_normal": normal,
+        "is_powerful": powerful,
+        "is_powerfully_embedded": embedded,
+        "tag": _classify(g, idx),
+    }
+
+
+def _p_group_entries(g: FiniteGroup, p: int) -> list[dict]:
+    """Flags from each subgroup's Frattini record and G's own basis."""
+    records = _subgroups_by_descent(g, p)
+    g_gens = records[(1 << g.order) - 1].basis
+    power_4 = _power_map(g, 4) if p == 2 else None
+    entries = []
+    for bits, rec in records.items():
+        es = ElementSet(bits, g.order)
+        idx = _require_subgroup(g, es, "enumerated set")
+        normal = _is_normal(g, idx, g_gens)
+        power = rec.powers if power_4 is None else _power_subgroup(g, idx, power_4)
+        entries.append(
+            _entry(
+                g,
+                es,
+                idx,
+                commutators=rec.commutators,
+                normal=normal,
+                powerful=_powerful(rec.commutators, power),
+                embedded=_powerfully_embedded(g, normal, rec.basis, g_gens, power),
+            )
+        )
+    return entries
+
+
+def _other_entries(g: FiniteGroup) -> list[dict]:
+    """Flags of a group that is not a p-group: no powerful predicates."""
+    everything = np.arange(g.order, dtype=np.int64)
+    entries = []
+    for bits in _subgroups_by_extension(g):
+        es = ElementSet(bits, g.order)
+        idx = _require_subgroup(g, es, "enumerated set")
+        entries.append(
+            _entry(
+                g,
+                es,
+                idx,
+                commutators=_commutator_subgroup(g, idx, idx),
+                normal=_is_normal(g, idx, everything),
+                powerful=None,
+                embedded=None,
+            )
+        )
+    return entries
 
 
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     """Every subgroup of g, flags included."""
-    n = g.order
     p = is_p_group(g)
-    known = _subgroups_by_extension(g) if p is None else _subgroups_by_descent(g, p)
-
-    p_defined = p is not None
-    entries = []
-    for bits in known:
-        es = ElementSet(bits, n)
-        order = len(es)
-        entries.append(
-            {
-                "elements": es,
-                "order": order,
-                "is_proper": order < n,
-                "is_abelian": is_abelian(g, es),
-                "is_normal": is_normal(g, es),
-                "is_powerful": is_powerful(g, es) if p_defined else None,
-                "is_powerfully_embedded": (
-                    is_powerfully_embedded(g, es) if p_defined else None
-                ),
-                "tag": classify_small(g, es),
-            }
-        )
-
+    entries = _other_entries(g) if p is None else _p_group_entries(g, p)
     entries.sort(key=lambda e: (e["order"], e["elements"].membership_key()))
-    proper_bits = [e["elements"].bits for e in entries if e["is_proper"]]
-    for e in entries:
+    # A proper subgroup that is not maximal lies in a larger maximal one, so
+    # from the largest down it suffices to test the maximal subgroups found.
+    maximal: list[int] = []
+    for e in reversed(entries):
         b = e["elements"].bits
-        e["is_maximal"] = e["is_proper"] and not any(
-            b != other and b & other == b for other in proper_bits
-        )
+        e["is_maximal"] = e["is_proper"] and not any(b & m == b for m in maximal)
+        if e["is_maximal"]:
+            maximal.append(b)
     return Lattice(group=g, subgroups=tuple(Subgroup(**e) for e in entries))
 
 

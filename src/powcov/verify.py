@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .catalog import CatalogEntry, builtin_catalog
+from .catalog import CatalogEntry, builtin_catalog, entry_order
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
 from .groups import FiniteGroup, build_group, coclass, quotient_group, subgroup_as_group
@@ -68,12 +68,13 @@ def _group_is_powerful(g: FiniteGroup) -> bool:
 
 
 def _entries(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
+    """Each entry of order at most max_order with its group, built only once
+    its order, read from the descriptor where possible, has passed."""
     entries = list(catalog) if catalog is not None else builtin_catalog()
     for e in entries:
-        g = e.build()
-        if max_order is not None and g.order > max_order:
+        if max_order is not None and (order := entry_order(e)) is not None and order > max_order:
             continue
-        yield e, g
+        yield e, e.build()
 
 
 def _tower_index(order: int) -> int:

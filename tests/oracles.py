@@ -1,9 +1,11 @@
 """Independent pure-Python oracles the test suite checks the library against.
 
 Nothing here imports the library's lattice or solver code: subgroup
-enumeration is closure over generator subsets, minimum covers come from
-exhaustive combination search, and the order-16 quaternion group is built
-from 2x2 matrices over the field with 17 elements.
+enumeration is closure over generator subsets, the subgroup flags come
+straight from their definitions (every commutator, every k-th power, every
+conjugate), minimum covers come from exhaustive combination search, and the
+order-16 quaternion group is built from 2x2 matrices over the field with 17
+elements.
 """
 
 from itertools import combinations
@@ -129,3 +131,45 @@ def element_orders(table: Sequence[Sequence[int]]) -> List[int]:
             k += 1
         out.append(k)
     return out
+
+
+def closure_of(table: Sequence[Sequence[int]], seeds) -> FrozenSet[int]:
+    """The subgroup generated by the seed elements."""
+    members = frozenset([find_identity(table)])
+    for g in seeds:
+        if g not in members:
+            members = close_with(table, members, g)
+    return members
+
+
+def subgroup_flags(
+    table: Sequence[Sequence[int]], members: FrozenSet[int], p: int
+) -> Tuple[bool, bool, bool, bool]:
+    """(abelian, normal, powerful, powerfully embedded) of the subgroup H of
+    the p-group G, from the definitions over all elements:
+
+    abelian: xy = yx for all x, y in H; normal: g^-1 h g in H for all g, h;
+    powerful: [H, H] <= H^k; powerfully embedded: normal and [H, G] <= H^k;
+    where [A, B] is generated by every x^-1 y^-1 x y (x in A, y in B), H^k
+    by every x^k (x in H), and k = 4 at p = 2, else k = p.
+    """
+    n = len(table)
+    identity = find_identity(table)
+    inv = [table[x].index(identity) for x in range(n)]
+    k = 4 if p == 2 else p
+
+    def commutators(xs, ys):
+        return {table[table[inv[x]][inv[y]]][table[x][y]] for x in xs for y in ys}
+
+    def kth_power(x):
+        acc = identity
+        for _ in range(k):
+            acc = table[acc][x]
+        return acc
+
+    power = closure_of(table, {kth_power(x) for x in members})
+    abelian = all(table[x][y] == table[y][x] for x in members for y in members)
+    normal = all(table[table[inv[g]][h]][g] in members for g in range(n) for h in members)
+    powerful = closure_of(table, commutators(members, members)) <= power
+    embedded = normal and closure_of(table, commutators(members, range(n))) <= power
+    return abelian, normal, powerful, embedded

@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from powcov import groups
 from powcov.bitset import ElementSet
 from powcov.catalog import builtin_catalog
 from powcov.descriptors import parse_descriptor
@@ -11,9 +13,11 @@ from powcov.groups import (
     GroupError,
     build_group,
     closure,
+    commutator_subgroup,
     is_normal,
     is_p_group,
     is_subgroup,
+    power_subgroup,
     quotient_group,
 )
 from powcov.lattice import (
@@ -26,7 +30,7 @@ from powcov.lattice import (
     maximal_subgroups,
 )
 
-from oracles import subset_closure_subgroups
+from oracles import subgroup_flags, subset_closure_subgroups
 
 
 def lattice_sets(g):
@@ -252,6 +256,75 @@ def test_odd_p_power_index():
     assert all(s.is_powerfully_embedded for s in lat.subgroups)
 
 
+def flags_match_definitions(g):
+    """Every subgroup's four flags against the definitional oracle."""
+    table = g.table.tolist()
+    p = is_p_group(g)
+    for s in enumerate_subgroups(g).subgroups:
+        flags = (s.is_abelian, s.is_normal, s.is_powerful, s.is_powerfully_embedded)
+        assert flags == subgroup_flags(table, frozenset(s.elements), p), (g, s.elements)
+
+
+def test_flags_match_definitions_on_builtin_groups_to_order_32():
+    for e in builtin_catalog(max_order=32):
+        if e.source != "cyclic:1":  # the trivial group has no prime
+            flags_match_definitions(e.build())
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_flags_match_definitions_on_heisenberg_groups(p):
+    # The only nonabelian odd-p groups here: powerful reads K^p from the descent.
+    flags_match_definitions(FiniteGroup(heisenberg_table(p)))
+
+
+def test_enumeration_checks_each_subgroup_once(monkeypatch):
+    calls = Counter()
+    check = groups.is_subgroup
+
+    def counting_check(g, members):
+        calls[members.bits] += 1
+        return check(g, members)
+
+    monkeypatch.setattr(groups, "is_subgroup", counting_check)
+    lat = enumerate_subgroups(build_group("dihedral:64"))
+    assert sum(calls.values()) <= len(lat)
+    assert set(calls) == {s.elements.bits for s in lat.subgroups}
+
+
+def _d16_non_subgroup():
+    g = build_group("dihedral:16")
+    return g, ElementSet.from_indices([0, 1, 8], g.order)  # {e, r, s}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, bad: commutator_subgroup(g, bad, g.full_set()),
+        lambda g, bad: commutator_subgroup(g, g.full_set(), bad),
+        lambda g, bad: power_subgroup(g, bad, 2),
+        lambda g, bad: is_normal(g, bad),
+        lambda g, bad: is_powerful(g, bad),
+        lambda g, bad: is_powerfully_embedded(g, bad),
+        lambda g, bad: classify_small(g, bad),
+        lambda g, bad: quotient_group(g, bad),
+    ],
+    ids=[
+        "commutator_subgroup-first",
+        "commutator_subgroup-second",
+        "power_subgroup",
+        "is_normal",
+        "is_powerful",
+        "is_powerfully_embedded",
+        "classify_small",
+        "quotient_group",
+    ],
+)
+def test_public_operations_reject_a_non_subgroup(call):
+    g, bad = _d16_non_subgroup()
+    with pytest.raises(GroupError, match="not a subgroup"):
+        call(g, bad)
+
+
 def test_classify_small_labels():
     g = build_group("dihedral:16")
     assert classify_small(g, closure(g, [])) == "trivial"
@@ -335,7 +408,7 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
     # The cyclic-extension path is exhaustive for any finite group, which
     # makes it an oracle for the Frattini descent past order 32.
     g = build_group(spec)
-    subgroups = _subgroups_by_descent(g, is_p_group(g))
+    subgroups = set(_subgroups_by_descent(g, is_p_group(g)))
     assert subgroups == _subgroups_by_extension(g)
     normal = [
         es
@@ -343,4 +416,15 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
         if 1 < len(es) < g.order and is_normal(g, es)
     ]
     q = quotient_group(g, data.draw(st.sampled_from(normal)))
-    assert _subgroups_by_descent(q, is_p_group(q)) == _subgroups_by_extension(q)
+    assert set(_subgroups_by_descent(q, is_p_group(q))) == _subgroups_by_extension(q)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(P_GROUP_PRODUCTS), st.data())
+def test_flags_match_definitions_on_products_and_quotients(spec, data):
+    g = build_group(spec)
+    flags_match_definitions(g)
+    normal = [
+        s.elements for s in enumerate_subgroups(g).subgroups if s.is_normal and 1 < s.order < g.order
+    ]
+    flags_match_definitions(quotient_group(g, data.draw(st.sampled_from(normal))))

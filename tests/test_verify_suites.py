@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from powcov.verify import (
@@ -7,7 +9,7 @@ from powcov.verify import (
     format_report,
     run_suite,
 )
-from powcov.catalog import CatalogEntry
+from powcov.catalog import CatalogEntry, builtin_catalog
 
 
 def test_report_status_logic():
@@ -128,3 +130,31 @@ def test_all_names_run_clean():
     for name in SUITE_NAMES:
         rep = run_suite(name, max_n=3, max_order=16)
         assert rep.passed, f"{name} failed: {format_report(rep)}"
+
+
+def test_catalog_suites_build_only_groups_within_max_order(tmp_path, monkeypatch):
+    (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
+    builds = Counter()
+    build = CatalogEntry.build
+
+    def counting_build(entry):
+        builds[entry.id] += 1
+        return build(entry)
+
+    monkeypatch.setattr(CatalogEntry, "build", counting_build)
+    rep = run_suite("sigma-equals-p-plus-1", max_order=16)
+    kept = [e.id for e in builtin_catalog(max_order=16)]
+    assert [c.label for c in rep.checks] == kept
+    assert builds == Counter(kept)
+
+    # A perm: source names no order, so it is built to filter and, when
+    # kept, again for its check; descriptor sources are built only if kept.
+    builds.clear()
+    catalog = [
+        CatalogEntry("d8", "dihedral:8"),
+        CatalogEntry("d32", "dihedral:32"),
+        CatalogEntry("c5", f"perm:{tmp_path / 'c5.perm'}"),
+    ]
+    rep = run_suite("sigma-equals-p-plus-1", max_order=8, catalog=catalog)
+    assert [c.label for c in rep.checks] == ["d8", "c5"]
+    assert builds == {"d8": 1, "c5": 2}
