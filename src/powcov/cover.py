@@ -133,9 +133,7 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
     order all tie-breaking downstream refers to.
     """
     chosen = [s for s in lat.subgroups if s.is_proper and family.admits(s)]
-    chosen.sort(
-        key=lambda s: (-s.order, tuple(-b for b in s.elements.membership_key()))
-    )
+    chosen.sort(key=lambda s: (-s.order, -s.elements.membership_key()))
     kept: list[Subgroup] = []
     for s in chosen:
         if not any(

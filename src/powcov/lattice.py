@@ -7,37 +7,54 @@ Two enumeration paths, chosen by the group's order:
   vector space F_p^d, and the maximal subgroups of K are exactly the
   preimages of its hyperplanes.  Every subgroup of a p-group lies on a chain
   of maximal subgroups down from G, so the descent reaches all of them with
-  one Frattini computation per subgroup and no closure per candidate.
+  one Frattini computation per subgroup and no closure per candidate.  All
+  hyperplane preimages of K are packed into bitmasks in one call and
+  deduplicated on their bytes; only a new one is queued.
 * Every other group (and the trivial one) starts from the trivial subgroup
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
   its cyclic subgroups, so that is exhaustive for any finite group.
 
+Both paths work on bool masks and index arrays and share the cores of
+groups.py.  Closure squares the set, S <- S*S, until it stops growing, so it
+takes O(log |H|) rounds of one gather each.  An abelian K skips the
+closures: x -> x^k is then a homomorphism on K, so the image of K is the
+subgroup K^k, and Phi(K) = K^p.  A nonabelian K closes K^p and K^4, and
+joins K^p with the commutators when it does not hold them already.
+
 Each subgroup K is checked to be a subgroup once, when it enters the
 lattice; its flags then come from data the descent already holds, with no
 second check:
 
-* abelian: [K, K] is trivial.  The descent computed [K, K] for Phi(K).
-* normal: conjugating K by each element of G's own Burnside basis keeps K
-  inside K.  The normaliser of K is a subgroup, so it is all of G once it
+* abelian: every two members commute, read off K's product table.
+* normal: conjugating K by each element of a generating set of G keeps K
+  inside K: G's Burnside basis for a p-group, a greedy generating set
+  otherwise.  The normaliser of K is a subgroup, so it is all of G once it
   holds a generating set of G.
-* powerful: [K, K] lies in K^k, with k = p at odd p (the K^p of Phi(K))
-  and k = 4 at p = 2 (the closure of the 4th powers of K's members).
+* powerful: [K, K] lies in K^k, with k = p at odd p and k = 4 at p = 2.
+  K^k is a subgroup, so that holds iff K^k holds every commutator.
 * powerfully embedded: K is normal and [x, y] lies in K^k for every x in
   K's Burnside basis and every y in G's.  [K, G] is the normal closure in G
   of those [x, y] (Robinson 5.1.7), and K^k is characteristic in K, hence
   normal in G, so it holds [K, G] iff it holds them.
 * maximal: a proper subgroup no larger maximal subgroup contains.
+* tag: dihedral(h) when two involutions a != b have a product c of order
+  h/2.  Then <c> u a<c> is a dihedral group of order h, so it is all of H,
+  provided a lies outside <c>; and it always does, because a in <c> would
+  put b = ac in <c> too, while a cyclic group has at most one involution.
+  a = b gives c = e, of order 1, while h/2 >= 2 for every h that reaches
+  the test.  So one vectorised comparison over all pairs gives the tag.
 
 Groups that are not p-groups get the abelian and normal flags from the same
-cores, with every element of G as a conjugator, and no powerful flags.  The
-public is_powerful and is_powerfully_embedded check their argument, compute
-the same inputs from scratch and call the same flag code.
+cores and no powerful flags.  The public is_powerful and
+is_powerfully_embedded check their argument, compute its Frattini record
+from scratch and call the same flag code.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,13 +64,16 @@ from .bitset import ElementSet
 from .groups import (
     FiniteGroup,
     GroupError,
-    _commutator_subgroup,
-    _commutator_values,
+    _close,
+    _commutators,
+    _commutes,
+    _greedy_generators,
     _is_normal,
+    _mask,
     _power_map,
     _power_subgroup,
     _require_subgroup,
-    closure,
+    _set_of,
     is_normal,  # re-exported: perfbench's traced pass looks it up here by name
     is_p_group,
 )
@@ -69,23 +89,24 @@ __all__ = [
 ]
 
 
-def _power_index(g: FiniteGroup) -> int:
-    """The exponent used by the powerful/powerfully-embedded tests: 4 at p=2, else p."""
+def _prime(g: FiniteGroup) -> int:
     p = is_p_group(g)
     if p is None:
         raise GroupError("powerful-subgroup predicates require a nontrivial p-group")
-    return 4 if p == 2 else p
+    return p
 
 
-def _powerful(commutators: ElementSet, power: ElementSet) -> bool:
-    """[K, K] <= K^k, given both sides."""
-    return commutators.issubset(power)
+def _power_maps(g: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """x -> x^p and x -> x^k, with k = 4 at p = 2 and k = p otherwise: the
+    exponent of the powerful and powerfully embedded tests."""
+    power_p = _power_map(g, p)
+    return power_p, (power_p[power_p] if p == 2 else power_p)
 
 
 def _powerfully_embedded(
-    g: FiniteGroup, normal: bool, k_gens: np.ndarray, g_gens: np.ndarray, power: ElementSet
+    g: FiniteGroup, normal: bool, k_gens: np.ndarray, g_gens: np.ndarray, power: np.ndarray
 ) -> bool:
-    """K normal with [K, G] <= K^k, given generators of K and of G.
+    """K normal with [K, G] <= K^k, given generators of K and of G and K^k as a mask.
 
     Exact on generators: [K, G] is the normal closure in G of the [x, y]
     with x in k_gens and y in g_gens (Robinson, A Course in the Theory of
@@ -94,11 +115,14 @@ def _powerfully_embedded(
     Those [x, y] lying in K already force K to be normal, as
     y^-1 x y = x [x, y]; the normal test only skips the work when K is not.
     """
-    if not normal:
-        return False
-    inside = np.zeros(g.order, dtype=bool)
-    inside[list(power)] = True
-    return bool(inside[_commutator_values(g, k_gens, g_gens)].all())
+    return normal and bool(power[_commutators(g, k_gens, g_gens)].all())
+
+
+def _record(g: FiniteGroup, members: ElementSet) -> tuple[_Frattini, np.ndarray]:
+    """The checked argument's Frattini record and member indices."""
+    p = _prime(g)
+    idx = _require_subgroup(g, members, "argument")
+    return _frattini_coordinates(g, idx, p, *_power_maps(g, p))[0], idx
 
 
 def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
@@ -107,10 +131,7 @@ def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
     The test is intrinsic to H: both sides are computed from H's own
     elements, so the answer is independent of the ambient group.
     """
-    k = _power_index(g)
-    idx = _require_subgroup(g, members, "argument")
-    power = _power_subgroup(g, idx, _power_map(g, k))
-    return _powerful(_commutator_subgroup(g, idx, idx), power)
+    return _record(g, members)[0].powerful
 
 
 def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
@@ -119,11 +140,10 @@ def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
     [N, G] <= N^k <= N already forces normality, but the explicit check
     keeps the reported reason honest when the argument is not normal.
     """
-    k = _power_index(g)
-    idx = _require_subgroup(g, members, "argument")
+    record, idx = _record(g, members)
     everything = np.arange(g.order, dtype=np.int64)
-    power = _power_subgroup(g, idx, _power_map(g, k))
-    return _powerfully_embedded(g, _is_normal(g, idx, everything), idx, everything, power)
+    normal = _is_normal(g, idx, everything)
+    return _powerfully_embedded(g, normal, record.basis, everything, record.power)
 
 
 def classify_small(g: FiniteGroup, members: ElementSet) -> str:
@@ -145,32 +165,13 @@ def _classify(g: FiniteGroup, idx: np.ndarray) -> str:
         return f"cyclic({h})"
     if h == 4 and (orders <= 2).all():
         return "klein"
-
     invol = idx[orders == 2]
-    if h % 2 == 0:
-        half = h // 2
-        mask = np.zeros(g.order, dtype=bool)
-        mask[idx] = True
-        for a in invol:
-            for b in invol:
-                if a == b:
-                    continue
-                c = g.table[a, b]
-                if g.element_orders[c] != half:
-                    continue
-                # <a, b> = <c> u a<c>, which is all of H unless a lies in <c>.
-                cur = int(c)
-                in_cyc = False
-                while cur != g.identity:
-                    if cur == a:
-                        in_cyc = True
-                        break
-                    cur = g.mul(cur, int(c))
-                if not in_cyc:
-                    return f"dihedral({h})"
-
-    two_power = h & (h - 1) == 0
-    if two_power and invol.size == 1:
+    # Involutions a != b with c = ab of order h/2 generate <c> u a<c>, of
+    # order h, so all of H, and that group is dihedral.  See the module
+    # docstring for why a never lies in <c> and a = b never matches.
+    if (g.element_orders[g.table[invol[:, None], invol]] == h // 2).any():
+        return f"dihedral({h})"
+    if h & (h - 1) == 0 and invol.size == 1:
         return "quaternion-like"
     return "other"
 
@@ -223,26 +224,10 @@ class Lattice:
         return out
 
 
-def _extend(table: np.ndarray, mask: np.ndarray, g: int) -> np.ndarray:
-    """Close an existing subgroup (given as a bool mask) together with element g.
-
-    Each round multiplies the current set by itself, which at least doubles
-    the word length it covers, so the loop runs O(log |result|) times.
-    """
+def _with(mask: np.ndarray, x: int) -> np.ndarray:
     mask = mask.copy()
-    mask[g] = True
-    count = int(mask.sum())
-    while True:
-        members = np.flatnonzero(mask)
-        mask[table[np.ix_(members, members)].ravel()] = True
-        new_count = int(mask.sum())
-        if new_count == count:
-            return mask
-        count = new_count
-
-
-def _mask_bits(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    mask[x] = True
+    return mask
 
 
 def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
@@ -257,7 +242,7 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
     queue: list[np.ndarray] = []
 
     def admit(mask: np.ndarray) -> bool:
-        bits = _mask_bits(mask)
+        bits = _set_of(mask).bits
         if bits in seen:
             return False
         seen.add(bits)
@@ -267,15 +252,7 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
     seed = np.zeros(n, dtype=bool)
     seed[g.identity] = True
     admit(seed)
-    generators = []
-    for s in range(n):
-        mask = seed.copy()
-        cur = s
-        while cur != g.identity:
-            mask[cur] = True
-            cur = int(table[cur, s])
-        if admit(mask):
-            generators.append(s)
+    generators = [x for x in range(n) if admit(_close(table, _with(seed, x)))]
 
     head = 0
     while head < len(queue):
@@ -283,7 +260,7 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
         head += 1
         for x in generators:
             if not mask[x]:
-                admit(_extend(table, mask, x))
+                admit(_close(table, _with(mask, x)))
     return seen
 
 
@@ -291,90 +268,120 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
 class _Frattini:
     """What the descent computes for one subgroup K of a p-group."""
 
-    members: np.ndarray       # K's elements, ascending
-    commutators: ElementSet   # [K, K]
-    powers: ElementSet        # K^p
-    basis: np.ndarray         # a Burnside basis of K/Phi(K); it generates K
+    abelian: bool
+    powerful: bool      # [K, K] <= K^k
+    power: np.ndarray   # K^k as a mask: k = 4 at p = 2, else p
+    basis: np.ndarray   # a Burnside basis of K/Phi(K); it generates K
 
 
 def _frattini_coordinates(
-    g: FiniteGroup, mask: np.ndarray, p: int, power_p: np.ndarray
-) -> tuple[_Frattini, np.ndarray]:
+    g: FiniteGroup, members: np.ndarray, p: int, power_p: np.ndarray, power_k: np.ndarray
+) -> tuple[_Frattini, np.ndarray, int]:
     """K's Frattini record, and the images of its members in K/Phi(K) = F_p^d.
 
-    power_p is the map x -> x^p on g.  Returns (record, coords) with
-    coords[i] the coordinate vector of record.members[i].  The basis
-    x_1..x_d is greedy: each x_i is the least member outside
-    <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in K with quotient of
-    order p, so adjoining x_i is the union of its cosets by x_i^j for
-    0 <= j < p, and the members of the j-th coset gain coordinate j.
+    power_p and power_k are the maps x -> x^p and x -> x^k on g.  Returns
+    (record, codes, d): codes[i] is the coordinate vector of members[i],
+    read as a base-p integer with coordinate j as its j-th digit.
+
+    Phi(K) = K^p [K, K].  On an abelian K that is K^p, the image of the
+    homomorphism x -> x^p, so it needs no closure; otherwise K^p is closed,
+    and joined with the commutators unless it holds them already (as it
+    always does at p = 2).  The basis x_1..x_d is greedy: each x_i is the
+    least member outside <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in
+    K with quotient of order p, so adjoining x_i is the union of its cosets
+    by x_i^j for 0 <= j < p, and the members of the j-th coset gain
+    coordinate j.
     """
-    members = np.flatnonzero(mask)
-    commutators = _commutator_subgroup(g, members, members)
-    powers = _power_subgroup(g, members, power_p)
-    # K^p[K, K] is K^p whenever K^p already holds [K, K], as it always does at p = 2.
-    frattini = powers if commutators.issubset(powers) else closure(g, commutators | powers)
+    n = g.order
+    table = g.table
+    abelian = _commutes(g, members)
+    powers = _power_subgroup(g, members, power_p, abelian)
+    power = powers if power_k is power_p else _power_subgroup(g, members, power_k, abelian)
+    frattini = powers
+    powerful = True
+    if not abelian:
+        # Subgroups hold [K, K] iff they hold every commutator.
+        commutators = _mask(n, _commutators(g, members, members))
+        if (commutators & ~powers).any():
+            frattini = _close(table, commutators | powers)
+        powerful = not (commutators & ~power).any()
+
+    span = frattini.nonzero()[0]
     d = 0
-    index = len(members) // len(frattini)
+    index = len(members) // len(span)
     while index > 1:
         index //= p
         d += 1
-
-    table = g.table
-    coords = np.zeros((g.order, d), dtype=np.int64)
-    spanned = np.zeros(g.order, dtype=bool)
-    spanned[list(frattini)] = True
+    codes = np.zeros(n, dtype=np.int64)
+    spanned = frattini.copy()
     basis = np.zeros(d, dtype=np.int64)
+    digits = np.arange(1, p)
     for i in range(d):
-        x = int(members[~spanned[members]][0])
+        x = members[np.argmin(spanned[members])]
         basis[i] = x
-        span = np.flatnonzero(spanned)
-        power = x
-        for j in range(1, p):
-            coset = table[span, power]
-            coords[coset] = coords[span]
-            coords[coset, i] = j
-            spanned[coset] = True
-            power = int(table[power, x])
-    return _Frattini(members, commutators, powers, basis), coords[members]
+        steps = [x]
+        for _ in range(p - 2):
+            steps.append(table[steps[-1], x])
+        cosets = table[span[:, None], steps]           # (|span|, p - 1)
+        codes[cosets] = codes[span][:, None] + digits * p**i
+        spanned[cosets] = True
+        span = np.concatenate((span, cosets.ravel()))
+    return _Frattini(abelian, powerful, power, basis), codes[members], d
 
 
-def _hyperplane_functionals(p: int, d: int) -> np.ndarray:
-    """(d, (p^d - 1)/(p - 1)) array: one functional per hyperplane of F_p^d,
-    normalised so that its first nonzero coordinate is 1."""
-    cols = [
-        (0,) * lead + (1,) + tail
-        for lead in range(d)
-        for tail in itertools.product(range(p), repeat=d - lead - 1)
-    ]
-    return np.array(cols, dtype=np.int64).T
+def _hyperplanes(p: int, d: int) -> np.ndarray:
+    """(p^d, (p^d - 1)/(p - 1)) bool array: entry [c, h] says whether the
+    vector with base-p code c lies in hyperplane h of F_p^d.  Each
+    hyperplane is the kernel of one functional, normalised so that its
+    first nonzero coordinate is 1."""
+    functionals = np.array(
+        [
+            (0,) * lead + (1,) + tail
+            for lead in range(d)
+            for tail in itertools.product(range(p), repeat=d - lead - 1)
+        ],
+        dtype=np.int64,
+    ).T
+    vectors = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    return (vectors @ functionals) % p == 0
 
 
 def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, _Frattini]:
     """Every subgroup of the p-group g, as {bitmask: Frattini record},
     descending through maximal subgroups: those of K are the hyperplane
-    preimages in K/Phi(K)."""
-    power_p = _power_map(g, p)
-    full = np.ones(g.order, dtype=bool)
+    preimages in K/Phi(K).
+
+    Subgroups are keyed by their packed masks.  All hyperplane preimages of
+    one K are packed in one call and only the new ones are queued.
+    """
+    n = g.order
+    power_p, power_k = _power_maps(g, p)
+    hyperplanes: dict[int, np.ndarray] = {}
     records: dict[int, _Frattini] = {}
-    queue = [(_mask_bits(full), full)]
-    seen = {queue[0][0]}
-    head = 0
-    while head < len(queue):
-        bits, mask = queue[head]
-        head += 1
-        record, coords = _frattini_coordinates(g, mask, p, power_p)
-        records[bits] = record
-        if not record.basis.size:
+    full = np.packbits(np.ones(n, dtype=bool), bitorder="little").tobytes()
+    queue = deque([full])
+    seen = {full}
+    while queue:
+        key = queue.popleft()
+        raw = np.frombuffer(key, dtype=np.uint8)
+        members = np.unpackbits(raw, count=n, bitorder="little").nonzero()[0]
+        record, codes, d = _frattini_coordinates(g, members, p, power_p, power_k)
+        records[int.from_bytes(key, "little")] = record
+        if not d:
             continue
-        inside = (coords @ _hyperplane_functionals(p, coords.shape[1])) % p == 0
-        for column in inside.T:
-            sub = np.zeros(g.order, dtype=bool)
-            sub[record.members[column]] = True
-            sub_bits = _mask_bits(sub)
-            if sub_bits not in seen:
-                seen.add(sub_bits)
-                queue.append((sub_bits, sub))
+        if d not in hyperplanes:
+            hyperplanes[d] = _hyperplanes(p, d)
+        inside = hyperplanes[d][codes]                  # (|K|, hyperplanes)
+        preimages = np.zeros((inside.shape[1], n), dtype=bool)
+        preimages[:, members] = inside.T
+        packed = np.packbits(preimages, axis=1, bitorder="little")
+        width = packed.shape[1]
+        buf = packed.tobytes()
+        for start in range(0, len(buf), width):
+            sub = buf[start:start + width]
+            if sub not in seen:
+                seen.add(sub)
+                queue.append(sub)
     return records
 
 
@@ -382,7 +389,7 @@ def _entry(
     g: FiniteGroup,
     es: ElementSet,
     idx: np.ndarray,
-    commutators: ElementSet,
+    abelian: bool,
     normal: bool,
     powerful: Optional[bool],
     embedded: Optional[bool],
@@ -391,7 +398,7 @@ def _entry(
         "elements": es,
         "order": len(idx),
         "is_proper": len(idx) < g.order,
-        "is_abelian": len(commutators) == 1,
+        "is_abelian": abelian,
         "is_normal": normal,
         "is_powerful": powerful,
         "is_powerfully_embedded": embedded,
@@ -403,22 +410,20 @@ def _p_group_entries(g: FiniteGroup, p: int) -> list[dict]:
     """Flags from each subgroup's Frattini record and G's own basis."""
     records = _subgroups_by_descent(g, p)
     g_gens = records[(1 << g.order) - 1].basis
-    power_4 = _power_map(g, 4) if p == 2 else None
     entries = []
     for bits, rec in records.items():
         es = ElementSet(bits, g.order)
         idx = _require_subgroup(g, es, "enumerated set")
         normal = _is_normal(g, idx, g_gens)
-        power = rec.powers if power_4 is None else _power_subgroup(g, idx, power_4)
         entries.append(
             _entry(
                 g,
                 es,
                 idx,
-                commutators=rec.commutators,
+                abelian=rec.abelian,
                 normal=normal,
-                powerful=_powerful(rec.commutators, power),
-                embedded=_powerfully_embedded(g, normal, rec.basis, g_gens, power),
+                powerful=rec.powerful,
+                embedded=_powerfully_embedded(g, normal, rec.basis, g_gens, rec.power),
             )
         )
     return entries
@@ -426,7 +431,7 @@ def _p_group_entries(g: FiniteGroup, p: int) -> list[dict]:
 
 def _other_entries(g: FiniteGroup) -> list[dict]:
     """Flags of a group that is not a p-group: no powerful predicates."""
-    everything = np.arange(g.order, dtype=np.int64)
+    g_gens = _greedy_generators(g.table, g.identity)
     entries = []
     for bits in _subgroups_by_extension(g):
         es = ElementSet(bits, g.order)
@@ -436,8 +441,8 @@ def _other_entries(g: FiniteGroup) -> list[dict]:
                 g,
                 es,
                 idx,
-                commutators=_commutator_subgroup(g, idx, idx),
-                normal=_is_normal(g, idx, everything),
+                abelian=_commutes(g, idx),
+                normal=_is_normal(g, idx, g_gens),
                 powerful=None,
                 embedded=None,
             )

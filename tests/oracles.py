@@ -3,8 +3,9 @@
 Nothing here imports the library's lattice or solver code: subgroup
 enumeration is closure over generator subsets, the subgroup flags come
 straight from their definitions (every commutator, every k-th power, every
-conjugate), minimum covers come from exhaustive combination search, and the
-order-16 quaternion group is built from 2x2 matrices over the field with 17
+conjugate), the isomorphism-type tag walks every pair of involutions,
+minimum covers come from exhaustive combination search, and the order-16
+quaternion group is built from 2x2 matrices over the field with 17
 elements.
 """
 
@@ -173,3 +174,36 @@ def subgroup_flags(
     powerful = closure_of(table, commutators(members, members)) <= power
     embedded = normal and closure_of(table, commutators(members, range(n))) <= power
     return abelian, normal, powerful, embedded
+
+
+def classify_oracle(
+    table: Sequence[Sequence[int]], orders: Sequence[int], members: FrozenSet[int]
+) -> str:
+    """The lattice's isomorphism-type tag of the subgroup H, given the
+    element orders of G: H is dihedral when two involutions a != b with
+    c = ab of order |H|/2 have a outside <c>, so that <c> u a<c> is H."""
+    h = len(members)
+    identity = orders.index(1)
+    if h == 1:
+        return "trivial"
+    if any(orders[x] == h for x in members):
+        return f"cyclic({h})"
+    if h == 4 and all(orders[x] <= 2 for x in members):
+        return "klein"
+    invol = sorted(x for x in members if orders[x] == 2)
+    if h % 2 == 0:
+        for a in invol:
+            for b in invol:
+                c = table[a][b]
+                if a == b or orders[c] != h // 2:
+                    continue
+                cyclic = {identity}
+                cur = c
+                while cur != identity:
+                    cyclic.add(cur)
+                    cur = table[cur][c]
+                if a not in cyclic:
+                    return f"dihedral({h})"
+    if h & (h - 1) == 0 and len(invol) == 1:
+        return "quaternion-like"
+    return "other"

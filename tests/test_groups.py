@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +66,78 @@ def test_associativity_error_names_first_triple():
         [4, 2, 0, 1, 3],
     ]
     with pytest.raises(ConstructionError, match=r"associativity fails at triple \(\d"):
+        FiniteGroup(table)
+
+
+@st.composite
+def loops(draw):
+    """A Latin square of order 2..8 with a two-sided identity, relabelled at
+    random so the identity can sit anywhere.  Most of order 5 and up are not
+    associative; all of order 4 and below are groups."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rnd = draw(st.randoms(use_true_random=False))
+    table = [[j if i == 0 else i if j == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rnd.shuffle(options)
+        for v in options:
+            table[i][j] = v
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    assert fill(0)
+    relabel = draw(st.permutations(range(n)))
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[relabel[a]][relabel[b]] = relabel[table[a][b]]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops())
+def test_light_associativity_test_matches_the_exhaustive_check(table):
+    n = len(table)
+    associative = all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+    if associative:
+        FiniteGroup(table)
+        return
+    with pytest.raises(ConstructionError, match="associativity") as err:
+        FiniteGroup(table)
+    a, b, c = map(int, re.search(r"triple \((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_associativity_is_checked_at_every_generator():
+    # The order-5 loop above times C2, element (q, c) numbered 2q + c.  The
+    # first generator, (e, 1), is central and passes Light's test; only the
+    # loop's generators expose the failure.
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    table = [
+        [2 * loop[q][r] + (c ^ d) for r in range(5) for d in range(2)]
+        for q in range(5)
+        for c in range(2)
+    ]
+    with pytest.raises(ConstructionError, match=r"associativity fails at triple \(\d+, [2-9]"):
         FiniteGroup(table)
 
 

@@ -30,7 +30,13 @@ from powcov.lattice import (
     maximal_subgroups,
 )
 
-from oracles import subgroup_flags, subset_closure_subgroups
+from oracles import (
+    classify_oracle,
+    closure_of,
+    element_orders,
+    subgroup_flags,
+    subset_closure_subgroups,
+)
 
 
 def lattice_sets(g):
@@ -428,3 +434,64 @@ def test_flags_match_definitions_on_products_and_quotients(spec, data):
         s.elements for s in enumerate_subgroups(g).subgroups if s.is_normal and 1 < s.order < g.order
     ]
     flags_match_definitions(quotient_group(g, data.draw(st.sampled_from(normal))))
+
+
+def wreath_c4_c2_table():
+    """C4 wr C2 = (C4 x C4) : C2, with t swapping the coordinates, as
+    triples (a, b, t).  Order 32; its squares, {(2a, 2b)} u {(c, c)}, do not
+    form a subgroup: (2, 0) (1, 1) = (3, 1) is not a square."""
+    elements = [(a, b, t) for a in range(4) for b in range(4) for t in range(2)]
+    index = {e: i for i, e in enumerate(elements)}
+
+    def mul(u, v):
+        a, b, t = u
+        c, d, s = v
+        if t:
+            c, d = d, c
+        return (a + c) % 4, (b + d) % 4, t ^ s
+
+    return [[index[mul(u, v)] for v in elements] for u in elements]
+
+
+def test_descent_on_a_group_whose_squares_are_no_subgroup():
+    # Phi(G) = G^2 is larger than the set of squares here, so the descent
+    # has to close the image of x -> x^2 on this nonabelian G.
+    table = wreath_c4_c2_table()
+    g = FiniteGroup(table)
+    squares = {table[x][x] for x in range(g.order)}
+    assert squares != closure_of(table, squares)
+    assert set(_subgroups_by_descent(g, 2)) == _subgroups_by_extension(g)
+    flags_match_definitions(g)
+
+
+ORACLE_GROUPS = (
+    [e.source for e in builtin_catalog(max_order=64)]
+    + ["heisenberg:3", "heisenberg:5", "wreath"]
+    + P_GROUP_PRODUCTS
+)
+
+
+def _oracle_group(name):
+    if name.startswith("heisenberg:"):
+        return FiniteGroup(heisenberg_table(int(name.split(":")[1])))
+    if name == "wreath":
+        return FiniteGroup(wreath_c4_c2_table())
+    return build_group(name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+def test_closure_matches_oracle(name, data):
+    g = _oracle_group(name)
+    seeds = data.draw(st.lists(st.integers(min_value=0, max_value=g.order - 1), max_size=3))
+    assert set(closure(g, seeds)) == closure_of(g.table.tolist(), seeds)
+
+
+def test_tags_match_the_pair_loop_oracle():
+    names = [e.source for e in builtin_catalog(max_order=64)] + ["heisenberg:3", "heisenberg:5"]
+    for name in names:
+        g = _oracle_group(name)
+        table = g.table.tolist()
+        orders = element_orders(table)
+        for s in enumerate_subgroups(g).subgroups:
+            assert s.tag == classify_oracle(table, orders, frozenset(s.elements)), (name, s.elements)
