@@ -432,9 +432,11 @@ def _require_subgroup(g: FiniteGroup, members: ElementSet, what: str) -> np.ndar
 
 
 def _commutators(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """x^-1 y^-1 x y = (yx)^-1 (xy) for x in xs and y in ys, as an (|xs|, |ys|) array."""
+    """x^-1 y^-1 x y = (yx)^-1 (xy) for x in xs and y in the 1-d ys, as an
+    array of shape xs.shape + ys.shape."""
     t = g.table
-    return t[g.inverses[t[ys[None, :], xs[:, None]]], t[xs[:, None], ys]]
+    x = xs[..., None]
+    return t[g.inverses[t[ys, x]], t[x, ys]]
 
 
 def _commutes(g: FiniteGroup, idx: np.ndarray) -> bool:

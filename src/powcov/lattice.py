@@ -2,41 +2,63 @@
 
 Two enumeration paths, chosen by the group's order:
 
-* p-groups descend from G by the Burnside basis theorem.  For each subgroup
-  K found, Phi(K) = K^p [K, K] is the Frattini subgroup, K/Phi(K) is the
+* p-groups descend from G by the Burnside basis theorem, one level at a
+  time, where level k holds every subgroup of order |G|/p^k.  For each K
+  on a level, Phi(K) = K^p [K, K] is the Frattini subgroup, K/Phi(K) is the
   vector space F_p^d, and the maximal subgroups of K are exactly the
-  preimages of its hyperplanes.  Every subgroup of a p-group lies on a chain
-  of maximal subgroups down from G, so the descent reaches all of them with
-  one Frattini computation per subgroup and no closure per candidate.  All
-  hyperplane preimages of K are packed into bitmasks in one call and
-  deduplicated on their bytes; only a new one is queued.
+  preimages of its hyperplanes.  Level k+1 is the set of all those
+  preimages over level k, and that is exhaustive: a subgroup H of order
+  |G|/p^(k+1) is proper in its normaliser (normalisers grow in p-groups),
+  so N(H)/H has a subgroup of order p, whose preimage K has order
+  |G|/p^k, and H is maximal in K.  So the descent needs no global set of
+  seen subgroups: each level's preimages are deduplicated on their packed
+  bytes with a dict, and a level's subgroups are found only once.
 * Every other group (and the trivial one) starts from the trivial subgroup
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
-  its cyclic subgroups, so that is exhaustive for any finite group.
+  its cyclic subgroups, so that is exhaustive for any finite group.  The
+  subgroups found are then grouped by order and pass through the same
+  check, abelian, normal and tag kernel as a level of the descent.
 
-Both paths work on bool masks and index arrays and share the cores of
-groups.py.  Closure squares the set, S <- S*S, until it stops growing, so it
-takes O(log |H|) rounds of one gather each.  An abelian K skips the
-closures: x -> x^k is then a homomorphism on K, so the image of K is the
-subgroup K^k, and Phi(K) = K^p.  A nonabelian K closes K^p and K^4, and
-joins K^p with the commutators when it does not hold them already.
+A level is one block of rows of equal size h, so every step below is one
+numpy call per level rather than per subgroup.  The members stack as an
+(m, h) array M, and one gather, prod = table[M[:, :, None], M[:, None, :]],
+serves four things: the subgroup check (each row holds the identity and is
+closed under the product; the only check any enumerated subgroup gets),
+the abelian flag (prod equals its transpose), the commutators of the
+nonabelian rows (table[inv[prod^T], prod]) and the dihedral tag.  Power
+images are scattered into (m, n) masks.  An abelian K skips closure: x ->
+x^p is then a homomorphism on K, so its image is Phi(K) = K^p.  The
+nonabelian rows close K^p u [K, K] together by squaring, S <- S*S, until
+no row grows; each row's members are padded with the identity, which
+changes no product set because e*x = x.  Rows are then grouped by
+|Phi(K)|, which fixes d, and each group runs the greedy basis loop (each x_i
+is the least member of K outside <Phi(K), x_1..x_{i-1}>), the coset codes
+in F_p^d and all its hyperplane preimages as batched calls.  A level is cut
+into chunks so that no temporary holds more than about _BUDGET entries;
+the largest, the product tables and the preimage stack, hold at most
+rows * h * n.
 
-Each subgroup K is checked to be a subgroup once, when it enters the
-lattice; its flags then come from data the descent already holds, with no
-second check:
+Flags, from the level's data:
 
-* abelian: every two members commute, read off K's product table.
+* abelian: every two members commute.
 * normal: conjugating K by each element of a generating set of G keeps K
   inside K: G's Burnside basis for a p-group, a greedy generating set
   otherwise.  The normaliser of K is a subgroup, so it is all of G once it
   holds a generating set of G.
 * powerful: [K, K] lies in K^k, with k = p at odd p and k = 4 at p = 2.
-  K^k is a subgroup, so that holds iff K^k holds every commutator.
-* powerfully embedded: K is normal and [x, y] lies in K^k for every x in
-  K's Burnside basis and every y in G's.  [K, G] is the normal closure in G
-  of those [x, y] (Robinson 5.1.7), and K^k is characteristic in K, hence
-  normal in G, so it holds [K, G] iff it holds them.
+  That holds iff every commutator of K is a k-th power of a member of K,
+  so K^k is never closed.  If K is powerful, its k-th powers already form
+  the subgroup K^k (Lubotzky & Mann, "Powerful p-groups. I", J. Algebra
+  105 (1987)), which holds [K, K] and so every commutator.  Conversely, k-th
+  powers lie in the subgroup K^k, so if every commutator is one, K^k holds
+  the subgroup they generate.
+* powerfully embedded: K is normal and [x, y] is a k-th power of a member
+  of K for every x in K's Burnside basis and every y in G's.  [K, G] is the
+  normal closure in G of those [x, y] (Robinson 5.1.7), and K^k is
+  characteristic in K, hence normal in G, so K^k holds [K, G] iff it holds
+  them.  The k-th powers suffice by the same argument as above: a
+  powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
 * maximal: a proper subgroup no larger maximal subgroup contains.
 * tag: dihedral(h) when two involutions a != b have a product c of order
   h/2.  Then <c> u a<c> is a dihedral group of order h, so it is all of H,
@@ -45,18 +67,17 @@ second check:
   a = b gives c = e, of order 1, while h/2 >= 2 for every h that reaches
   the test.  So one vectorised comparison over all pairs gives the tag.
 
-Groups that are not p-groups get the abelian and normal flags from the same
-cores and no powerful flags.  The public is_powerful and
-is_powerfully_embedded check their argument, compute its Frattini record
-from scratch and call the same flag code.
+Groups that are not p-groups get no powerful flags.  The public
+is_powerful, is_powerfully_embedded and classify_small check their argument
+through the same kernel, as a block of one row; is_powerfully_embedded
+conjugates by all of G and takes all of K and G as commutator arguments.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -66,13 +87,9 @@ from .groups import (
     GroupError,
     _close,
     _commutators,
-    _commutes,
     _greedy_generators,
-    _is_normal,
-    _mask,
+    _mask_of,
     _power_map,
-    _power_subgroup,
-    _require_subgroup,
     _set_of,
     is_normal,  # re-exported: perfbench's traced pass looks it up here by name
     is_p_group,
@@ -87,6 +104,9 @@ __all__ = [
     "is_powerfully_embedded",
     "classify_small",
 ]
+
+# The most entries any temporary of the level kernel holds, give or take.
+_BUDGET = 1 << 20
 
 
 def _prime(g: FiniteGroup) -> int:
@@ -103,26 +123,299 @@ def _power_maps(g: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
     return power_p, (power_p[power_p] if p == 2 else power_p)
 
 
-def _powerfully_embedded(
-    g: FiniteGroup, normal: bool, k_gens: np.ndarray, g_gens: np.ndarray, power: np.ndarray
-) -> bool:
-    """K normal with [K, G] <= K^k, given generators of K and of G and K^k as a mask.
+# ---------------------------------------------------------------------------
+# The block kernel: rows of equal size, one numpy call per step
 
-    Exact on generators: [K, G] is the normal closure in G of the [x, y]
-    with x in k_gens and y in g_gens (Robinson, A Course in the Theory of
-    Groups, 5.1.7), and K^k, characteristic in the normal subgroup K, is
-    normal in G.  So K^k contains [K, G] iff it contains those [x, y].
-    Those [x, y] lying in K already force K to be normal, as
-    y^-1 x y = x [x, y]; the normal test only skips the work when K is not.
+
+def _checked(
+    g: FiniteGroup, masks: np.ndarray, what: str = "enumerated set"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member indices (m, h) and product tables (m, h, h) of a block of m
+    bool-mask rows with h members each.
+
+    Raises GroupError unless every row holds the identity and is closed
+    under the product, that is, unless every row is a subgroup.
     """
-    return normal and bool(power[_commutators(g, k_gens, g_gens)].all())
+    members = masks.nonzero()[1].reshape(len(masks), -1)
+    prod = g.table[members[:, :, None], members[:, None, :]]
+    if not (masks[:, g.identity].all() and _holds(masks, prod).all()):
+        raise GroupError(f"{what} is not a subgroup")
+    return members, prod
 
 
-def _record(g: FiniteGroup, members: ElementSet) -> tuple[_Frattini, np.ndarray]:
-    """The checked argument's Frattini record and member indices."""
-    p = _prime(g)
-    idx = _require_subgroup(g, members, "argument")
-    return _frattini_coordinates(g, idx, p, *_power_maps(g, p))[0], idx
+def _flags(
+    g: FiniteGroup, masks: np.ndarray, conjugators: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The kernel every block runs: members, product tables, and the
+    abelian, normal (by the given conjugators) and tag of each row."""
+    members, prod = _checked(g, masks)
+    abelian = (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
+    return members, prod, abelian, _normal(g, masks, members, conjugators), _tags(g, members, prod)
+
+
+def _self_commutators(g: FiniteGroup, prod: np.ndarray) -> np.ndarray:
+    """[x, y] = (yx)^-1 (xy) for every two members of each row, from the
+    rows' product tables."""
+    return g.table[g.inverses[prod.transpose(0, 2, 1)], prod]
+
+
+def _holds(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row: whether row r of the mask block holds every entry of values[r]."""
+    return masks[np.arange(len(masks))[:, None, None], values].all(axis=(1, 2))
+
+
+def _images(n: int, power: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (m, n) mask of each row's image under the map power."""
+    mask = np.zeros((len(members), n), dtype=bool)
+    mask[np.arange(len(members))[:, None], power[members]] = True
+    return mask
+
+
+def _normal(
+    g: FiniteGroup, masks: np.ndarray, members: np.ndarray, conjugators: np.ndarray
+) -> np.ndarray:
+    """Per row: y^-1 K y lies in K for every y in conjugators."""
+    y = conjugators[None, :, None]
+    return _holds(masks, g.table[g.table[g.inverses[y], members[:, None, :]], y])
+
+
+def _tags(g: FiniteGroup, members: np.ndarray, prod: np.ndarray) -> list[str]:
+    """Each row's coarse isomorphism-type tag; see classify_small."""
+    m, h = members.shape
+    if h == 1:
+        return ["trivial"] * m
+    orders = g.element_orders[members]
+    cyclic = (orders == h).any(axis=1)
+    klein = (orders <= 2).all(axis=1) & (h == 4)
+    invol = orders == 2
+    count = invol.sum(axis=1)
+    # Involutions a != b with c = ab of order h/2 generate <c> u a<c>, of
+    # order h, so all of H, and that group is dihedral.  See the module
+    # docstring for why a never lies in <c> and a = b never matches.
+    dihedral = np.zeros(m, dtype=bool)
+    test = np.flatnonzero(~cyclic & ~klein & (count > 1))
+    if test.size:
+        pairs = invol[test, :, None] & invol[test, None, :]
+        dihedral[test] = (pairs & (g.element_orders[prod[test]] == h // 2)).any(axis=(1, 2))
+    quaternion = (count == 1) & (h & (h - 1) == 0)
+    first = np.argmax(np.stack((cyclic, klein, dihedral, quaternion, np.ones(m, dtype=bool))), axis=0)
+    labels = (f"cyclic({h})", "klein", f"dihedral({h})", "quaternion-like", "other")
+    return [labels[i] for i in first.tolist()]
+
+
+def _close_rows(table: np.ndarray, masks: np.ndarray, identity: int) -> np.ndarray:
+    """Close every row of a block of bool masks (each holding the identity)
+    in place, all rows together, by squaring.
+
+    Each round gathers the products of every row in one call, with each
+    row's members padded to the widest row by the identity; e*x = x, so the
+    padding adds no product.  It ends when no row grows.
+    """
+    m = len(masks)
+    rows, cols = masks.nonzero()
+    while True:
+        counts = np.bincount(rows, minlength=m)
+        pad = np.full((m, counts.max()), identity, dtype=cols.dtype)
+        pad[rows, np.arange(cols.size) - (np.cumsum(counts) - counts)[rows]] = cols
+        masks[np.arange(m)[:, None, None], table[pad[:, :, None], pad[:, None, :]]] = True
+        rows, grown = masks.nonzero()
+        if grown.size == cols.size:
+            return masks
+        cols = grown
+
+
+def _hyperplanes(p: int, d: int) -> np.ndarray:
+    """(p^d + 1, (p^d - 1)/(p - 1)) bool array: entry [c, h] says whether the
+    vector with base-p code c lies in hyperplane h of F_p^d.  Each
+    hyperplane is the kernel of one functional, normalised so that its
+    first nonzero coordinate is 1.  The last row, code p^d, marks elements
+    outside K and lies in no hyperplane."""
+    functionals = np.array(
+        [
+            (0,) * lead + (1,) + tail
+            for lead in range(d)
+            for tail in itertools.product(range(p), repeat=d - lead - 1)
+        ],
+        dtype=np.int64,
+    ).T
+    vectors = np.arange(p**d)[:, None] // p ** np.arange(d) % p
+    inside = (vectors @ functionals) % p == 0
+    return np.vstack((inside, np.zeros((1, inside.shape[1]), dtype=bool)))
+
+
+def _split(
+    g: FiniteGroup, p: int, members: np.ndarray, frattini: np.ndarray, planes: dict
+) -> tuple[np.ndarray, list[bytes]]:
+    """Burnside bases (r, d) and the packed maximal subgroups of r rows K
+    that share |K| and |Phi(K)|, given Phi(K) as masks.
+
+    Members of Phi(K) get code 0.  The greedy x_i is the least member of K
+    still without a code; <Phi(K), x_1..x_{i-1}> is normal in its join with
+    x_i, with quotient of order p, so that join is the union of its cosets by
+    x_i^j for 0 <= j < p, and the j-th coset gains digit j at place i.
+    """
+    r, h = members.shape
+    span = frattini.nonzero()[1].reshape(r, -1)
+    d = 0
+    index = h // span.shape[1]
+    while index > 1:
+        index //= p
+        d += 1
+    basis = np.empty((r, d), dtype=members.dtype)
+    if not d:
+        return basis, []
+    rows = np.arange(r)[:, None]
+    outside = p**d
+    codes = np.full((r, g.order), outside, dtype=np.int32)
+    codes[rows, span] = 0
+    digits = np.arange(1, p, dtype=np.int32)
+    for i in range(d):
+        x = members[rows[:, 0], np.argmax(codes[rows, members] == outside, axis=1)]
+        basis[:, i] = x
+        steps = [x]
+        for _ in range(p - 2):
+            steps.append(g.table[steps[-1], x])
+        cosets = g.table[span[:, :, None], np.stack(steps, axis=1)[:, None, :]]
+        codes[rows[:, :, None], cosets] = codes[rows, span][:, :, None] + digits * p**i
+        span = np.concatenate((span, cosets.reshape(r, -1)), axis=1)
+    if d not in planes:
+        planes[d] = _hyperplanes(p, d)
+    return basis, _pack(planes[d][codes].transpose(0, 2, 1))
+
+
+# ---------------------------------------------------------------------------
+# Levels: packed keys in, records out
+
+
+def _pack(masks: np.ndarray) -> list[bytes]:
+    """Little-endian packed bytes of each bool-mask row (along the last
+    axis), without trailing zero bytes; the bytes are still distinct and
+    int.from_bytes reads them unchanged."""
+    packed = np.ascontiguousarray(np.packbits(masks, axis=-1, bitorder="little"))
+    width = packed.shape[-1]
+    return packed.reshape(-1, width).view(f"S{width}").ravel().tolist()
+
+
+def _blocks(keys: list[bytes], h: int, n: int) -> Iterator[tuple[list[bytes], np.ndarray]]:
+    """Chunks of one level's keys, with their bool masks, sized so that no
+    temporary of the kernel exceeds about _BUDGET entries."""
+    width = (n + 7) // 8
+    step = max(1, _BUDGET // (h * n))
+    for start in range(0, len(keys), step):
+        chunk = keys[start:start + step]
+        raw = np.array(chunk, dtype=f"S{width}").view(np.uint8).reshape(len(chunk), width)
+        yield chunk, np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, tuple]:
+    """Every subgroup of the p-group g, as {bitmask: (abelian, normal,
+    powerful, powerfully embedded, tag)}, one level at a time: the next
+    level is every hyperplane preimage in K/Phi(K) over this one's K."""
+    n = g.order
+    table = g.table
+    power_p, power_k = _power_maps(g, p)
+    planes: dict[int, np.ndarray] = {}
+    records: dict[int, tuple] = {}
+    g_basis = np.zeros(0, dtype=np.intp)  # G is normal in G whatever conjugates it
+    level, h = _pack(np.ones((1, n), dtype=bool)), n
+    while level:
+        found: dict[bytes, None] = {}
+        for keys, masks in _blocks(level, h, n):
+            members, prod, abelian, normal, tags = _flags(g, masks, g_basis)
+            kth = _images(n, power_k, members)
+            frattini = _images(n, power_p, members) if p == 2 else kth.copy()
+            powerful = abelian.copy()
+            nonabelian = np.flatnonzero(~abelian)
+            if nonabelian.size:
+                comm = _self_commutators(g, prod[nonabelian])
+                powerful[nonabelian] = _holds(kth[nonabelian], comm)
+                seed = frattini[nonabelian]
+                seed[np.arange(nonabelian.size)[:, None, None], comm] = True
+                frattini[nonabelian] = _close_rows(table, seed, g.identity)
+            embedded = np.zeros(len(keys), dtype=bool)
+            sizes = np.count_nonzero(frattini, axis=1)
+            for size in set(sizes.tolist()):
+                rows = np.flatnonzero(sizes == size)
+                basis, maximal = _split(g, p, members[rows], frattini[rows], planes)
+                if h == n:
+                    g_basis = basis[0]
+                embedded[rows] = normal[rows] & _holds(kth[rows], _commutators(g, basis, g_basis))
+                found.update(dict.fromkeys(maximal))
+            flags = zip(abelian.tolist(), normal.tolist(), powerful.tolist(), embedded.tolist(), tags)
+            records.update(zip((int.from_bytes(k, "little") for k in keys), flags))
+        level, h = list(found), h // p
+    return records
+
+
+def _with(mask: np.ndarray, x: int) -> np.ndarray:
+    mask = mask.copy()
+    mask[x] = True
+    return mask
+
+
+def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
+    """Bitmasks of every subgroup of any finite group, by cyclic extension.
+
+    <H, x> depends only on <x>, so each subgroup is extended by one
+    generator of each cyclic subgroup outside it.
+    """
+    n = g.order
+    table = g.table
+    seen: set[int] = set()
+    queue: list[np.ndarray] = []
+
+    def admit(mask: np.ndarray) -> bool:
+        bits = _set_of(mask).bits
+        if bits in seen:
+            return False
+        seen.add(bits)
+        queue.append(mask)
+        return True
+
+    seed = np.zeros(n, dtype=bool)
+    seed[g.identity] = True
+    admit(seed)
+    generators = [x for x in range(n) if admit(_close(table, _with(seed, x)))]
+
+    head = 0
+    while head < len(queue):
+        mask = queue[head]
+        head += 1
+        for x in generators:
+            if not mask[x]:
+                admit(_close(table, _with(mask, x)))
+    return seen
+
+
+def _records_by_extension(g: FiniteGroup) -> dict[int, tuple]:
+    """{bitmask: (abelian, normal, None, None, tag)} for a group that is not
+    a p-group, its subgroups grouped by order into blocks."""
+    n = g.order
+    width = (n + 7) // 8
+    conjugators = _greedy_generators(g.table, g.identity)
+    by_order: dict[int, list[bytes]] = {}
+    for bits in _subgroups_by_extension(g):
+        by_order.setdefault(bits.bit_count(), []).append(bits.to_bytes(width, "little"))
+    records: dict[int, tuple] = {}
+    for h, level in by_order.items():
+        for keys, masks in _blocks(level, h, n):
+            _, _, abelian, normal, tags = _flags(g, masks, conjugators)
+            nothing = itertools.repeat(None)
+            flags = zip(abelian.tolist(), normal.tolist(), nothing, nothing, tags)
+            records.update(zip((int.from_bytes(k, "little") for k in keys), flags))
+    return records
+
+
+# ---------------------------------------------------------------------------
+# Public predicates: one checked row through the same kernel
+
+
+def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[np.ndarray, ...]:
+    """A subgroup argument as a checked block of one row: (mask, members, prod)."""
+    if members.n != g.order:
+        raise GroupError(f"{what} is not a subgroup")
+    mask = _mask_of(members)[None]
+    return (mask, *_checked(g, mask, what))
 
 
 def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
@@ -131,7 +424,10 @@ def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
     The test is intrinsic to H: both sides are computed from H's own
     elements, so the answer is independent of the ambient group.
     """
-    return _record(g, members)[0].powerful
+    p = _prime(g)
+    _, idx, prod = _argument(g, members, "argument")
+    kth = _images(g.order, _power_maps(g, p)[1], idx)
+    return bool(_holds(kth, _self_commutators(g, prod))[0])
 
 
 def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
@@ -140,10 +436,12 @@ def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
     [N, G] <= N^k <= N already forces normality, but the explicit check
     keeps the reported reason honest when the argument is not normal.
     """
-    record, idx = _record(g, members)
-    everything = np.arange(g.order, dtype=np.int64)
-    normal = _is_normal(g, idx, everything)
-    return _powerfully_embedded(g, normal, record.basis, everything, record.power)
+    p = _prime(g)
+    mask, idx, _ = _argument(g, members, "argument")
+    everything = np.arange(g.order)
+    kth = _images(g.order, _power_maps(g, p)[1], idx)
+    normal = _normal(g, mask, idx, everything)
+    return bool((normal & _holds(kth, _commutators(g, idx, everything)))[0])
 
 
 def classify_small(g: FiniteGroup, members: ElementSet) -> str:
@@ -153,27 +451,8 @@ def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     (noncyclic 2-group with a unique involution), or "other".  m is the
     subgroup's total order.
     """
-    return _classify(g, _require_subgroup(g, members, "element set"))
-
-
-def _classify(g: FiniteGroup, idx: np.ndarray) -> str:
-    h = len(idx)
-    if h == 1:
-        return "trivial"
-    orders = g.element_orders[idx]
-    if (orders == h).any():
-        return f"cyclic({h})"
-    if h == 4 and (orders <= 2).all():
-        return "klein"
-    invol = idx[orders == 2]
-    # Involutions a != b with c = ab of order h/2 generate <c> u a<c>, of
-    # order h, so all of H, and that group is dihedral.  See the module
-    # docstring for why a never lies in <c> and a = b never matches.
-    if (g.element_orders[g.table[invol[:, None], invol]] == h // 2).any():
-        return f"dihedral({h})"
-    if h & (h - 1) == 0 and invol.size == 1:
-        return "quaternion-like"
-    return "other"
+    _, idx, prod = _argument(g, members, "element set")
+    return _tags(g, idx, prod)[0]
 
 
 @dataclass(frozen=True)
@@ -224,246 +503,30 @@ class Lattice:
         return out
 
 
-def _with(mask: np.ndarray, x: int) -> np.ndarray:
-    mask = mask.copy()
-    mask[x] = True
-    return mask
-
-
-def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
-    """Bitmasks of every subgroup of any finite group, by cyclic extension.
-
-    <H, x> depends only on <x>, so each subgroup is extended by one
-    generator of each cyclic subgroup outside it.
-    """
-    n = g.order
-    table = g.table
-    seen: set[int] = set()
-    queue: list[np.ndarray] = []
-
-    def admit(mask: np.ndarray) -> bool:
-        bits = _set_of(mask).bits
-        if bits in seen:
-            return False
-        seen.add(bits)
-        queue.append(mask)
-        return True
-
-    seed = np.zeros(n, dtype=bool)
-    seed[g.identity] = True
-    admit(seed)
-    generators = [x for x in range(n) if admit(_close(table, _with(seed, x)))]
-
-    head = 0
-    while head < len(queue):
-        mask = queue[head]
-        head += 1
-        for x in generators:
-            if not mask[x]:
-                admit(_close(table, _with(mask, x)))
-    return seen
-
-
-@dataclass(frozen=True)
-class _Frattini:
-    """What the descent computes for one subgroup K of a p-group."""
-
-    abelian: bool
-    powerful: bool      # [K, K] <= K^k
-    power: np.ndarray   # K^k as a mask: k = 4 at p = 2, else p
-    basis: np.ndarray   # a Burnside basis of K/Phi(K); it generates K
-
-
-def _frattini_coordinates(
-    g: FiniteGroup, members: np.ndarray, p: int, power_p: np.ndarray, power_k: np.ndarray
-) -> tuple[_Frattini, np.ndarray, int]:
-    """K's Frattini record, and the images of its members in K/Phi(K) = F_p^d.
-
-    power_p and power_k are the maps x -> x^p and x -> x^k on g.  Returns
-    (record, codes, d): codes[i] is the coordinate vector of members[i],
-    read as a base-p integer with coordinate j as its j-th digit.
-
-    Phi(K) = K^p [K, K].  On an abelian K that is K^p, the image of the
-    homomorphism x -> x^p, so it needs no closure; otherwise K^p is closed,
-    and joined with the commutators unless it holds them already (as it
-    always does at p = 2).  The basis x_1..x_d is greedy: each x_i is the
-    least member outside <Phi(K), x_1..x_{i-1}>.  That subgroup is normal in
-    K with quotient of order p, so adjoining x_i is the union of its cosets
-    by x_i^j for 0 <= j < p, and the members of the j-th coset gain
-    coordinate j.
-    """
-    n = g.order
-    table = g.table
-    abelian = _commutes(g, members)
-    powers = _power_subgroup(g, members, power_p, abelian)
-    power = powers if power_k is power_p else _power_subgroup(g, members, power_k, abelian)
-    frattini = powers
-    powerful = True
-    if not abelian:
-        # Subgroups hold [K, K] iff they hold every commutator.
-        commutators = _mask(n, _commutators(g, members, members))
-        if (commutators & ~powers).any():
-            frattini = _close(table, commutators | powers)
-        powerful = not (commutators & ~power).any()
-
-    span = frattini.nonzero()[0]
-    d = 0
-    index = len(members) // len(span)
-    while index > 1:
-        index //= p
-        d += 1
-    codes = np.zeros(n, dtype=np.int64)
-    spanned = frattini.copy()
-    basis = np.zeros(d, dtype=np.int64)
-    digits = np.arange(1, p)
-    for i in range(d):
-        x = members[np.argmin(spanned[members])]
-        basis[i] = x
-        steps = [x]
-        for _ in range(p - 2):
-            steps.append(table[steps[-1], x])
-        cosets = table[span[:, None], steps]           # (|span|, p - 1)
-        codes[cosets] = codes[span][:, None] + digits * p**i
-        spanned[cosets] = True
-        span = np.concatenate((span, cosets.ravel()))
-    return _Frattini(abelian, powerful, power, basis), codes[members], d
-
-
-def _hyperplanes(p: int, d: int) -> np.ndarray:
-    """(p^d, (p^d - 1)/(p - 1)) bool array: entry [c, h] says whether the
-    vector with base-p code c lies in hyperplane h of F_p^d.  Each
-    hyperplane is the kernel of one functional, normalised so that its
-    first nonzero coordinate is 1."""
-    functionals = np.array(
-        [
-            (0,) * lead + (1,) + tail
-            for lead in range(d)
-            for tail in itertools.product(range(p), repeat=d - lead - 1)
-        ],
-        dtype=np.int64,
-    ).T
-    vectors = np.arange(p**d)[:, None] // p ** np.arange(d) % p
-    return (vectors @ functionals) % p == 0
-
-
-def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, _Frattini]:
-    """Every subgroup of the p-group g, as {bitmask: Frattini record},
-    descending through maximal subgroups: those of K are the hyperplane
-    preimages in K/Phi(K).
-
-    Subgroups are keyed by their packed masks.  All hyperplane preimages of
-    one K are packed in one call and only the new ones are queued.
-    """
-    n = g.order
-    power_p, power_k = _power_maps(g, p)
-    hyperplanes: dict[int, np.ndarray] = {}
-    records: dict[int, _Frattini] = {}
-    full = np.packbits(np.ones(n, dtype=bool), bitorder="little").tobytes()
-    queue = deque([full])
-    seen = {full}
-    while queue:
-        key = queue.popleft()
-        raw = np.frombuffer(key, dtype=np.uint8)
-        members = np.unpackbits(raw, count=n, bitorder="little").nonzero()[0]
-        record, codes, d = _frattini_coordinates(g, members, p, power_p, power_k)
-        records[int.from_bytes(key, "little")] = record
-        if not d:
-            continue
-        if d not in hyperplanes:
-            hyperplanes[d] = _hyperplanes(p, d)
-        inside = hyperplanes[d][codes]                  # (|K|, hyperplanes)
-        preimages = np.zeros((inside.shape[1], n), dtype=bool)
-        preimages[:, members] = inside.T
-        packed = np.packbits(preimages, axis=1, bitorder="little")
-        width = packed.shape[1]
-        buf = packed.tobytes()
-        for start in range(0, len(buf), width):
-            sub = buf[start:start + width]
-            if sub not in seen:
-                seen.add(sub)
-                queue.append(sub)
-    return records
-
-
-def _entry(
-    g: FiniteGroup,
-    es: ElementSet,
-    idx: np.ndarray,
-    abelian: bool,
-    normal: bool,
-    powerful: Optional[bool],
-    embedded: Optional[bool],
-) -> dict:
-    return {
-        "elements": es,
-        "order": len(idx),
-        "is_proper": len(idx) < g.order,
-        "is_abelian": abelian,
-        "is_normal": normal,
-        "is_powerful": powerful,
-        "is_powerfully_embedded": embedded,
-        "tag": _classify(g, idx),
-    }
-
-
-def _p_group_entries(g: FiniteGroup, p: int) -> list[dict]:
-    """Flags from each subgroup's Frattini record and G's own basis."""
-    records = _subgroups_by_descent(g, p)
-    g_gens = records[(1 << g.order) - 1].basis
-    entries = []
-    for bits, rec in records.items():
-        es = ElementSet(bits, g.order)
-        idx = _require_subgroup(g, es, "enumerated set")
-        normal = _is_normal(g, idx, g_gens)
-        entries.append(
-            _entry(
-                g,
-                es,
-                idx,
-                abelian=rec.abelian,
-                normal=normal,
-                powerful=rec.powerful,
-                embedded=_powerfully_embedded(g, normal, rec.basis, g_gens, rec.power),
-            )
-        )
-    return entries
-
-
-def _other_entries(g: FiniteGroup) -> list[dict]:
-    """Flags of a group that is not a p-group: no powerful predicates."""
-    g_gens = _greedy_generators(g.table, g.identity)
-    entries = []
-    for bits in _subgroups_by_extension(g):
-        es = ElementSet(bits, g.order)
-        idx = _require_subgroup(g, es, "enumerated set")
-        entries.append(
-            _entry(
-                g,
-                es,
-                idx,
-                abelian=_commutes(g, idx),
-                normal=_is_normal(g, idx, g_gens),
-                powerful=None,
-                embedded=None,
-            )
-        )
-    return entries
-
-
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     """Every subgroup of g, flags included."""
     p = is_p_group(g)
-    entries = _other_entries(g) if p is None else _p_group_entries(g, p)
-    entries.sort(key=lambda e: (e["order"], e["elements"].membership_key()))
+    records = _records_by_extension(g) if p is None else _subgroups_by_descent(g, p)
+    n = g.order
+    sets = sorted(
+        (ElementSet(bits, n) for bits in records),
+        key=lambda es: (len(es), es.membership_key()),
+    )
     # A proper subgroup that is not maximal lies in a larger maximal one, so
     # from the largest down it suffices to test the maximal subgroups found.
     maximal: list[int] = []
-    for e in reversed(entries):
-        b = e["elements"].bits
-        e["is_maximal"] = e["is_proper"] and not any(b & m == b for m in maximal)
-        if e["is_maximal"]:
+    subgroups = []
+    for es in reversed(sets):
+        b = es.bits
+        order = len(es)
+        is_maximal = order < n and not any(b & m == b for m in maximal)
+        if is_maximal:
             maximal.append(b)
-    return Lattice(group=g, subgroups=tuple(Subgroup(**e) for e in entries))
+        abelian, normal, powerful, embedded, tag = records[b]
+        subgroups.append(
+            Subgroup(es, order, order < n, abelian, normal, is_maximal, powerful, embedded, tag)
+        )
+    return Lattice(group=g, subgroups=tuple(reversed(subgroups)))
 
 
 def maximal_subgroups(g: FiniteGroup, lattice: Optional[Lattice] = None) -> tuple[Subgroup, ...]:

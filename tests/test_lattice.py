@@ -1,11 +1,13 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powcov import groups
+from powcov import lattice
 from powcov.bitset import ElementSet
+from powcov.cache import serialize_lattice
 from powcov.catalog import builtin_catalog
 from powcov.descriptors import parse_descriptor
 from powcov.groups import (
@@ -283,18 +285,69 @@ def test_flags_match_definitions_on_heisenberg_groups(p):
     flags_match_definitions(FiniteGroup(heisenberg_table(p)))
 
 
+def _bits(mask):
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def test_enumeration_checks_each_subgroup_once(monkeypatch):
-    calls = Counter()
-    check = groups.is_subgroup
+    # Every row of every level passes through the level check exactly once.
+    rows = []
+    check = lattice._checked
 
-    def counting_check(g, members):
-        calls[members.bits] += 1
-        return check(g, members)
+    def counting_check(g, masks, *args):
+        rows.extend(_bits(mask) for mask in masks)
+        return check(g, masks, *args)
 
-    monkeypatch.setattr(groups, "is_subgroup", counting_check)
-    lat = enumerate_subgroups(build_group("dihedral:64"))
-    assert sum(calls.values()) <= len(lat)
-    assert set(calls) == {s.elements.bits for s in lat.subgroups}
+    monkeypatch.setattr(lattice, "_checked", counting_check)
+    for spec in ("dihedral:64", "elementary:2^4"):
+        rows.clear()
+        lat = enumerate_subgroups(build_group(spec))
+        assert len(rows) == len(lat)
+        assert set(rows) == {s.elements.bits for s in lat.subgroups}
+
+
+def _block(g, *rows):
+    masks = np.zeros((len(rows), g.order), dtype=bool)
+    for mask, row in zip(masks, rows):
+        mask[list(row)] = True
+    return masks
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ([0, 8], [0, 1], [0, 9]),  # {e, r} is not closed: r*r = r^2
+        ([0, 8], [8, 9]),  # {s, rs} lacks the identity
+        ([],),  # the empty row lacks it too, with nothing to close
+    ],
+    ids=["not-closed", "no-identity", "empty"],
+)
+def test_level_check_rejects_a_block_with_one_bad_row(rows):
+    g = build_group("dihedral:16")
+    with pytest.raises(GroupError, match="enumerated set is not a subgroup"):
+        lattice._checked(g, _block(g, *rows))
+
+
+def test_chunked_levels_give_the_unchunked_records(monkeypatch):
+    cases = [
+        build_group("dihedral:32"),
+        build_group("elementary:2^4"),
+        build_group("product:(quaternion:8,cyclic:2)"),
+        FiniteGroup(heisenberg_table(3)),
+        FiniteGroup(wreath_table(4)),
+    ]
+    whole = [serialize_lattice(enumerate_subgroups(g)) for g in cases]
+    monkeypatch.setattr(lattice, "_BUDGET", 1)  # every chunk is one row
+    rows = Counter()
+    check = lattice._checked
+
+    def counting_check(g, masks, *args):
+        rows[len(masks)] += 1
+        return check(g, masks, *args)
+
+    monkeypatch.setattr(lattice, "_checked", counting_check)
+    assert [serialize_lattice(enumerate_subgroups(g)) for g in cases] == whole
+    assert set(rows) == {1}
 
 
 def _d16_non_subgroup():
@@ -436,11 +489,12 @@ def test_flags_match_definitions_on_products_and_quotients(spec, data):
     flags_match_definitions(quotient_group(g, data.draw(st.sampled_from(normal))))
 
 
-def wreath_c4_c2_table():
-    """C4 wr C2 = (C4 x C4) : C2, with t swapping the coordinates, as
-    triples (a, b, t).  Order 32; its squares, {(2a, 2b)} u {(c, c)}, do not
-    form a subgroup: (2, 0) (1, 1) = (3, 1) is not a square."""
-    elements = [(a, b, t) for a in range(4) for b in range(4) for t in range(2)]
+def wreath_table(m):
+    """Cm wr C2 = (Cm x Cm) : C2, with t swapping the coordinates, as
+    triples (a, b, t), of order 2m^2.  For m = 4, order 32, its squares,
+    {(2a, 2b)} u {(c, c)}, do not form a subgroup: (2, 0) (1, 1) = (3, 1)
+    is not a square."""
+    elements = [(a, b, t) for a in range(m) for b in range(m) for t in range(2)]
     index = {e: i for i, e in enumerate(elements)}
 
     def mul(u, v):
@@ -448,7 +502,7 @@ def wreath_c4_c2_table():
         c, d, s = v
         if t:
             c, d = d, c
-        return (a + c) % 4, (b + d) % 4, t ^ s
+        return (a + c) % m, (b + d) % m, t ^ s
 
     return [[index[mul(u, v)] for v in elements] for u in elements]
 
@@ -456,12 +510,30 @@ def wreath_c4_c2_table():
 def test_descent_on_a_group_whose_squares_are_no_subgroup():
     # Phi(G) = G^2 is larger than the set of squares here, so the descent
     # has to close the image of x -> x^2 on this nonabelian G.
-    table = wreath_c4_c2_table()
+    table = wreath_table(4)
     g = FiniteGroup(table)
     squares = {table[x][x] for x in range(g.order)}
     assert squares != closure_of(table, squares)
     assert set(_subgroups_by_descent(g, 2)) == _subgroups_by_extension(g)
     flags_match_definitions(g)
+
+
+def test_flags_on_a_group_whose_fourth_powers_are_no_subgroup():
+    # C8 wr C2, order 128: its 4th powers are {(4a, 4b)} u {(2c, 2c)}, and
+    # (4, 0) (2, 2) = (6, 2) is none of them.  The powerful flags read the
+    # unclosed image of x -> x^4, which is exact by Lubotzky-Mann; compare
+    # them with the oracle, which closes it.
+    table = wreath_table(8)
+    g = FiniteGroup(table)
+    fourth = {table[table[x][x]][table[x][x]] for x in range(g.order)}
+    assert fourth != closure_of(table, fourth)
+    lat = enumerate_subgroups(g)
+    assert {s.elements.bits for s in lat.subgroups} == _subgroups_by_extension(g)
+    large = [s for s in lat.subgroups if s.order >= 32]
+    assert any(not s.is_abelian for s in large)
+    for s in large:
+        flags = (s.is_abelian, s.is_normal, s.is_powerful, s.is_powerfully_embedded)
+        assert flags == subgroup_flags(table, frozenset(s.elements), 2), s.elements
 
 
 ORACLE_GROUPS = (
@@ -475,7 +547,7 @@ def _oracle_group(name):
     if name.startswith("heisenberg:"):
         return FiniteGroup(heisenberg_table(int(name.split(":")[1])))
     if name == "wreath":
-        return FiniteGroup(wreath_c4_c2_table())
+        return FiniteGroup(wreath_table(4))
     return build_group(name)
 
 
