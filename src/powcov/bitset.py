@@ -86,13 +86,5 @@ class ElementSet:
     def indices(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def membership_key(self) -> int:
-        """The tie-break key for canonical sort orders.
-
-        The bit-reversed mask, element 0 most significant, so keys compare
-        as the 0/1 membership vectors (bit of element 0 first) do.
-        """
-        return int(f"{self.bits:0{self.n}b}"[::-1], 2) if self.n else 0
-
     def __repr__(self) -> str:
         return f"ElementSet({{{','.join(map(str, self))}}}, n={self.n})"

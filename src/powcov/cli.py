@@ -119,6 +119,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no less than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powcov",
@@ -147,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a claim suite")
     p.add_argument("suite", choices=SUITE_NAMES)
-    p.add_argument("--max-n", type=int, default=None, help="largest tower index n")
-    p.add_argument("--max-order", type=int, default=None, help="largest group order")
+    p.add_argument("--max-n", type=_at_least(2), default=None, help="largest tower index n")
+    p.add_argument("--max-order", type=_at_least(1), default=None, help="largest group order")
     p.add_argument("--catalog", default=None, help="catalog file instead of built-in")
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -161,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated families (default: all four)",
     )
     p.add_argument("--out", required=True, help="CSV output path (.md lands beside it)")
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_at_least(1), default=None)
     p.add_argument(
         "--stable-timing",
         action="store_true",

@@ -128,12 +128,12 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
 
     Candidates contained in another candidate are dropped: replacing a set
     by a containing candidate never enlarges a cover, so at least one
-    optimal solution survives.  Candidate order is descending subgroup
-    order, ties broken by descending membership pattern, which is the index
-    order all tie-breaking downstream refers to.
+    optimal solution survives.  Candidate order is the lattice's canonical
+    order reversed: descending subgroup order, ties broken by descending
+    membership vector, which is the index order all tie-breaking downstream
+    refers to.
     """
-    chosen = [s for s in lat.subgroups if s.is_proper and family.admits(s)]
-    chosen.sort(key=lambda s: (-s.order, -s.elements.membership_key()))
+    chosen = [s for s in reversed(lat.subgroups) if s.is_proper and family.admits(s)]
     kept: list[Subgroup] = []
     for s in chosen:
         if not any(

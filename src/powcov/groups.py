@@ -12,10 +12,13 @@ every triple, in O(n^2 * |gens|) instead of n^3.  The greedy generating set
 adds the least element outside the closure so far until nothing is left.
 
 Subsets inside the private cores are bool masks and index arrays; an
-ElementSet is built only for a result a caller sees.  Closure squares the
-set, S <- S*S, until it stops growing: a subgroup is generated by words of
-length at most its order, and each round doubles the length covered, so
-that takes O(log |H|) rounds of one gather each.
+ElementSet is built only for a result a caller sees.  A subgroup argument
+gets one check, the block kernel's (_checked): the lattice runs it on a
+whole level of subgroups at once, and each public operation on its argument
+as a block of one row, whose product table then serves the operation.
+Closure squares the set, S <- S*S, until it stops growing: a subgroup is
+generated by words of length at most its order, and each round doubles the
+length covered, so that takes O(log |H|) rounds of one gather each.
 
 Canonical element numbering for the built-in families puts rotation-like
 generator powers first and the reflection-type coset second:
@@ -325,12 +328,11 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
 
 def subgroup_as_group(g: FiniteGroup, members: ElementSet) -> FiniteGroup:
     """Reindex a subgroup's sub-table as a standalone group (elements sorted)."""
-    if not is_subgroup(g, members):
-        raise GroupError("element set is not a subgroup")
-    idx = _indices(members)
+    _, idx, prod = _argument(g, members, "element set")
+    idx = idx[0]
     pos = np.zeros(g.order, dtype=np.int32)
     pos[idx] = np.arange(len(idx), dtype=np.int32)
-    table = pos[g.table[idx[:, None], idx]]
+    table = pos[prod[0]]
     names = [g.name_of(int(e)) for e in idx] if g.names else None
     desc = f"subgroup:[{','.join(map(str, idx))}]of({g.descriptor})"
     return FiniteGroup(table, descriptor=desc, names=names)
@@ -383,10 +385,6 @@ def _mask_of(members: ElementSet) -> np.ndarray:
     return np.unpackbits(raw, count=members.n, bitorder="little").view(bool)
 
 
-def _indices(members: ElementSet) -> np.ndarray:
-    return _mask_of(members).nonzero()[0]
-
-
 def _set_of(mask: np.ndarray) -> ElementSet:
     bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
     return ElementSet(bits, mask.size)
@@ -394,7 +392,7 @@ def _set_of(mask: np.ndarray) -> ElementSet:
 
 def _seed_mask(g: FiniteGroup, seed) -> np.ndarray:
     """The identity and the seed elements as a mask; indices are range-checked."""
-    idx = _indices(seed) if isinstance(seed, ElementSet) else [int(i) for i in seed]
+    idx = _mask_of(seed).nonzero()[0] if isinstance(seed, ElementSet) else [int(i) for i in seed]
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= g.order):
         bad = int(idx[(idx < 0) | (idx >= g.order)][0])
@@ -409,26 +407,63 @@ def closure(g: FiniteGroup, seed) -> ElementSet:
     return _set_of(_close(g.table, _seed_mask(g, seed)))
 
 
-def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
-    """True iff the set is nonempty and closed under the product."""
-    if members.n != g.order or len(members) == 0:
-        return False
-    mask = _mask_of(members)
-    if not mask[g.identity]:
-        return False
-    idx = mask.nonzero()[0]
-    return bool(mask[g.table[idx[:, None], idx]].all())
+# ---------------------------------------------------------------------------
+# The block kernel: m bool-mask rows of h members each, one numpy call per
+# step.  The lattice runs it on a whole level of subgroups; each public
+# operation below runs it on its argument, as a block of one row.
 
 
-def _require_subgroup(g: FiniteGroup, members: ElementSet, what: str) -> np.ndarray:
-    """The member indices of a checked subgroup; raises GroupError otherwise.
+def _holds(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per row: whether row r of the mask block holds every entry of values[r]."""
+    return masks[np.arange(len(masks))[:, None, None], values].all(axis=(1, 2))
 
-    The private cores below take such index arrays and trust them, so each
-    public operation checks its arguments here once and then calls a core.
+
+def _checked(
+    g: FiniteGroup, masks: np.ndarray, what: str = "enumerated set"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member indices (m, h) and product tables (m, h, h) of a block of m
+    bool-mask rows with h members each.
+
+    Raises GroupError unless every row holds the identity and is closed
+    under the product, that is, unless every row is a subgroup.
     """
-    if not is_subgroup(g, members):
+    members = masks.nonzero()[1].reshape(len(masks), -1)
+    prod = g.table[members[:, :, None], members[:, None, :]]
+    if not (masks[:, g.identity].all() and _holds(masks, prod).all()):
         raise GroupError(f"{what} is not a subgroup")
-    return _indices(members)
+    return members, prod
+
+
+def _abelian(prod: np.ndarray) -> np.ndarray:
+    """Per row: every two members commute, from the rows' product tables."""
+    return (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
+
+
+def _normal(
+    g: FiniteGroup, masks: np.ndarray, members: np.ndarray, conjugators: np.ndarray
+) -> np.ndarray:
+    """Per row: y^-1 K y lies in K for every y in conjugators.
+
+    Conjugating by a generating set of G is enough: the elements that
+    normalise K form a subgroup.
+    """
+    y = conjugators[None, :, None]
+    return _holds(masks, g.table[g.table[g.inverses[y], members[:, None, :]], y])
+
+
+def _images(n: int, power: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The (m, n) mask of each row's image under the map power."""
+    mask = np.zeros((len(members), n), dtype=bool)
+    mask[np.arange(len(members))[:, None], power[members]] = True
+    return mask
+
+
+def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[np.ndarray, ...]:
+    """A subgroup argument as a checked block of one row: (mask, members, prod)."""
+    if members.n != g.order:
+        raise GroupError(f"{what} is not a subgroup")
+    mask = _mask_of(members)[None]
+    return (mask, *_checked(g, mask, what))
 
 
 def _commutators(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -437,12 +472,6 @@ def _commutators(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     t = g.table
     x = xs[..., None]
     return t[g.inverses[t[ys, x]], t[x, ys]]
-
-
-def _commutes(g: FiniteGroup, idx: np.ndarray) -> bool:
-    """True iff every two of the given elements commute."""
-    prod = g.table[idx[:, None], idx]
-    return bool((prod == prod.T).all())
 
 
 def _commutator_subgroup(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -462,47 +491,34 @@ def _power_map(g: FiniteGroup, k: int) -> np.ndarray:
     return cur
 
 
-def _power_subgroup(
-    g: FiniteGroup, idx: np.ndarray, power_map: np.ndarray, abelian: bool
-) -> np.ndarray:
-    """H^k as a mask, given H's members and the map x -> x^k from _power_map.
-
-    On an abelian H the map is a homomorphism, so its image is already the
-    subgroup and needs no closure.
-    """
-    image = _mask(g.order, power_map[idx])
-    return image if abelian else _close(g.table, image)
-
-
-def _is_normal(g: FiniteGroup, idx: np.ndarray, conjugators: np.ndarray) -> bool:
-    """True iff y^-1 K y lies in K for every y in conjugators.
-
-    Conjugating by a generating set of G is enough: the elements that
-    normalise K form a subgroup.
-    """
-    half = g.table[g.inverses[conjugators][:, None], idx]
-    conj = g.table[half, conjugators[:, None]]
-    return bool(_mask(g.order, idx)[conj].all())
+def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
+    """True iff the set is nonempty and closed under the product."""
+    try:
+        _argument(g, members, "element set")
+    except GroupError:
+        return False
+    return True
 
 
 def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
-    """True iff every two members commute: [H, H] is trivial."""
-    return _commutes(g, _indices(members))
+    """True iff every two members of the subgroup commute: [H, H] is trivial."""
+    _, _, prod = _argument(g, members, "argument")
+    return bool(_abelian(prod)[0])
 
 
 def commutator_subgroup(g: FiniteGroup, a: ElementSet, b: ElementSet) -> ElementSet:
     """[A, B]: the subgroup generated by all commutators x^-1 y^-1 x y."""
-    ai = _require_subgroup(g, a, "first argument")
-    bi = _require_subgroup(g, b, "second argument")
-    return _set_of(_commutator_subgroup(g, ai, bi))
+    _, ai, _ = _argument(g, a, "first argument")
+    _, bi, _ = _argument(g, b, "second argument")
+    return _set_of(_commutator_subgroup(g, ai[0], bi[0]))
 
 
 def power_subgroup(g: FiniteGroup, members: ElementSet, k: int) -> ElementSet:
     """H^k: the subgroup generated by the k-th powers of the members."""
-    idx = _require_subgroup(g, members, "argument")
+    _, idx, _ = _argument(g, members, "argument")
     if k < 0:
         raise GroupError(f"power exponent must be >= 0, got {k}")
-    return _set_of(_power_subgroup(g, idx, _power_map(g, k), False))
+    return _set_of(_close(g.table, _images(g.order, _power_map(g, k), idx)[0]))
 
 
 def center(g: FiniteGroup) -> ElementSet:
@@ -521,8 +537,8 @@ def normal_closure(g: FiniteGroup, seed) -> ElementSet:
 
 def is_normal(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff the subgroup is invariant under conjugation by every element."""
-    idx = _require_subgroup(g, members, "argument")
-    return _is_normal(g, idx, np.arange(g.order, dtype=np.int64))
+    mask, idx, _ = _argument(g, members, "argument")
+    return bool(_normal(g, mask, idx, np.arange(g.order))[0])
 
 
 def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
@@ -531,9 +547,10 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
     The quotient map is verified to be a surjective homomorphism on every
     pair of elements.
     """
-    idx = _require_subgroup(g, normal, "normal subgroup")
-    if not _is_normal(g, idx, np.arange(g.order, dtype=np.int64)):
+    mask, idx, _ = _argument(g, normal, "normal subgroup")
+    if not _normal(g, mask, idx, np.arange(g.order))[0]:
         raise GroupError("subgroup is not normal")
+    idx = idx[0]
     n = g.order
     coset_id = np.full(n, -1, dtype=np.int64)
     reps = []

@@ -12,13 +12,21 @@ Two enumeration paths, chosen by the group's order:
   so N(H)/H has a subgroup of order p, whose preimage K has order
   |G|/p^k, and H is maximal in K.  So the descent needs no global set of
   seen subgroups: each level's preimages are deduplicated on their packed
-  bytes with a dict, and a level's subgroups are found only once.
+  bytes with a set, and a level's subgroups are found only once.
 * Every other group (and the trivial one) starts from the trivial subgroup
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
-  its cyclic subgroups, so that is exhaustive for any finite group.  The
+  its cyclic subgroups, so that is exhaustive for any finite group.  Each
+  join <H, x> is closed on its own with _close: a one-row _close_rows costs
+  more per call, and batching every join of one H costs more still.  The
   subgroups found are then grouped by order and pass through the same
   check, abelian, normal and tag kernel as a level of the descent.
+
+Each level is sorted by its packed masks read with element 0 first, and the
+lattice lists the levels from the smallest order up.  That canonical order,
+by order and then by membership vector, is the only sort: the cover
+instance reads the lattice backwards, and the cache and the record digests
+keep it.
 
 A level is one block of rows of equal size h, so every step below is one
 numpy call per level rather than per subgroup.  The members stack as an
@@ -59,7 +67,10 @@ Flags, from the level's data:
   characteristic in K, hence normal in G, so K^k holds [K, G] iff it holds
   them.  The k-th powers suffice by the same argument as above: a
   powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
-* maximal: a proper subgroup no larger maximal subgroup contains.
+* maximal: a proper subgroup no larger proper subgroup contains, known
+  from the enumeration.  In the descent these are level 1, the subgroups of
+  index p.  On the extension path, a proper H is maximal iff every join
+  <H, x> it closes is G.
 * tag: dihedral(h) when two involutions a != b have a product c of order
   h/2.  Then <c> u a<c> is a dihedral group of order h, so it is all of H,
   provided a lies outside <c>; and it always does, because a in <c> would
@@ -67,10 +78,14 @@ Flags, from the level's data:
   a = b gives c = e, of order 1, while h/2 >= 2 for every h that reaches
   the test.  So one vectorised comparison over all pairs gives the tag.
 
-Groups that are not p-groups get no powerful flags.  The public
-is_powerful, is_powerfully_embedded and classify_small check their argument
-through the same kernel, as a block of one row; is_powerfully_embedded
-conjugates by all of G and takes all of K and G as commutator arguments.
+Groups that are not p-groups get no powerful flags.  The block kernel
+(the subgroup check, the normal test and the power images) lives in
+groups.py, where the public is_subgroup, is_abelian, is_normal,
+quotient_group, power_subgroup and commutator_subgroup run it on their
+argument as a block of one row.  The public is_powerful,
+is_powerfully_embedded and classify_small here do the same;
+is_powerfully_embedded conjugates by all of G and takes all of K and G as
+commutator arguments.
 """
 
 from __future__ import annotations
@@ -85,10 +100,15 @@ from .bitset import ElementSet
 from .groups import (
     FiniteGroup,
     GroupError,
+    _abelian,
+    _argument,
+    _checked,
     _close,
     _commutators,
     _greedy_generators,
-    _mask_of,
+    _holds,
+    _images,
+    _normal,
     _power_map,
     _set_of,
     is_normal,  # re-exported: perfbench's traced pass looks it up here by name
@@ -124,23 +144,7 @@ def _power_maps(g: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The block kernel: rows of equal size, one numpy call per step
-
-
-def _checked(
-    g: FiniteGroup, masks: np.ndarray, what: str = "enumerated set"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices (m, h) and product tables (m, h, h) of a block of m
-    bool-mask rows with h members each.
-
-    Raises GroupError unless every row holds the identity and is closed
-    under the product, that is, unless every row is a subgroup.
-    """
-    members = masks.nonzero()[1].reshape(len(masks), -1)
-    prod = g.table[members[:, :, None], members[:, None, :]]
-    if not (masks[:, g.identity].all() and _holds(masks, prod).all()):
-        raise GroupError(f"{what} is not a subgroup")
-    return members, prod
+# The block kernel (see groups.py): rows of equal size, one numpy call per step
 
 
 def _flags(
@@ -149,34 +153,14 @@ def _flags(
     """The kernel every block runs: members, product tables, and the
     abelian, normal (by the given conjugators) and tag of each row."""
     members, prod = _checked(g, masks)
-    abelian = (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
-    return members, prod, abelian, _normal(g, masks, members, conjugators), _tags(g, members, prod)
+    normal = _normal(g, masks, members, conjugators)
+    return members, prod, _abelian(prod), normal, _tags(g, members, prod)
 
 
 def _self_commutators(g: FiniteGroup, prod: np.ndarray) -> np.ndarray:
     """[x, y] = (yx)^-1 (xy) for every two members of each row, from the
     rows' product tables."""
     return g.table[g.inverses[prod.transpose(0, 2, 1)], prod]
-
-
-def _holds(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row: whether row r of the mask block holds every entry of values[r]."""
-    return masks[np.arange(len(masks))[:, None, None], values].all(axis=(1, 2))
-
-
-def _images(n: int, power: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (m, n) mask of each row's image under the map power."""
-    mask = np.zeros((len(members), n), dtype=bool)
-    mask[np.arange(len(members))[:, None], power[members]] = True
-    return mask
-
-
-def _normal(
-    g: FiniteGroup, masks: np.ndarray, members: np.ndarray, conjugators: np.ndarray
-) -> np.ndarray:
-    """Per row: y^-1 K y lies in K for every y in conjugators."""
-    y = conjugators[None, :, None]
-    return _holds(masks, g.table[g.table[g.inverses[y], members[:, None, :]], y])
 
 
 def _tags(g: FiniteGroup, members: np.ndarray, prod: np.ndarray) -> list[str]:
@@ -307,19 +291,35 @@ def _blocks(keys: list[bytes], h: int, n: int) -> Iterator[tuple[list[bytes], np
         yield chunk, np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, tuple]:
-    """Every subgroup of the p-group g, as {bitmask: (abelian, normal,
-    powerful, powerfully embedded, tag)}, one level at a time: the next
-    level is every hyperplane preimage in K/Phi(K) over this one's K."""
+# Each byte with its bits reversed.
+_MSB_FIRST = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _canonical(keys) -> list[bytes]:
+    """One level's packed keys in canonical order: by membership vector,
+    element 0 first, which is the order of the big-endian packed masks.
+    Reversing the bits of each little-endian byte gives those bytes; keys
+    cut short by _pack still compare as if padded with zero bytes."""
+    return sorted(keys, key=lambda k: k.translate(_MSB_FIRST))
+
+
+def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
+    """Every subgroup of the p-group g, as records (bitmask, abelian,
+    normal, maximal, powerful, powerfully embedded, tag), one list per
+    level from G down, each in canonical order: the next level is every
+    hyperplane preimage in K/Phi(K) over this one's K.  The maximal
+    subgroups are level 1, the subgroups of index p."""
     n = g.order
     table = g.table
     power_p, power_k = _power_maps(g, p)
     planes: dict[int, np.ndarray] = {}
-    records: dict[int, tuple] = {}
+    levels: list[list[tuple]] = []
     g_basis = np.zeros(0, dtype=np.intp)  # G is normal in G whatever conjugates it
     level, h = _pack(np.ones((1, n), dtype=bool)), n
     while level:
-        found: dict[bytes, None] = {}
+        found: set[bytes] = set()
+        records: list[tuple] = []
+        maximal = itertools.repeat(len(levels) == 1)
         for keys, masks in _blocks(level, h, n):
             members, prod, abelian, normal, tags = _flags(g, masks, g_basis)
             kth = _images(n, power_k, members)
@@ -336,15 +336,17 @@ def _subgroups_by_descent(g: FiniteGroup, p: int) -> dict[int, tuple]:
             sizes = np.count_nonzero(frattini, axis=1)
             for size in set(sizes.tolist()):
                 rows = np.flatnonzero(sizes == size)
-                basis, maximal = _split(g, p, members[rows], frattini[rows], planes)
+                basis, below = _split(g, p, members[rows], frattini[rows], planes)
                 if h == n:
                     g_basis = basis[0]
                 embedded[rows] = normal[rows] & _holds(kth[rows], _commutators(g, basis, g_basis))
-                found.update(dict.fromkeys(maximal))
-            flags = zip(abelian.tolist(), normal.tolist(), powerful.tolist(), embedded.tolist(), tags)
-            records.update(zip((int.from_bytes(k, "little") for k in keys), flags))
-        level, h = list(found), h // p
-    return records
+                found.update(below)
+            bits = (int.from_bytes(k, "little") for k in keys)
+            flags = abelian.tolist(), normal.tolist(), maximal, powerful.tolist(), embedded.tolist()
+            records += zip(bits, *flags, tags)
+        levels.append(records)
+        level, h = _canonical(found), h // p
+    return levels
 
 
 def _with(mask: np.ndarray, x: int) -> np.ndarray:
@@ -353,23 +355,26 @@ def _with(mask: np.ndarray, x: int) -> np.ndarray:
     return mask
 
 
-def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
-    """Bitmasks of every subgroup of any finite group, by cyclic extension.
+def _subgroups_by_extension(g: FiniteGroup) -> dict[int, bool]:
+    """{bitmask: maximal} for every subgroup of any finite group, by cyclic
+    extension.
 
     <H, x> depends only on <x>, so each subgroup is extended by one
-    generator of each cyclic subgroup outside it.
+    generator of each cyclic subgroup outside it.  A subgroup K strictly
+    between H and G holds such a generator, and <H, x> <= K < G for it; so
+    a proper H is maximal iff every <H, x> it closes is G.
     """
     n = g.order
     table = g.table
-    seen: set[int] = set()
-    queue: list[np.ndarray] = []
+    maximal: dict[int, bool] = {}
+    queue: list[tuple[int, np.ndarray]] = []
 
     def admit(mask: np.ndarray) -> bool:
         bits = _set_of(mask).bits
-        if bits in seen:
+        if bits in maximal:
             return False
-        seen.add(bits)
-        queue.append(mask)
+        maximal[bits] = False
+        queue.append((bits, mask))
         return True
 
     seed = np.zeros(n, dtype=bool)
@@ -377,45 +382,40 @@ def _subgroups_by_extension(g: FiniteGroup) -> set[int]:
     admit(seed)
     generators = [x for x in range(n) if admit(_close(table, _with(seed, x)))]
 
-    head = 0
-    while head < len(queue):
-        mask = queue[head]
-        head += 1
-        for x in generators:
-            if not mask[x]:
-                admit(_close(table, _with(mask, x)))
-    return seen
+    for bits, mask in queue:  # the queue grows while it is walked
+        joins = [_close(table, _with(mask, x)) for x in generators if not mask[x]]
+        maximal[bits] = bool(joins) and all(join.all() for join in joins)
+        for join in joins:
+            admit(join)
+    return maximal
 
 
-def _records_by_extension(g: FiniteGroup) -> dict[int, tuple]:
-    """{bitmask: (abelian, normal, None, None, tag)} for a group that is not
-    a p-group, its subgroups grouped by order into blocks."""
+def _levels_by_extension(g: FiniteGroup) -> list[list[tuple]]:
+    """Records as _levels_by_descent gives them, with no powerful flags,
+    for a group that is not a p-group: its subgroups grouped by order into
+    levels, the smallest first."""
     n = g.order
     width = (n + 7) // 8
     conjugators = _greedy_generators(g.table, g.identity)
+    maximal = _subgroups_by_extension(g)
     by_order: dict[int, list[bytes]] = {}
-    for bits in _subgroups_by_extension(g):
+    for bits in maximal:
         by_order.setdefault(bits.bit_count(), []).append(bits.to_bytes(width, "little"))
-    records: dict[int, tuple] = {}
-    for h, level in by_order.items():
-        for keys, masks in _blocks(level, h, n):
+    levels = []
+    nothing = itertools.repeat(None)
+    for h in sorted(by_order):
+        records: list[tuple] = []
+        for keys, masks in _blocks(_canonical(by_order[h]), h, n):
             _, _, abelian, normal, tags = _flags(g, masks, conjugators)
-            nothing = itertools.repeat(None)
-            flags = zip(abelian.tolist(), normal.tolist(), nothing, nothing, tags)
-            records.update(zip((int.from_bytes(k, "little") for k in keys), flags))
-    return records
+            bits = [int.from_bytes(k, "little") for k in keys]
+            flags = abelian.tolist(), normal.tolist(), map(maximal.get, bits), nothing, nothing
+            records += zip(bits, *flags, tags)
+        levels.append(records)
+    return levels
 
 
 # ---------------------------------------------------------------------------
 # Public predicates: one checked row through the same kernel
-
-
-def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[np.ndarray, ...]:
-    """A subgroup argument as a checked block of one row: (mask, members, prod)."""
-    if members.n != g.order:
-        raise GroupError(f"{what} is not a subgroup")
-    mask = _mask_of(members)[None]
-    return (mask, *_checked(g, mask, what))
 
 
 def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
@@ -472,7 +472,8 @@ class Subgroup:
 
 @dataclass(frozen=True)
 class Lattice:
-    """All subgroups of a group, sorted by (order, membership bit pattern)."""
+    """All subgroups of a group in canonical order: by order, then by
+    membership vector, element 0 first."""
 
     group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
@@ -504,29 +505,16 @@ class Lattice:
 
 
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:
-    """Every subgroup of g, flags included."""
+    """Every subgroup of g, flags included, in canonical order."""
     p = is_p_group(g)
-    records = _records_by_extension(g) if p is None else _subgroups_by_descent(g, p)
+    levels = _levels_by_extension(g) if p is None else _levels_by_descent(g, p)[::-1]
     n = g.order
-    sets = sorted(
-        (ElementSet(bits, n) for bits in records),
-        key=lambda es: (len(es), es.membership_key()),
-    )
-    # A proper subgroup that is not maximal lies in a larger maximal one, so
-    # from the largest down it suffices to test the maximal subgroups found.
-    maximal: list[int] = []
     subgroups = []
-    for es in reversed(sets):
-        b = es.bits
-        order = len(es)
-        is_maximal = order < n and not any(b & m == b for m in maximal)
-        if is_maximal:
-            maximal.append(b)
-        abelian, normal, powerful, embedded, tag = records[b]
-        subgroups.append(
-            Subgroup(es, order, order < n, abelian, normal, is_maximal, powerful, embedded, tag)
-        )
-    return Lattice(group=g, subgroups=tuple(reversed(subgroups)))
+    for level in levels:
+        for bits, *flags in level:
+            order = bits.bit_count()
+            subgroups.append(Subgroup(ElementSet(bits, n), order, order < n, *flags))
+    return Lattice(group=g, subgroups=tuple(subgroups))
 
 
 def maximal_subgroups(g: FiniteGroup, lattice: Optional[Lattice] = None) -> tuple[Subgroup, ...]:

@@ -7,9 +7,10 @@ time_ms, error); families that were not requested stay blank, infeasible
 values print as INF, and per-entry errors land in the error column without
 stopping the sweep.  Fields holding a comma (product ids, error messages)
 are quoted, as standard CSV readers expect.  The Markdown report carries a
-per-family summary plus a violations section for the chain inequality,
-the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, and subgroup monotonicity
-over structurally nested entries.
+per-family summary plus a violations section for the chain inequality and
+the order-2^(n+1) bound sigma_P <= 2^(n-1)+1.  Subgroup monotonicity is
+left to the `monotonicity` verify suite, which checks every noncyclic
+proper subgroup of each catalog group in its range.
 
 time_ms is wall-clock and therefore varies run to run; stable_timing=True
 writes 0 there instead, making the reports byte-for-byte reproducible.
@@ -26,8 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .cache import LatticeCache, memo_lattice
 from .catalog import CatalogEntry
 from .cover import FamilySelector, covering_number
-from .descriptors import DescriptorError, parse_descriptor
-from .groups import FiniteGroup, GroupError, coclass, is_p_group, nilpotence_class
+from .groups import GroupError, coclass, is_p_group, nilpotence_class
 
 __all__ = [
     "SweepRow",
@@ -188,50 +188,6 @@ def _bound_violations(rows: Sequence[SweepRow]) -> List[str]:
     return out
 
 
-def _structural_pairs(rows: Sequence[SweepRow]) -> List[Tuple[SweepRow, SweepRow]]:
-    """(subgroup-row, group-row) pairs nested by construction: cyclic:M
-    embeds cyclic:M/q for q the least prime dividing M, the dihedral,
-    quaternion and modular families embed their half-order member, a
-    semidihedral group embeds the half-order dihedral and quaternion groups,
-    elementary groups embed lower ranks, and direct-product factors embed in
-    the product.  Rows whose source is not a descriptor (perm:) take no
-    part."""
-    parsed = []
-    for r in rows:
-        try:
-            parsed.append((parse_descriptor(r.source), r))
-        except DescriptorError:
-            continue
-    by_canonical = {d.canonical(): r for d, r in parsed}
-    pairs = []
-    for d, r in parsed:
-        if d.kind == "cyclic":
-            q = next((q for q in range(2, d.order + 1) if d.order % q == 0), None)
-            subs = [f"cyclic:{d.order // q}"] if q else []
-        elif d.kind in ("dihedral", "quaternion", "modular"):
-            subs = [f"{d.kind}:{d.order // 2}"]
-        elif d.kind == "semidihedral":
-            subs = [f"dihedral:{d.order // 2}", f"quaternion:{d.order // 2}"]
-        elif d.kind == "elementary":
-            p, k = d.params
-            subs = [f"elementary:{p}^{k - 1}"] if k > 1 else []
-        elif d.kind == "product":
-            subs = [factor.canonical() for factor in d.params]
-        else:
-            subs = []
-        pairs += [(by_canonical[s], r) for s in subs if s in by_canonical]
-    return pairs
-
-
-def _monotonicity_violations(rows: Sequence[SweepRow]) -> List[str]:
-    out = []
-    for sub, big in _structural_pairs(rows):
-        a, b = _finite(sub.sigma_p), _finite(big.sigma_p)
-        if a is not None and b is not None and a > b:
-            out.append(f"{sub.id} <= {big.id}: sigma_P {a} > {b}")
-    return out
-
-
 def markdown_report(rows: Sequence[SweepRow]) -> str:
     families: Dict[str, List[SweepRow]] = {}
     for r in rows:
@@ -251,7 +207,6 @@ def markdown_report(rows: Sequence[SweepRow]) -> str:
     sections = (
         ("chain sigma <= sigma_P <= sigma_A", _chain_violations(rows)),
         ("bound sigma_P <= 2^(n-1)+1 on noncyclic 2-groups", _bound_violations(rows)),
-        ("subgroup monotonicity on nested entries", _monotonicity_violations(rows)),
     )
     for title, found in sections:
         if found:

@@ -16,7 +16,9 @@ from typing import Optional, Sequence, Tuple
 from .catalog import CatalogEntry, builtin_catalog, entry_order
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
-from .groups import FiniteGroup, build_group, coclass, quotient_group, subgroup_as_group
+from .groups import (
+    FiniteGroup, GroupError, build_group, coclass, quotient_group, subgroup_as_group,
+)
 from .lattice import is_powerful
 
 __all__ = [
@@ -264,7 +266,7 @@ def suite_conjecture1(
             continue
         try:
             p_ok = coclass(g) == 1 and g.order & (g.order - 1) == 0
-        except Exception:
+        except GroupError:
             continue
         if not p_ok:
             continue

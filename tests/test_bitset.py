@@ -33,19 +33,6 @@ def test_constructors():
     assert ElementSet.from_indices([3, 1, 3], 6).indices() == (1, 3)
 
 
-def test_membership_key_orders_lexicographically():
-    # Every pair of subsets of a 6-element set compares as its 0/1 vectors do.
-    n = 6
-    sets = [ElementSet(bits, n) for bits in range(1 << n)]
-    vector = {s.bits: tuple(s.bits >> i & 1 for i in range(n)) for s in sets}
-    for a in sets:
-        for b in sets:
-            assert (a.membership_key() < b.membership_key()) == (vector[a.bits] < vector[b.bits])
-            assert (a.membership_key() == b.membership_key()) == (a.bits == b.bits)
-    assert ElementSet.from_indices([0, 2], 4).membership_key() == 0b1010
-    assert ElementSet.empty(0).membership_key() == 0
-
-
 def test_range_and_ambient_checks():
     with pytest.raises(ValueError):
         ElementSet.singleton(4, 4)

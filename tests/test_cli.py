@@ -123,6 +123,23 @@ def test_verify_with_catalog_file(tmp_path, capsys):
     assert "d8:" in out and "q8:" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--out", "unused.csv", "--max-order", "0"],
+        ["verify", "chain", "--max-order", "0"],
+        ["verify", "main-theorem", "--max-n", "1"],
+    ],
+    ids=["sweep-max-order", "verify-max-order", "verify-max-n"],
+)
+def test_empty_ranges_are_usage_errors(argv, capsys):
+    # A range with nothing in it must not sweep everything or pass vacuously.
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_rejected():
     with pytest.raises(SystemExit) as e:
         main(["verify", "does-not-exist"])

@@ -16,6 +16,7 @@ from powcov.groups import (
     build_group,
     closure,
     commutator_subgroup,
+    is_abelian,
     is_normal,
     is_p_group,
     is_subgroup,
@@ -23,7 +24,7 @@ from powcov.groups import (
     quotient_group,
 )
 from powcov.lattice import (
-    _subgroups_by_descent,
+    _levels_by_descent,
     _subgroups_by_extension,
     classify_small,
     enumerate_subgroups,
@@ -43,6 +44,12 @@ from oracles import (
 
 def lattice_sets(g):
     return {frozenset(s.elements.indices()) for s in enumerate_subgroups(g).subgroups}
+
+
+def descent_maximal(g):
+    """{bitmask: maximal} from the descent, as the extension path gives it."""
+    levels = _levels_by_descent(g, is_p_group(g))
+    return {bits: maximal for level in levels for bits, _, _, maximal, *_ in level}
 
 
 # ------------------------------------------------------------- enumeration
@@ -154,9 +161,7 @@ def test_matches_subset_closure_oracle(spec):
 
 def test_symmetric_group_s4_matches_subset_closure_oracle():
     # S4 is not nilpotent, unlike every group a descriptor builds.
-    perms = list(itertools.permutations(range(4)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
+    table = s4_table()
     g = FiniteGroup(table)
     assert len(lattice_sets(g)) == 30
     assert lattice_sets(g) == subset_closure_subgroups(table)
@@ -195,6 +200,38 @@ def test_maximal_subgroups_of_dihedral():
     # the rotation subgroup is one of them
     rot = frozenset(closure(g, [1]).indices())
     assert rot in {frozenset(m.elements.indices()) for m in maxes}
+
+
+def s4_table():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
+
+
+@pytest.mark.parametrize(
+    "spec", ["S4", "cyclic:12", "product:(dihedral:8,cyclic:3)", "dihedral:16"]
+)
+def test_maximal_flags_match_the_oracle(spec):
+    # Maximal: proper, and no proper subgroup strictly contains it.  The
+    # flag comes from the descent's first level or from the extension path.
+    g = FiniteGroup(s4_table()) if spec == "S4" else build_group(spec)
+    proper = [h for h in subset_closure_subgroups(g.table.tolist()) if len(h) < g.order]
+    expected = {h for h in proper if not any(h < k for k in proper)}
+    lat = enumerate_subgroups(g)
+    assert {frozenset(s.elements) for s in lat.subgroups if s.is_maximal} == expected
+
+
+@pytest.mark.parametrize("spec", ["dihedral:16", "elementary:2^4", "cyclic:12", "S4"])
+def test_lattice_order_is_order_then_membership_vector(spec):
+    # The canonical order: by order, ties by the 0/1 membership vector with
+    # element 0 first, on both enumeration paths.
+    g = FiniteGroup(s4_table()) if spec == "S4" else build_group(spec)
+    keys = [
+        (s.order, [int(i in s.elements) for i in range(g.order)])
+        for s in enumerate_subgroups(g).subgroups
+    ]
+    assert keys == sorted(keys)
+    assert len({tuple(v) for _, v in keys}) == len(keys)
 
 
 def test_klein_census_in_dihedral():
@@ -361,6 +398,7 @@ def _d16_non_subgroup():
         lambda g, bad: commutator_subgroup(g, bad, g.full_set()),
         lambda g, bad: commutator_subgroup(g, g.full_set(), bad),
         lambda g, bad: power_subgroup(g, bad, 2),
+        lambda g, bad: is_abelian(g, bad),
         lambda g, bad: is_normal(g, bad),
         lambda g, bad: is_powerful(g, bad),
         lambda g, bad: is_powerfully_embedded(g, bad),
@@ -371,6 +409,7 @@ def _d16_non_subgroup():
         "commutator_subgroup-first",
         "commutator_subgroup-second",
         "power_subgroup",
+        "is_abelian",
         "is_normal",
         "is_powerful",
         "is_powerfully_embedded",
@@ -441,7 +480,7 @@ def test_heisenberg_group_lattice(p, count):
     table = heisenberg_table(p)
     g = FiniteGroup(table)
     lat = enumerate_subgroups(g)
-    assert {s.elements.bits for s in lat.subgroups} == _subgroups_by_extension(g)
+    assert {s.elements.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
     assert len(lat) == count
     if p == 3:
         assert lattice_sets(g) == subset_closure_subgroups(table)
@@ -467,7 +506,7 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
     # The cyclic-extension path is exhaustive for any finite group, which
     # makes it an oracle for the Frattini descent past order 32.
     g = build_group(spec)
-    subgroups = set(_subgroups_by_descent(g, is_p_group(g)))
+    subgroups = descent_maximal(g)
     assert subgroups == _subgroups_by_extension(g)
     normal = [
         es
@@ -475,7 +514,7 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
         if 1 < len(es) < g.order and is_normal(g, es)
     ]
     q = quotient_group(g, data.draw(st.sampled_from(normal)))
-    assert set(_subgroups_by_descent(q, is_p_group(q))) == _subgroups_by_extension(q)
+    assert descent_maximal(q) == _subgroups_by_extension(q)
 
 
 @settings(max_examples=8, deadline=None)
@@ -514,7 +553,7 @@ def test_descent_on_a_group_whose_squares_are_no_subgroup():
     g = FiniteGroup(table)
     squares = {table[x][x] for x in range(g.order)}
     assert squares != closure_of(table, squares)
-    assert set(_subgroups_by_descent(g, 2)) == _subgroups_by_extension(g)
+    assert descent_maximal(g) == _subgroups_by_extension(g)
     flags_match_definitions(g)
 
 
@@ -528,7 +567,7 @@ def test_flags_on_a_group_whose_fourth_powers_are_no_subgroup():
     fourth = {table[table[x][x]][table[x][x]] for x in range(g.order)}
     assert fourth != closure_of(table, fourth)
     lat = enumerate_subgroups(g)
-    assert {s.elements.bits for s in lat.subgroups} == _subgroups_by_extension(g)
+    assert {s.elements.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
     large = [s for s in lat.subgroups if s.order >= 32]
     assert any(not s.is_abelian for s in large)
     for s in large:

@@ -5,12 +5,9 @@ import pytest
 
 from powcov.catalog import CatalogEntry, builtin_catalog
 from powcov.cover import FamilySelector
-from powcov.descriptors import parse_descriptor
 from powcov.sweep import (
     ALL_FAMILIES,
     CSV_COLUMNS,
-    SweepRow,
-    _structural_pairs,
     markdown_report,
     rows_to_csv,
     run_sweep,
@@ -117,24 +114,6 @@ def test_markdown_flags_planted_violation():
     md = markdown_report([good, bad])
     assert "planted" in md
     assert "sigma" in md
-
-
-def test_structural_pairs_are_nested_on_the_builtin_catalog():
-    rows = [
-        SweepRow(
-            id=e.id, source=e.source, order=parse_descriptor(e.source).order,
-            p=None, nilpotence_class=None, coclass=None, sigma=None,
-            sigma_a=None, sigma_p=None, sigma_pe=None, time_ms=0, error="",
-            witness_summaries=(),
-        )
-        for e in builtin_catalog()
-    ]
-    pairs = _structural_pairs(rows)
-    for sub, big in pairs:
-        assert sub.order < big.order and big.order % sub.order == 0, (sub.id, big.id)
-    ids = {(sub.id, big.id) for sub, big in pairs}
-    assert ("cyclic:3", "cyclic:9") in ids and ("cyclic:1", "cyclic:5") in ids
-    assert ("dihedral:64", "dihedral:128") in ids
 
 
 def test_builtin_catalog_sweep_is_clean():
