@@ -162,7 +162,6 @@ class LatticeCache:
             return None
         path = self.path_for(g)
         try:
-            os.makedirs(self.directory, exist_ok=True)
             atomic_write_text(path, serialize_lattice(lat))
         except OSError as e:
             logger.warning("lattice cache write failed (%s); continuing without cache", e)

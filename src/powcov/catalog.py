@@ -22,12 +22,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .descriptors import DescriptorError, parse_descriptor
 from .groups import FiniteGroup, build_group
 
-__all__ = ["CatalogEntry", "builtin_catalog", "entry_order", "load_catalog_file"]
+__all__ = [
+    "CatalogEntry",
+    "builtin_catalog",
+    "entry_order",
+    "load_catalog_file",
+    "select_entries",
+]
 
 
 @dataclass(frozen=True)
@@ -78,8 +84,7 @@ def _prime_powers(limit: int) -> List[int]:
     return sorted(out)
 
 
-def builtin_catalog(max_order: int = 128) -> List[CatalogEntry]:
-    """The shipped catalog, in deterministic order, filtered to max_order."""
+def _builtin_entries() -> List[CatalogEntry]:
     specs: List[str] = ["cyclic:1"]
     specs += [f"cyclic:{q}" for q in _prime_powers(128)]
     specs += [f"elementary:2^{k}" for k in range(2, 6)]
@@ -102,12 +107,27 @@ def builtin_catalog(max_order: int = 128) -> List[CatalogEntry]:
         "product:(quaternion:8,cyclic:2)",
         "product:(dihedral:8,dihedral:8)",
     ]
+    return [CatalogEntry(id=s, source=s) for s in specs]
 
-    return [
-        CatalogEntry(id=s, source=s)
-        for s in specs
-        if parse_descriptor(s).order <= max_order
-    ]
+
+def select_entries(
+    entries: Optional[Sequence[CatalogEntry]], max_order: Optional[int]
+) -> List[CatalogEntry]:
+    """The entries (the built-in catalog when None) of order at most
+    max_order, in catalog order; every entry when max_order is None.
+
+    An entry whose order cannot be read is kept, so whoever builds it meets
+    the error.
+    """
+    entries = _builtin_entries() if entries is None else list(entries)
+    if max_order is None:
+        return entries
+    return [e for e in entries if (order := entry_order(e)) is None or order <= max_order]
+
+
+def builtin_catalog(max_order: int = 128) -> List[CatalogEntry]:
+    """The shipped catalog, in deterministic order, filtered to max_order."""
+    return select_entries(None, max_order)
 
 
 def load_catalog_file(path: str) -> List[CatalogEntry]:

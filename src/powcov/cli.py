@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: sigma (covering number of one group), lattice (subgroup
-statistics), construct (export a Cayley file), verify (run a claim suite),
+statistics), construct (export a Cayley file), verify (run claim suites),
 sweep (batch report over a catalog).
 
 Exit codes: 0 = success / all checks passed; 1 = a domain finding (no cover
 exists for a single query, a theorem check failed, or a conjecture
-counterexample was found); 2 = usage or data error.
+counterexample was found); 2 = usage or data error, including a range that
+holds nothing to check or an option that no named suite reads.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from collections import Counter
 from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
-from .catalog import builtin_catalog, entry_order, load_catalog_file
+from .catalog import load_catalog_file, select_entries
 from .cover import FamilySelector, covering_number
 from .descriptors import DescriptorError
 from .fileio import FileFormatError, save_cayley_file
 from .groups import FiniteGroup, GroupError, build_group
 from .sweep import ALL_FAMILIES, run_sweep
-from .verify import SUITE_NAMES, format_report, run_suite
+from .verify import SUITE_NAMES, SUITES, format_report, run_suite
 
 __all__ = ["main"]
 
@@ -77,28 +78,35 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    catalog = load_catalog_file(args.catalog) if args.catalog else None
-    report = run_suite(
-        args.suite,
-        max_n=args.max_n,
-        max_order=args.max_order,
-        catalog=catalog,
-        cache=_run_cache(args),
-    )
-    print(format_report(report))
-    return 0 if report.passed else 1
+    names = SUITE_NAMES if "all" in args.suite else args.suite
+    for option in ("max_n", "max_order", "catalog"):
+        if getattr(args, option) is not None and not any(
+            option in SUITES[name].defaults for name in names
+        ):
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} is read by none of the suites {', '.join(names)}")
+    catalog = load_catalog_file(args.catalog) if args.catalog is not None else None
+    cache = _run_cache(args)
+    end = "\n\n" if len(names) > 1 else "\n"
+    code = 0
+    for name in names:
+        report = run_suite(
+            name,
+            max_n=args.max_n,
+            max_order=args.max_order,
+            catalog=catalog,
+            cache=cache,
+        )
+        print(format_report(report), end=end)
+        code = max(code, 2 if report.empty else 0 if report.passed else 1)
+    return code
 
 
 def cmd_sweep(args) -> int:
-    if args.catalog:
-        entries = load_catalog_file(args.catalog)
-    else:
-        entries = builtin_catalog(max_order=args.max_order or 128)
-    if args.max_order is not None and args.catalog:
-        entries = [
-            e for e in entries
-            if (order := entry_order(e)) is None or order <= args.max_order
-        ]
+    catalog = load_catalog_file(args.catalog) if args.catalog is not None else None
+    entries = select_entries(catalog, args.max_order)
+    if not entries:
+        raise ValueError("the catalog selects no entry to sweep")
     if args.families:
         families = tuple(
             FamilySelector.from_name(f.strip()) for f in args.families.split(",")
@@ -158,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="run a claim suite")
-    p.add_argument("suite", choices=SUITE_NAMES)
+    p = sub.add_parser("verify", help="run claim suites")
+    p.add_argument("suite", nargs="+", choices=SUITE_NAMES + ("all",), help="suites, or all")
     p.add_argument("--max-n", type=_at_least(2), default=None, help="largest tower index n")
     p.add_argument("--max-order", type=_at_least(1), default=None, help="largest group order")
     p.add_argument("--catalog", default=None, help="catalog file instead of built-in")

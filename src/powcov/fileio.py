@@ -61,8 +61,9 @@ class FileFormatError(GroupError):
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see a
-    partially written file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    partially written file.  Missing parent directories are created."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -5,15 +5,19 @@ of groups and reports per-instance results.  Theorem suites end in PASS or
 FAIL.  Conjecture-style suites (including the open monotonicity question)
 end in CONFIRMED-ON-RANGE or COUNTEREXAMPLE: they are confirmed on the
 groups actually checked, never asserted in general, and a counterexample is
-a finding to report, not a malfunction.
+a finding to report, not a malfunction.  A suite whose range held nothing to
+compare ends in EMPTY, whatever its kind.
+
+SUITES is the one place that says which range options (max_n, max_order,
+catalog) each suite reads and what they default to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .catalog import CatalogEntry, builtin_catalog, entry_order
+from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
 from .groups import (
@@ -24,6 +28,7 @@ from .lattice import is_powerful
 __all__ = [
     "CheckResult",
     "SuiteReport",
+    "SUITES",
     "SUITE_NAMES",
     "run_suite",
     "format_report",
@@ -33,7 +38,7 @@ __all__ = [
 @dataclass(frozen=True)
 class CheckResult:
     label: str
-    ok: bool
+    ok: Optional[bool]  # None: nothing to compare, such as every value INF
     detail: str
 
 
@@ -45,11 +50,18 @@ class SuiteReport:
     checks: Tuple[CheckResult, ...]
 
     @property
+    def empty(self) -> bool:
+        """No check compared anything: the range held nothing to test."""
+        return all(c.ok is None for c in self.checks)
+
+    @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return not self.empty and not any(c.ok is False for c in self.checks)
 
     @property
     def status(self) -> str:
+        if self.empty:
+            return "EMPTY"
         if self.kind == "theorem":
             return "PASS" if self.passed else "FAIL"
         return "CONFIRMED-ON-RANGE" if self.passed else "COUNTEREXAMPLE"
@@ -70,12 +82,8 @@ def _group_is_powerful(g: FiniteGroup) -> bool:
 
 
 def _entries(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
-    """Each entry of order at most max_order with its group, built only once
-    its order, read from the descriptor where possible, has passed."""
-    entries = list(catalog) if catalog is not None else builtin_catalog()
-    for e in entries:
-        if max_order is not None and (order := entry_order(e)) is not None and order > max_order:
-            continue
+    """Each selected entry with its group, built only once it is selected."""
+    for e in select_entries(catalog, max_order):
         yield e, e.build()
 
 
@@ -84,7 +92,7 @@ def _tower_index(order: int) -> int:
     return order.bit_length() - 2
 
 
-def suite_main_theorem(cache: LatticeCache, max_n: int = 6) -> SuiteReport:
+def suite_main_theorem(cache: LatticeCache, max_n: int) -> SuiteReport:
     """sigma_P of the dihedral group of order 2^(n+1) equals 2^(n-1)+1."""
     checks = []
     for n in range(2, max_n + 1):
@@ -110,8 +118,8 @@ def suite_main_theorem(cache: LatticeCache, max_n: int = 6) -> SuiteReport:
 
 def suite_sigma_equals_p_plus_1(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: Optional[int] = None,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: Optional[int],
 ) -> SuiteReport:
     """sigma = p + 1 for every noncyclic p-group; no cover at all for cyclic
     groups."""
@@ -138,8 +146,8 @@ def suite_sigma_equals_p_plus_1(
 
 def suite_chain(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: Optional[int] = None,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: Optional[int],
 ) -> SuiteReport:
     """sigma <= sigma_P <= sigma_A wherever the values are finite."""
     checks = []
@@ -150,13 +158,8 @@ def suite_chain(
         s = covering_number(g, FamilySelector.ALL, lat=lat)
         sp = covering_number(g, FamilySelector.POWERFUL, lat=lat)
         sa = covering_number(g, FamilySelector.ABELIAN, lat=lat)
-        ok = True
-        if s.optimal and sp.optimal:
-            ok = ok and s.size <= sp.size
-        if sp.optimal and sa.optimal:
-            ok = ok and sp.size <= sa.size
-        if s.optimal and sa.optimal:
-            ok = ok and s.size <= sa.size
+        finite = [(a, b) for a, b in ((s, sp), (sp, sa), (s, sa)) if a.optimal and b.optimal]
+        ok = all(a.size <= b.size for a, b in finite) if finite else None
         checks.append(
             CheckResult(
                 label=e.id,
@@ -174,8 +177,8 @@ def suite_chain(
 
 def suite_quotient(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: Optional[int] = None,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: Optional[int],
 ) -> SuiteReport:
     """sigma_P of a noncyclic non-powerful quotient never exceeds sigma_P of
     the dihedral group it comes from."""
@@ -226,9 +229,7 @@ _PRODUCT_CASES = (
 )
 
 
-def suite_product_powerful(
-    cache: LatticeCache, max_order: Optional[int] = None
-) -> SuiteReport:
+def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> SuiteReport:
     """sigma_P(G x K) = sigma_P(G) for noncyclic G and powerful K."""
     checks = []
     for left, right in _PRODUCT_CASES:
@@ -256,8 +257,8 @@ def suite_product_powerful(
 
 def suite_conjecture1(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: int = 64,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: int,
 ) -> SuiteReport:
     """Coclass-1 2-groups of order 2^(n+1) >= 8: sigma_P = 2^(n-1)+1."""
     checks = []
@@ -290,8 +291,8 @@ def suite_conjecture1(
 
 def suite_conjecture2(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: int = 128,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: int,
 ) -> SuiteReport:
     """Noncyclic 2-groups of order 2^(n+1) >= 8: sigma_P <= 2^(n-1)+1.
 
@@ -346,8 +347,8 @@ def suite_pe_d32(cache: LatticeCache) -> SuiteReport:
 
 def suite_monotonicity(
     cache: LatticeCache,
-    catalog: Optional[Sequence[CatalogEntry]] = None,
-    max_order: int = 16,
+    catalog: Optional[Sequence[CatalogEntry]],
+    max_order: int,
 ) -> SuiteReport:
     """Open question: can sigma_P(H) exceed sigma_P(G) for H <= G?
 
@@ -386,7 +387,7 @@ def suite_monotonicity(
         checks.append(
             CheckResult(
                 label="search",
-                ok=True,
+                ok=True if scanned else None,
                 detail=f"no violation among {scanned} noncyclic subgroup pairs",
             )
         )
@@ -398,17 +399,26 @@ def suite_monotonicity(
     )
 
 
-SUITE_NAMES = (
-    "main-theorem",
-    "sigma-equals-p-plus-1",
-    "chain",
-    "quotient",
-    "product-powerful",
-    "conjecture1",
-    "conjecture2",
-    "pe-d32",
-    "monotonicity",
-)
+class Suite(NamedTuple):
+    run: Callable[..., SuiteReport]
+    defaults: Dict[str, Any]  # each range option the suite reads, with its default
+
+
+_CATALOG = {"catalog": None, "max_order": None}
+
+SUITES: Dict[str, Suite] = {
+    "main-theorem": Suite(suite_main_theorem, {"max_n": 6}),
+    "sigma-equals-p-plus-1": Suite(suite_sigma_equals_p_plus_1, _CATALOG),
+    "chain": Suite(suite_chain, _CATALOG),
+    "quotient": Suite(suite_quotient, _CATALOG),
+    "product-powerful": Suite(suite_product_powerful, {"max_order": None}),
+    "conjecture1": Suite(suite_conjecture1, {"catalog": None, "max_order": 64}),
+    "conjecture2": Suite(suite_conjecture2, {"catalog": None, "max_order": 128}),
+    "pe-d32": Suite(suite_pe_d32, {}),
+    "monotonicity": Suite(suite_monotonicity, {"catalog": None, "max_order": 16}),
+}
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(
@@ -420,40 +430,22 @@ def run_suite(
 ) -> SuiteReport:
     """Run one suite by its public name with optional range bounds.
 
-    cache holds the run's lattices; pass one instance to share them across
-    suites.  Without one, the suite gets a memory-only cache of its own.
+    Each range option the suite reads falls back to its SUITES default when
+    None; options it does not read are ignored.  cache holds the run's
+    lattices; pass one instance to share them across suites.  Without one,
+    the suite gets a memory-only cache of its own.
     """
-    cache = LatticeCache() if cache is None else cache
-    if name == "main-theorem":
-        return suite_main_theorem(cache, max_n=max_n if max_n is not None else 6)
-    if name == "sigma-equals-p-plus-1":
-        return suite_sigma_equals_p_plus_1(cache, catalog, max_order)
-    if name == "chain":
-        return suite_chain(cache, catalog, max_order)
-    if name == "quotient":
-        return suite_quotient(cache, catalog, max_order)
-    if name == "product-powerful":
-        return suite_product_powerful(cache, max_order)
-    if name == "conjecture1":
-        return suite_conjecture1(
-            cache, catalog, max_order if max_order is not None else 64
-        )
-    if name == "conjecture2":
-        return suite_conjecture2(
-            cache, catalog, max_order if max_order is not None else 128
-        )
-    if name == "pe-d32":
-        return suite_pe_d32(cache)
-    if name == "monotonicity":
-        return suite_monotonicity(
-            cache, catalog, max_order if max_order is not None else 16
-        )
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    suite = SUITES[name]
+    given = {"max_n": max_n, "max_order": max_order, "catalog": catalog}
+    options = {k: d if given[k] is None else given[k] for k, d in suite.defaults.items()}
+    return suite.run(LatticeCache() if cache is None else cache, **options)
 
 
 def format_report(report: SuiteReport) -> str:
     lines = [f"suite {report.name}: {report.status}  [{report.scope}]"]
     for c in report.checks:
-        mark = "ok " if c.ok else "FAIL"
+        mark = "FAIL" if c.ok is False else "ok "
         lines.append(f"  {mark} {c.label}: {c.detail}")
     return "\n".join(lines)

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import powcov
+import powcov.cache
 from powcov.catalog import CatalogEntry
 from powcov.cli import main
+from powcov.sweep import CSV_COLUMNS
+from powcov.verify import SUITE_NAMES, SUITES
 
 
 def run(capsys, *argv):
@@ -124,20 +127,76 @@ def test_verify_with_catalog_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["sweep", "--out", "unused.csv", "--max-order", "0"],
-        ["verify", "chain", "--max-order", "0"],
-        ["verify", "main-theorem", "--max-n", "1"],
+        (["sweep", "--out", "unused.csv", "--max-order", "0"], "must be at least"),
+        (["verify", "chain", "--max-order", "0"], "must be at least"),
+        (["verify", "main-theorem", "--max-n", "1"], "must be at least"),
+        (["verify", "chain", "--max-order", "1"], "suite chain: EMPTY"),
+        (["verify", "conjecture1", "--max-order", "4"], "suite conjecture1: EMPTY"),
+        (["verify", "conjecture2", "--max-order", "4"], "suite conjecture2: EMPTY"),
+        (["verify", "quotient", "--max-order", "2"], "suite quotient: EMPTY"),
+        (["verify", "product-powerful", "--max-order", "8"], "suite product-powerful: EMPTY"),
+        (["verify", "monotonicity", "--max-order", "2"], "suite monotonicity: EMPTY"),
+        (["sweep", "--catalog", os.devnull, "--out", "unused.csv"], "selects no entry"),
+        (["verify", "pe-d32", "--max-order", "8"], "--max-order is read by none"),
+        (["verify", "main-theorem", "--max-order", "64"], "--max-order is read by none"),
+        (["verify", "pe-d32", "--catalog", "F"], "--catalog is read by none"),
+        (["verify", "chain", "pe-d32", "--max-n", "3"], "--max-n is read by none"),
     ],
-    ids=["sweep-max-order", "verify-max-order", "verify-max-n"],
+    ids=[
+        "sweep-max-order", "verify-max-order", "verify-max-n",
+        "chain-trivial-group", "conjecture1-empty", "conjecture2-empty",
+        "quotient-empty", "product-powerful-empty", "monotonicity-empty",
+        "sweep-empty-catalog", "pe-d32-max-order", "main-theorem-max-order",
+        "pe-d32-catalog", "two-suites-max-n",
+    ],
 )
-def test_empty_ranges_are_usage_errors(argv, capsys):
-    # A range with nothing in it must not sweep everything or pass vacuously.
-    with pytest.raises(SystemExit) as e:
-        main(argv)
-    assert e.value.code == 2
-    assert "must be at least" in capsys.readouterr().err
+def test_empty_ranges_are_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
+    # A range with nothing in it, or an option no named suite reads, must not
+    # sweep everything or pass vacuously.
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a bad value itself
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.out + captured.err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def _flags(options):
+    return [a for k, v in options.items() for a in ("--" + k.replace("_", "-"), v)]
+
+
+def test_verify_all_prints_each_suite_as_run_alone(capsys):
+    options = {"max_n": "3", "max_order": "16"}
+    rc, out, _ = run(capsys, "verify", "all", *_flags(options))
+    assert rc == 0
+    assert out.endswith("\n\n")
+    reports = out[:-2].split("\n\n")
+    assert [r.split(":")[0] for r in reports] == [f"suite {name}" for name in SUITE_NAMES]
+    for name, report in zip(SUITE_NAMES, reports):
+        read = {k: v for k, v in options.items() if k in SUITES[name].defaults}
+        rc, alone, _ = run(capsys, "verify", name, *_flags(read))
+        assert rc == 0
+        assert alone == report + "\n"
+
+
+@pytest.mark.parametrize("no_cache", [[], ["--no-cache"]], ids=["disk", "memory"])
+def test_verify_all_enumerates_each_lattice_once(no_cache, capsys, monkeypatch):
+    calls = Counter()
+    enumerate_subgroups = powcov.cache.enumerate_subgroups
+
+    def counting(g):
+        calls[g.content_key()] += 1
+        return enumerate_subgroups(g)
+
+    monkeypatch.setattr(powcov.cache, "enumerate_subgroups", counting)
+    rc, _, _ = run(capsys, "verify", "all", "--max-n", "3", "--max-order", "16", *no_cache)
+    assert rc == 0
+    assert calls and max(calls.values()) == 1
 
 
 def test_verify_unknown_suite_rejected():
@@ -210,6 +269,19 @@ def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, monk
     )
 
 
+def test_writers_create_their_output_directory(tmp_path, capsys):
+    out_csv = tmp_path / "new" / "dir" / "r.csv"
+    rc, _, _ = run(
+        capsys, "sweep", "--out", str(out_csv), "--max-order", "8", "--stable-timing"
+    )
+    assert rc == 0
+    assert out_csv.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert (out_csv.parent / "r.md").exists()
+    cayley = tmp_path / "other" / "d8.cayley"
+    rc, _, _ = run(capsys, "construct", "dihedral:8", "--out", str(cayley))
+    assert rc == 0 and cayley.exists()
+
+
 def test_sweep_family_subset(tmp_path, capsys):
     out_csv = tmp_path / "f.csv"
     rc, out, _ = run(
@@ -246,6 +318,17 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "sigma_P = 3" in proc.stdout
+
+
+def test_module_verify_all(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "powcov", "verify", "all", "--max-n", "3", "--max-order", "16"],
+        capture_output=True,
+        text=True,
+        env=child_env(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sum(line.startswith("suite ") for line in proc.stdout.splitlines()) == 9
 
 
 def test_console_script(tmp_path):

@@ -3,8 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from powcov.sweep import CSV_COLUMNS
-
 from test_cli import child_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -18,25 +16,6 @@ def run_script(name, *argv, cache_dir):
         text=True,
         env=child_env(cache_dir),
     )
-
-
-def test_sweep_builtin_script(tmp_path):
-    out = tmp_path / "reports" / "sweep.csv"
-    proc = run_script(
-        "sweep_builtin.py", "--max-order", "8", "--stable-timing", "--out", str(out),
-        cache_dir=tmp_path / "cache",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
-    assert (tmp_path / "reports" / "sweep.md").exists()
-
-
-def test_run_verify_suites_script(tmp_path):
-    proc = run_script(
-        "run_verify_suites.py", "--max-n", "3", "--max-order", "8",
-        cache_dir=tmp_path / "cache",
-    )
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_lattice_digests_match_the_pinned_records(tmp_path):

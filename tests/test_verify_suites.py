@@ -20,6 +20,13 @@ def test_report_status_logic():
     assert SuiteReport("c", "conjecture", "s", (ok,)).status == "CONFIRMED-ON-RANGE"
     assert SuiteReport("c", "conjecture", "s", (bad,)).status == "COUNTEREXAMPLE"
     assert not SuiteReport("t", "theorem", "s", (ok, bad)).passed
+    # A range with nothing to compare neither passes nor fails.
+    vacuous = CheckResult("z", None, "every value INF")
+    for kind in ("theorem", "conjecture"):
+        for checks in ((), (vacuous,)):
+            rep = SuiteReport("e", kind, "s", checks)
+            assert rep.status == "EMPTY" and rep.empty and not rep.passed
+    assert SuiteReport("t", "theorem", "s", (vacuous, ok)).status == "PASS"
 
 
 def test_format_report_shape():
