@@ -352,3 +352,20 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+# ------------------------------------------------------------ pinned reports
+
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+
+def test_reports_match_pinned_bytes(capsys, tmp_path):
+    # The claim layer's whole output over the built-in catalog, byte for byte.
+    rc, out, _ = run(capsys, "verify", "all", "--no-cache")
+    assert rc == 0
+    assert out == (REPORTS / "verify_all.txt").read_text()
+    out_csv = tmp_path / "sweep_builtin.csv"
+    rc, _, _ = run(capsys, "sweep", "--stable-timing", "--no-cache", "--out", str(out_csv))
+    assert rc == 0
+    assert out_csv.read_bytes() == (REPORTS / "sweep_builtin.csv").read_bytes()
+    assert (tmp_path / "sweep_builtin.md").read_bytes() == (REPORTS / "sweep_builtin.md").read_bytes()
