@@ -19,12 +19,12 @@ from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import load_catalog_file, select_entries
-from .cover import FamilySelector, covering_number
+from .cover import FamilySelector
 from .descriptors import DescriptorError
 from .fileio import FileFormatError, save_cayley_file
 from .groups import FiniteGroup, GroupError, build_group
 from .sweep import ALL_FAMILIES, run_sweep
-from .verify import SUITE_NAMES, SUITES, format_report, run_suite
+from .verify import SUITE_NAMES, SUITES, format_report, run_suite, sigma_of
 
 __all__ = ["main"]
 
@@ -41,10 +41,9 @@ def _run_cache(args) -> LatticeCache:
 def cmd_sigma(args) -> int:
     g = build_group(args.descriptor)
     family = FamilySelector.from_name(args.family)
-    lat = memo_lattice(g, cache=_run_cache(args))
-    res = covering_number(g, family, lat=lat)
+    res = sigma_of(g, family, _run_cache(args))
     if res.infeasible:
-        if int(g.element_orders.max()) == g.order:
+        if g.is_cyclic():
             print(f"{family.sigma_label} = INF (cyclic group has no proper-subgroup cover)")
         else:
             print(f"{family.sigma_label} = INF (no cover by this family exists)")

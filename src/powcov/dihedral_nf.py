@@ -69,9 +69,6 @@ class DihedralElement:
     def half_turn(cls, n: int) -> "DihedralElement":
         return cls(n, 1 << (n - 1), 0)
 
-    def is_rotation(self) -> bool:
-        return self.k == 0
-
 
 def nf_multiply(x: DihedralElement, y: DihedralElement) -> DihedralElement:
     """(j1,k1)*(j2,k2) = (j1 + (-1)^k1 * j2 mod 2^n, k1 xor k2).

@@ -61,13 +61,17 @@ class FileFormatError(GroupError):
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see a
-    partially written file.  Missing parent directories are created."""
+    partially written file.  Missing parent directories are created, and the
+    file gets the mode open() would give a new one (0o666 less the umask)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp created it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

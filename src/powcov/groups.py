@@ -217,6 +217,9 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.table, self.table.T))
 
+    def is_cyclic(self) -> bool:
+        return int(self.element_orders.max()) == self.order
+
     def __repr__(self) -> str:
         tag = self.descriptor or "?"
         return f"FiniteGroup({tag}, order={self.order})"

@@ -481,9 +481,6 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def proper(self) -> tuple[Subgroup, ...]:
-        return tuple(s for s in self.subgroups if s.is_proper)
-
     def counts(self) -> dict:
         out = {
             "subgroups": len(self.subgroups),

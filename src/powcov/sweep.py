@@ -8,9 +8,10 @@ values print as INF, and per-entry errors land in the error column without
 stopping the sweep.  Fields holding a comma (product ids, error messages)
 are quoted, as standard CSV readers expect.  The Markdown report carries a
 per-family summary plus a violations section for the chain inequality and
-the order-2^(n+1) bound sigma_P <= 2^(n-1)+1.  Subgroup monotonicity is
-left to the `monotonicity` verify suite, which checks every noncyclic
-proper subgroup of each catalog group in its range.
+the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, as verify.chain_violations and
+verify.tower_bound state them.  Subgroup monotonicity is left to the
+`monotonicity` verify suite, which checks every noncyclic proper subgroup of
+each catalog group in its range.
 
 time_ms is wall-clock and therefore varies run to run; stable_timing=True
 writes 0 there instead, making the reports byte-for-byte reproducible.
@@ -28,6 +29,7 @@ from .cache import LatticeCache, memo_lattice
 from .catalog import CatalogEntry
 from .cover import FamilySelector, covering_number
 from .groups import GroupError, coclass, is_p_group, nilpotence_class
+from .verify import chain_violations, tower_bound
 
 __all__ = [
     "SweepRow",
@@ -53,12 +55,7 @@ CSV_COLUMNS = (
     "error",
 )
 
-ALL_FAMILIES = (
-    FamilySelector.ALL,
-    FamilySelector.ABELIAN,
-    FamilySelector.POWERFUL,
-    FamilySelector.POWERFULLY_EMBEDDED,
-)
+ALL_FAMILIES = tuple(FamilySelector)
 
 # int = computed minimum, "INF" = no cover exists, None = not computed
 SigmaCell = Union[int, str, None]
@@ -101,10 +98,7 @@ def sweep_entry(
             cls = nilpotence_class(g)
         except GroupError:
             cls = None
-        try:
-            cocls = coclass(g)
-        except GroupError:
-            cocls = None
+        cocls = coclass(g) if p is not None else None
         lat = memo_lattice(g, cache=cache)
         for fam in families:
             try:
@@ -156,38 +150,6 @@ def _finite(cell: SigmaCell) -> Optional[int]:
     return cell if isinstance(cell, int) else None
 
 
-def _chain_violations(rows: Sequence[SweepRow]) -> List[str]:
-    out = []
-    for r in rows:
-        s, sp, sa = _finite(r.sigma), _finite(r.sigma_p), _finite(r.sigma_a)
-        if s is not None and sp is not None and s > sp:
-            out.append(f"{r.id}: sigma {s} > sigma_P {sp}")
-        if sp is not None and sa is not None and sp > sa:
-            out.append(f"{r.id}: sigma_P {sp} > sigma_A {sa}")
-        if s is not None and sa is not None and s > sa:
-            out.append(f"{r.id}: sigma {s} > sigma_A {sa}")
-    return out
-
-
-def _bound_violations(rows: Sequence[SweepRow]) -> List[str]:
-    """sigma_P <= 2^(n-1)+1 for noncyclic 2-groups of order 2^(n+1) >= 8."""
-    out = []
-    for r in rows:
-        sp = _finite(r.sigma_p)
-        if (
-            sp is not None
-            and r.p == 2
-            and r.order is not None
-            and r.order >= 8
-            and _finite(r.sigma) is not None  # finite sigma => noncyclic
-        ):
-            n = r.order.bit_length() - 2
-            bound = (1 << (n - 1)) + 1
-            if sp > bound:
-                out.append(f"{r.id}: sigma_P {sp} > bound {bound}")
-    return out
-
-
 def markdown_report(rows: Sequence[SweepRow]) -> str:
     families: Dict[str, List[SweepRow]] = {}
     for r in rows:
@@ -204,9 +166,17 @@ def markdown_report(rows: Sequence[SweepRow]) -> str:
         lines.append(f"| {fam} | {len(rs)} | {span} | {errs} |")
 
     lines += ["", "## violations", ""]
+    chain, bound = [], []
+    for r in rows:
+        sigma, sigma_p = _finite(r.sigma), _finite(r.sigma_p)
+        chain += [f"{r.id}: {v}" for v in chain_violations(sigma, sigma_p, _finite(r.sigma_a))[1]]
+        # a finite sigma means a noncyclic group
+        if r.p == 2 and r.order >= 8 and sigma is not None and sigma_p is not None:
+            if sigma_p > tower_bound(r.order):
+                bound.append(f"{r.id}: sigma_P {sigma_p} > bound {tower_bound(r.order)}")
     sections = (
-        ("chain sigma <= sigma_P <= sigma_A", _chain_violations(rows)),
-        ("bound sigma_P <= 2^(n-1)+1 on noncyclic 2-groups", _bound_violations(rows)),
+        ("chain sigma <= sigma_P <= sigma_A", chain),
+        ("bound sigma_P <= 2^(n-1)+1 on noncyclic 2-groups", bound),
     )
     for title, found in sections:
         if found:

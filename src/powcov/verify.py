@@ -6,22 +6,25 @@ FAIL.  Conjecture-style suites (including the open monotonicity question)
 end in CONFIRMED-ON-RANGE or COUNTEREXAMPLE: they are confirmed on the
 groups actually checked, never asserted in general, and a counterexample is
 a finding to report, not a malfunction.  A suite whose range held nothing to
-compare ends in EMPTY, whatever its kind.
+compare ends in EMPTY, whatever its kind.  A claim about p-groups skips the
+catalog groups outside its hypothesis.
 
-SUITES is the one place that says which range options (max_n, max_order,
-catalog) each suite reads and what they default to.
+SUITES is the one place that says each suite's kind, which range options
+(max_n, max_order, catalog) it reads and what they default to.  The sweep
+report checks the same tower and chain claims through tower_bound and
+chain_violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
 from .groups import (
-    FiniteGroup, GroupError, build_group, coclass, quotient_group, subgroup_as_group,
+    FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
 )
 from .lattice import is_powerful
 
@@ -32,6 +35,9 @@ __all__ = [
     "SUITE_NAMES",
     "run_suite",
     "format_report",
+    "sigma_of",
+    "tower_bound",
+    "chain_violations",
 ]
 
 
@@ -67,18 +73,34 @@ class SuiteReport:
         return "CONFIRMED-ON-RANGE" if self.passed else "COUNTEREXAMPLE"
 
 
+def sigma_of(g: FiniteGroup, family: FamilySelector, cache: Optional[LatticeCache]) -> CoverResult:
+    """The covering number of g by the family, on the lattice of g that cache holds."""
+    return covering_number(g, family, lat=memo_lattice(g, cache))
+
+
+def tower_bound(order: int) -> int:
+    """2^(n-1)+1 for order 2^(n+1) >= 8: sigma_P of the dihedral group of that
+    order, and the conjectured bound for every noncyclic 2-group of it."""
+    return order // 4 + 1
+
+
+_CHAIN = (("sigma", "sigma_P"), ("sigma_P", "sigma_A"), ("sigma", "sigma_A"))
+
+
+def chain_violations(
+    sigma: Optional[int], sigma_p: Optional[int], sigma_a: Optional[int]
+) -> Tuple[int, List[str]]:
+    """sigma <= sigma_P <= sigma_A, compared on each pair of known values
+    (None: INF or undefined).  Returns how many pairs were compared and each
+    failing pair, as "sigma_P 5 > sigma_A 3"."""
+    values = {"sigma": sigma, "sigma_P": sigma_p, "sigma_A": sigma_a}
+    pairs = [(a, b) for a, b in _CHAIN if values[a] is not None and values[b] is not None]
+    failed = [f"{a} {values[a]} > {b} {values[b]}" for a, b in pairs if values[a] > values[b]]
+    return len(pairs), failed
+
+
 def _fmt(res: CoverResult) -> str:
     return str(res.size) if res.optimal else "INF"
-
-
-def _is_cyclic(g: FiniteGroup) -> bool:
-    return int(g.element_orders.max()) == g.order
-
-
-def _group_is_powerful(g: FiniteGroup) -> bool:
-    if g.order == 1:
-        return True
-    return is_powerful(g, g.full_set())
 
 
 def _entries(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
@@ -87,99 +109,84 @@ def _entries(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]
         yield e, e.build()
 
 
-def _tower_index(order: int) -> int:
-    """n such that order = 2^(n+1)."""
-    return order.bit_length() - 2
+def _tower_groups(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
+    """Each selected noncyclic 2-group of order 2^(n+1) >= 8, with its group."""
+    for e, g in _entries(catalog, max_order):
+        if g.order >= 8 and g.order & (g.order - 1) == 0 and not g.is_cyclic():
+            yield e, g
 
 
-def suite_main_theorem(cache: LatticeCache, max_n: int) -> SuiteReport:
+def _tower_check(
+    label: str, g: FiniteGroup, cache: LatticeCache, exact: bool, prefix: str = ""
+) -> CheckResult:
+    """sigma_P of g against tower_bound: equal to it when exact, else at most it."""
+    bound = tower_bound(g.order)
+    res = sigma_of(g, FamilySelector.POWERFUL, cache)
+    ok = res.optimal and (res.size == bound if exact else res.size <= bound)
+    claim = f", expected {bound}" if exact else f" <= {bound}"
+    n = g.order.bit_length() - 2
+    return CheckResult(label, ok, f"{prefix}tower index n={n}: sigma_P = {_fmt(res)}{claim}")
+
+
+Checks = Tuple[str, List[CheckResult]]  # a suite's scope and its checks
+
+
+def suite_main_theorem(cache: LatticeCache, max_n: int) -> Checks:
     """sigma_P of the dihedral group of order 2^(n+1) equals 2^(n-1)+1."""
-    checks = []
-    for n in range(2, max_n + 1):
-        order = 1 << (n + 1)
-        g = build_group(f"dihedral:{order}")
-        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
-        expected = (1 << (n - 1)) + 1
-        ok = res.optimal and res.size == expected
-        checks.append(
-            CheckResult(
-                label=f"dihedral:{order}",
-                ok=ok,
-                detail=f"tower index n={n}: sigma_P = {_fmt(res)}, expected {expected}",
-            )
-        )
-    return SuiteReport(
-        name="main-theorem",
-        kind="theorem",
-        scope=f"dihedral groups of order 8..{1 << (max_n + 1)}",
-        checks=tuple(checks),
-    )
+    labels = [f"dihedral:{1 << (n + 1)}" for n in range(2, max_n + 1)]
+    checks = [_tower_check(label, build_group(label), cache, exact=True) for label in labels]
+    return f"dihedral groups of order 8..{1 << (max_n + 1)}", checks
 
 
 def suite_sigma_equals_p_plus_1(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-) -> SuiteReport:
+) -> Checks:
     """sigma = p + 1 for every noncyclic p-group; no cover at all for cyclic
-    groups."""
+    groups.  Noncyclic groups that are not p-groups are outside the theorem."""
     checks = []
-    count = 0
     for e, g in _entries(catalog, max_order):
-        count += 1
-        res = covering_number(g, FamilySelector.ALL, lat=memo_lattice(g, cache))
-        if _is_cyclic(g):
-            ok = res.infeasible
-            detail = f"cyclic: sigma = {_fmt(res)}, expected INF"
-        else:
-            p = int(g.element_orders[g.element_orders > 1].min()) if g.order > 1 else 0
-            ok = res.optimal and res.size == p + 1
-            detail = f"noncyclic p={p}: sigma = {_fmt(res)}, expected {p + 1}"
-        checks.append(CheckResult(label=e.id, ok=ok, detail=detail))
-    return SuiteReport(
-        name="sigma-equals-p-plus-1",
-        kind="theorem",
-        scope=f"{count} catalog groups",
-        checks=tuple(checks),
-    )
+        cyclic, p = g.is_cyclic(), is_p_group(g)
+        if not cyclic and p is None:
+            continue
+        sigma = _fmt(sigma_of(g, FamilySelector.ALL, cache))
+        claim, expected = ("cyclic", "INF") if cyclic else (f"noncyclic p={p}", str(p + 1))
+        detail = f"{claim}: sigma = {sigma}, expected {expected}"
+        checks.append(CheckResult(e.id, sigma == expected, detail))
+    return f"{len(checks)} catalog groups", checks
 
 
 def suite_chain(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-) -> SuiteReport:
+) -> Checks:
     """sigma <= sigma_P <= sigma_A wherever the values are finite."""
     checks = []
-    count = 0
     for e, g in _entries(catalog, max_order):
-        count += 1
-        lat = memo_lattice(g, cache)
-        s = covering_number(g, FamilySelector.ALL, lat=lat)
-        sp = covering_number(g, FamilySelector.POWERFUL, lat=lat)
-        sa = covering_number(g, FamilySelector.ABELIAN, lat=lat)
-        finite = [(a, b) for a, b in ((s, sp), (sp, sa), (s, sa)) if a.optimal and b.optimal]
-        ok = all(a.size <= b.size for a, b in finite) if finite else None
+        if g.order > 1 and is_p_group(g) is None:
+            continue  # sigma_P is undefined off p-groups
+        s, sp, sa = (
+            sigma_of(g, f, cache)
+            for f in (FamilySelector.ALL, FamilySelector.POWERFUL, FamilySelector.ABELIAN)
+        )
+        compared, failed = chain_violations(*(r.size if r.optimal else None for r in (s, sp, sa)))
         checks.append(
             CheckResult(
                 label=e.id,
-                ok=ok,
+                ok=not failed if compared else None,
                 detail=f"sigma = {_fmt(s)}, sigma_P = {_fmt(sp)}, sigma_A = {_fmt(sa)}",
             )
         )
-    return SuiteReport(
-        name="chain",
-        kind="theorem",
-        scope=f"{count} catalog groups",
-        checks=tuple(checks),
-    )
+    return f"{len(checks)} catalog groups", checks
 
 
 def suite_quotient(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-) -> SuiteReport:
+) -> Checks:
     """sigma_P of a noncyclic non-powerful quotient never exceeds sigma_P of
     the dihedral group it comes from."""
     checks = []
@@ -188,36 +195,25 @@ def suite_quotient(
         if not e.source.startswith("dihedral:"):
             continue
         scanned += 1
-        lat = memo_lattice(g, cache)
-        bound = covering_number(g, FamilySelector.POWERFUL, lat=lat)
-        for sub in lat.subgroups:
+        bound = sigma_of(g, FamilySelector.POWERFUL, cache)
+        for sub in memo_lattice(g, cache).subgroups:
             if not sub.is_normal or sub.order == g.order:
                 continue
             q = quotient_group(g, sub.elements)
-            if _is_cyclic(q) or _group_is_powerful(q):
+            if q.is_cyclic() or is_powerful(q, q.full_set()):
                 continue
-            res = covering_number(q, FamilySelector.POWERFUL, lat=memo_lattice(q, cache))
-            ok = (
-                bound.optimal
-                and res.optimal
-                and res.size <= bound.size
-            )
+            res = sigma_of(q, FamilySelector.POWERFUL, cache)
             checks.append(
                 CheckResult(
                     label=f"{e.id} / N(order {sub.order})",
-                    ok=ok,
+                    ok=bound.optimal and res.optimal and res.size <= bound.size,
                     detail=(
                         f"quotient order {q.order}: sigma_P = {_fmt(res)} "
                         f"<= {_fmt(bound)}"
                     ),
                 )
             )
-    return SuiteReport(
-        name="quotient",
-        kind="theorem",
-        scope=f"noncyclic non-powerful quotients of {scanned} dihedral groups",
-        checks=tuple(checks),
-    )
+    return f"noncyclic non-powerful quotients of {scanned} dihedral groups", checks
 
 
 _PRODUCT_CASES = (
@@ -229,7 +225,7 @@ _PRODUCT_CASES = (
 )
 
 
-def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> SuiteReport:
+def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> Checks:
     """sigma_P(G x K) = sigma_P(G) for noncyclic G and powerful K."""
     checks = []
     for left, right in _PRODUCT_CASES:
@@ -237,96 +233,53 @@ def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> Sui
         prod = build_group(f"product:({left},{right})")
         if max_order is not None and prod.order > max_order:
             continue
-        base = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
-        both = covering_number(prod, FamilySelector.POWERFUL, lat=memo_lattice(prod, cache))
-        ok = base.optimal and both.optimal and base.size == both.size
+        base = sigma_of(g, FamilySelector.POWERFUL, cache)
+        both = sigma_of(prod, FamilySelector.POWERFUL, cache)
         checks.append(
             CheckResult(
                 label=f"{left} x {right}",
-                ok=ok,
+                ok=base.optimal and both.optimal and base.size == both.size,
                 detail=f"sigma_P(product) = {_fmt(both)}, sigma_P({left}) = {_fmt(base)}",
             )
         )
-    return SuiteReport(
-        name="product-powerful",
-        kind="theorem",
-        scope=f"{len(checks)} product instances with powerful second factor",
-        checks=tuple(checks),
-    )
+    return f"{len(checks)} product instances with powerful second factor", checks
 
 
 def suite_conjecture1(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-) -> SuiteReport:
+) -> Checks:
     """Coclass-1 2-groups of order 2^(n+1) >= 8: sigma_P = 2^(n-1)+1."""
-    checks = []
-    for e, g in _entries(catalog, max_order):
-        if g.order < 8 or _is_cyclic(g):
-            continue
-        try:
-            p_ok = coclass(g) == 1 and g.order & (g.order - 1) == 0
-        except GroupError:
-            continue
-        if not p_ok:
-            continue
-        n = _tower_index(g.order)
-        expected = (1 << (n - 1)) + 1
-        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
-        checks.append(
-            CheckResult(
-                label=e.id,
-                ok=res.optimal and res.size == expected,
-                detail=f"coclass 1, tower index n={n}: sigma_P = {_fmt(res)}, expected {expected}",
-            )
-        )
-    return SuiteReport(
-        name="conjecture1",
-        kind="conjecture",
-        scope=f"coclass-1 catalog 2-groups of order 8..{max_order}",
-        checks=tuple(checks),
-    )
+    checks = [
+        _tower_check(e.id, g, cache, exact=True, prefix="coclass 1, ")
+        for e, g in _tower_groups(catalog, max_order)
+        if coclass(g) == 1
+    ]
+    return f"coclass-1 catalog 2-groups of order 8..{max_order}", checks
 
 
 def suite_conjecture2(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-) -> SuiteReport:
+) -> Checks:
     """Noncyclic 2-groups of order 2^(n+1) >= 8: sigma_P <= 2^(n-1)+1.
 
     Confirmed only on the groups in the catalog at hand — this says nothing
     about 2-groups in general.
     """
-    checks = []
-    for e, g in _entries(catalog, max_order):
-        if g.order < 8 or g.order & (g.order - 1) or _is_cyclic(g):
-            continue
-        n = _tower_index(g.order)
-        bound = (1 << (n - 1)) + 1
-        res = covering_number(g, FamilySelector.POWERFUL, lat=memo_lattice(g, cache))
-        checks.append(
-            CheckResult(
-                label=e.id,
-                ok=res.optimal and res.size <= bound,
-                detail=f"tower index n={n}: sigma_P = {_fmt(res)} <= {bound}",
-            )
-        )
-    return SuiteReport(
-        name="conjecture2",
-        kind="conjecture",
-        scope=f"noncyclic catalog 2-groups of order 8..{max_order} (catalog only, not a proof)",
-        checks=tuple(checks),
-    )
+    groups = _tower_groups(catalog, max_order)
+    checks = [_tower_check(e.id, g, cache, exact=False) for e, g in groups]
+    scope = f"noncyclic catalog 2-groups of order 8..{max_order} (catalog only, not a proof)"
+    return scope, checks
 
 
-def suite_pe_d32(cache: LatticeCache) -> SuiteReport:
+def suite_pe_d32(cache: LatticeCache) -> Checks:
     """No cover of dihedral:32 by powerfully embedded subgroups exists."""
     g = build_group("dihedral:32")
-    lat = memo_lattice(g, cache)
-    res = covering_number(g, FamilySelector.POWERFULLY_EMBEDDED, lat=lat)
-    pe = [s for s in lat.subgroups if s.is_proper and s.is_powerfully_embedded]
+    res = sigma_of(g, FamilySelector.POWERFULLY_EMBEDDED, cache)
+    pe = [s for s in memo_lattice(g, cache).subgroups if s.is_proper and s.is_powerfully_embedded]
     union = sum(s.order - 1 for s in pe) + 1  # crude upper bound on coverage
     check = CheckResult(
         label="dihedral:32",
@@ -337,41 +290,36 @@ def suite_pe_d32(cache: LatticeCache) -> SuiteReport:
             f"{union} of 32 elements"
         ),
     )
-    return SuiteReport(
-        name="pe-d32",
-        kind="theorem",
-        scope="dihedral:32",
-        checks=(check,),
-    )
+    return "dihedral:32", [check]
 
 
 def suite_monotonicity(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-) -> SuiteReport:
+) -> Checks:
     """Open question: can sigma_P(H) exceed sigma_P(G) for H <= G?
 
-    Searches every noncyclic proper subgroup of every catalog group in range
-    and reports any violation found; finding one is an answer, not an error.
+    Searches every noncyclic proper subgroup of every catalog p-group in
+    range and reports any violation found; finding one is an answer, not an
+    error.
     """
     checks = []
     scanned = 0
     for e, g in _entries(catalog, max_order):
-        if _is_cyclic(g):
-            continue
-        lat = memo_lattice(g, cache)
-        outer = covering_number(g, FamilySelector.POWERFUL, lat=lat)
+        if g.is_cyclic() or is_p_group(g) is None:
+            continue  # no cover of a cyclic group; sigma_P is undefined off p-groups
+        outer = sigma_of(g, FamilySelector.POWERFUL, cache)
         if not outer.optimal:
             continue
-        for sub in lat.subgroups:
+        for sub in memo_lattice(g, cache).subgroups:
             if not sub.is_proper or sub.order < 4:
                 continue
             h = subgroup_as_group(g, sub.elements)
-            if _is_cyclic(h):
+            if h.is_cyclic():
                 continue
             scanned += 1
-            inner = covering_number(h, FamilySelector.POWERFUL, lat=memo_lattice(h, cache))
+            inner = sigma_of(h, FamilySelector.POWERFUL, cache)
             if not (inner.optimal and inner.size <= outer.size):
                 checks.append(
                     CheckResult(
@@ -391,31 +339,27 @@ def suite_monotonicity(
                 detail=f"no violation among {scanned} noncyclic subgroup pairs",
             )
         )
-    return SuiteReport(
-        name="monotonicity",
-        kind="conjecture",
-        scope=f"subgroup pairs in catalog groups of order <= {max_order}",
-        checks=tuple(checks),
-    )
+    return f"subgroup pairs in catalog groups of order <= {max_order}", checks
 
 
 class Suite(NamedTuple):
-    run: Callable[..., SuiteReport]
+    run: Callable[..., Checks]
+    kind: str  # "theorem" or "conjecture"
     defaults: Dict[str, Any]  # each range option the suite reads, with its default
 
 
 _CATALOG = {"catalog": None, "max_order": None}
 
 SUITES: Dict[str, Suite] = {
-    "main-theorem": Suite(suite_main_theorem, {"max_n": 6}),
-    "sigma-equals-p-plus-1": Suite(suite_sigma_equals_p_plus_1, _CATALOG),
-    "chain": Suite(suite_chain, _CATALOG),
-    "quotient": Suite(suite_quotient, _CATALOG),
-    "product-powerful": Suite(suite_product_powerful, {"max_order": None}),
-    "conjecture1": Suite(suite_conjecture1, {"catalog": None, "max_order": 64}),
-    "conjecture2": Suite(suite_conjecture2, {"catalog": None, "max_order": 128}),
-    "pe-d32": Suite(suite_pe_d32, {}),
-    "monotonicity": Suite(suite_monotonicity, {"catalog": None, "max_order": 16}),
+    "main-theorem": Suite(suite_main_theorem, "theorem", {"max_n": 6}),
+    "sigma-equals-p-plus-1": Suite(suite_sigma_equals_p_plus_1, "theorem", _CATALOG),
+    "chain": Suite(suite_chain, "theorem", _CATALOG),
+    "quotient": Suite(suite_quotient, "theorem", _CATALOG),
+    "product-powerful": Suite(suite_product_powerful, "theorem", {"max_order": None}),
+    "conjecture1": Suite(suite_conjecture1, "conjecture", {"catalog": None, "max_order": 64}),
+    "conjecture2": Suite(suite_conjecture2, "conjecture", {"catalog": None, "max_order": 128}),
+    "pe-d32": Suite(suite_pe_d32, "theorem", {}),
+    "monotonicity": Suite(suite_monotonicity, "conjecture", {"catalog": None, "max_order": 16}),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -440,7 +384,8 @@ def run_suite(
     suite = SUITES[name]
     given = {"max_n": max_n, "max_order": max_order, "catalog": catalog}
     options = {k: d if given[k] is None else given[k] for k, d in suite.defaults.items()}
-    return suite.run(LatticeCache() if cache is None else cache, **options)
+    scope, checks = suite.run(LatticeCache() if cache is None else cache, **options)
+    return SuiteReport(name, suite.kind, scope, tuple(checks))
 
 
 def format_report(report: SuiteReport) -> str:

@@ -369,3 +369,40 @@ def test_reports_match_pinned_bytes(capsys, tmp_path):
     assert rc == 0
     assert out_csv.read_bytes() == (REPORTS / "sweep_builtin.csv").read_bytes()
     assert (tmp_path / "sweep_builtin.md").read_bytes() == (REPORTS / "sweep_builtin.md").read_bytes()
+
+
+# ------------------------------------------ groups outside the p-group claims
+
+S3_CATALOG = Path(__file__).resolve().parent / "data" / "s3_catalog.txt"
+
+
+@pytest.mark.parametrize(
+    "suite, first_line, labels",
+    [
+        # sigma = p + 1 is about p-groups; no cyclic group has a cover at all
+        ("sigma-equals-p-plus-1", "PASS  [2 catalog groups]", ["d8", "c6"]),
+        # sigma_P is undefined on s3 and c6, which are not p-groups
+        ("chain", "PASS  [1 catalog groups]", ["d8"]),
+        ("monotonicity", "CONFIRMED-ON-RANGE", ["search"]),
+    ],
+    ids=["sigma-equals-p-plus-1", "chain", "monotonicity"],
+)
+def test_p_group_claims_skip_groups_outside_their_hypothesis(suite, first_line, labels, capsys):
+    rc, out, err = run(capsys, "verify", suite, "--catalog", str(S3_CATALOG), "--no-cache")
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].startswith(f"suite {suite}: {first_line}")
+    assert [line.split()[1].rstrip(":") for line in lines[1:]] == labels
+
+
+def test_sweep_leaves_undefined_families_blank(tmp_path, capsys):
+    out_csv = tmp_path / "s3.csv"
+    rc, _, _ = run(capsys, "sweep", "--catalog", str(S3_CATALOG), "--out", str(out_csv),
+                   "--stable-timing", "--no-cache")
+    assert rc == 0
+    rows = out_csv.read_text().splitlines()[1:]
+    assert rows == [
+        "s3,6,,,,4,4,,,0,",
+        "d8,8,2,2,1,3,3,3,INF,0,",
+        "c6,6,,1,,INF,INF,,,0,",
+    ]

@@ -29,6 +29,21 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+@pytest.mark.parametrize(
+    "umask, mode",
+    [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+    ids=["umask-022", "umask-077", "umask-002"],
+)
+def test_atomic_write_gives_the_mode_of_a_new_file(tmp_path, umask, mode):
+    target = tmp_path / "report.csv"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(str(target), "id\n")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
+
+
 # ------------------------------------------------------------- cayley files
 
 def test_round_trip_is_byte_stable(tmp_path):
