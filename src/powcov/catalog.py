@@ -7,15 +7,16 @@ elementary abelian groups, and a spread of direct products, all of order
 at most 128.  Elementary 2-groups stop at order 32 because their subgroup
 counts explode combinatorially (order 64 already has 2825 subgroups).
 
-External catalogs are plain text files, one entry per line::
+External catalogs are plain text files, one entry per line: an id and a
+descriptor, in the grammar every command reads (see descriptors)::
 
     # comment
     my-d16  dihedral:16
     cas-export-7  perm:groups/o64_007.perm
     weird  file:tables/weird.cayley
 
-Relative perm:/file: paths are resolved against the catalog file's own
-directory, so a catalog directory can be moved as a unit.
+Relative paths of the path kinds (file:, perm:) are resolved against the
+catalog file's own directory, so a catalog directory can be moved as a unit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .descriptors import DescriptorError, parse_descriptor
+from .descriptors import PATH_KINDS, parse_descriptor, prime_power
 from .groups import FiniteGroup, build_group
 
 __all__ = [
@@ -38,55 +39,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog row: a stable id plus the source text that builds the group.
-
-    source is a descriptor ("dihedral:16", "file:PATH") or "perm:PATH" for a
-    permutation-generator file.
-    """
+    """A catalog row: a stable id plus the descriptor that names its group."""
 
     id: str
     source: str
 
     def build(self) -> FiniteGroup:
-        if self.source.startswith("perm:"):
-            from .fileio import load_permutation_generators
-
-            return load_permutation_generators(self.source[len("perm:"):])
         return build_group(self.source)
 
 
 def entry_order(entry: CatalogEntry) -> Optional[int]:
-    """The entry's group order, read from its descriptor where it names one.
-
-    Only perm:, file: and unparsable sources are built; None when that build
-    fails, so the caller meets the error again when it builds the entry.
+    """The entry's group order, read from its descriptor; a path kind's
+    group is built to read it.  None when the source does not parse or the
+    build fails, so the caller meets the error when it builds the entry.
     """
     try:
         order = parse_descriptor(entry.source).order
-    except DescriptorError:
-        order = None
-    if order is None:
-        try:
-            order = entry.build().order
-        except Exception:
-            return None
-    return order
-
-
-def _prime_powers(limit: int) -> List[int]:
-    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
-    out = []
-    for p in primes:
-        q = p
-        while q <= limit:
-            out.append(q)
-            q *= p
-    return sorted(out)
+        return entry.build().order if order is None else order
+    except Exception:
+        return None
 
 
 def _builtin_entries() -> List[CatalogEntry]:
     specs: List[str] = ["cyclic:1"]
-    specs += [f"cyclic:{q}" for q in _prime_powers(128)]
+    specs += [f"cyclic:{q}" for q in range(2, 129) if prime_power(q)]
     specs += [f"elementary:2^{k}" for k in range(2, 6)]
     specs += ["elementary:3^2", "elementary:3^3", "elementary:3^4",
               "elementary:5^2", "elementary:7^2"]
@@ -145,10 +121,8 @@ def load_catalog_file(path: str) -> List[CatalogEntry]:
                     f"{path}:{lineno}: expected '<id> <source>', got {text!r}"
                 )
             entry_id, source = parts[0], parts[1].strip()
-            for prefix in ("perm:", "file:"):
-                if source.startswith(prefix):
-                    rel = source[len(prefix):]
-                    if not os.path.isabs(rel):
-                        source = prefix + os.path.join(base, rel)
+            kind, colon, rel = source.partition(":")
+            if kind in PATH_KINDS and colon and not os.path.isabs(rel):
+                source = f"{kind}:{os.path.join(base, rel)}"
             entries.append(CatalogEntry(id=entry_id, source=source))
     return entries

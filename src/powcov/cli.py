@@ -7,7 +7,8 @@ sweep (batch report over a catalog).
 Exit codes: 0 = success / all checks passed; 1 = a domain finding (no cover
 exists for a single query, a theorem check failed, or a conjecture
 counterexample was found); 2 = usage or data error, including a range that
-holds nothing to check or an option that no named suite reads.
+holds nothing to check, an option that no named suite reads, and a catalog
+entry that verify cannot build (the other entries' checks still print).
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from typing import List, Optional
 from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import load_catalog_file, select_entries
 from .cover import FamilySelector
-from .descriptors import DescriptorError
-from .fileio import FileFormatError, save_cayley_file
-from .groups import FiniteGroup, GroupError, build_group
+from .fileio import save_cayley_file
+from .groups import FiniteGroup, build_group
 from .sweep import ALL_FAMILIES, run_sweep
 from .verify import SUITE_NAMES, SUITES, format_report, run_suite, sigma_of
 
@@ -97,7 +97,9 @@ def cmd_verify(args) -> int:
             cache=cache,
         )
         print(format_report(report), end=end)
-        code = max(code, 2 if report.empty else 0 if report.passed else 1)
+        for skipped in report.skipped:
+            print(f"error: {name} skipped {skipped}", file=sys.stderr)
+        code = max(code, 2 if report.empty or report.skipped else 0 if report.passed else 1)
     return code
 
 
@@ -197,7 +199,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DescriptorError, GroupError, FileFormatError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # every library error is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

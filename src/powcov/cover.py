@@ -88,15 +88,10 @@ class FamilySelector(Enum):
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """An exact-cover problem: cover the universe with the candidate sets.
-
-    provenance[i] is the lattice Subgroup behind candidates[i], so reports
-    can name the original subgroups after dominance reduction.
-    """
+    """An exact-cover problem: cover the universe with the candidate sets."""
 
     universe: ElementSet
     candidates: tuple[ElementSet, ...]
-    provenance: tuple[Subgroup, ...]
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,6 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
     return CoverInstance(
         universe=g.full_set(),
         candidates=tuple(s.elements for s in kept),
-        provenance=tuple(kept),
     )
 
 

@@ -1,34 +1,35 @@
-"""Parsing and validation of group descriptor strings.
+"""Parsing and validation of group descriptor strings: the one way to name
+a group, for the command line and for catalogs alike.
 
 The descriptor grammar:
 
     cyclic:M | dihedral:M | quaternion:M | semidihedral:M | modular:M
-    | elementary:P^K | product:(D1,D2) | file:PATH
+    | elementary:P^K | product:(D1,D2) | file:PATH | perm:PATH
 
-M is always the total group order.  dihedral:4 is allowed (it denotes the
-Klein four-group, the degenerate member of the dihedral 2-group family);
-the other 2-group families require a power of two >= 8, except semidihedral
-which starts at 16 because the defining relation collapses to an abelian
-group at order 8.
+M is always the total group order.  The four 2-power families start at the
+orders in LEAST_ORDER: dihedral:4 is the Klein four-group, the degenerate
+member of the dihedral family, and semidihedral starts at 16 because its
+defining relation collapses to an abelian group at order 8.  A PATH names a
+Cayley file (file:) or a permutation-generator file (perm:); it runs to the
+end of the descriptor, so it can be no product factor.  groups.build_group
+builds every kind.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-__all__ = ["DescriptorError", "GroupDescriptor", "parse_descriptor"]
+__all__ = ["DescriptorError", "GroupDescriptor", "parse_descriptor", "prime_power"]
 
-KINDS = (
-    "cyclic",
-    "dihedral",
-    "quaternion",
-    "semidihedral",
-    "modular",
-    "elementary",
-    "product",
-    "file",
-)
+# The least order of each 2-power family.
+LEAST_ORDER = {"dihedral": 4, "quaternion": 8, "semidihedral": 16, "modular": 8}
+
+# The kinds whose one parameter is a file path.
+PATH_KINDS = ("file", "perm")
+
+KINDS = ("cyclic", *LEAST_ORDER, "elementary", "product", *PATH_KINDS)
 
 
 class DescriptorError(ValueError):
@@ -47,7 +48,7 @@ class GroupDescriptor:
 
     params holds (order,) for the single-parameter families, (p, k) for
     elementary, (left, right) sub-descriptors for product, and (path,) for
-    file.
+    the path kinds.
     """
 
     kind: str
@@ -68,14 +69,14 @@ class GroupDescriptor:
 
     @property
     def order(self) -> Optional[int]:
-        """Group order, or None for file: (unknown until the file is loaded)."""
-        if self.kind == "file":
+        """Group order, or None for a path kind (unknown until the file is loaded)."""
+        if self.kind in PATH_KINDS:
             return None
         if self.kind == "elementary":
             p, k = self.params
             return p**k
         if self.kind == "product":
-            # the grammar admits no file: factor, so both orders are known
+            # the grammar admits no path factor, so both orders are known
             a, b = self.params
             return a.order * b.order
         return self.params[0]
@@ -84,19 +85,16 @@ class GroupDescriptor:
         return self.canonical()
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
+def prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(p, k) when n = p^k for a prime p and k >= 1, else None (1 included)."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 def _parse_int(text: str, pos: int, what: str) -> tuple[int, int]:
@@ -117,17 +115,17 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
         raise DescriptorError(f"unknown kind {kind!r}", text, pos)
     pos = colon + 1
 
-    if kind == "file":
-        # The path runs to the end of the string; nested file descriptors
-        # inside products would be ambiguous, so refuse commas and parens.
+    if kind in PATH_KINDS:
+        # The path runs to the end of the string; a path inside a product
+        # would be ambiguous, so refuse commas and parens.
         path = text[pos:]
         if not path:
-            raise DescriptorError("empty file path", text, pos)
+            raise DescriptorError(f"empty {kind} path", text, pos)
         if any(c in path for c in "(),"):
             raise DescriptorError(
-                "file paths may not contain '(', ')' or ','", text, pos
+                f"{kind} paths may not contain '(', ')' or ','", text, pos
             )
-        return GroupDescriptor("file", (path,)), len(text)
+        return GroupDescriptor(kind, (path,)), len(text)
 
     if kind == "product":
         if pos >= len(text) or text[pos] != "(":
@@ -145,7 +143,7 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
         if pos >= len(text) or text[pos] != "^":
             raise DescriptorError("expected P^K for elementary", text, pos)
         k, pos = _parse_int(text, pos + 1, "exponent")
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise DescriptorError(f"{p} is not prime", text, pos)
         if k < 1:
             raise DescriptorError("exponent must be >= 1", text, pos)
@@ -155,21 +153,10 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
     if kind == "cyclic":
         if m < 1:
             raise DescriptorError("cyclic order must be >= 1", text, pos)
-    elif kind == "dihedral":
-        if not _is_power_of_two(m) or m < 4:
-            raise DescriptorError(
-                f"dihedral order must be a power of 2, >= 4; got {m}", text, pos
-            )
-    elif kind == "semidihedral":
-        if not _is_power_of_two(m) or m < 16:
-            raise DescriptorError(
-                f"semidihedral order must be a power of 2, >= 16; got {m}", text, pos
-            )
-    else:  # quaternion, modular
-        if not _is_power_of_two(m) or m < 8:
-            raise DescriptorError(
-                f"{kind} order must be a power of 2, >= 8; got {m}", text, pos
-            )
+    elif m < LEAST_ORDER[kind] or m.bit_count() != 1:  # m may be too large to factor
+        raise DescriptorError(
+            f"{kind} order must be a power of 2, >= {LEAST_ORDER[kind]}; got {m}", text, pos
+        )
     return GroupDescriptor(kind, (m,)), end
 
 

@@ -24,10 +24,8 @@ Canonical element numbering for the built-in families puts rotation-like
 generator powers first and the reflection-type coset second:
 
     cyclic:M        i              <->  z^i
-    dihedral:2m     i / m+i        <->  r^i / r^i*s
-    quaternion:2h   i / h+i        <->  x^i / x^i*y      (y^2 = x^(h/2))
-    semidihedral    i / h+i        <->  x^i / x^i*y      (y*x*y = x^(h/2-1))
-    modular:2h      i / h+i        <->  z^i / z^i*t      (t*z*t = z^(h/2+1))
+    2-power family  i / h+i        <->  x^i / x^i*y, order 2h, with x and y
+                                        named and related as in _TWO_COSET
     elementary:p^k  base-p digit vectors, least significant digit first
     product:(A,B)   (a, b)         <->  a*|B| + b
 """
@@ -39,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bitset import ElementSet
-from .descriptors import DescriptorError, GroupDescriptor, parse_descriptor
+from .descriptors import PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
 
 __all__ = [
     "GroupError",
@@ -236,12 +234,20 @@ def _cyclic(m: int):
     return table, names
 
 
+# Each 2-power family of order 2h is <x, y | x^h = 1, y^2 = x^sq, y*x = x^t*y>:
+# kind -> ((t, sq) as a function of h, the name of x, the name of y).
+_TWO_COSET = {
+    "dihedral": (lambda h: (-1, 0), "r", "s"),
+    "quaternion": (lambda h: (-1, h // 2), "x", "y"),
+    "semidihedral": (lambda h: (h // 2 - 1, 0), "x", "y"),
+    "modular": (lambda h: (h // 2 + 1, 0), "z", "t"),
+}
+
+
 def _two_coset_table(h: int, t: int, sq: int):
     """Order-2h table for <x, y | x^h = 1, y^2 = x^sq, y*x = x^t*y>.
 
-    Indices 0..h-1 are x^i, indices h..2h-1 are x^i*y.  Covers dihedral
-    (t = -1, sq = 0), quaternion (t = -1, sq = h/2), semidihedral
-    (t = h/2 - 1, sq = 0) and modular (t = h/2 + 1, sq = 0) in one shape.
+    Indices 0..h-1 are x^i, indices h..2h-1 are x^i*y.
     """
     n = 2 * h
     i = np.arange(h, dtype=np.int64)
@@ -292,10 +298,11 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
     """Construct the group a descriptor names.  See parse_descriptor for the grammar."""
     desc = parse_descriptor(spec)
 
-    if desc.kind == "file":
-        from .fileio import load_cayley_file
+    if desc.kind in PATH_KINDS:
+        from . import fileio
 
-        return load_cayley_file(desc.params[0])
+        load = {"file": fileio.load_cayley_file, "perm": fileio.load_permutation_generators}
+        return load[desc.kind](desc.params[0])
 
     _check_order(desc.order)
     if desc.kind == "product":
@@ -303,29 +310,13 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
 
     if desc.kind == "elementary":
         table, names = _elementary(*desc.params)
-        return FiniteGroup(table, descriptor=desc.canonical(), names=names)
-
-    (m,) = desc.params
-    if desc.kind == "cyclic":
-        table, names = _cyclic(m)
-    elif desc.kind == "dihedral":
-        h = m // 2
-        table = _two_coset_table(h, -1, 0)
-        names = _family_names(h, "r", "s")
-    elif desc.kind == "quaternion":
-        h = m // 2
-        table = _two_coset_table(h, -1, h // 2)
-        names = _family_names(h, "x", "y")
-    elif desc.kind == "semidihedral":
-        h = m // 2
-        table = _two_coset_table(h, h // 2 - 1, 0)
-        names = _family_names(h, "x", "y")
-    elif desc.kind == "modular":
-        h = m // 2
-        table = _two_coset_table(h, h // 2 + 1, 0)
-        names = _family_names(h, "z", "t")
-    else:  # pragma: no cover - parse_descriptor screens kinds
-        raise DescriptorError(f"cannot build kind {desc.kind!r}")
+    elif desc.kind == "cyclic":
+        table, names = _cyclic(desc.params[0])
+    else:
+        relations, x, y = _TWO_COSET[desc.kind]
+        h = desc.params[0] // 2
+        table = _two_coset_table(h, *relations(h))
+        names = _family_names(h, x, y)
     return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
 
@@ -593,30 +584,13 @@ def nilpotence_class(g: FiniteGroup) -> int:
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
     """The prime p when |G| = p^k with k >= 1, else None (trivial group included)."""
-    n = g.order
-    if n == 1:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            break
-        p += 1
-    else:
-        p = n
-    m = n
-    while m % p == 0:
-        m //= p
-    return p if m == 1 else None
+    pk = prime_power(g.order)
+    return None if pk is None else pk[0]
 
 
 def coclass(g: FiniteGroup) -> int:
     """log_p |G| minus the nilpotence class; defined for nontrivial p-groups."""
-    p = is_p_group(g)
-    if p is None:
+    pk = prime_power(g.order)
+    if pk is None:
         raise GroupError("coclass is defined for nontrivial p-groups only")
-    log = 0
-    n = g.order
-    while n > 1:
-        n //= p
-        log += 1
-    return log - nilpotence_class(g)
+    return pk[1] - nilpotence_class(g)

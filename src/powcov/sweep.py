@@ -23,7 +23,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .cache import LatticeCache, memo_lattice
 from .catalog import CatalogEntry
@@ -75,7 +75,6 @@ class SweepRow:
     sigma_pe: SigmaCell
     time_ms: int
     error: str
-    witness_summaries: Tuple[Tuple[str, str], ...]
 
 
 def sweep_entry(
@@ -87,7 +86,6 @@ def sweep_entry(
     """Compute one row; any error is captured in the row, not raised."""
     t0 = time.perf_counter()
     sigmas: Dict[FamilySelector, SigmaCell] = {f: None for f in ALL_FAMILIES}
-    witnesses: List[Tuple[str, str]] = []
     order = p = cls = cocls = None
     error = ""
     try:
@@ -107,12 +105,7 @@ def sweep_entry(
                 # family undefined for this group (e.g. powerful off a
                 # p-group): leave the cell blank, keep the other columns
                 continue
-            if res.optimal:
-                sigmas[fam] = res.size
-                orders = ",".join(str(len(w)) for w in res.witness)
-                witnesses.append((fam.sigma_label, f"member orders {orders}"))
-            else:
-                sigmas[fam] = "INF"
+            sigmas[fam] = res.size if res.optimal else "INF"
     except Exception as e:  # keep sweeping; the row records what went wrong
         error = f"{type(e).__name__}: {e}"
     elapsed_ms = 0 if stable_timing else int(round((time.perf_counter() - t0) * 1000))
@@ -129,7 +122,6 @@ def sweep_entry(
         sigma_pe=sigmas[FamilySelector.POWERFULLY_EMBEDDED],
         time_ms=elapsed_ms,
         error=error,
-        witness_summaries=tuple(witnesses),
     )
 
 

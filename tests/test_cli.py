@@ -256,9 +256,9 @@ def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, monk
         "--max-order", "16", "--stable-timing",
     )
     assert rc == 0
-    # Descriptor orders are read without a build; the perm: source and the
-    # unparsable one are built to filter and again by their sweep rows.
-    assert builds == {"d8": 1, "q16": 1, "bad": 2, "c5": 2}
+    # Descriptor orders are read without a build; the perm: source is built
+    # to filter and again by its sweep row, the unparsable one by its row only.
+    assert builds == {"d8": 1, "q16": 1, "bad": 1, "c5": 2}
     assert out_csv.read_text() == (
         "id,order,p,class,coclass,sigma,sigma_A,sigma_P,sigma_PE,time_ms,error\n"
         "d8,8,2,2,1,3,3,3,INF,0,\n"
@@ -406,3 +406,35 @@ def test_sweep_leaves_undefined_families_blank(tmp_path, capsys):
         "d8,8,2,2,1,3,3,3,INF,0,",
         "c6,6,,1,,INF,INF,,,0,",
     ]
+
+
+BAD_ENTRY_CATALOG = S3_CATALOG.parent / "bad_entry_catalog.txt"
+BAD_ENTRY_ERROR = (
+    "bad: dihedral order must be a power of 2, >= 4; got 6 (in 'dihedral:6' at position 9)"
+)
+
+
+def test_verify_skips_an_entry_that_fails_to_build(capsys):
+    rc, out, err = run(
+        capsys, "verify", "chain", "--catalog", str(BAD_ENTRY_CATALOG), "--no-cache"
+    )
+    assert rc == 2
+    assert out.splitlines() == [
+        "suite chain: PASS  [2 catalog groups]",
+        "  ok  d8: sigma = 3, sigma_P = 3, sigma_A = 3",
+        "  ok  c4: sigma = INF, sigma_P = INF, sigma_A = INF",
+    ]
+    assert err == f"error: chain skipped {BAD_ENTRY_ERROR}\n"
+
+
+def test_verify_all_runs_every_suite_past_an_entry_that_fails_to_build(capsys):
+    rc, out, err = run(
+        capsys, "verify", "all", "--max-order", "8", "--catalog", str(BAD_ENTRY_CATALOG),
+        "--no-cache",
+    )
+    assert rc == 2
+    heads = [line.split(":")[0] for line in out.splitlines() if line.startswith("suite ")]
+    assert heads == [f"suite {name}" for name in SUITE_NAMES]
+    assert "FAIL" not in out and "COUNTEREXAMPLE" not in out
+    catalog_suites = [name for name in SUITE_NAMES if "catalog" in SUITES[name].defaults]
+    assert err.splitlines() == [f"error: {name} skipped {BAD_ENTRY_ERROR}" for name in catalog_suites]

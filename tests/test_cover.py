@@ -127,20 +127,11 @@ def test_build_instance_is_dominance_reduced_and_sorted():
     assert sizes[:3] == [8, 8, 8]
 
 
-def test_provenance_matches_candidates():
-    g = build_group("quaternion:16")
-    inst = build_instance(g, enumerate_subgroups(g), POW)
-    for cand, sub in zip(inst.candidates, inst.provenance):
-        assert cand.bits == sub.elements.bits
-        assert sub.is_powerful
-
-
 def test_greedy_none_when_candidates_cannot_cover():
     universe = ElementSet.from_indices(range(4), 4)
     inst = CoverInstance(
         universe=universe,
         candidates=(ElementSet.from_indices([0, 1], 4),),
-        provenance=(None,),
     )
     assert solve_greedy(inst) is None
     res = solve_exact(inst)
@@ -242,7 +233,6 @@ def test_exact_matches_oracle_on_random_instances(data):
     inst = CoverInstance(
         universe=ElementSet.full(n),
         candidates=tuple(ElementSet.from_indices(c, n) for c in cands),
-        provenance=tuple([None] * len(cands)),
     )
     res = solve_exact(inst)
     oracle = exhaustive_min_cover(frozenset(range(n)), cands)

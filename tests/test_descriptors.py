@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
-from powcov.descriptors import DescriptorError, GroupDescriptor, parse_descriptor
+from powcov.cli import main
+from powcov.descriptors import (
+    KINDS, LEAST_ORDER, DescriptorError, GroupDescriptor, parse_descriptor, prime_power,
+)
+from powcov.groups import build_group
+
+S3_PERM = Path(__file__).resolve().parent / "data" / "s3.perm"
 
 
 def test_basic_kinds():
@@ -26,6 +34,11 @@ def test_file_kind():
     assert d.kind == "file" and d.params == ("/tmp/some.cayley",)
 
 
+def test_perm_kind():
+    d = parse_descriptor("perm:/tmp/some.perm")
+    assert d.kind == "perm" and d.params == ("/tmp/some.perm",) and d.order is None
+
+
 def test_order_property():
     assert parse_descriptor("cyclic:1").order == 1
     assert parse_descriptor("dihedral:32").order == 32
@@ -37,7 +50,6 @@ def test_order_property():
 
 def test_order_matches_built_group():
     from powcov.catalog import builtin_catalog
-    from powcov.groups import build_group
 
     for e in builtin_catalog(max_order=32):
         assert parse_descriptor(e.source).order == build_group(e.source).order
@@ -61,11 +73,60 @@ def test_order_matches_built_group():
         "dihedral:16x",
         "dihedral:16 powerful",
         "",
+        "dihedral:12",
+        "quaternion:24",
+        "semidihedral:24",
+        "modular:24",
+        "perm:",
+        "perm:a,b",
     ],
 )
 def test_rejections(bad):
     with pytest.raises(DescriptorError):
         parse_descriptor(bad)
+
+
+def test_every_kind_builds_and_keeps_its_order(tmp_path, capsys):
+    cayley = tmp_path / "d8.cayley"
+    assert main(["construct", "dihedral:8", "--out", str(cayley)]) == 0
+    examples = [f"{kind}:{least}" for kind, least in LEAST_ORDER.items()] + [
+        "cyclic:6",
+        "elementary:3^2",
+        "product:(dihedral:8,cyclic:3)",
+        f"file:{cayley}",
+        f"perm:{S3_PERM}",
+    ]
+    descriptors = [parse_descriptor(text) for text in examples]
+    # A kind the grammar admits but build_group cannot build fails here.
+    assert sorted(d.kind for d in descriptors) == sorted(KINDS)
+    orders = {}
+    for d in descriptors:
+        g = build_group(d)
+        assert d.order in (None, g.order)
+        orders[d.kind] = g.order
+    assert (orders["file"], orders["perm"]) == (8, 6)
+
+
+@pytest.mark.parametrize("kind", sorted(LEAST_ORDER))
+def test_each_family_starts_at_its_least_order(kind):
+    least = LEAST_ORDER[kind]
+    assert build_group(f"{kind}:{least}").order == least
+    with pytest.raises(DescriptorError, match=f"{kind} order must be a power of 2, >= {least}"):
+        parse_descriptor(f"{kind}:{least // 2}")
+
+
+def test_prime_power():
+    assert [n for n in range(1, 33) if prime_power(n)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+    ]
+    assert prime_power(1) is None and prime_power(0) is None and prime_power(12) is None
+    assert prime_power(2) == (2, 1) and prime_power(81) == (3, 4) and prime_power(343) == (7, 3)
+
+
+def test_a_huge_family_order_is_rejected_at_once():
+    # Trial division would take hours on this 40-digit odd order.
+    with pytest.raises(DescriptorError, match="dihedral order must be a power of 2"):
+        parse_descriptor(f"dihedral:{10**39 + 7}")
 
 
 def test_surrounding_whitespace_tolerated():
