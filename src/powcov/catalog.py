@@ -17,15 +17,19 @@ descriptor, in the grammar every command reads (see descriptors)::
 
 Relative paths of the path kinds (file:, perm:) are resolved against the
 catalog file's own directory, so a catalog directory can be moved as a unit.
+A file that repeats an id is refused.  An entry builds its group once and
+keeps it, or the OSError or ValueError its build raised, for every later
+call, so its error can be named once (CatalogEntry.error).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 from .descriptors import PATH_KINDS, parse_descriptor, prime_power
+from .fileio import content_lines
 from .groups import FiniteGroup, build_group
 
 __all__ = [
@@ -43,9 +47,24 @@ class CatalogEntry:
 
     id: str
     source: str
+    # the group or the error of the first build, set once though frozen
+    _built: Any = field(default=None, init=False, repr=False, compare=False)
 
     def build(self) -> FiniteGroup:
-        return build_group(self.source)
+        """The entry's group, constructed on the first call only."""
+        if self._built is None:
+            try:
+                object.__setattr__(self, "_built", build_group(self.source))
+            except (OSError, ValueError) as exc:
+                object.__setattr__(self, "_built", exc)
+        if self.error is not None:
+            raise self.error
+        return self._built
+
+    @property
+    def error(self) -> Optional[Exception]:
+        """The error the entry's build raised; None while it is unbuilt or built."""
+        return self._built if isinstance(self._built, Exception) else None
 
 
 def entry_order(entry: CatalogEntry) -> Optional[int]:
@@ -56,11 +75,12 @@ def entry_order(entry: CatalogEntry) -> Optional[int]:
     try:
         order = parse_descriptor(entry.source).order
         return entry.build().order if order is None else order
-    except Exception:
+    except (OSError, ValueError):
         return None
 
 
-def _builtin_entries() -> List[CatalogEntry]:
+def builtin_catalog(max_order: Optional[int] = 128) -> List[CatalogEntry]:
+    """The shipped catalog, in deterministic order, filtered to max_order."""
     specs: List[str] = ["cyclic:1"]
     specs += [f"cyclic:{q}" for q in range(2, 129) if prime_power(q)]
     specs += [f"elementary:2^{k}" for k in range(2, 6)]
@@ -83,7 +103,7 @@ def _builtin_entries() -> List[CatalogEntry]:
         "product:(quaternion:8,cyclic:2)",
         "product:(dihedral:8,dihedral:8)",
     ]
-    return [CatalogEntry(id=s, source=s) for s in specs]
+    return select_entries([CatalogEntry(id=s, source=s) for s in specs], max_order)
 
 
 def select_entries(
@@ -95,34 +115,28 @@ def select_entries(
     An entry whose order cannot be read is kept, so whoever builds it meets
     the error.
     """
-    entries = _builtin_entries() if entries is None else list(entries)
+    if entries is None:
+        return builtin_catalog(max_order)
     if max_order is None:
-        return entries
+        return list(entries)
     return [e for e in entries if (order := entry_order(e)) is None or order <= max_order]
-
-
-def builtin_catalog(max_order: int = 128) -> List[CatalogEntry]:
-    """The shipped catalog, in deterministic order, filtered to max_order."""
-    return select_entries(None, max_order)
 
 
 def load_catalog_file(path: str) -> List[CatalogEntry]:
     """Parse an external catalog file into entries, resolving relative paths."""
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected '<id> <source>', got {text!r}"
-                )
-            entry_id, source = parts[0], parts[1].strip()
-            kind, colon, rel = source.partition(":")
-            if kind in PATH_KINDS and colon and not os.path.isabs(rel):
-                source = f"{kind}:{os.path.join(base, rel)}"
-            entries.append(CatalogEntry(id=entry_id, source=source))
+    first_line: Dict[str, int] = {}
+    for lineno, text in content_lines(path):
+        parts = text.split(None, 1)
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected '<id> <source>', got {text!r}")
+        entry_id, source = parts[0], parts[1].strip()
+        first = first_line.setdefault(entry_id, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate id {entry_id!r} (first on line {first})")
+        kind, colon, rel = source.partition(":")
+        if kind in PATH_KINDS and colon and not os.path.isabs(rel):
+            source = f"{kind}:{os.path.join(base, rel)}"
+        entries.append(CatalogEntry(id=entry_id, source=source))
     return entries

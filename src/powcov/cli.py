@@ -7,8 +7,9 @@ sweep (batch report over a catalog).
 Exit codes: 0 = success / all checks passed; 1 = a domain finding (no cover
 exists for a single query, a theorem check failed, or a conjecture
 counterexample was found); 2 = usage or data error, including a range that
-holds nothing to check, an option that no named suite reads, and a catalog
-entry that verify cannot build (the other entries' checks still print).
+holds nothing to check, an option that no named suite reads, a catalog that
+repeats an id, and a catalog entry that verify cannot build (the other
+entries' checks still print, and stderr names the entry once).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
-from .catalog import load_catalog_file, select_entries
+from .catalog import builtin_catalog, load_catalog_file, select_entries
 from .cover import FamilySelector
 from .fileio import save_cayley_file
 from .groups import FiniteGroup, build_group
@@ -84,7 +85,7 @@ def cmd_verify(args) -> int:
         ):
             flag = "--" + option.replace("_", "-")
             raise ValueError(f"{flag} is read by none of the suites {', '.join(names)}")
-    catalog = load_catalog_file(args.catalog) if args.catalog is not None else None
+    entries = load_catalog_file(args.catalog) if args.catalog is not None else builtin_catalog()
     cache = _run_cache(args)
     end = "\n\n" if len(names) > 1 else "\n"
     code = 0
@@ -93,13 +94,15 @@ def cmd_verify(args) -> int:
             name,
             max_n=args.max_n,
             max_order=args.max_order,
-            catalog=catalog,
+            catalog=entries,
             cache=cache,
         )
         print(format_report(report), end=end)
-        for skipped in report.skipped:
-            print(f"error: {name} skipped {skipped}", file=sys.stderr)
-        code = max(code, 2 if report.empty or report.skipped else 0 if report.passed else 1)
+        code = max(code, 2 if report.empty else 0 if report.passed else 1)
+    for e in entries:
+        if e.error is not None:
+            print(f"error: skipped {e.id}: {e.error}", file=sys.stderr)
+            code = 2
     return code
 
 

@@ -13,6 +13,8 @@ defining relation collapses to an abelian group at order 8.  A PATH names a
 Cayley file (file:) or a permutation-generator file (perm:); it runs to the
 end of the descriptor, so it can be no product factor.  groups.build_group
 builds every kind.
+An elementary:P^K whose P or K exceeds HARD_MAX_ORDER is refused before P
+is tested for a prime or P^K is formed, so no descriptor makes them hang.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 __all__ = ["DescriptorError", "GroupDescriptor", "parse_descriptor", "prime_power"]
+
+HARD_MAX_ORDER = 512
 
 # The least order of each 2-power family.
 LEAST_ORDER = {"dihedral": 4, "quaternion": 8, "semidihedral": 16, "modular": 8}
@@ -143,10 +147,14 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
         if pos >= len(text) or text[pos] != "^":
             raise DescriptorError("expected P^K for elementary", text, pos)
         k, pos = _parse_int(text, pos + 1, "exponent")
-        if prime_power(p) != (p, 1):
+        if p <= HARD_MAX_ORDER and prime_power(p) != (p, 1):
             raise DescriptorError(f"{p} is not prime", text, pos)
         if k < 1:
             raise DescriptorError("exponent must be >= 1", text, pos)
+        if max(p, k) > HARD_MAX_ORDER:  # then p^k > HARD_MAX_ORDER too
+            raise DescriptorError(
+                f"group order {p}^{k} exceeds construction cap {HARD_MAX_ORDER}", text, pos
+            )
         return GroupDescriptor("elementary", (p, k)), pos
 
     m, end = _parse_int(text, pos, "order")

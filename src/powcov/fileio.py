@@ -50,6 +50,7 @@ __all__ = [
     "save_cayley_file",
     "load_permutation_generators",
     "atomic_write_text",
+    "content_lines",
 ]
 
 FORMAT_VERSION = 1
@@ -79,7 +80,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _content_lines(path: str) -> List[Tuple[int, str]]:
+def content_lines(path: str) -> List[Tuple[int, str]]:
     """(line_number, stripped_text) for every non-blank, non-comment line."""
     out = []
     with open(path) as fh:
@@ -98,7 +99,10 @@ def _expect_int(token: str, what: str, lineno: int) -> int:
         raise FileFormatError(f"line {lineno}: {what} must be an integer, got {token!r}")
 
 
-def _check_version(lines: List[Tuple[int, str]], path: str) -> None:
+def _read_header(path: str, key: str, symbol: str) -> Tuple[List[Tuple[int, str]], int, int]:
+    """The file's content lines, after checking the version line and the
+    'key symbol' line below it, plus that line's number and its integer >= 1."""
+    lines = content_lines(path)
     if not lines:
         raise FileFormatError(f"{path}: empty file")
     lineno, text = lines[0]
@@ -109,34 +113,31 @@ def _check_version(lines: List[Tuple[int, str]], path: str) -> None:
     if version != FORMAT_VERSION:
         raise FileFormatError(f"line {lineno}: unsupported format version {version}")
 
+    if len(lines) < 2 or lines[1][1].split()[0] != key:
+        raise FileFormatError(f"{path}: expected '{key} {symbol}' after the version line")
+    lineno, text = lines[1]
+    parts = text.split()
+    if len(parts) != 2:
+        raise FileFormatError(f"line {lineno}: expected '{key} {symbol}', got {text!r}")
+    value = _expect_int(parts[1], key, lineno)
+    if value < 1:
+        raise FileFormatError(f"line {lineno}: {key} must be >= 1, got {value}")
+    return lines, lineno, value
+
 
 def load_cayley_file(path: str) -> FiniteGroup:
     """Read a Cayley file and validate it as a group.
 
     An order header above HARD_MAX_ORDER is refused before any row is read.
     """
-    lines = _content_lines(path)
-    _check_version(lines, path)
-    pos = 1
-
-    if pos >= len(lines) or lines[pos][1].split()[0] != "order":
-        raise FileFormatError(f"{path}: expected 'order N' after the version line")
-    lineno, text = lines[pos]
-    parts = text.split()
-    if len(parts) != 2:
-        raise FileFormatError(f"line {lineno}: expected 'order N', got {text!r}")
-    order = _expect_int(parts[1], "order", lineno)
-    if order < 1:
-        raise FileFormatError(f"line {lineno}: order must be >= 1, got {order}")
+    lines, lineno, order = _read_header(path, "order", "N")
     if order > HARD_MAX_ORDER:
         raise CapError(
             f"line {lineno}: group order {order} exceeds construction cap {HARD_MAX_ORDER}"
         )
-    pos += 1
-
-    if pos >= len(lines) or lines[pos][1] != "table":
+    if len(lines) < 3 or lines[2][1] != "table":
         raise FileFormatError(f"{path}: expected a 'table' section")
-    pos += 1
+    pos = 3
 
     rows = []
     for i in range(order):
@@ -200,17 +201,7 @@ def load_permutation_generators(path: str) -> FiniteGroup:
     Composition is (p * q)(i) = p(q(i)): q acts first.  Raises CapError as
     soon as the closure exceeds HARD_MAX_ORDER.
     """
-    lines = _content_lines(path)
-    _check_version(lines, path)
-    if len(lines) < 2 or lines[1][1].split()[0] != "degree":
-        raise FileFormatError(f"{path}: expected 'degree d' after the version line")
-    lineno, text = lines[1]
-    parts = text.split()
-    if len(parts) != 2:
-        raise FileFormatError(f"line {lineno}: expected 'degree d', got {text!r}")
-    degree = _expect_int(parts[1], "degree", lineno)
-    if degree < 1:
-        raise FileFormatError(f"line {lineno}: degree must be >= 1, got {degree}")
+    lines, _, degree = _read_header(path, "degree", "d")
 
     gens: List[Tuple[int, ...]] = []
     for lineno, text in lines[2:]:

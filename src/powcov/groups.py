@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bitset import ElementSet
-from .descriptors import PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
+from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
 
 __all__ = [
     "GroupError",
@@ -61,8 +61,6 @@ __all__ = [
     "is_p_group",
     "HARD_MAX_ORDER",
 ]
-
-HARD_MAX_ORDER = 512
 
 
 class GroupError(ValueError):

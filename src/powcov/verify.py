@@ -8,7 +8,8 @@ groups actually checked, never asserted in general, and a counterexample is
 a finding to report, not a malfunction.  A suite whose range held nothing to
 compare ends in EMPTY, whatever its kind.  A claim about p-groups skips the
 catalog groups outside its hypothesis, and a catalog entry that fails to
-build is left out of every check and named in the report's skipped.
+build is left out of every check.  The entry keeps its error
+(CatalogEntry.error), so `powcov verify` names it once after all its suites.
 
 SUITES is the one place that says each suite's kind, which range options
 (max_n, max_order, catalog) it reads and what they default to.  The sweep
@@ -55,7 +56,6 @@ class SuiteReport:
     kind: str  # "theorem" or "conjecture"
     scope: str  # human-readable statement of the range actually checked
     checks: Tuple[CheckResult, ...]
-    skipped: Tuple[str, ...] = ()  # "id: error" for each entry that failed to build
 
     @property
     def empty(self) -> bool:
@@ -105,28 +105,23 @@ def _fmt(res: CoverResult) -> str:
     return str(res.size) if res.optimal else "INF"
 
 
-def _entries(
-    catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int], skipped: List[str]
-):
+def _entries(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
     """Each selected entry with its group, built only once it is selected.
 
-    An entry that fails to build is left out, and "id: error" goes to
-    skipped, so one bad entry neither stops the suite nor decides a check.
+    An entry that fails to build is left out, holding its error, so one bad
+    entry neither stops the suite nor decides a check.
     """
     for e in select_entries(catalog, max_order):
         try:
             g = e.build()
-        except (OSError, ValueError) as exc:
-            skipped.append(f"{e.id}: {exc}")
+        except (OSError, ValueError):
             continue
         yield e, g
 
 
-def _tower_groups(
-    catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int], skipped: List[str]
-):
+def _tower_groups(catalog: Optional[Sequence[CatalogEntry]], max_order: Optional[int]):
     """Each selected noncyclic 2-group of order 2^(n+1) >= 8, with its group."""
-    for e, g in _entries(catalog, max_order, skipped):
+    for e, g in _entries(catalog, max_order):
         if g.order >= 8 and is_p_group(g) == 2 and not g.is_cyclic():
             yield e, g
 
@@ -157,12 +152,11 @@ def suite_sigma_equals_p_plus_1(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-    skipped: List[str],
 ) -> Checks:
     """sigma = p + 1 for every noncyclic p-group; no cover at all for cyclic
     groups.  Noncyclic groups that are not p-groups are outside the theorem."""
     checks = []
-    for e, g in _entries(catalog, max_order, skipped):
+    for e, g in _entries(catalog, max_order):
         cyclic, p = g.is_cyclic(), is_p_group(g)
         if not cyclic and p is None:
             continue
@@ -177,11 +171,10 @@ def suite_chain(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-    skipped: List[str],
 ) -> Checks:
     """sigma <= sigma_P <= sigma_A wherever the values are finite."""
     checks = []
-    for e, g in _entries(catalog, max_order, skipped):
+    for e, g in _entries(catalog, max_order):
         if g.order > 1 and is_p_group(g) is None:
             continue  # sigma_P is undefined off p-groups
         s, sp, sa = (
@@ -203,13 +196,12 @@ def suite_quotient(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: Optional[int],
-    skipped: List[str],
 ) -> Checks:
     """sigma_P of a noncyclic non-powerful quotient never exceeds sigma_P of
     the dihedral group it comes from."""
     checks = []
     scanned = 0
-    for e, g in _entries(catalog, max_order, skipped):
+    for e, g in _entries(catalog, max_order):
         if not e.source.startswith("dihedral:"):
             continue
         scanned += 1
@@ -267,12 +259,11 @@ def suite_conjecture1(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-    skipped: List[str],
 ) -> Checks:
     """Coclass-1 2-groups of order 2^(n+1) >= 8: sigma_P = 2^(n-1)+1."""
     checks = [
         _tower_check(e.id, g, cache, exact=True, prefix="coclass 1, ")
-        for e, g in _tower_groups(catalog, max_order, skipped)
+        for e, g in _tower_groups(catalog, max_order)
         if coclass(g) == 1
     ]
     return f"coclass-1 catalog 2-groups of order 8..{max_order}", checks
@@ -282,14 +273,13 @@ def suite_conjecture2(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-    skipped: List[str],
 ) -> Checks:
     """Noncyclic 2-groups of order 2^(n+1) >= 8: sigma_P <= 2^(n-1)+1.
 
     Confirmed only on the groups in the catalog at hand — this says nothing
     about 2-groups in general.
     """
-    groups = _tower_groups(catalog, max_order, skipped)
+    groups = _tower_groups(catalog, max_order)
     checks = [_tower_check(e.id, g, cache, exact=False) for e, g in groups]
     scope = f"noncyclic catalog 2-groups of order 8..{max_order} (catalog only, not a proof)"
     return scope, checks
@@ -317,7 +307,6 @@ def suite_monotonicity(
     cache: LatticeCache,
     catalog: Optional[Sequence[CatalogEntry]],
     max_order: int,
-    skipped: List[str],
 ) -> Checks:
     """Open question: can sigma_P(H) exceed sigma_P(G) for H <= G?
 
@@ -327,7 +316,7 @@ def suite_monotonicity(
     """
     checks = []
     scanned = 0
-    for e, g in _entries(catalog, max_order, skipped):
+    for e, g in _entries(catalog, max_order):
         if g.is_cyclic() or is_p_group(g) is None:
             continue  # no cover of a cyclic group; sigma_P is undefined off p-groups
         outer = sigma_of(g, FamilySelector.POWERFUL, cache)
@@ -397,9 +386,9 @@ def run_suite(
 
     Each range option the suite reads falls back to its SUITES default when
     None; options it does not read are ignored.  A suite that reads a
-    catalog leaves out each entry that fails to build and names it in the
-    report's skipped; the checks are those of the other entries.  cache
-    holds the run's lattices; pass one instance to share them across
+    catalog leaves out each entry that fails to build, and the entry keeps
+    its error; pass one entry list to several suites to build each once.
+    cache holds the run's lattices; pass one instance to share them across
     suites.  Without one, the suite gets a memory-only cache of its own.
     """
     if name not in SUITES:
@@ -407,11 +396,8 @@ def run_suite(
     suite = SUITES[name]
     given = {"max_n": max_n, "max_order": max_order, "catalog": catalog}
     options = {k: d if given[k] is None else given[k] for k, d in suite.defaults.items()}
-    skipped: List[str] = []
-    if "catalog" in options:
-        options["skipped"] = skipped
     scope, checks = suite.run(LatticeCache() if cache is None else cache, **options)
-    return SuiteReport(name, suite.kind, scope, tuple(checks), tuple(skipped))
+    return SuiteReport(name, suite.kind, scope, tuple(checks))
 
 
 def format_report(report: SuiteReport) -> str:

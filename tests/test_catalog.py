@@ -1,6 +1,7 @@
 import pytest
 
-from powcov.catalog import CatalogEntry, builtin_catalog, load_catalog_file
+from powcov.catalog import CatalogEntry, builtin_catalog, entry_order, load_catalog_file
+from powcov.descriptors import DescriptorError
 
 
 def test_builtin_sizes():
@@ -75,3 +76,36 @@ def test_load_catalog_file_rejects_malformed_lines(tmp_path):
     cat.write_text("only-an-id\n")
     with pytest.raises(ValueError, match=r"bad\.catalog:1"):
         load_catalog_file(str(cat))
+
+
+def test_load_catalog_file_rejects_a_repeated_id(tmp_path):
+    cat = tmp_path / "dup.catalog"
+    cat.write_text("a dihedral:8\n# comment\nb cyclic:2\na cyclic:4\n")
+    with pytest.raises(ValueError) as exc:
+        load_catalog_file(str(cat))
+    assert str(exc.value) == f"{cat}:4: duplicate id 'a' (first on line 1)"
+
+
+def test_an_entry_builds_once_and_keeps_its_error(tmp_path, constructions):
+    good = CatalogEntry("d8", "dihedral:8")
+    assert good.error is None
+    assert good.build() is good.build()
+    assert good.error is None
+
+    bad = CatalogEntry("bad", "dihedral:6")
+    assert bad.error is None  # not built yet
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DescriptorError) as exc:
+            bad.build()
+        errors.append(exc.value)
+    assert errors[0] is errors[1] is bad.error
+
+    (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
+    perm = CatalogEntry("c5", f"perm:{tmp_path / 'c5.perm'}")
+    assert entry_order(perm) == 5  # read from the build the entry keeps
+    assert perm.build().order == 5
+    assert constructions == {"dihedral:8": 1, "dihedral:6": 1, perm.source: 1}
+    # The kept build is no part of an entry's value.
+    fresh = CatalogEntry("d8", "dihedral:8")
+    assert good == fresh and hash(good) == hash(fresh)

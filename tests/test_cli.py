@@ -9,7 +9,7 @@ import pytest
 
 import powcov
 import powcov.cache
-from powcov.catalog import CatalogEntry
+from powcov.catalog import builtin_catalog
 from powcov.cli import main
 from powcov.sweep import CSV_COLUMNS
 from powcov.verify import SUITE_NAMES, SUITES
@@ -235,21 +235,13 @@ def test_sweep_catalog_with_bad_entry(tmp_path, capsys):
     assert "DescriptorError" in rows[2]
 
 
-def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, monkeypatch):
+def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, constructions):
     (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
     cat = tmp_path / "m.catalog"
     cat.write_text(
         "d8 dihedral:8\nd32 dihedral:32\nbad dihedral:6\nc5 perm:c5.perm\n"
         "q16 quaternion:16\nbig product:(dihedral:16,dihedral:8)\n"
     )
-    builds = Counter()
-    build = CatalogEntry.build
-
-    def counting_build(entry):
-        builds[entry.id] += 1
-        return build(entry)
-
-    monkeypatch.setattr(CatalogEntry, "build", counting_build)
     out_csv = tmp_path / "m.csv"
     rc, _, _ = run(
         capsys, "sweep", "--catalog", str(cat), "--out", str(out_csv),
@@ -257,8 +249,11 @@ def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, monk
     )
     assert rc == 0
     # Descriptor orders are read without a build; the perm: source is built
-    # to filter and again by its sweep row, the unparsable one by its row only.
-    assert builds == {"d8": 1, "q16": 1, "bad": 1, "c5": 2}
+    # to filter and its sweep row reuses that build; the unparsable one is
+    # built by its row only.
+    assert constructions == {
+        "dihedral:8": 1, "quaternion:16": 1, "dihedral:6": 1, f"perm:{tmp_path / 'c5.perm'}": 1,
+    }
     assert out_csv.read_text() == (
         "id,order,p,class,coclass,sigma,sigma_A,sigma_P,sigma_PE,time_ms,error\n"
         "d8,8,2,2,1,3,3,3,INF,0,\n"
@@ -424,10 +419,10 @@ def test_verify_skips_an_entry_that_fails_to_build(capsys):
         "  ok  d8: sigma = 3, sigma_P = 3, sigma_A = 3",
         "  ok  c4: sigma = INF, sigma_P = INF, sigma_A = INF",
     ]
-    assert err == f"error: chain skipped {BAD_ENTRY_ERROR}\n"
+    assert err == f"error: skipped {BAD_ENTRY_ERROR}\n"
 
 
-def test_verify_all_runs_every_suite_past_an_entry_that_fails_to_build(capsys):
+def test_verify_all_runs_every_suite_past_an_entry_that_fails_to_build(capsys, constructions):
     rc, out, err = run(
         capsys, "verify", "all", "--max-order", "8", "--catalog", str(BAD_ENTRY_CATALOG),
         "--no-cache",
@@ -436,5 +431,23 @@ def test_verify_all_runs_every_suite_past_an_entry_that_fails_to_build(capsys):
     heads = [line.split(":")[0] for line in out.splitlines() if line.startswith("suite ")]
     assert heads == [f"suite {name}" for name in SUITE_NAMES]
     assert "FAIL" not in out and "COUNTEREXAMPLE" not in out
-    catalog_suites = [name for name in SUITE_NAMES if "catalog" in SUITES[name].defaults]
-    assert err.splitlines() == [f"error: {name} skipped {BAD_ENTRY_ERROR}" for name in catalog_suites]
+    # Six suites read the catalog; the failing entry is tried and named once.
+    assert err.splitlines() == [f"error: skipped {BAD_ENTRY_ERROR}"]
+    assert constructions == {"dihedral:8": 1, "dihedral:6": 1, "cyclic:4": 1}
+
+
+def test_verify_all_constructs_each_builtin_entry_once(capsys, constructions):
+    rc, _, err = run(capsys, "verify", "all", "--no-cache")
+    assert (rc, err) == (0, "")
+    assert constructions == Counter(e.source for e in builtin_catalog())
+    assert len(constructions) == 82
+
+
+def test_a_catalog_that_repeats_an_id_is_a_usage_error(tmp_path, capsys):
+    cat = tmp_path / "dup.catalog"
+    cat.write_text("a dihedral:8\na cyclic:4\n")
+    message = f"error: {cat}:2: duplicate id 'a' (first on line 1)\n"
+    for argv in (["sweep", "--out", str(tmp_path / "r.csv")], ["verify", "chain"]):
+        rc, out, err = run(capsys, *argv, "--catalog", str(cat))
+        assert (rc, out, err) == (2, "", message)
+    assert not (tmp_path / "r.csv").exists()

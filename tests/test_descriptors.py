@@ -1,8 +1,10 @@
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from powcov.catalog import CatalogEntry, select_entries
 from powcov.cli import main
 from powcov.descriptors import (
     KINDS, LEAST_ORDER, DescriptorError, GroupDescriptor, parse_descriptor, prime_power,
@@ -127,6 +129,38 @@ def test_a_huge_family_order_is_rejected_at_once():
     # Trial division would take hours on this 40-digit odd order.
     with pytest.raises(DescriptorError, match="dihedral order must be a power of 2"):
         parse_descriptor(f"dihedral:{10**39 + 7}")
+
+
+HUGE_ELEMENTARY = [
+    "elementary:1000000000000000003^1",  # trial division would run to 10^9
+    "elementary:2^99999999999",  # GroupDescriptor.order would form 2^(10^11)
+    "elementary:3^999999999",
+]
+
+
+@pytest.mark.parametrize("text", HUGE_ELEMENTARY)
+def test_a_huge_elementary_descriptor_is_refused_at_once(text, capsys):
+    t0 = time.perf_counter()
+    with pytest.raises(DescriptorError, match=r"exceeds construction cap 512 \(in "):
+        parse_descriptor(text)
+    # Under --max-order the entry is kept, and its build meets the same error.
+    assert select_entries([CatalogEntry("x", text)], 64) == [CatalogEntry("x", text)]
+    assert main(["sigma", text, "all", "--no-cache"]) == 2
+    assert "exceeds construction cap 512" in capsys.readouterr().err
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elementary:4^2", "4 is not prime"),
+        ("elementary:4^99999999999", "4 is not prime"),
+        ("elementary:3^0", "exponent must be >= 1"),
+    ],
+)
+def test_a_small_prime_keeps_its_message(text, message):
+    with pytest.raises(DescriptorError, match=f"^{message} "):
+        parse_descriptor(text)
 
 
 def test_surrounding_whitespace_tolerated():

@@ -142,29 +142,22 @@ def test_all_names_run_clean():
         assert rep.passed, f"{name} failed: {format_report(rep)}"
 
 
-def test_catalog_suites_build_only_groups_within_max_order(tmp_path, monkeypatch):
+def test_catalog_suites_build_only_groups_within_max_order(tmp_path, constructions):
     (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
-    builds = Counter()
-    build = CatalogEntry.build
-
-    def counting_build(entry):
-        builds[entry.id] += 1
-        return build(entry)
-
-    monkeypatch.setattr(CatalogEntry, "build", counting_build)
     rep = run_suite("sigma-equals-p-plus-1", max_order=16)
     kept = [e.id for e in builtin_catalog(max_order=16)]
     assert [c.label for c in rep.checks] == kept
-    assert builds == Counter(kept)
+    assert constructions == Counter(kept)  # a built-in entry's id is its source
 
-    # A perm: source names no order, so it is built to filter and, when
-    # kept, again for its check; descriptor sources are built only if kept.
-    builds.clear()
+    # A perm: source names no order, so it is built to filter, and its check
+    # reuses that build; descriptor sources are built only if kept.
+    constructions.clear()
+    c5 = f"perm:{tmp_path / 'c5.perm'}"
     catalog = [
         CatalogEntry("d8", "dihedral:8"),
         CatalogEntry("d32", "dihedral:32"),
-        CatalogEntry("c5", f"perm:{tmp_path / 'c5.perm'}"),
+        CatalogEntry("c5", c5),
     ]
     rep = run_suite("sigma-equals-p-plus-1", max_order=8, catalog=catalog)
     assert [c.label for c in rep.checks] == ["d8", "c5"]
-    assert builds == {"d8": 1, "c5": 2}
+    assert constructions == {"dihedral:8": 1, c5: 1}
