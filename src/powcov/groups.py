@@ -10,15 +10,21 @@ for all x and y, and the elements that pass are closed under the product.
 So checking a generating set of the table under its own product proves
 every triple, in O(n^2 * |gens|) instead of n^3.  The greedy generating set
 adds the least element outside the closure so far until nothing is left.
+The group keeps it as FiniteGroup.generators, the one set every normality
+test conjugates by (is_normal, quotient_group and the lattice's normal and
+powerfully-embedded flags): the normaliser of a subgroup is a subgroup, so
+it is all of G once it holds a generating set.  On every built-in p-group
+the set has d = dim G/Phi(G) elements, the size of a Burnside basis.
 
 Subsets inside the private cores are bool masks and index arrays; an
 ElementSet is built only for a result a caller sees.  A subgroup argument
 gets one check, the block kernel's (_checked): the lattice runs it on a
 whole level of subgroups at once, and each public operation on its argument
 as a block of one row, whose product table then serves the operation.
-Closure squares the set, S <- S*S, until it stops growing: a subgroup is
-generated by words of length at most its order, and each round doubles the
-length covered, so that takes O(log |H|) rounds of one gather each.
+_close is the one closure routine, here and in the lattice: it squares
+the set, S <- S*S, until it stops growing.  A subgroup is generated by
+words of length at most its order, and each round doubles the length
+covered, so that takes O(log |H|) rounds of one gather each.
 
 Canonical element numbering for the built-in families puts rotation-like
 generator powers first and the reflection-type coset second:
@@ -87,6 +93,8 @@ class FiniteGroup:
         order: number of elements n.
         table: (n, n) int array, table[a, b] = a*b.  Read-only.
         identity: index of the identity element.
+        generators: int array of a generating set, the greedy one that
+            Light's test checked.  Read-only.
         inverses: int array, inverses[a] = a^-1.
         element_orders: int array of multiplicative orders.
         descriptor: provenance string ("dihedral:16", "quotient:...", ...).
@@ -139,7 +147,8 @@ class FiniteGroup:
             raise ConstructionError("no two-sided identity element")
 
         # Light's test on a greedy generating set; see the module docstring.
-        for a in _greedy_generators(table, ident):
+        generators = _greedy_generators(table, ident)
+        for a in generators:
             lhs = table[table[:, a]]       # lhs[x, y] = (x*a)*y
             rhs = table[:, table[a]]       # rhs[x, y] = x*(a*y)
             if not np.array_equal(lhs, rhs):
@@ -174,12 +183,12 @@ class FiniteGroup:
                     f"got {len(names)} names for {n} elements"
                 )
 
-        table.setflags(write=False)
-        inverses.setflags(write=False)
-        orders.setflags(write=False)
+        for array in (table, generators, inverses, orders):
+            array.setflags(write=False)
         self.order = n
         self.table = table
         self.identity = ident
+        self.generators = generators
         self.inverses = inverses
         self.element_orders = orders
         self.descriptor = descriptor
@@ -530,7 +539,7 @@ def normal_closure(g: FiniteGroup, seed) -> ElementSet:
 def is_normal(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff the subgroup is invariant under conjugation by every element."""
     mask, idx, _ = _argument(g, members, "argument")
-    return bool(_normal(g, mask, idx, np.arange(g.order))[0])
+    return bool(_normal(g, mask, idx, g.generators)[0])
 
 
 def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
@@ -540,7 +549,7 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
     pair of elements.
     """
     mask, idx, _ = _argument(g, normal, "normal subgroup")
-    if not _normal(g, mask, idx, np.arange(g.order))[0]:
+    if not _normal(g, mask, idx, g.generators)[0]:
         raise GroupError("subgroup is not normal")
     idx = idx[0]
     n = g.order
@@ -588,7 +597,13 @@ def is_p_group(g: FiniteGroup) -> Optional[int]:
 
 def coclass(g: FiniteGroup) -> int:
     """log_p |G| minus the nilpotence class; defined for nontrivial p-groups."""
-    pk = prime_power(g.order)
-    if pk is None:
+    if is_p_group(g) is None:
         raise GroupError("coclass is defined for nontrivial p-groups only")
-    return pk[1] - nilpotence_class(g)
+    return _coclass(g.order, nilpotence_class(g))
+
+
+def _coclass(order: int, cls: int) -> int:
+    """log_p of a p-power order minus a nilpotence class: the one statement
+    of the coclass, for coclass above and for the sweep, which has the
+    class already."""
+    return prime_power(order)[1] - cls

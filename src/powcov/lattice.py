@@ -17,10 +17,9 @@ Two enumeration paths, chosen by the group's order:
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
   its cyclic subgroups, so that is exhaustive for any finite group.  Each
-  join <H, x> is closed on its own with _close: a one-row _close_rows costs
-  more per call, and batching every join of one H costs more still.  The
-  subgroups found are then grouped by order and pass through the same
-  check, abelian, normal and tag kernel as a level of the descent.
+  join <H, x> is closed on its own with _close.  The subgroups found are
+  then grouped by order and pass through the same check, abelian, normal
+  and tag kernel as a level of the descent.
 
 Each level is sorted by its packed masks read with element 0 first, and the
 lattice lists the levels from the smallest order up.  That canonical order,
@@ -28,32 +27,32 @@ by order and then by membership vector, is the only sort: the cover
 instance reads the lattice backwards, and the cache and the record digests
 keep it.
 
-A level is one block of rows of equal size h, so every step below is one
-numpy call per level rather than per subgroup.  The members stack as an
-(m, h) array M, and one gather, prod = table[M[:, :, None], M[:, None, :]],
-serves four things: the subgroup check (each row holds the identity and is
-closed under the product; the only check any enumerated subgroup gets),
-the abelian flag (prod equals its transpose), the commutators of the
-nonabelian rows (table[inv[prod^T], prod]) and the dihedral tag.  Power
-images are scattered into (m, n) masks.  An abelian K skips closure: x ->
-x^p is then a homomorphism on K, so its image is Phi(K) = K^p.  The
-nonabelian rows close K^p u [K, K] together by squaring, S <- S*S, until
-no row grows; each row's members are padded with the identity, which
-changes no product set because e*x = x.  Rows are then grouped by
-|Phi(K)|, which fixes d, and each group runs the greedy basis loop (each x_i
-is the least member of K outside <Phi(K), x_1..x_{i-1}>), the coset codes
-in F_p^d and all its hyperplane preimages as batched calls.  A level is cut
-into chunks so that no temporary holds more than about _BUDGET entries;
-the largest, the product tables and the preimage stack, hold at most
-rows * h * n.
+A level is one block of rows of equal size h, so every step below but
+one closure is one numpy call per level rather than per subgroup.  The
+members stack as an (m, h) array M, and one gather, prod =
+table[M[:, :, None], M[:, None, :]], serves four things: the subgroup
+check (each row holds the identity and is closed under the product; the
+only check any enumerated subgroup gets), the abelian flag (prod equals
+its transpose), the commutators of the nonabelian rows
+(table[inv[prod^T], prod]) and the dihedral tag.  Power images are
+scattered into (m, n) masks.  An abelian K skips closure: x -> x^p is then
+a homomorphism on K, so its image is Phi(K) = K^p.  Each nonabelian row
+closes K^p u [K, K] on its own with groups._close, the one closure
+routine, as the extension path closes each join; closing the rows
+together, each padded to the widest with the identity, measured no
+faster.  Rows are then grouped by |Phi(K)|, which fixes d, and each group
+runs the greedy basis loop (each x_i is the least member of K outside
+<Phi(K), x_1..x_{i-1}>), the coset codes in F_p^d and all its hyperplane
+preimages as batched calls.  A level is cut into chunks so that no
+temporary holds more than about _BUDGET entries; the largest, the product
+tables and the preimage stack, hold at most rows * h * n.
 
 Flags, from the level's data:
 
 * abelian: every two members commute.
-* normal: conjugating K by each element of a generating set of G keeps K
-  inside K: G's Burnside basis for a p-group, a greedy generating set
-  otherwise.  The normaliser of K is a subgroup, so it is all of G once it
-  holds a generating set of G.
+* normal: conjugating K by each element of g.generators, the generating
+  set of G that FiniteGroup keeps, keeps K inside K.  The normaliser of K
+  is a subgroup, so it is all of G once it holds a generating set of G.
 * powerful: [K, K] lies in K^k, with k = p at odd p and k = 4 at p = 2.
   That holds iff every commutator of K is a k-th power of a member of K,
   so K^k is never closed.  If K is powerful, its k-th powers already form
@@ -62,8 +61,9 @@ Flags, from the level's data:
   powers lie in the subgroup K^k, so if every commutator is one, K^k holds
   the subgroup they generate.
 * powerfully embedded: K is normal and [x, y] is a k-th power of a member
-  of K for every x in K's Burnside basis and every y in G's.  [K, G] is the
-  normal closure in G of those [x, y] (Robinson 5.1.7), and K^k is
+  of K for every x in K's Burnside basis and every y in g.generators.
+  [K, G] is the normal closure in G of those [x, y] (Robinson 5.1.7, which
+  holds for any generating sets of K and G), and K^k is
   characteristic in K, hence normal in G, so K^k holds [K, G] iff it holds
   them.  The k-th powers suffice by the same argument as above: a
   powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
@@ -85,7 +85,8 @@ quotient_group, power_subgroup and commutator_subgroup run it on their
 argument as a block of one row.  The public is_powerful,
 is_powerfully_embedded and classify_small here do the same;
 is_powerfully_embedded conjugates by all of G and takes all of K and G as
-commutator arguments.
+commutator arguments, because cover.verify_witness uses it as an
+independent re-check of the lattice's flag.
 """
 
 from __future__ import annotations
@@ -105,7 +106,6 @@ from .groups import (
     _checked,
     _close,
     _commutators,
-    _greedy_generators,
     _holds,
     _images,
     _normal,
@@ -148,12 +148,12 @@ def _power_maps(g: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flags(
-    g: FiniteGroup, masks: np.ndarray, conjugators: np.ndarray
+    g: FiniteGroup, masks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """The kernel every block runs: members, product tables, and the
-    abelian, normal (by the given conjugators) and tag of each row."""
+    abelian, normal and tag of each row."""
     members, prod = _checked(g, masks)
-    normal = _normal(g, masks, members, conjugators)
+    normal = _normal(g, masks, members, g.generators)
     return members, prod, _abelian(prod), normal, _tags(g, members, prod)
 
 
@@ -185,27 +185,6 @@ def _tags(g: FiniteGroup, members: np.ndarray, prod: np.ndarray) -> list[str]:
     first = np.argmax(np.stack((cyclic, klein, dihedral, quaternion, np.ones(m, dtype=bool))), axis=0)
     labels = (f"cyclic({h})", "klein", f"dihedral({h})", "quaternion-like", "other")
     return [labels[i] for i in first.tolist()]
-
-
-def _close_rows(table: np.ndarray, masks: np.ndarray, identity: int) -> np.ndarray:
-    """Close every row of a block of bool masks (each holding the identity)
-    in place, all rows together, by squaring.
-
-    Each round gathers the products of every row in one call, with each
-    row's members padded to the widest row by the identity; e*x = x, so the
-    padding adds no product.  It ends when no row grows.
-    """
-    m = len(masks)
-    rows, cols = masks.nonzero()
-    while True:
-        counts = np.bincount(rows, minlength=m)
-        pad = np.full((m, counts.max()), identity, dtype=cols.dtype)
-        pad[rows, np.arange(cols.size) - (np.cumsum(counts) - counts)[rows]] = cols
-        masks[np.arange(m)[:, None, None], table[pad[:, :, None], pad[:, None, :]]] = True
-        rows, grown = masks.nonzero()
-        if grown.size == cols.size:
-            return masks
-        cols = grown
 
 
 def _hyperplanes(p: int, d: int) -> np.ndarray:
@@ -314,14 +293,13 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
     power_p, power_k = _power_maps(g, p)
     planes: dict[int, np.ndarray] = {}
     levels: list[list[tuple]] = []
-    g_basis = np.zeros(0, dtype=np.intp)  # G is normal in G whatever conjugates it
     level, h = _pack(np.ones((1, n), dtype=bool)), n
     while level:
         found: set[bytes] = set()
         records: list[tuple] = []
         maximal = itertools.repeat(len(levels) == 1)
         for keys, masks in _blocks(level, h, n):
-            members, prod, abelian, normal, tags = _flags(g, masks, g_basis)
+            members, prod, abelian, normal, tags = _flags(g, masks)
             kth = _images(n, power_k, members)
             frattini = _images(n, power_p, members) if p == 2 else kth.copy()
             powerful = abelian.copy()
@@ -331,15 +309,14 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
                 powerful[nonabelian] = _holds(kth[nonabelian], comm)
                 seed = frattini[nonabelian]
                 seed[np.arange(nonabelian.size)[:, None, None], comm] = True
-                frattini[nonabelian] = _close_rows(table, seed, g.identity)
+                frattini[nonabelian] = [_close(table, row) for row in seed]
             embedded = np.zeros(len(keys), dtype=bool)
             sizes = np.count_nonzero(frattini, axis=1)
             for size in set(sizes.tolist()):
                 rows = np.flatnonzero(sizes == size)
                 basis, below = _split(g, p, members[rows], frattini[rows], planes)
-                if h == n:
-                    g_basis = basis[0]
-                embedded[rows] = normal[rows] & _holds(kth[rows], _commutators(g, basis, g_basis))
+                commutators = _commutators(g, basis, g.generators)
+                embedded[rows] = normal[rows] & _holds(kth[rows], commutators)
                 found.update(below)
             bits = (int.from_bytes(k, "little") for k in keys)
             flags = abelian.tolist(), normal.tolist(), maximal, powerful.tolist(), embedded.tolist()
@@ -396,7 +373,6 @@ def _levels_by_extension(g: FiniteGroup) -> list[list[tuple]]:
     levels, the smallest first."""
     n = g.order
     width = (n + 7) // 8
-    conjugators = _greedy_generators(g.table, g.identity)
     maximal = _subgroups_by_extension(g)
     by_order: dict[int, list[bytes]] = {}
     for bits in maximal:
@@ -406,7 +382,7 @@ def _levels_by_extension(g: FiniteGroup) -> list[list[tuple]]:
     for h in sorted(by_order):
         records: list[tuple] = []
         for keys, masks in _blocks(_canonical(by_order[h]), h, n):
-            _, _, abelian, normal, tags = _flags(g, masks, conjugators)
+            _, _, abelian, normal, tags = _flags(g, masks)
             bits = [int.from_bytes(k, "little") for k in keys]
             flags = abelian.tolist(), normal.tolist(), map(maximal.get, bits), nothing, nothing
             records += zip(bits, *flags, tags)

@@ -4,14 +4,15 @@ reports.
 One row per catalog entry, in input order.  The CSV has a fixed column
 order (id, order, p, class, coclass, sigma, sigma_A, sigma_P, sigma_PE,
 time_ms, error); families that were not requested stay blank, infeasible
-values print as INF, and per-entry errors land in the error column without
-stopping the sweep.  Fields holding a comma (product ids, error messages)
-are quoted, as standard CSV readers expect.  The Markdown report carries a
-per-family summary plus a violations section for the chain inequality and
-the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, as verify.chain_violations and
-verify.tower_bound state them.  Subgroup monotonicity is left to the
-`monotonicity` verify suite, which checks every noncyclic proper subgroup of
-each catalog group in its range.
+values print as INF, and per-entry errors (OSError and ValueError, the
+policy of cli.main and CatalogEntry.build) land in the error column
+without stopping the sweep.  Fields holding a comma (product ids, error
+messages) are quoted, as standard CSV readers expect.  The Markdown report
+carries a per-family summary plus a violations section for the chain
+inequality and the order-2^(n+1) bound sigma_P <= 2^(n-1)+1, as
+verify.chain_violations and verify.tower_bound state them.  Subgroup
+monotonicity is left to the `monotonicity` verify suite, which checks every
+noncyclic proper subgroup of each catalog group in its range.
 
 time_ms is wall-clock and therefore varies run to run; stable_timing=True
 writes 0 there instead, making the reports byte-for-byte reproducible.
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from .cache import LatticeCache, memo_lattice
 from .catalog import CatalogEntry
 from .cover import FamilySelector, covering_number
-from .groups import GroupError, coclass, is_p_group, nilpotence_class
+from .groups import GroupError, _coclass, is_p_group, nilpotence_class
 from .verify import chain_violations, tower_bound
 
 __all__ = [
@@ -83,7 +84,10 @@ def sweep_entry(
     cache: Optional[LatticeCache] = None,
     stable_timing: bool = False,
 ) -> SweepRow:
-    """Compute one row; any error is captured in the row, not raised."""
+    """Compute one row.  A group that fails to build or to compute (an
+    OSError or ValueError, GroupError included) is recorded in the row's
+    error cell; any other exception is a fault in the program and
+    propagates."""
     t0 = time.perf_counter()
     sigmas: Dict[FamilySelector, SigmaCell] = {f: None for f in ALL_FAMILIES}
     order = p = cls = cocls = None
@@ -96,7 +100,7 @@ def sweep_entry(
             cls = nilpotence_class(g)
         except GroupError:
             cls = None
-        cocls = coclass(g) if p is not None else None
+        cocls = None if p is None else _coclass(order, cls)  # a p-group is nilpotent
         lat = memo_lattice(g, cache=cache)
         for fam in families:
             try:
@@ -106,7 +110,7 @@ def sweep_entry(
                 # p-group): leave the cell blank, keep the other columns
                 continue
             sigmas[fam] = res.size if res.optimal else "INF"
-    except Exception as e:  # keep sweeping; the row records what went wrong
+    except (OSError, ValueError) as e:  # keep sweeping; the row records what went wrong
         error = f"{type(e).__name__}: {e}"
     elapsed_ms = 0 if stable_timing else int(round((time.perf_counter() - t0) * 1000))
     return SweepRow(

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number
+from .descriptors import parse_descriptor
 from .groups import (
     FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
 )
@@ -239,12 +240,11 @@ def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> Che
     """sigma_P(G x K) = sigma_P(G) for noncyclic G and powerful K."""
     checks = []
     for left, right in _PRODUCT_CASES:
-        g = build_group(left)
-        prod = build_group(f"product:({left},{right})")
-        if max_order is not None and prod.order > max_order:
+        product = f"product:({left},{right})"
+        if max_order is not None and parse_descriptor(product).order > max_order:
             continue
-        base = sigma_of(g, FamilySelector.POWERFUL, cache)
-        both = sigma_of(prod, FamilySelector.POWERFUL, cache)
+        base = sigma_of(build_group(left), FamilySelector.POWERFUL, cache)
+        both = sigma_of(build_group(product), FamilySelector.POWERFUL, cache)
         checks.append(
             CheckResult(
                 label=f"{left} x {right}",

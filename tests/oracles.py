@@ -43,14 +43,21 @@ def subset_closure_subgroups(table: Sequence[Sequence[int]]) -> Set[FrozenSet[in
 
     Depth-first over subsets with increasing element indices; a candidate
     generator already inside the current closure is skipped, which changes
-    no closure value and bounds chains by strict growth.
+    no closure value and bounds chains by strict growth.  A closure reached
+    again from a start index no lower than on an earlier visit is not
+    walked again: the calls dfs(C, s') makes are a subset of those dfs(C, s)
+    makes for s <= s', so it would add nothing new.
     """
     n = len(table)
     identity = find_identity(table)
     base = frozenset([identity])
     found: Set[FrozenSet[int]] = {base}
+    lowest_start: Dict[FrozenSet[int], int] = {}
 
     def dfs(current: FrozenSet[int], start: int) -> None:
+        if lowest_start.get(current, n + 1) <= start:
+            return
+        lowest_start[current] = start
         for g in range(start, n):
             if g in current:
                 continue

@@ -322,6 +322,20 @@ def test_flags_match_definitions_on_heisenberg_groups(p):
     flags_match_definitions(FiniteGroup(heisenberg_table(p)))
 
 
+def test_generators_generate_and_decide_normality():
+    # g.generators is the one set of conjugators: the oracle conjugates by
+    # every element of G instead.  Its normal flag needs no prime.
+    groups = [e.build() for e in builtin_catalog(max_order=32)] + [FiniteGroup(s4_table())]
+    for g in groups:
+        table = g.table.tolist()
+        assert not g.generators.flags.writeable
+        assert closure_of(table, g.generators.tolist()) == frozenset(range(g.order)), g
+        for members in subset_closure_subgroups(table):
+            expected = subgroup_flags(table, members, 2)[1]
+            got = is_normal(g, ElementSet.from_indices(members, g.order))
+            assert got == expected, (g, sorted(members))
+
+
 def _bits(mask):
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 

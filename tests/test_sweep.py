@@ -3,6 +3,8 @@ import io
 
 import pytest
 
+import powcov.sweep
+
 from powcov.catalog import CatalogEntry, builtin_catalog
 from powcov.cover import FamilySelector
 from powcov.sweep import (
@@ -62,6 +64,27 @@ def test_bad_entry_becomes_error_row():
     assert row.order is None
     assert row.error.startswith("DescriptorError:")
     assert row.sigma is None
+
+
+def test_a_kernel_bug_propagates_out_of_the_sweep(monkeypatch):
+    # Only build and group errors (OSError, ValueError) become error cells;
+    # anything else is a fault in the program and must end the run.
+    def broken(g, cache=None):
+        raise IndexError("planted")
+
+    monkeypatch.setattr(powcov.sweep, "memo_lattice", broken)
+    with pytest.raises(IndexError, match="planted"):
+        run_sweep([CatalogEntry("d8", "dihedral:8")])
+
+
+def test_each_row_walks_the_lower_central_series_once(monkeypatch):
+    calls = []
+    walk = powcov.sweep.nilpotence_class
+    monkeypatch.setattr(powcov.sweep, "nilpotence_class", lambda g: calls.append(g) or walk(g))
+    entries = builtin_catalog(max_order=16) + [CatalogEntry("c6", "cyclic:6")]
+    rows = run_sweep(entries, stable_timing=True)
+    assert len(calls) == len(rows) == len(entries)
+    assert [(r.nilpotence_class, r.coclass) for r in rows[-1:]] == [(1, None)]
 
 
 def test_csv_shape_and_error_escaping():

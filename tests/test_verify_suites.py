@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+import powcov.verify
+
 from powcov.verify import (
     CheckResult,
     SUITE_NAMES,
@@ -92,6 +94,17 @@ def test_product_suite():
     assert len(rep.checks) == 5
     labels = " ".join(c.label for c in rep.checks)
     assert "dihedral:8" in labels and "quaternion:8" in labels
+
+
+def test_product_suite_builds_nothing_past_max_order(monkeypatch):
+    # Every product case has order at least 16, so max_order=8 keeps none,
+    # and each order is read from its descriptor, not from a built group.
+    calls = []
+    build = powcov.verify.build_group
+    monkeypatch.setattr(powcov.verify, "build_group", lambda spec: calls.append(spec) or build(spec))
+    rep = run_suite("product-powerful", max_order=8)
+    assert rep.status == "EMPTY"
+    assert calls == []
 
 
 def test_conjecture1_range():
