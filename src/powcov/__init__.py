@@ -6,128 +6,8 @@ normal, maximal, powerful, powerfully embedded), and computes exact minimum
 covers of a group by each family of proper subgroups, with verified
 witnesses.  Closed-form dihedral arithmetic, claim suites, catalog sweeps,
 and file import/export round it out; the `powcov` command exposes all of it.
+Each public name is imported from the module that defines it, e.g.
+``from powcov.groups import build_group``; importing this package loads none.
 """
 
-from .bitset import ElementSet
-from .cache import LatticeCache, memo_lattice
-from .catalog import CatalogEntry, builtin_catalog, load_catalog_file
-from .cover import (
-    CoverInstance,
-    CoverResult,
-    FamilySelector,
-    build_instance,
-    covering_number,
-    solve_exact,
-    solve_greedy,
-    verify_witness,
-)
-from .descriptors import DescriptorError, GroupDescriptor, parse_descriptor
-from .dihedral_nf import (
-    DihedralElement,
-    NFSubgroup,
-    counting_bound_check,
-    explicit_powerful_cover,
-    klein_subgroups_nf,
-    nf_embed,
-    nf_multiply,
-    nf_order,
-)
-from .fileio import (
-    FileFormatError,
-    load_cayley_file,
-    load_permutation_generators,
-    save_cayley_file,
-)
-from .groups import (
-    CapError,
-    ConstructionError,
-    FiniteGroup,
-    GroupError,
-    build_group,
-    center,
-    closure,
-    coclass,
-    commutator_subgroup,
-    direct_product,
-    is_p_group,
-    is_subgroup,
-    nilpotence_class,
-    normal_closure,
-    power_subgroup,
-    quotient_group,
-    subgroup_as_group,
-)
-from .lattice import (
-    Lattice,
-    Subgroup,
-    classify_small,
-    enumerate_subgroups,
-    is_powerful,
-    is_powerfully_embedded,
-    maximal_subgroups,
-)
-from .sweep import SweepRow, run_sweep
-from .verify import SuiteReport, run_suite
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ElementSet",
-    "LatticeCache",
-    "memo_lattice",
-    "CatalogEntry",
-    "builtin_catalog",
-    "load_catalog_file",
-    "CoverInstance",
-    "CoverResult",
-    "FamilySelector",
-    "build_instance",
-    "covering_number",
-    "solve_exact",
-    "solve_greedy",
-    "verify_witness",
-    "DescriptorError",
-    "GroupDescriptor",
-    "parse_descriptor",
-    "DihedralElement",
-    "NFSubgroup",
-    "counting_bound_check",
-    "explicit_powerful_cover",
-    "klein_subgroups_nf",
-    "nf_embed",
-    "nf_multiply",
-    "nf_order",
-    "FileFormatError",
-    "load_cayley_file",
-    "load_permutation_generators",
-    "save_cayley_file",
-    "CapError",
-    "ConstructionError",
-    "FiniteGroup",
-    "GroupError",
-    "build_group",
-    "center",
-    "closure",
-    "coclass",
-    "commutator_subgroup",
-    "direct_product",
-    "is_p_group",
-    "is_subgroup",
-    "nilpotence_class",
-    "normal_closure",
-    "power_subgroup",
-    "quotient_group",
-    "subgroup_as_group",
-    "Lattice",
-    "Subgroup",
-    "classify_small",
-    "enumerate_subgroups",
-    "is_powerful",
-    "is_powerfully_embedded",
-    "maximal_subgroups",
-    "SweepRow",
-    "run_sweep",
-    "SuiteReport",
-    "run_suite",
-    "__version__",
-]

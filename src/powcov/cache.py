@@ -6,10 +6,12 @@ tables share one lattice.  Given a directory, it also keeps each lattice in
 a JSON sidecar file named by that key, so a cache hit can never pair a
 lattice with the wrong group: renaming or re-deriving a group with the same
 table still hits, while any change to the table misses.  Serialization is
-deterministic, so a cache hit is byte-identical to what recomputation would
-store.  Each entry carries a SHA-256 digest of its subgroup records;
-corrupted, edited or version-mismatched entries are silently recomputed and
-overwritten.  I/O failures degrade to recomputation and are logged.
+deterministic and an entry holds only what the table determines (not the
+descriptor that built it), so a cache hit is byte-identical to what
+recomputation would store.  Each entry carries a SHA-256 digest of its
+subgroup records; corrupted, edited or version-mismatched entries are
+silently recomputed and overwritten.  I/O failures degrade to recomputation
+and are logged.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ __all__ = [
     "memo_lattice",
 ]
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +73,6 @@ def serialize_lattice(lat: Lattice) -> str:
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "content_key": lat.group.content_key(),
-        "descriptor": lat.group.descriptor,
         "order": lat.group.order,
         "subgroups": records,
         "subgroups_sha256": _records_digest(records),

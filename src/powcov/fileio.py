@@ -42,7 +42,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .groups import HARD_MAX_ORDER, CapError, FiniteGroup, GroupError
+from .descriptors import HARD_MAX_ORDER
+from .groups import CapError, FiniteGroup, GroupError
 
 __all__ = [
     "FileFormatError",

@@ -65,7 +65,6 @@ __all__ = [
     "nilpotence_class",
     "coclass",
     "is_p_group",
-    "HARD_MAX_ORDER",
 ]
 
 

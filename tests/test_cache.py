@@ -2,9 +2,13 @@ import json
 import logging
 import os
 
+import pytest
+
 from powcov.cache import (
     CACHE_FORMAT_VERSION,
+    CacheEntryError,
     LatticeCache,
+    _records_digest,
     default_cache_dir,
     deserialize_lattice,
     memo_lattice,
@@ -196,3 +200,50 @@ def test_flipped_flag_is_recomputed(tmp_path):
     assert [s.is_powerful for s in fresh.subgroups] == [
         s.is_powerful for s in enumerate_subgroups(g).subgroups
     ]
+
+
+def _malformed_record(doc):
+    doc["subgroups"][0]["bits"] = "not hex"
+    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
+    return json.dumps(doc)
+
+
+# Each edit reaches one refusal of deserialize_lattice, named by its message.
+REFUSED = {
+    "top level is not an object": lambda doc: json.dumps(doc["subgroups"]),
+    "content key does not match": lambda doc: serialize_lattice(
+        enumerate_subgroups(build_group("quaternion:16"))  # same order, other table
+    ),
+    "order does not match": lambda doc: json.dumps({**doc, "order": 32}),
+    "malformed subgroup record": _malformed_record,
+}
+
+
+@pytest.mark.parametrize("reason", REFUSED)
+def test_refused_entries_miss_and_are_rewritten(tmp_path, reason):
+    g = build_group("dihedral:16")
+    memo_lattice(g, LatticeCache(str(tmp_path)))
+    cache = LatticeCache(str(tmp_path))
+    path = cache.path_for(g)
+    with open(path) as fh:
+        text = REFUSED[reason](json.load(fh))
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(CacheEntryError, match=reason):
+        deserialize_lattice(text, g)
+    assert cache.get(g) is None
+    assert len(memo_lattice(g, cache)) == 19
+    with open(path) as fh:
+        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
+def test_aliases_of_one_table_write_identical_entries(tmp_path):
+    # dihedral:4 and elementary:2^2 build the same table, so share one key.
+    entries = []
+    for name, spec in (("a", "dihedral:4"), ("b", "elementary:2^2")):
+        g = build_group(spec)
+        cache = LatticeCache(str(tmp_path / name))
+        memo_lattice(g, cache)
+        with open(cache.path_for(g)) as fh:
+            entries.append((os.path.basename(cache.path_for(g)), fh.read()))
+    assert entries[0] == entries[1]

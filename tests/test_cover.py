@@ -199,6 +199,21 @@ def test_verify_witness_rejects_bad_members():
     assert not verify_witness(build_group("dihedral:8"), POW, good)
 
 
+@pytest.mark.parametrize("spec,non_pe", [("modular:32", 5), ("elementary:2^3", 0)])
+def test_verify_witness_rechecks_powerfully_embedded(spec, non_pe):
+    # The PE re-check recomputes the predicate over all of G; every subgroup of
+    # elementary:2^3 is PE, while modular:32 has proper subgroups that are not.
+    g = build_group(spec)
+    lat = enumerate_subgroups(g)
+    res = covering_number(g, PE, lat)
+    assert res.size == 3
+    assert verify_witness(g, PE, res.witness)
+    outside = [s for s in lat.subgroups if s.is_proper and not s.is_powerfully_embedded]
+    assert len(outside) == non_pe
+    for s in outside:
+        assert not verify_witness(g, PE, res.witness + (s.elements,)), s.tag
+
+
 # ----------------------------------------------------------- oracle parity
 
 @pytest.mark.parametrize(

@@ -44,6 +44,16 @@ def test_atomic_write_gives_the_mode_of_a_new_file(tmp_path, umask, mode):
     assert target.stat().st_mode & 0o777 == mode
 
 
+def test_atomic_write_failure_propagates_and_leaves_no_temp(tmp_path):
+    # os.replace cannot put a file over an existing directory.
+    target = tmp_path / "out.txt"
+    (target / "inside").mkdir(parents=True)
+    with pytest.raises(OSError):
+        atomic_write_text(str(target), "new contents\n")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert os.listdir(target) == ["inside"]
+
+
 # ------------------------------------------------------------- cayley files
 
 def test_round_trip_is_byte_stable(tmp_path):

@@ -285,6 +285,16 @@ def test_pe_implies_powerful_and_normal():
                 assert s.is_powerful and s.is_normal
 
 
+@pytest.mark.parametrize("spec", ["modular:32", "dihedral:16"])
+def test_public_pe_predicate_matches_lattice_flag(spec):
+    # The public predicate conjugates by all of G, the lattice by g.generators.
+    g = build_group(spec)
+    lat = enumerate_subgroups(g)
+    assert {s.is_powerfully_embedded for s in lat.subgroups} == {True, False}
+    for s in lat.subgroups:
+        assert is_powerfully_embedded(g, s.elements) == s.is_powerfully_embedded, s.tag
+
+
 def test_predicates_demand_p_groups():
     g = build_group("cyclic:12")
     with pytest.raises(GroupError, match="p-group"):
