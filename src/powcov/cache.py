@@ -8,10 +8,11 @@ lattice with the wrong group: renaming or re-deriving a group with the same
 table still hits, while any change to the table misses.  Serialization is
 deterministic and an entry holds only what the table determines (not the
 descriptor that built it), so a cache hit is byte-identical to what
-recomputation would store.  Each entry carries a SHA-256 digest of its
-subgroup records; corrupted, edited or version-mismatched entries are
-silently recomputed and overwritten.  I/O failures degrade to recomputation
-and are logged.
+recomputation would store.  This module owns the envelope (version, content
+key, order, SHA-256 digest of the records); Subgroup.record and from_record
+write and read each record.  Corrupted, edited or version-mismatched entries
+and impossible records are silently recomputed and overwritten.  I/O
+failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import logging
 import os
 from typing import Dict, Optional
 
-from .bitset import ElementSet
 from .fileio import atomic_write_text
 from .groups import FiniteGroup
 from .lattice import Lattice, Subgroup, enumerate_subgroups
@@ -56,20 +56,7 @@ def _records_digest(records) -> str:
 def serialize_lattice(lat: Lattice) -> str:
     """Deterministic JSON text for a lattice (stable key order, no float
     content, trailing newline)."""
-    records = [
-        {
-            "bits": format(s.elements.bits, "x"),
-            "order": s.order,
-            "proper": s.is_proper,
-            "abelian": s.is_abelian,
-            "normal": s.is_normal,
-            "maximal": s.is_maximal,
-            "powerful": s.is_powerful,
-            "powerfully_embedded": s.is_powerfully_embedded,
-            "tag": s.tag,
-        }
-        for s in lat.subgroups
-    ]
+    records = [s.record() for s in lat.subgroups]
     payload = {
         "format_version": CACHE_FORMAT_VERSION,
         "content_key": lat.group.content_key(),
@@ -86,7 +73,7 @@ class CacheEntryError(ValueError):
 
 def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
     """Rebuild a Lattice for g from cached text; raises CacheEntryError on
-    any mismatch (bad JSON, wrong version, wrong group, edited records)."""
+    any mismatch (bad JSON, wrong version, wrong group, edited or impossible records)."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
@@ -101,27 +88,13 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
         raise CacheEntryError("content key does not match the group")
     if payload.get("order") != g.order:
         raise CacheEntryError("order does not match the group")
-    if payload.get("subgroups_sha256") != _records_digest(payload.get("subgroups")):
+    records = payload.get("subgroups")
+    if payload.get("subgroups_sha256") != _records_digest(records):
         raise CacheEntryError("subgroup records do not match their digest")
-    subs = []
     try:
-        for row in payload["subgroups"]:
-            subs.append(
-                Subgroup(
-                    elements=ElementSet(int(row["bits"], 16), g.order),
-                    order=int(row["order"]),
-                    is_proper=bool(row["proper"]),
-                    is_abelian=bool(row["abelian"]),
-                    is_normal=bool(row["normal"]),
-                    is_maximal=bool(row["maximal"]),
-                    is_powerful=row["powerful"],
-                    is_powerfully_embedded=row["powerfully_embedded"],
-                    tag=str(row["tag"]),
-                )
-            )
-    except (KeyError, TypeError, ValueError) as e:
+        return Lattice(group=g, subgroups=tuple(Subgroup.from_record(row, g) for row in records))
+    except (TypeError, ValueError) as e:
         raise CacheEntryError(f"malformed subgroup record: {e}")
-    return Lattice(group=g, subgroups=tuple(subs))
 
 
 class LatticeCache:

@@ -8,8 +8,9 @@ Exit codes: 0 = success / all checks passed; 1 = a domain finding (no cover
 exists for a single query, a theorem check failed, or a conjecture
 counterexample was found); 2 = usage or data error, including a range that
 holds nothing to check, an option that no named suite reads, a catalog that
-repeats an id, and a catalog entry that verify cannot build (the other
-entries' checks still print, and stderr names the entry once).
+repeats an id, a catalog entry that verify cannot build (the other
+entries' checks still print, and stderr names the entry once), and a sigma
+witness that fails its re-check (no sigma line is printed).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import builtin_catalog, load_catalog_file, select_entries
-from .cover import FamilySelector
+from .cover import FamilySelector, verify_witness
 from .fileio import save_cayley_file
 from .groups import FiniteGroup, build_group
+from .lattice import FLAGS
 from .sweep import ALL_FAMILIES, run_sweep
 from .verify import SUITE_NAMES, SUITES, format_report, run_suite, sigma_of
 
@@ -49,6 +51,9 @@ def cmd_sigma(args) -> int:
         else:
             print(f"{family.sigma_label} = INF (no cover by this family exists)")
         return 1
+    if not verify_witness(g, family, res.witness):
+        fault = f"the {family.value} witness fails its re-check (try --no-cache)"
+        raise ValueError(f"{args.descriptor}: {fault}")
     print(f"{family.sigma_label} = {res.size}")
     print("witness:")
     for w in res.witness:
@@ -61,7 +66,7 @@ def cmd_lattice(args) -> int:
     lat = memo_lattice(g, cache=_run_cache(args))
     c = lat.counts()
     print(f"{args.descriptor}: order {g.order}, {c['subgroups']} subgroups")
-    for key in ("proper", "abelian", "normal", "maximal", "powerful", "powerfully_embedded"):
+    for key in ("proper",) + FLAGS:
         label = key.replace("_", " ")
         print(f"  {label}: {c[key]}")
     tags = Counter(s.tag for s in lat.subgroups)

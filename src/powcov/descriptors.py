@@ -19,6 +19,7 @@ is tested for a prime or P^K is formed, so no descriptor makes them hang.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -89,6 +90,7 @@ class GroupDescriptor:
         return self.canonical()
 
 
+@functools.cache  # each cache record read asks it of the group's order
 def prime_power(n: int) -> Optional[tuple[int, int]]:
     """(p, k) when n = p^k for a prime p and k >= 1, else None (1 included)."""
     if n < 2:

@@ -37,7 +37,6 @@ in breadth-first discovery order (stable for a given file).
 from __future__ import annotations
 
 import os
-import tempfile
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -64,16 +63,14 @@ class FileFormatError(GroupError):
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see a
     partially written file.  Missing parent directories are created, and the
-    file gets the mode open() would give a new one (0o666 less the umask)."""
+    file gets the mode open() would give it: os.open applies the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        umask = os.umask(0)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp created it 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -159,21 +159,15 @@ class FiniteGroup:
 
         inverses = np.argmax(table == ident, axis=1).astype(np.int32)
 
+        # No divisor check: the checks above make the table a group, so by
+        # Lagrange every element order divides n.
         orders = np.zeros(n, dtype=np.int32)
         cur = rng.copy()
         k = 1
         while (orders == 0).any():
-            hit = (cur == ident) & (orders == 0)
-            orders[hit] = k
-            if (orders != 0).all():
-                break
+            orders[(cur == ident) & (orders == 0)] = k
             cur = table[cur, rng]
             k += 1
-        if (n % orders.astype(np.int64) != 0).any():
-            bad = int(np.flatnonzero(n % orders != 0)[0])
-            raise ConstructionError(
-                f"element {bad} has order {int(orders[bad])}, not a divisor of {n}"
-            )
 
         if names is not None:
             names = tuple(str(s) for s in names)

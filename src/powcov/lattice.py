@@ -91,7 +91,9 @@ independent re-check of the lattice's flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -116,6 +118,7 @@ from .groups import (
 )
 
 __all__ = [
+    "FLAGS",
     "Subgroup",
     "Lattice",
     "enumerate_subgroups",
@@ -187,10 +190,11 @@ def _tags(g: FiniteGroup, members: np.ndarray, prod: np.ndarray) -> list[str]:
     return [labels[i] for i in first.tolist()]
 
 
+@functools.cache
 def _hyperplanes(p: int, d: int) -> np.ndarray:
-    """(p^d + 1, (p^d - 1)/(p - 1)) bool array: entry [c, h] says whether the
-    vector with base-p code c lies in hyperplane h of F_p^d.  Each
-    hyperplane is the kernel of one functional, normalised so that its
+    """(p^d + 1, (p^d - 1)/(p - 1)) read-only bool array: entry [c, h] says
+    whether the vector with base-p code c lies in hyperplane h of F_p^d.
+    Each hyperplane is the kernel of one functional, normalised so that its
     first nonzero coordinate is 1.  The last row, code p^d, marks elements
     outside K and lies in no hyperplane."""
     functionals = np.array(
@@ -203,11 +207,13 @@ def _hyperplanes(p: int, d: int) -> np.ndarray:
     ).T
     vectors = np.arange(p**d)[:, None] // p ** np.arange(d) % p
     inside = (vectors @ functionals) % p == 0
-    return np.vstack((inside, np.zeros((1, inside.shape[1]), dtype=bool)))
+    planes = np.vstack((inside, np.zeros((1, inside.shape[1]), dtype=bool)))
+    planes.setflags(write=False)
+    return planes
 
 
 def _split(
-    g: FiniteGroup, p: int, members: np.ndarray, frattini: np.ndarray, planes: dict
+    g: FiniteGroup, p: int, members: np.ndarray, frattini: np.ndarray
 ) -> tuple[np.ndarray, list[bytes]]:
     """Burnside bases (r, d) and the packed maximal subgroups of r rows K
     that share |K| and |Phi(K)|, given Phi(K) as masks.
@@ -241,9 +247,7 @@ def _split(
         cosets = g.table[span[:, :, None], np.stack(steps, axis=1)[:, None, :]]
         codes[rows[:, :, None], cosets] = codes[rows, span][:, :, None] + digits * p**i
         span = np.concatenate((span, cosets.reshape(r, -1)), axis=1)
-    if d not in planes:
-        planes[d] = _hyperplanes(p, d)
-    return basis, _pack(planes[d][codes].transpose(0, 2, 1))
+    return basis, _pack(_hyperplanes(p, d)[codes].transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +295,6 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
     n = g.order
     table = g.table
     power_p, power_k = _power_maps(g, p)
-    planes: dict[int, np.ndarray] = {}
     levels: list[list[tuple]] = []
     level, h = _pack(np.ones((1, n), dtype=bool)), n
     while level:
@@ -314,7 +317,7 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
             sizes = np.count_nonzero(frattini, axis=1)
             for size in set(sizes.tolist()):
                 rows = np.flatnonzero(sizes == size)
-                basis, below = _split(g, p, members[rows], frattini[rows], planes)
+                basis, below = _split(g, p, members[rows], frattini[rows])
                 commutators = _commutators(g, basis, g.generators)
                 embedded[rows] = normal[rows] & _holds(kth[rows], commutators)
                 found.update(below)
@@ -431,19 +434,59 @@ def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     return _tags(g, idx, prod)[0]
 
 
+# The enumeration's flags by record key; Subgroup's attribute is "is_" + key.
+FLAGS = ("abelian", "normal", "maximal", "powerful", "powerfully_embedded")
+_flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
+
+
 @dataclass(frozen=True)
 class Subgroup:
-    """One node of a subgroup lattice, with precomputed structural flags."""
+    """One node of a subgroup lattice: its members, the flags the enumeration
+    computed and its tag.  Order and properness are read off the members."""
 
     elements: ElementSet
-    order: int
-    is_proper: bool
     is_abelian: bool
     is_normal: bool
     is_maximal: bool
     is_powerful: Optional[bool]
     is_powerfully_embedded: Optional[bool]
     tag: str
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    @property
+    def is_proper(self) -> bool:
+        return len(self.elements) < self.elements.n
+
+    def record(self) -> dict:
+        """The JSON record the cache stores for this subgroup."""
+        row = {"bits": format(self.elements.bits, "x"), "order": self.order, "tag": self.tag}
+        row["proper"] = self.is_proper
+        row.update(zip(FLAGS, _flags_of(self)))
+        return row
+
+    @classmethod
+    def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
+        """The subgroup of g that a record() describes.  Raises ValueError
+        unless order and proper agree with the members, the flags are JSON
+        booleans (the powerful two null unless g is a p-group) and the tag a
+        string: the enumeration writes no other record."""
+        try:
+            elements = ElementSet(int(row["bits"], 16), g.order)
+            fields = [row[key] for key in FLAGS + ("tag",)]
+            order, proper = row["order"], row["proper"]
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"cannot read record {row!r}: {e!r}") from None
+        powerful = type(None) if is_p_group(g) is None else bool
+        if (
+            order != len(elements)
+            or proper is not (len(elements) < g.order)
+            or list(map(type, fields)) != [bool, bool, bool, powerful, powerful, str]
+        ):
+            raise ValueError(f"the enumeration writes no record {row}")
+        return cls(elements, *fields)
 
 
 @dataclass(frozen=True)
@@ -458,22 +501,10 @@ class Lattice:
         return len(self.subgroups)
 
     def counts(self) -> dict:
-        out = {
-            "subgroups": len(self.subgroups),
-            "proper": 0,
-            "abelian": 0,
-            "normal": 0,
-            "maximal": 0,
-            "powerful": 0,
-            "powerfully_embedded": 0,
-        }
-        for s in self.subgroups:
-            out["proper"] += s.is_proper
-            out["abelian"] += s.is_abelian
-            out["normal"] += s.is_normal
-            out["maximal"] += s.is_maximal
-            out["powerful"] += bool(s.is_powerful)
-            out["powerfully_embedded"] += bool(s.is_powerfully_embedded)
+        """The number of subgroups, and of those proper and with each flag."""
+        out = {"subgroups": len(self.subgroups), "proper": sum(s.is_proper for s in self.subgroups)}
+        for flag in FLAGS:
+            out[flag] = sum(bool(getattr(s, "is_" + flag)) for s in self.subgroups)
         return out
 
 
@@ -482,11 +513,9 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     p = is_p_group(g)
     levels = _levels_by_extension(g) if p is None else _levels_by_descent(g, p)[::-1]
     n = g.order
-    subgroups = []
+    subgroups: list[Subgroup] = []
     for level in levels:
-        for bits, *flags in level:
-            order = bits.bit_count()
-            subgroups.append(Subgroup(ElementSet(bits, n), order, order < n, *flags))
+        subgroups += (Subgroup(ElementSet(bits, n), *flags) for bits, *flags in level)
     return Lattice(group=g, subgroups=tuple(subgroups))
 
 

@@ -15,7 +15,7 @@ from powcov.cache import (
     serialize_lattice,
 )
 from powcov.groups import build_group
-from powcov.lattice import enumerate_subgroups
+from powcov.lattice import Subgroup, enumerate_subgroups
 
 
 def test_default_dir_honors_env(monkeypatch, tmp_path):
@@ -235,6 +235,79 @@ def test_refused_entries_miss_and_are_rewritten(tmp_path, reason):
     assert len(memo_lattice(g, cache)) == 19
     with open(path) as fh:
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
+def _proper_whole_group(records):
+    records[-1]["proper"] = True  # the canonical order puts G last
+
+
+def _powerful_no(records):
+    for row in records:
+        if row["powerful"] is False:
+            row["powerful"] = "no"  # truthy, so bool() would read it as True
+
+
+def _wrong_order(records):
+    records[1]["order"] += 1
+
+
+def _abelian_one(records):
+    records[0]["abelian"] = 1  # equal to True, but not a JSON boolean
+
+
+def _powerful_null(records):
+    records[-1]["powerful"] = None  # dihedral:16 is a p-group
+
+
+def _tag_number(records):
+    records[0]["tag"] = 1
+
+
+def _powerful_off_p_groups(records):
+    records[0]["powerful"] = True  # cyclic:6 is not a p-group
+
+
+# Records no enumeration writes, each under a recomputed digest, so that only
+# Subgroup.from_record can refuse them.
+BAD_RECORDS = {
+    "proper-whole-group": ("dihedral:16", _proper_whole_group),
+    "powerful-no": ("dihedral:16", _powerful_no),
+    "wrong-order": ("dihedral:16", _wrong_order),
+    "abelian-one": ("dihedral:16", _abelian_one),
+    "powerful-null": ("dihedral:16", _powerful_null),
+    "tag-number": ("dihedral:16", _tag_number),
+    "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORDS)
+def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
+    descriptor, edit = BAD_RECORDS[case]
+    g = build_group(descriptor)
+    memo_lattice(g, LatticeCache(str(tmp_path)))
+    cache = LatticeCache(str(tmp_path))
+    path = cache.path_for(g)
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc["subgroups"])
+    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
+    text = json.dumps(doc)
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(CacheEntryError, match="malformed subgroup record"):
+        deserialize_lattice(text, g)
+    assert cache.get(g) is None
+    memo_lattice(g, cache)
+    with open(path) as fh:
+        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
+def test_records_are_written_and_read_by_the_subgroup_alone():
+    g = build_group("semidihedral:16")
+    for s in enumerate_subgroups(g).subgroups:
+        row = json.loads(json.dumps(s.record()))
+        assert Subgroup.from_record(row, g) == s
+        assert (row["order"], row["proper"]) == (len(s.elements), len(s.elements) < 16)
 
 
 def test_aliases_of_one_table_write_identical_entries(tmp_path):

@@ -50,6 +50,56 @@ def test_sigma_ignores_an_edited_cache_entry(capsys, tmp_path):
     assert "order   9" not in second
 
 
+def _edit_cached_records(tmp_path, edit):
+    """Apply edit to the records of the one cache entry and recompute their
+    digest, so that no envelope check refuses the entry."""
+    (path,) = (tmp_path / "cache").iterdir()
+    doc = json.loads(path.read_text())
+    edit(doc["subgroups"])
+    doc["subgroups_sha256"] = powcov.cache._records_digest(doc["subgroups"])
+    path.write_text(json.dumps(doc))
+
+
+def _proper_whole_group(records):
+    records[-1]["proper"] = True  # G itself, last in canonical order
+
+
+def _powerful_no(records):
+    for row in records:
+        if row["powerful"] is False:
+            row["powerful"] = "no"
+
+
+@pytest.mark.parametrize(
+    "family, edit, answer",
+    [("all", _proper_whole_group, "sigma = 3"), ("powerful", _powerful_no, "sigma_P = 5")],
+    ids=["proper-whole-group", "powerful-no"],
+)
+def test_sigma_recomputes_a_record_the_enumeration_cannot_write(
+    capsys, tmp_path, family, edit, answer
+):
+    rc, first, _ = run(capsys, "sigma", "dihedral:16", family)
+    assert rc == 0 and first.splitlines()[0] == answer
+    _edit_cached_records(tmp_path, edit)
+    assert run(capsys, "sigma", "dihedral:16", family) == (0, first, "")
+
+
+def test_sigma_refuses_a_witness_that_fails_its_check(capsys, tmp_path):
+    # Both D8s claim to be powerful: well-typed records, so only the witness
+    # check sees that the cover they give (sigma_P = 3) is wrong.
+    run(capsys, "sigma", "dihedral:16", "powerful")
+
+    def flip(records):
+        for row in records:
+            if row["tag"] == "dihedral(8)":
+                row["powerful"] = True
+
+    _edit_cached_records(tmp_path, flip)
+    rc, out, err = run(capsys, "sigma", "dihedral:16", "powerful")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: dihedral:16: the powerful witness fails its re-check")
+
+
 def test_sigma_cyclic_is_infeasible_with_reason(capsys):
     rc, out, _ = run(capsys, "sigma", "cyclic:8", "all")
     assert rc == 1

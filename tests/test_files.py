@@ -44,6 +44,18 @@ def test_atomic_write_gives_the_mode_of_a_new_file(tmp_path, umask, mode):
     assert target.stat().st_mode & 0o777 == mode
 
 
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # The umask is process-wide: setting it, even for a moment, would change
+    # the mode of a file another thread creates meanwhile.
+    def refuse(mask):
+        raise AssertionError("atomic_write_text set the umask")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    atomic_write_text(str(tmp_path / "out.txt"), "new contents\n")
+    assert (tmp_path / "out.txt").read_text() == "new contents\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 def test_atomic_write_failure_propagates_and_leaves_no_temp(tmp_path):
     # os.replace cannot put a file over an existing directory.
     target = tmp_path / "out.txt"

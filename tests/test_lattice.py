@@ -367,6 +367,16 @@ def test_enumeration_checks_each_subgroup_once(monkeypatch):
         assert set(rows) == {s.elements.bits for s in lat.subgroups}
 
 
+def test_hyperplanes_are_built_once_and_read_only():
+    planes = lattice._hyperplanes(3, 2)
+    assert planes is lattice._hyperplanes(3, 2)
+    assert not planes.flags.writeable
+    # p + 1 = 4 lines of F_3^2, each holding p = 3 of its 9 vectors; the
+    # last row (outside K) lies in none.
+    assert planes.shape == (10, 4)
+    assert planes[:9].sum(axis=0).tolist() == [3] * 4 and not planes[9].any()
+
+
 def _block(g, *rows):
     masks = np.zeros((len(rows), g.order), dtype=bool)
     for mask, row in zip(masks, rows):
