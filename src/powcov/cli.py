@@ -22,11 +22,11 @@ from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import builtin_catalog, load_catalog_file, select_entries
-from .cover import FamilySelector, verify_witness
+from .cover import FamilySelector, sigma_of, verify_witness
 from .fileio import save_cayley_file
 from .groups import FiniteGroup, build_group
 from .lattice import FLAGS
-from .verify import SUITE_NAMES, SUITES, format_report, run_suite, sigma_of
+from .verify import SUITE_NAMES, SUITES, format_report, run_suite
 
 __all__ = ["main"]
 

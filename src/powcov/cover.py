@@ -14,17 +14,13 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .bitset import ElementSet
+from .cache import LatticeCache, memo_lattice
 from .groups import FiniteGroup, GroupError, is_abelian, is_subgroup
-from .lattice import (
-    Lattice,
-    Subgroup,
-    enumerate_subgroups,
-    is_powerful,
-    is_powerfully_embedded,
-)
+from .lattice import Lattice, Subgroup, is_powerful, is_powerfully_embedded
 
 __all__ = [
     "FamilySelector",
+    "FamilyUndefinedError",
     "CoverInstance",
     "CoverResult",
     "OPTIMAL",
@@ -33,6 +29,7 @@ __all__ = [
     "solve_greedy",
     "solve_exact",
     "covering_number",
+    "sigma_of",
     "verify_witness",
 ]
 
@@ -40,47 +37,49 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 
-class FamilySelector(Enum):
-    """Which proper subgroups may participate in a cover."""
+class FamilyUndefinedError(GroupError):
+    """The family is not defined on this group (powerful off a p-group)."""
 
-    ALL = "all"
-    ABELIAN = "abelian"
-    POWERFUL = "powerful"
-    POWERFULLY_EMBEDDED = "powerfully-embedded"
+
+class FamilySelector(Enum):
+    """Which proper subgroups may participate in a cover: the one table of a
+    family.  Each member holds its CLI name (its value) and aliases, its
+    sigma label (also its sweep CSV column), the lattice.FLAGS key that
+    admits a subgroup (None: every one) and the public predicate that
+    verify_witness re-checks a member with."""
+
+    ALL = ("all", (), "sigma", None, None)
+    ABELIAN = ("abelian", (), "sigma_A", "abelian", is_abelian)
+    POWERFUL = ("powerful", (), "sigma_P", "powerful", is_powerful)
+    POWERFULLY_EMBEDDED = (
+        "powerfully-embedded", ("pe",), "sigma_PE", "powerfully_embedded", is_powerfully_embedded
+    )
+
+    def __new__(cls, name, aliases, sigma_label, flag, predicate):
+        family = object.__new__(cls)
+        family._value_ = name
+        family.aliases = aliases
+        family.sigma_label = sigma_label
+        family.flag = flag
+        family.predicate = predicate
+        return family
 
     @classmethod
     def from_name(cls, name: str) -> "FamilySelector":
         key = name.strip().lower().replace("_", "-")
-        aliases = {"pe": cls.POWERFULLY_EMBEDDED}
-        if key in aliases:
-            return aliases[key]
         for fam in cls:
-            if fam.value == key:
+            if key == fam.value or key in fam.aliases:
                 return fam
+        aliases = ", ".join(repr(a) for fam in cls for a in fam.aliases)
         raise GroupError(f"unknown family {name!r}; expected one of "
-                         f"{[f.value for f in cls]} or 'pe'")
-
-    @property
-    def sigma_label(self) -> str:
-        return {
-            FamilySelector.ALL: "sigma",
-            FamilySelector.ABELIAN: "sigma_A",
-            FamilySelector.POWERFUL: "sigma_P",
-            FamilySelector.POWERFULLY_EMBEDDED: "sigma_PE",
-        }[self]
+                         f"{[f.value for f in cls]} or {aliases}")
 
     def admits(self, s: Subgroup) -> bool:
-        if self is FamilySelector.ALL:
+        if self.flag is None:
             return True
-        if self is FamilySelector.ABELIAN:
-            return s.is_abelian
-        flag = (
-            s.is_powerful
-            if self is FamilySelector.POWERFUL
-            else s.is_powerfully_embedded
-        )
+        flag = getattr(s, "is_" + self.flag)
         if flag is None:
-            raise GroupError(
+            raise FamilyUndefinedError(
                 f"{self.value} family is undefined: ambient group is not a p-group"
             )
         return flag
@@ -245,15 +244,16 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
     return CoverResult(OPTIMAL, best_size, members, nodes, time.perf_counter() - t0)
 
 
-def covering_number(
-    g: FiniteGroup,
-    family: FamilySelector,
-    lat: Optional[Lattice] = None,
-) -> CoverResult:
-    """sigma of g with respect to the family; Infeasible when no cover exists."""
-    if lat is None:
-        lat = enumerate_subgroups(g)
+def covering_number(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> CoverResult:
+    """sigma of g with respect to the family, solved on g's lattice lat;
+    Infeasible when no cover exists."""
     return solve_exact(build_instance(g, lat, family))
+
+
+def sigma_of(g: FiniteGroup, family: FamilySelector, cache: LatticeCache) -> CoverResult:
+    """The covering query every command answers through: the covering number
+    of g by the family, on the lattice of g that cache holds."""
+    return covering_number(g, family, memo_lattice(g, cache))
 
 
 def verify_witness(
@@ -261,7 +261,7 @@ def verify_witness(
 ) -> bool:
     """Re-check a purported cover from scratch, independent of the solver.
 
-    Each member must be a proper subgroup passing the family predicate,
+    Each member must be a proper subgroup passing the family's predicate,
     freshly recomputed, and the union must be the whole group.
     """
     union = 0
@@ -270,14 +270,7 @@ def verify_witness(
             return False
         if len(w) == g.order:
             return False
-        if family is FamilySelector.ABELIAN:
-            if not is_abelian(g, w):
-                return False
-        elif family is FamilySelector.POWERFUL:
-            if not is_powerful(g, w):
-                return False
-        elif family is FamilySelector.POWERFULLY_EMBEDDED:
-            if not is_powerfully_embedded(g, w):
-                return False
+        if family.predicate is not None and not family.predicate(g, w):
+            return False
         union |= w.bits
     return union == g.full_set().bits

@@ -50,6 +50,7 @@ __all__ = [
     "save_cayley_file",
     "load_permutation_generators",
     "atomic_write_text",
+    "check_replaceable",
     "content_lines",
 ]
 
@@ -60,10 +61,19 @@ class FileFormatError(GroupError):
     """A group file does not follow the expected layout."""
 
 
+def check_replaceable(path: str) -> None:
+    """Raise OSError if path exists and is not a regular file (a device, a
+    FIFO, a directory): a rename would replace it.  One made later is not seen."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path} exists and is not a regular file; not replacing it")
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see a
     partially written file.  Missing parent directories are created, and the
-    file gets the mode open() would give it: os.open applies the umask."""
+    file gets the mode open() would give it: os.open applies the umask.  A
+    path that check_replaceable refuses is left as it is."""
+    check_replaceable(path)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")

@@ -26,9 +26,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
-from .cache import LatticeCache, memo_lattice
+from .cache import LatticeCache
 from .catalog import CatalogEntry
-from .cover import FamilySelector, covering_number
+from .cover import FamilySelector, FamilyUndefinedError, sigma_of
 from .groups import GroupError, _coclass, is_p_group, nilpotence_class
 from .verify import chain_violations, tower_bound
 
@@ -42,21 +42,13 @@ __all__ = [
     "markdown_report",
 ]
 
-CSV_COLUMNS = (
-    "id",
-    "order",
-    "p",
-    "class",
-    "coclass",
-    "sigma",
-    "sigma_A",
-    "sigma_P",
-    "sigma_PE",
-    "time_ms",
-    "error",
-)
-
 ALL_FAMILIES = tuple(FamilySelector)
+
+CSV_COLUMNS = (
+    ("id", "order", "p", "class", "coclass")
+    + tuple(f.sigma_label for f in ALL_FAMILIES)
+    + ("time_ms", "error")
+)
 
 # int = computed minimum, "INF" = no cover exists, None = not computed
 SigmaCell = Union[int, str, None]
@@ -70,12 +62,15 @@ class SweepRow:
     p: Optional[int]
     nilpotence_class: Optional[int]
     coclass: Optional[int]
-    sigma: SigmaCell
-    sigma_a: SigmaCell
-    sigma_p: SigmaCell
-    sigma_pe: SigmaCell
+    sigmas: Dict[FamilySelector, SigmaCell]  # one cell for each of ALL_FAMILIES
     time_ms: int
     error: str
+
+    # perfbench/record_reference.py reads the cells by these names.
+    sigma = property(lambda r: r.sigmas[FamilySelector.ALL])
+    sigma_a = property(lambda r: r.sigmas[FamilySelector.ABELIAN])
+    sigma_p = property(lambda r: r.sigmas[FamilySelector.POWERFUL])
+    sigma_pe = property(lambda r: r.sigmas[FamilySelector.POWERFULLY_EMBEDDED])
 
 
 def sweep_entry(
@@ -84,11 +79,13 @@ def sweep_entry(
     cache: Optional[LatticeCache] = None,
     stable_timing: bool = False,
 ) -> SweepRow:
-    """Compute one row.  A group that fails to build or to compute (an
-    OSError or ValueError, GroupError included) is recorded in the row's
-    error cell; any other exception is a fault in the program and
-    propagates."""
+    """Compute one row, each family by one sigma_of query on cache (by
+    default a fresh memory-only LatticeCache()).  A group that fails to build
+    or to compute (an OSError or ValueError, GroupError included) is recorded
+    in the row's error cell; a family undefined on the group leaves its cell
+    blank; any other exception is a fault in the program and propagates."""
     t0 = time.perf_counter()
+    cache = LatticeCache() if cache is None else cache
     sigmas: Dict[FamilySelector, SigmaCell] = {f: None for f in ALL_FAMILIES}
     order = p = cls = cocls = None
     error = ""
@@ -101,13 +98,12 @@ def sweep_entry(
         except GroupError:
             cls = None
         cocls = None if p is None else _coclass(order, cls)  # a p-group is nilpotent
-        lat = memo_lattice(g, cache=cache)
         for fam in families:
             try:
-                res = covering_number(g, fam, lat=lat)
-            except GroupError:
-                # family undefined for this group (e.g. powerful off a
-                # p-group): leave the cell blank, keep the other columns
+                res = sigma_of(g, fam, cache)
+            except FamilyUndefinedError:
+                # powerful off a p-group: leave the cell blank, keep the
+                # other columns
                 continue
             sigmas[fam] = res.size if res.optimal else "INF"
     except (OSError, ValueError) as e:  # keep sweeping; the row records what went wrong
@@ -120,10 +116,7 @@ def sweep_entry(
         p=p,
         nilpotence_class=cls,
         coclass=cocls,
-        sigma=sigmas[FamilySelector.ALL],
-        sigma_a=sigmas[FamilySelector.ABELIAN],
-        sigma_p=sigmas[FamilySelector.POWERFUL],
-        sigma_pe=sigmas[FamilySelector.POWERFULLY_EMBEDDED],
+        sigmas=sigmas,
         time_ms=elapsed_ms,
         error=error,
     )
@@ -135,8 +128,8 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(
-        [r.id, r.order, r.p, r.nilpotence_class, r.coclass, r.sigma,
-         r.sigma_a, r.sigma_p, r.sigma_pe, r.time_ms, r.error]
+        [r.id, r.order, r.p, r.nilpotence_class, r.coclass,
+         *(r.sigmas[f] for f in ALL_FAMILIES), r.time_ms, r.error]
         for r in rows
     )
     return buf.getvalue()
@@ -162,17 +155,19 @@ def markdown_report(rows: Sequence[SweepRow]) -> str:
         lines.append(f"| {fam} | {len(rs)} | {span} | {errs} |")
 
     lines += ["", "## violations", ""]
+    all_, pow_, ab = FamilySelector.ALL, FamilySelector.POWERFUL, FamilySelector.ABELIAN
     chain, bound = [], []
     for r in rows:
-        sigma, sigma_p = _finite(r.sigma), _finite(r.sigma_p)
-        chain += [f"{r.id}: {v}" for v in chain_violations(sigma, sigma_p, _finite(r.sigma_a))[1]]
+        values = {f: _finite(r.sigmas[f]) for f in ALL_FAMILIES}
+        chain += [f"{r.id}: {v}" for v in chain_violations(values)[1]]
+        sigma, sigma_p = values[all_], values[pow_]
         # a finite sigma means a noncyclic group
         if r.p == 2 and r.order >= 8 and sigma is not None and sigma_p is not None:
-            if sigma_p > tower_bound(r.order):
-                bound.append(f"{r.id}: sigma_P {sigma_p} > bound {tower_bound(r.order)}")
+            if sigma_p > (limit := tower_bound(r.order)):
+                bound.append(f"{r.id}: {pow_.sigma_label} {sigma_p} > bound {limit}")
     sections = (
-        ("chain sigma <= sigma_P <= sigma_A", chain),
-        ("bound sigma_P <= 2^(n-1)+1 on noncyclic 2-groups", bound),
+        (f"chain {all_.sigma_label} <= {pow_.sigma_label} <= {ab.sigma_label}", chain),
+        (f"bound {pow_.sigma_label} <= 2^(n-1)+1 on noncyclic 2-groups", bound),
     )
     for title, found in sections:
         if found:
@@ -192,18 +187,25 @@ def run_sweep(
 ) -> List[SweepRow]:
     """Sweep all entries; write CSV and Markdown reports when out_csv is set.
 
-    The Markdown lands next to the CSV with the extension replaced by .md.
-    Rows come back in input order.
+    The Markdown lands next to the CSV with the extension replaced by .md;
+    if either path is not replaceable (fileio.check_replaceable), neither
+    report is written.
+    Rows come back in input order.  cache holds the run's lattices; by
+    default the sweep gets a fresh memory-only LatticeCache() of its own.
     """
+    cache = LatticeCache() if cache is None else cache
     rows = [
         sweep_entry(e, families, cache=cache, stable_timing=stable_timing)
         for e in entries
     ]
 
     if out_csv is not None:
-        from .fileio import atomic_write_text
+        from .fileio import atomic_write_text, check_replaceable
 
-        atomic_write_text(out_csv, rows_to_csv(rows))
         stem = out_csv[: -len(".csv")] if out_csv.endswith(".csv") else out_csv
-        atomic_write_text(stem + ".md", markdown_report(rows))
+        out_md = stem + ".md"
+        for path in (out_csv, out_md):  # refuse either before writing both
+            check_replaceable(path)
+        atomic_write_text(out_csv, rows_to_csv(rows))
+        atomic_write_text(out_md, markdown_report(rows))
     return rows

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
-from .cover import CoverResult, FamilySelector, covering_number
+from .cover import CoverResult, FamilySelector, sigma_of
 from .descriptors import parse_descriptor
 from .groups import (
     FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
@@ -38,7 +38,6 @@ __all__ = [
     "SUITE_NAMES",
     "run_suite",
     "format_report",
-    "sigma_of",
     "tower_bound",
     "chain_violations",
 ]
@@ -76,29 +75,24 @@ class SuiteReport:
         return "CONFIRMED-ON-RANGE" if self.passed else "COUNTEREXAMPLE"
 
 
-def sigma_of(g: FiniteGroup, family: FamilySelector, cache: Optional[LatticeCache]) -> CoverResult:
-    """The covering number of g by the family, on the lattice of g that cache holds."""
-    return covering_number(g, family, lat=memo_lattice(g, cache))
-
-
 def tower_bound(order: int) -> int:
     """2^(n-1)+1 for order 2^(n+1) >= 8: sigma_P of the dihedral group of that
     order, and the conjectured bound for every noncyclic 2-group of it."""
     return order // 4 + 1
 
 
-_CHAIN = (("sigma", "sigma_P"), ("sigma_P", "sigma_A"), ("sigma", "sigma_A"))
+_ALL, _POW, _AB = FamilySelector.ALL, FamilySelector.POWERFUL, FamilySelector.ABELIAN
+_SIGMA_P = _POW.sigma_label
+_CHAIN = ((_ALL, _POW), (_POW, _AB), (_ALL, _AB))
 
 
-def chain_violations(
-    sigma: Optional[int], sigma_p: Optional[int], sigma_a: Optional[int]
-) -> Tuple[int, List[str]]:
+def chain_violations(values: Dict[FamilySelector, Optional[int]]) -> Tuple[int, List[str]]:
     """sigma <= sigma_P <= sigma_A, compared on each pair of known values
     (None: INF or undefined).  Returns how many pairs were compared and each
     failing pair, as "sigma_P 5 > sigma_A 3"."""
-    values = {"sigma": sigma, "sigma_P": sigma_p, "sigma_A": sigma_a}
     pairs = [(a, b) for a, b in _CHAIN if values[a] is not None and values[b] is not None]
-    failed = [f"{a} {values[a]} > {b} {values[b]}" for a, b in pairs if values[a] > values[b]]
+    failed = [f"{a.sigma_label} {values[a]} > {b.sigma_label} {values[b]}"
+              for a, b in pairs if values[a] > values[b]]
     return len(pairs), failed
 
 
@@ -132,11 +126,11 @@ def _tower_check(
 ) -> CheckResult:
     """sigma_P of g against tower_bound: equal to it when exact, else at most it."""
     bound = tower_bound(g.order)
-    res = sigma_of(g, FamilySelector.POWERFUL, cache)
+    res = sigma_of(g, _POW, cache)
     ok = res.optimal and (res.size == bound if exact else res.size <= bound)
     claim = f", expected {bound}" if exact else f" <= {bound}"
     n = g.order.bit_length() - 2
-    return CheckResult(label, ok, f"{prefix}tower index n={n}: sigma_P = {_fmt(res)}{claim}")
+    return CheckResult(label, ok, f"{prefix}tower index n={n}: {_SIGMA_P} = {_fmt(res)}{claim}")
 
 
 Checks = Tuple[str, List[CheckResult]]  # a suite's scope and its checks
@@ -161,9 +155,9 @@ def suite_sigma_equals_p_plus_1(
         cyclic, p = g.is_cyclic(), is_p_group(g)
         if not cyclic and p is None:
             continue
-        sigma = _fmt(sigma_of(g, FamilySelector.ALL, cache))
+        sigma = _fmt(sigma_of(g, _ALL, cache))
         claim, expected = ("cyclic", "INF") if cyclic else (f"noncyclic p={p}", str(p + 1))
-        detail = f"{claim}: sigma = {sigma}, expected {expected}"
+        detail = f"{claim}: {_ALL.sigma_label} = {sigma}, expected {expected}"
         checks.append(CheckResult(e.id, sigma == expected, detail))
     return f"{len(checks)} catalog groups", checks
 
@@ -178,16 +172,13 @@ def suite_chain(
     for e, g in _entries(catalog, max_order):
         if g.order > 1 and is_p_group(g) is None:
             continue  # sigma_P is undefined off p-groups
-        s, sp, sa = (
-            sigma_of(g, f, cache)
-            for f in (FamilySelector.ALL, FamilySelector.POWERFUL, FamilySelector.ABELIAN)
-        )
-        compared, failed = chain_violations(*(r.size if r.optimal else None for r in (s, sp, sa)))
+        results = {f: sigma_of(g, f, cache) for f in (_ALL, _POW, _AB)}
+        compared, failed = chain_violations({f: r.size for f, r in results.items()})
         checks.append(
             CheckResult(
                 label=e.id,
                 ok=not failed if compared else None,
-                detail=f"sigma = {_fmt(s)}, sigma_P = {_fmt(sp)}, sigma_A = {_fmt(sa)}",
+                detail=", ".join(f"{f.sigma_label} = {_fmt(r)}" for f, r in results.items()),
             )
         )
     return f"{len(checks)} catalog groups", checks
@@ -206,20 +197,20 @@ def suite_quotient(
         if not e.source.startswith("dihedral:"):
             continue
         scanned += 1
-        bound = sigma_of(g, FamilySelector.POWERFUL, cache)
+        bound = sigma_of(g, _POW, cache)
         for sub in memo_lattice(g, cache).subgroups:
             if not sub.is_normal or sub.order == g.order:
                 continue
             q = quotient_group(g, sub.elements)
             if q.is_cyclic() or is_powerful(q, q.full_set()):
                 continue
-            res = sigma_of(q, FamilySelector.POWERFUL, cache)
+            res = sigma_of(q, _POW, cache)
             checks.append(
                 CheckResult(
                     label=f"{e.id} / N(order {sub.order})",
                     ok=bound.optimal and res.optimal and res.size <= bound.size,
                     detail=(
-                        f"quotient order {q.order}: sigma_P = {_fmt(res)} "
+                        f"quotient order {q.order}: {_SIGMA_P} = {_fmt(res)} "
                         f"<= {_fmt(bound)}"
                     ),
                 )
@@ -243,13 +234,13 @@ def suite_product_powerful(cache: LatticeCache, max_order: Optional[int]) -> Che
         product = f"product:({left},{right})"
         if max_order is not None and parse_descriptor(product).order > max_order:
             continue
-        base = sigma_of(build_group(left), FamilySelector.POWERFUL, cache)
-        both = sigma_of(build_group(product), FamilySelector.POWERFUL, cache)
+        base = sigma_of(build_group(left), _POW, cache)
+        both = sigma_of(build_group(product), _POW, cache)
         checks.append(
             CheckResult(
                 label=f"{left} x {right}",
                 ok=base.optimal and both.optimal and base.size == both.size,
-                detail=f"sigma_P(product) = {_fmt(both)}, sigma_P({left}) = {_fmt(base)}",
+                detail=f"{_SIGMA_P}(product) = {_fmt(both)}, {_SIGMA_P}({left}) = {_fmt(base)}",
             )
         )
     return f"{len(checks)} product instances with powerful second factor", checks
@@ -288,14 +279,15 @@ def suite_conjecture2(
 def suite_pe_d32(cache: LatticeCache) -> Checks:
     """No cover of dihedral:32 by powerfully embedded subgroups exists."""
     g = build_group("dihedral:32")
-    res = sigma_of(g, FamilySelector.POWERFULLY_EMBEDDED, cache)
-    pe = [s for s in memo_lattice(g, cache).subgroups if s.is_proper and s.is_powerfully_embedded]
+    family = FamilySelector.POWERFULLY_EMBEDDED
+    res = sigma_of(g, family, cache)
+    pe = [s for s in memo_lattice(g, cache).subgroups if s.is_proper and family.admits(s)]
     union = sum(s.order - 1 for s in pe) + 1  # crude upper bound on coverage
     check = CheckResult(
         label="dihedral:32",
         ok=res.infeasible,
         detail=(
-            f"sigma_PE = {_fmt(res)} (expected INF); "
+            f"{family.sigma_label} = {_fmt(res)} (expected INF); "
             f"{len(pe)} proper powerfully embedded subgroups cover at most "
             f"{union} of 32 elements"
         ),
@@ -319,7 +311,7 @@ def suite_monotonicity(
     for e, g in _entries(catalog, max_order):
         if g.is_cyclic() or is_p_group(g) is None:
             continue  # no cover of a cyclic group; sigma_P is undefined off p-groups
-        outer = sigma_of(g, FamilySelector.POWERFUL, cache)
+        outer = sigma_of(g, _POW, cache)
         if not outer.optimal:
             continue
         for sub in memo_lattice(g, cache).subgroups:
@@ -329,15 +321,15 @@ def suite_monotonicity(
             if h.is_cyclic():
                 continue
             scanned += 1
-            inner = sigma_of(h, FamilySelector.POWERFUL, cache)
+            inner = sigma_of(h, _POW, cache)
             if not (inner.optimal and inner.size <= outer.size):
                 checks.append(
                     CheckResult(
                         label=f"{e.id} >= subgroup of order {sub.order}",
                         ok=False,
                         detail=(
-                            f"sigma_P(subgroup) = {_fmt(inner)} > "
-                            f"sigma_P(group) = {_fmt(outer)}"
+                            f"{_SIGMA_P}(subgroup) = {_fmt(inner)} > "
+                            f"{_SIGMA_P}(group) = {_fmt(outer)}"
                         ),
                     )
                 )

@@ -12,10 +12,11 @@ from powcov.cover import (
     FamilySelector,
     build_instance,
     covering_number,
+    sigma_of,
     solve_exact,
     verify_witness,
 )
-from powcov.cache import memo_lattice
+from powcov.cache import LatticeCache, memo_lattice
 from powcov.dihedral_nf import (
     explicit_powerful_cover,
     klein_subgroups_nf,
@@ -80,12 +81,12 @@ def test_criterion_03_unrestricted_cover_sizes():
         noncyclic = int(g.element_orders.max()) < g.order
         if is_p_group(g) == 2 and noncyclic:
             two_groups_checked += 1
-            res = covering_number(g, ALL, lat=memo_lattice(g))
+            res = sigma_of(g, ALL, LatticeCache())
             if res.size != 3:
                 bad.append((entry.id, res.size))
     for spec, want in (("elementary:3^2", 4), ("elementary:5^2", 6)):
         g = build_group(spec)
-        res = covering_number(g, ALL, lat=memo_lattice(g))
+        res = sigma_of(g, ALL, LatticeCache())
         if res.size != want:
             bad.append((spec, res.size))
     ok = not bad and two_groups_checked == 32
@@ -97,7 +98,7 @@ def test_criterion_04_sigma_chain_ordering():
     violations = []
     for entry in builtin_catalog():
         g = entry.build()
-        lat = memo_lattice(g)
+        lat = memo_lattice(g, LatticeCache())
         sizes = {}
         for fam in (ALL, POW, AB):
             try:
@@ -113,7 +114,7 @@ def test_criterion_04_sigma_chain_ordering():
 
 def test_criterion_05_powerfully_embedded_infeasible_at_32():
     g = build_group("dihedral:32")
-    res = covering_number(g, PE, lat=memo_lattice(g))
+    res = sigma_of(g, PE, LatticeCache())
     report(5, "powerfully-embedded-infeasible-at-32", res.infeasible,
            f"status {res.status}")
 
@@ -124,7 +125,7 @@ def test_criterion_06_quaternion_semidihedral_range():
     for kind in ("quaternion", "semidihedral"):
         for order, want in ((16, 5), (32, 9), (64, 17)):
             g = build_group(f"{kind}:{order}")
-            res = covering_number(g, POW, lat=memo_lattice(g))
+            res = sigma_of(g, POW, LatticeCache())
             if res.size != want:
                 bad.append((f"{kind}:{order}", res.size, want))
     ok = rep.status == "CONFIRMED-ON-RANGE" and not bad
@@ -193,13 +194,13 @@ def test_criterion_09_product_and_quotient_bounds():
     bad = []
     gp = build_group("product:(dihedral:8,cyclic:2)")
     base = build_group("dihedral:8")
-    sp_product = covering_number(gp, POW, lat=memo_lattice(gp)).size
-    sp_base = covering_number(base, POW, lat=memo_lattice(base)).size
+    sp_product = sigma_of(gp, POW, LatticeCache()).size
+    sp_base = sigma_of(base, POW, LatticeCache()).size
     if not (sp_product == sp_base == 3):
         bad.append(("product", sp_product, sp_base))
     for order in (4, 8, 16, 32, 64, 128):
         g = build_group(f"dihedral:{order}")
-        lat = memo_lattice(g)
+        lat = memo_lattice(g, LatticeCache())
         sp_g = covering_number(g, POW, lat=lat).size
         for s in lat.subgroups:
             if not (s.is_normal and s.is_proper):
@@ -209,7 +210,7 @@ def test_criterion_09_product_and_quotient_bounds():
                 continue  # cyclic quotient
             if is_powerful(q, q.full_set()):
                 continue
-            sp_q = covering_number(q, POW, lat=memo_lattice(q)).size
+            sp_q = sigma_of(q, POW, LatticeCache()).size
             if sp_q is None or sp_q > sp_g:
                 bad.append((f"dihedral:{order}", s.order, sp_q, sp_g))
     report(9, "product-and-quotient-bounds", not bad, str(bad))

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -269,6 +270,27 @@ def test_sweep_builtin_small(tmp_path, capsys):
     assert out_csv.exists() and (tmp_path / "s.md").exists()
     header = out_csv.read_text().splitlines()[0]
     assert header == "id,order,p,class,coclass,sigma,sigma_A,sigma_P,sigma_PE,time_ms,error"
+
+
+def test_sweep_refuses_an_out_path_that_is_not_a_regular_file(tmp_path, capsys):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    rc, out, err = run(capsys, "sweep", "--out", str(fifo), "--max-order", "4")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {fifo} exists and is not a regular file; not replacing it\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["cache", "pipe.csv"]
+
+
+def test_sweep_writes_no_report_when_the_markdown_path_is_refused(tmp_path, capsys):
+    fifo = tmp_path / "r.md"
+    os.mkfifo(fifo)
+    rc, out, err = run(capsys, "sweep", "--out", str(tmp_path / "r.csv"), "--max-order", "4")
+    assert rc == 2
+    assert err == f"error: {fifo} exists and is not a regular file; not replacing it\n"
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["cache", "r.md"]
 
 
 def test_sweep_catalog_with_bad_entry(tmp_path, capsys):

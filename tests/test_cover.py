@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov.bitset import ElementSet
+from powcov.cache import LatticeCache
 from powcov.cover import (
     FamilySelector,
     build_instance,
     CoverInstance,
     covering_number,
+    sigma_of,
     solve_exact,
     solve_greedy,
     verify_witness,
@@ -67,13 +69,13 @@ def test_sigma_labels():
     ],
 )
 def test_covering_numbers(spec, family, size):
-    res = covering_number(build_group(spec), family)
+    res = sigma_of(build_group(spec), family, LatticeCache())
     assert res.optimal and res.size == size
 
 
 @pytest.mark.parametrize("family", [ALL, AB, POW, PE])
 def test_cyclic_groups_are_infeasible(family):
-    res = covering_number(build_group("cyclic:8"), family)
+    res = sigma_of(build_group("cyclic:8"), family, LatticeCache())
     assert res.infeasible
     assert res.size is None
     assert res.witness == ()
@@ -81,7 +83,7 @@ def test_cyclic_groups_are_infeasible(family):
 
 def test_pe_infeasible_on_d32():
     g = build_group("dihedral:32")
-    res = covering_number(g, PE)
+    res = sigma_of(g, PE, LatticeCache())
     assert res.infeasible
     # reason: only the trivial subgroup and the center are PE
     inst = build_instance(g, enumerate_subgroups(g), PE)
@@ -90,7 +92,7 @@ def test_pe_infeasible_on_d32():
 
 def test_d8_powerful_witness_members():
     g = build_group("dihedral:8")
-    res = covering_number(g, POW)
+    res = sigma_of(g, POW, LatticeCache())
     sets = {frozenset(w.indices()) for w in res.witness}
     assert sets == {
         frozenset({0, 1, 2, 3}),   # the rotation subgroup
@@ -102,7 +104,7 @@ def test_d8_powerful_witness_members():
 
 def test_d16_powerful_witness_is_rotations_plus_kleins():
     g = build_group("dihedral:16")
-    res = covering_number(g, POW)
+    res = sigma_of(g, POW, LatticeCache())
     assert res.size == 5
     assert [len(w) for w in res.witness] == [8, 4, 4, 4, 4]
     rotations = frozenset(range(8))
@@ -163,7 +165,7 @@ def test_exact_is_deterministic():
 
 
 def test_result_bookkeeping():
-    res = covering_number(build_group("dihedral:16"), POW)
+    res = sigma_of(build_group("dihedral:16"), POW, LatticeCache())
     assert res.nodes_explored > 0
     assert res.elapsed >= 0.0
     assert len(res.witness) == res.size
@@ -172,9 +174,9 @@ def test_result_bookkeeping():
 def test_family_predicate_needs_p_group():
     g = build_group("cyclic:12")
     with pytest.raises(GroupError, match="p-group"):
-        covering_number(g, POW)
+        sigma_of(g, POW, LatticeCache())
     # the unrestricted family is still fine on non-p-groups
-    assert covering_number(g, ALL).infeasible
+    assert sigma_of(g, ALL, LatticeCache()).infeasible
 
 
 # ---------------------------------------------------- witness verification

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -56,14 +57,35 @@ def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_write_cleans_up_when_the_rename_fails(tmp_path, monkeypatch):
+    def fail(src, dst):
+        assert os.path.isfile(src)  # the temp file was written
+        raise OSError("planted")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="planted"):
+        atomic_write_text(str(tmp_path / "out.txt"), "new contents\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_atomic_write_failure_propagates_and_leaves_no_temp(tmp_path):
-    # os.replace cannot put a file over an existing directory.
+    # A directory is refused before any temp file is made.
     target = tmp_path / "out.txt"
     (target / "inside").mkdir(parents=True)
     with pytest.raises(OSError):
         atomic_write_text(str(target), "new contents\n")
     assert os.listdir(tmp_path) == ["out.txt"]
     assert os.listdir(target) == ["inside"]
+
+
+def test_atomic_write_refuses_a_path_that_is_not_a_regular_file(tmp_path):
+    # Renaming over a FIFO (or a device) would replace it with a plain file.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError, match="pipe exists and is not a regular file"):
+        atomic_write_text(str(fifo), "new contents\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 # ------------------------------------------------------------- cayley files

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from powcov import lattice
 from powcov.bitset import ElementSet
 from powcov.cache import serialize_lattice
-from powcov.catalog import builtin_catalog
-from powcov.descriptors import parse_descriptor
+from powcov.catalog import builtin_catalog, entry_order
+from powcov.cover import FamilySelector, FamilyUndefinedError
+from powcov.descriptors import parse_descriptor, prime_power
 from powcov.groups import (
     FiniteGroup,
     GroupError,
@@ -285,14 +286,40 @@ def test_pe_implies_powerful_and_normal():
                 assert s.is_powerful and s.is_normal
 
 
-@pytest.mark.parametrize("spec", ["modular:32", "dihedral:16"])
+P_GROUPS_TO_32 = [e.id for e in builtin_catalog(max_order=32) if prime_power(entry_order(e))]
+
+
+@pytest.mark.parametrize("spec", P_GROUPS_TO_32)
 def test_public_pe_predicate_matches_lattice_flag(spec):
-    # The public predicate conjugates by all of G, the lattice by g.generators.
+    # Each family admits a subgroup by a lattice flag, and verify_witness
+    # re-checks it with the family's public predicate, recomputed from the
+    # members (the PE one conjugates by all of G, the lattice by g.generators).
+    # The whole group is compared too: modular:16 is the one group here that
+    # is powerful and not abelian.
     g = build_group(spec)
     lat = enumerate_subgroups(g)
-    assert {s.is_powerfully_embedded for s in lat.subgroups} == {True, False}
+    if spec in ("modular:32", "dihedral:16"):
+        assert {s.is_powerfully_embedded for s in lat.subgroups} == {True, False}
     for s in lat.subgroups:
         assert is_powerfully_embedded(g, s.elements) == s.is_powerfully_embedded, s.tag
+        for family in FamilySelector:
+            if family.predicate is not None:
+                assert family.admits(s) == family.predicate(g, s.elements), (family, s.tag)
+
+
+@pytest.mark.parametrize(
+    "family", [FamilySelector.POWERFUL, FamilySelector.POWERFULLY_EMBEDDED], ids=lambda f: f.value
+)
+def test_powerful_families_are_undefined_off_p_groups(family):
+    g = build_group("cyclic:6")
+    proper = [s for s in enumerate_subgroups(g).subgroups if s.is_proper]
+    assert proper
+    for s in proper:
+        # the sweep leaves the cell blank on this error and only on it
+        with pytest.raises(FamilyUndefinedError, match="p-group"):
+            family.admits(s)
+        with pytest.raises(GroupError, match="p-group"):
+            family.predicate(g, s.elements)
 
 
 def test_predicates_demand_p_groups():

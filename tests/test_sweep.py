@@ -3,10 +3,14 @@ import io
 
 import pytest
 
+import powcov.cache
+import powcov.cover
 import powcov.sweep
 
+from powcov.cache import LatticeCache
 from powcov.catalog import CatalogEntry, builtin_catalog
 from powcov.cover import FamilySelector
+from powcov.groups import GroupError
 from powcov.sweep import (
     ALL_FAMILIES,
     CSV_COLUMNS,
@@ -17,26 +21,29 @@ from powcov.sweep import (
 )
 
 
+ALL, AB, POW, PE = ALL_FAMILIES
+
+
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def cells(row):
+    return tuple(row.sigmas[f] for f in ALL_FAMILIES)
 
 
 def test_single_row_values():
     row = sweep_entry(CatalogEntry("d16", "dihedral:16"), stable_timing=True)
     assert row.error == ""
     assert (row.order, row.p, row.nilpotence_class, row.coclass) == (16, 2, 3, 1)
-    assert (row.sigma, row.sigma_a, row.sigma_p, row.sigma_pe) == (3, 5, 5, "INF")
+    assert cells(row) == (3, 5, 5, "INF")
+    assert (row.sigma, row.sigma_a, row.sigma_p, row.sigma_pe) == cells(row)
     assert row.time_ms == 0
 
 
 def test_cyclic_row_is_all_inf():
     row = sweep_entry(CatalogEntry("c8", "cyclic:8"), stable_timing=True)
-    assert (row.sigma, row.sigma_a, row.sigma_p, row.sigma_pe) == (
-        "INF",
-        "INF",
-        "INF",
-        "INF",
-    )
+    assert cells(row) == ("INF", "INF", "INF", "INF")
 
 
 def test_non_p_group_row():
@@ -44,9 +51,9 @@ def test_non_p_group_row():
     assert row.error == ""
     assert row.p is None and row.coclass is None
     assert row.nilpotence_class == 1  # abelian, so class 1 even off p-groups
-    assert row.sigma == "INF"
+    assert row.sigmas[ALL] == "INF"
     # powerful/PE families are undefined off p-groups: cells stay empty
-    assert row.sigma_p is None and row.sigma_pe is None
+    assert row.sigmas[POW] is None and row.sigmas[PE] is None
 
 
 def test_family_subset_leaves_cells_empty():
@@ -55,15 +62,14 @@ def test_family_subset_leaves_cells_empty():
         families=(FamilySelector.POWERFUL,),
         stable_timing=True,
     )
-    assert row.sigma is None and row.sigma_a is None
-    assert row.sigma_p == 3
+    assert cells(row) == (None, None, 3, None)
 
 
 def test_bad_entry_becomes_error_row():
     row = sweep_entry(CatalogEntry("bad", "dihedral:6"), stable_timing=True)
     assert row.order is None
     assert row.error.startswith("DescriptorError:")
-    assert row.sigma is None
+    assert cells(row) == (None, None, None, None)
 
 
 def test_a_kernel_bug_propagates_out_of_the_sweep(monkeypatch):
@@ -72,9 +78,26 @@ def test_a_kernel_bug_propagates_out_of_the_sweep(monkeypatch):
     def broken(g, cache=None):
         raise IndexError("planted")
 
-    monkeypatch.setattr(powcov.sweep, "memo_lattice", broken)
+    monkeypatch.setattr(powcov.cover, "memo_lattice", broken)
     with pytest.raises(IndexError, match="planted"):
         run_sweep([CatalogEntry("d8", "dihedral:8")])
+
+
+def test_a_lattice_error_fills_the_error_cell(monkeypatch):
+    # A GroupError from the lattice (its self-check failing) is not a family
+    # undefined on the group: the row records it once and enumerates once.
+    calls = []
+
+    def broken(g):
+        calls.append(g)
+        raise GroupError("enumerated set is not a subgroup")
+
+    monkeypatch.setattr(powcov.cache, "enumerate_subgroups", broken)
+    rows = run_sweep([CatalogEntry("d8", "dihedral:8")], stable_timing=True)
+    assert rows[0].error == "GroupError: enumerated set is not a subgroup"
+    assert cells(rows[0]) == (None, None, None, None)
+    assert len(calls) == 1
+    assert "| dihedral | 1 | 8..8 | 1 |" in markdown_report(rows)
 
 
 def test_each_row_walks_the_lower_central_series_once(monkeypatch):
@@ -128,10 +151,9 @@ def test_markdown_flags_planted_violation():
     # fabricate a chain violation: sigma above sigma_P
     from dataclasses import replace
 
-    bad = replace(good, id="planted", sigma=9, sigma_a=5)
+    bad = replace(good, id="planted", sigmas={**good.sigmas, ALL: 9, AB: 5})
     md = markdown_report([good, bad])
-    assert "planted" in md
-    assert "sigma" in md
+    assert "  - planted: sigma 9 > sigma_P 5\n  - planted: sigma 9 > sigma_A 5\n" in md
 
 
 def test_builtin_catalog_sweep_is_clean():
@@ -141,7 +163,26 @@ def test_builtin_catalog_sweep_is_clean():
     violations = md.split("## violations", 1)[1]
     assert "none" in violations
     by_id = {r.id: r for r in rows}
-    assert by_id["modular:16"].sigma_p == 3
-    assert by_id["quaternion:32"].sigma_p == 9
-    assert by_id["elementary:2^5"].sigma_p == 3
-    assert by_id["product:(dihedral:8,cyclic:2)"].sigma_p == 3
+    assert by_id["modular:16"].sigmas[POW] == 3
+    assert by_id["quaternion:32"].sigmas[POW] == 9
+    assert by_id["elementary:2^5"].sigmas[POW] == 3
+    assert by_id["product:(dihedral:8,cyclic:2)"].sigmas[POW] == 3
+
+
+@pytest.mark.parametrize("explicit", [True, False], ids=["given-cache", "default-cache"])
+def test_a_sweep_enumerates_each_lattice_once(monkeypatch, explicit):
+    # Every family is its own sigma_of query; the run's one cache must still
+    # hand all four the lattice it enumerated for the first.
+    keys = []
+    enumerate_subgroups = powcov.cache.enumerate_subgroups
+
+    def counted(g):
+        keys.append(g.content_key())
+        return enumerate_subgroups(g)
+
+    monkeypatch.setattr(powcov.cache, "enumerate_subgroups", counted)
+    entries = builtin_catalog(max_order=32)
+    given = {"cache": LatticeCache()} if explicit else {}
+    rows = run_sweep(entries, ALL_FAMILIES, stable_timing=True, **given)
+    assert all(r.error == "" for r in rows)
+    assert len(keys) == len(set(keys)) == len({e.build().content_key() for e in entries})

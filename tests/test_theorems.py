@@ -5,10 +5,9 @@ import pytest
 
 from powcov.cache import LatticeCache
 from powcov.catalog import builtin_catalog
-from powcov.cover import FamilySelector
+from powcov.cover import FamilySelector, sigma_of
 from powcov.groups import build_group, is_p_group
 from powcov.lattice import is_powerful
-from powcov.verify import sigma_of
 
 POWERFUL = FamilySelector.POWERFUL
 ABELIAN = FamilySelector.ABELIAN
