@@ -11,8 +11,10 @@ descriptor that built it), so a cache hit is byte-identical to what
 recomputation would store.  This module owns the envelope (version, content
 key, order, SHA-256 digest of the records); Subgroup.record and from_record
 write and read each record.  Corrupted, edited or version-mismatched entries
-and impossible records are silently recomputed and overwritten.  I/O
-failures degrade to recomputation and are logged.
+and impossible records are recomputed and overwritten, as is an entry whose
+subgroup counts break Frobenius' theorem (one deleted record does).  With
+the digest recomputed, p records deleted at one order or a flipped flag
+still pass.  I/O failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -102,9 +104,27 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
     if payload.get("subgroups_sha256") != _records_digest(records):
         raise CacheEntryError("subgroup records do not match their digest")
     try:
-        return Lattice(group=g, subgroups=tuple(Subgroup.from_record(row, g) for row in records))
+        lat = Lattice(group=g, subgroups=tuple(Subgroup.from_record(row, g) for row in records))
     except (TypeError, ValueError) as e:
         raise CacheEntryError(f"malformed subgroup record: {e}")
+    _check_prime_power_counts(lat)
+    return lat
+
+
+def _check_prime_power_counts(lat: Lattice) -> None:
+    """Frobenius (1895): for each p^k dividing |G|, the subgroups of order
+    p^k number 1 mod p.  Raise CacheEntryError where lat breaks that."""
+    orders = [s.order for s in lat.subgroups]
+    rest, p = lat.group.order, 2
+    while rest > 1:
+        p = p if p * p <= rest else rest
+        q = p
+        while rest % p == 0:
+            rest, count = rest // p, orders.count(q)
+            if count % p != 1:
+                raise CacheEntryError(f"{count} subgroups of order {q}, not 1 mod {p} (Frobenius)")
+            q *= p
+        p += 1
 
 
 class LatticeCache:

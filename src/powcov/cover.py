@@ -170,36 +170,27 @@ def solve_greedy(inst: CoverInstance):
 def solve_exact(inst: CoverInstance) -> CoverResult:
     """Minimum cover by deterministic branch-and-bound.
 
-    Branching picks the uncovered element lying in the fewest candidates
-    (smallest element index on ties); children are tried by descending
-    candidate size, then ascending candidate index.  The greedy size seeds
-    the bound, and nodes are cut by ceil(|uncovered| / max gain).  The
-    witness reported is the first optimum the canonical order reaches.
+    The greedy decides feasibility and seeds the bound.  Branching picks
+    the first uncovered element in an order sorted once by (owner count,
+    element); children are tried by descending size, then index.  Nodes
+    are cut by ceil(|uncovered| / max gain).  The witness reported is the
+    first optimum the canonical order reaches.
     """
     t0 = time.perf_counter()
-    universe = inst.universe.bits
-    cands = [c.bits for c in inst.candidates]
-    m = len(cands)
-
-    covered = 0
-    for c in cands:
-        covered |= c
-    if universe & ~covered:
+    greedy = solve_greedy(inst)
+    if greedy is None:
         return CoverResult(INFEASIBLE, None, (), 0, time.perf_counter() - t0)
 
+    universe = inst.universe.bits
+    cands = [c.bits for c in inst.candidates]
     sizes = [c.bit_count() for c in cands]
-    elem_cands: dict[int, list[int]] = {}
-    rest = universe
-    while rest:
-        low = rest & -rest
-        e = low.bit_length() - 1
-        rest ^= low
-        owners = [i for i in range(m) if cands[i] >> e & 1]
-        owners.sort(key=lambda i: (-sizes[i], i))
-        elem_cands[e] = owners
+    elem_cands = {
+        e: sorted((i for i, c in enumerate(cands) if c >> e & 1), key=lambda i: (-sizes[i], i))
+        for e in range(universe.bit_length())
+        if universe >> e & 1
+    }
+    branch_order = sorted(elem_cands, key=lambda e: (len(elem_cands[e]), e))
 
-    greedy = solve_greedy(inst)
-    assert greedy is not None
     best_size = greedy[0]
     best_witness: Optional[tuple[int, ...]] = None
     stack: list[int] = []
@@ -222,17 +213,7 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
         if len(stack) + need > limit:
             return
 
-        branch_e = -1
-        branch_count = m + 1
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            e = low.bit_length() - 1
-            rest ^= low
-            k = len(elem_cands[e])
-            if k < branch_count:
-                branch_count = k
-                branch_e = e
+        branch_e = next(e for e in branch_order if uncovered >> e & 1)
         for i in elem_cands[branch_e]:
             stack.append(i)
             dfs(uncovered & ~cands[i])

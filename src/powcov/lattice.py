@@ -30,22 +30,23 @@ keep it.
 A level is one block of rows of equal size h, so every step below but
 one closure is one numpy call per level rather than per subgroup.  The
 members stack as an (m, h) array M, and one gather, prod =
-table[M[:, :, None], M[:, None, :]], serves four things: the subgroup
+table[M[:, :, None], M[:, None, :]], serves three things: the subgroup
 check (each row holds the identity and is closed under the product; the
 only check any enumerated subgroup gets), the abelian flag (prod equals
-its transpose), the commutators of the nonabelian rows
-(table[inv[prod^T], prod]) and the dihedral tag.  Power images are
-scattered into (m, n) masks.  An abelian K skips closure: x -> x^p is then
-a homomorphism on K, so its image is Phi(K) = K^p.  Each nonabelian row
-closes K^p u [K, K] on its own with groups._close, the one closure
-routine, as the extension path closes each join; closing the rows
-together, each padded to the widest with the identity, measured no
-faster.  Rows are then grouped by |Phi(K)|, which fixes d, and each group
-runs the greedy basis loop (each x_i is the least member of K outside
-<Phi(K), x_1..x_{i-1}>), the coset codes in F_p^d and all its hyperplane
-preimages as batched calls.  A level is cut into chunks so that no
-temporary holds more than about _BUDGET entries; the largest, the product
-tables and the preimage stack, hold at most rows * h * n.
+its transpose) and the commutators of the nonabelian rows
+(table[inv[prod^T], prod]).  The tags read only the members' element
+orders.  Power images are scattered into (m, n) masks.  An abelian K
+skips closure: x -> x^p is then a homomorphism on K, so its image is
+Phi(K) = K^p.  Each nonabelian row closes K^p u [K, K] on its own with
+groups._close, the one closure routine, as the extension path closes
+each join; closing the rows together, each padded to the widest with the
+identity, measured no faster.  Rows are then grouped by |Phi(K)|, which
+fixes d, and each group runs the greedy basis loop (each x_i is the
+least member of K outside <Phi(K), x_1..x_{i-1}>), the coset codes in
+F_p^d and all its hyperplane preimages as batched calls.  A level is cut
+into chunks so that no temporary holds more than about _BUDGET entries;
+the largest, the product tables and the preimage stack, hold at most
+rows * h * n.
 
 Flags, from the level's data:
 
@@ -71,12 +72,11 @@ Flags, from the level's data:
   from the enumeration.  In the descent these are level 1, the subgroups of
   index p.  On the extension path, a proper H is maximal iff every join
   <H, x> it closes is G.
-* tag: dihedral(h) when two involutions a != b have a product c of order
-  h/2.  Then <c> u a<c> is a dihedral group of order h, so it is all of H,
-  provided a lies outside <c>; and it always does, because a in <c> would
-  put b = ac in <c> too, while a cyclic group has at most one involution.
-  a = b gives c = e, of order 1, while h/2 >= 2 for every h that reaches
-  the test.  So one vectorised comparison over all pairs gives the tag.
+* tag: H of order h is dihedral(h) iff it has some c of order h/2 and
+  h/2 + [4 | h] involutions.  C = <c> holds [4 | h] involutions, so all
+  h/2 elements outside C are; for a outside C and x in C, ax is one, so a
+  inverts C and H = C u aC is dihedral.  The dihedral group of order h has
+  a rotation of order h/2, and h/2 reflections plus the half-turn if 4 | h.
 
 Groups that are not p-groups get no powerful flags.  The block kernel
 (the subgroup check, the normal test and the power images) lives in
@@ -157,7 +157,7 @@ def _flags(
     abelian, normal and tag of each row."""
     members, prod = _checked(g, masks)
     normal = _normal(g, masks, members, g.generators)
-    return members, prod, _abelian(prod), normal, _tags(g, members, prod)
+    return members, prod, _abelian(prod), normal, _tags(g, members)
 
 
 def _self_commutators(g: FiniteGroup, prod: np.ndarray) -> np.ndarray:
@@ -166,24 +166,17 @@ def _self_commutators(g: FiniteGroup, prod: np.ndarray) -> np.ndarray:
     return g.table[g.inverses[prod.transpose(0, 2, 1)], prod]
 
 
-def _tags(g: FiniteGroup, members: np.ndarray, prod: np.ndarray) -> list[str]:
-    """Each row's coarse isomorphism-type tag; see classify_small."""
+def _tags(g: FiniteGroup, members: np.ndarray) -> list[str]:
+    """Each row's coarse isomorphism-type tag, from its element orders
+    alone; see classify_small and the module docstring."""
     m, h = members.shape
     if h == 1:
         return ["trivial"] * m
     orders = g.element_orders[members]
     cyclic = (orders == h).any(axis=1)
     klein = (orders <= 2).all(axis=1) & (h == 4)
-    invol = orders == 2
-    count = invol.sum(axis=1)
-    # Involutions a != b with c = ab of order h/2 generate <c> u a<c>, of
-    # order h, so all of H, and that group is dihedral.  See the module
-    # docstring for why a never lies in <c> and a = b never matches.
-    dihedral = np.zeros(m, dtype=bool)
-    test = np.flatnonzero(~cyclic & ~klein & (count > 1))
-    if test.size:
-        pairs = invol[test, :, None] & invol[test, None, :]
-        dihedral[test] = (pairs & (g.element_orders[prod[test]] == h // 2)).any(axis=(1, 2))
+    count = (orders == 2).sum(axis=1)
+    dihedral = (orders == h // 2).any(axis=1) & (count == h // 2 + (h % 4 == 0))
     quaternion = (count == 1) & (h & (h - 1) == 0)
     first = np.argmax(np.stack((cyclic, klein, dihedral, quaternion, np.ones(m, dtype=bool))), axis=0)
     labels = (f"cyclic({h})", "klein", f"dihedral({h})", "quaternion-like", "other")
@@ -426,12 +419,13 @@ def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
 def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     """Coarse isomorphism-type tag used in lattice reports.
 
-    One of "trivial", "cyclic(m)", "klein", "dihedral(m)", "quaternion-like"
-    (noncyclic 2-group with a unique involution), or "other".  m is the
-    subgroup's total order.
+    One of "trivial", "cyclic(m)", "klein", "dihedral(m)" (an element of
+    order m/2 and m/2 + [4 | m] involutions), "quaternion-like" (noncyclic
+    2-group with a unique involution), or "other", the first that fits.  m
+    is the subgroup's total order; the element orders decide the tag.
     """
-    _, idx, prod = _argument(g, members, "element set")
-    return _tags(g, idx, prod)[0]
+    _, idx, _ = _argument(g, members, "element set")
+    return _tags(g, idx)[0]
 
 
 # The enumeration's flags by record key; Subgroup's attribute is "is_" + key.

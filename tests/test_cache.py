@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+from pathlib import Path
 
 import pytest
 
@@ -226,6 +227,13 @@ def _malformed_record(doc):
     return json.dumps(doc)
 
 
+def _cyclic_8_deleted(doc):
+    # D16 has three subgroups of order 8; two break the count 1 mod 2.
+    doc["subgroups"] = [row for row in doc["subgroups"] if row["tag"] != "cyclic(8)"]
+    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
+    return json.dumps(doc)
+
+
 # Each edit reaches one refusal of deserialize_lattice, named by its message.
 REFUSED = {
     "top level is not an object": lambda doc: json.dumps(doc["subgroups"]),
@@ -234,6 +242,7 @@ REFUSED = {
     ),
     "order does not match": lambda doc: json.dumps({**doc, "order": 32}),
     "malformed subgroup record": _malformed_record,
+    "2 subgroups of order 8, not 1 mod 2": _cyclic_8_deleted,
 }
 
 
@@ -318,6 +327,21 @@ def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
     memo_lattice(g, cache)
     with open(path) as fh:
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_every_pinned_lattice_meets_the_prime_power_count():
+    # Frobenius: the subgroups of each order p^k dividing |G| number 1 mod p.
+    # Every lattice with a pinned digest (the built-in catalog and five
+    # groups that are not p-groups) and S3 pass the check, so a cache entry
+    # the enumeration wrote is never refused by it.
+    names = [*json.loads((DATA / "lattice_digests.json").read_text()), f"perm:{DATA / 's3.perm'}"]
+    for name in names:
+        g = build_group(name)
+        lat = enumerate_subgroups(g)
+        assert deserialize_lattice(serialize_lattice(lat), g) == lat, name
 
 
 def test_records_are_written_and_read_by_the_subgroup_alone():

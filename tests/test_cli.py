@@ -13,6 +13,8 @@ import powcov.cache
 import powcov.cli
 from powcov.catalog import builtin_catalog
 from powcov.cli import main
+from powcov.groups import build_group
+from powcov.lattice import enumerate_subgroups
 from powcov.sweep import CSV_COLUMNS
 from powcov.verify import SUITE_NAMES, SUITES
 
@@ -72,10 +74,19 @@ def _powerful_no(records):
             row["powerful"] = "no"
 
 
+def _cyclic_8_deleted(records):
+    records[:] = [row for row in records if row["tag"] != "cyclic(8)"]
+
+
 @pytest.mark.parametrize(
     "family, edit, answer",
-    [("all", _proper_whole_group, "sigma = 3"), ("powerful", _powerful_no, "sigma_P = 5")],
-    ids=["proper-whole-group", "powerful-no"],
+    [
+        ("all", _proper_whole_group, "sigma = 3"),
+        ("powerful", _powerful_no, "sigma_P = 5"),
+        # Without <r>, sigma_P read INF; two subgroups of order 8 are not 1 mod 2.
+        ("powerful", _cyclic_8_deleted, "sigma_P = 5"),
+    ],
+    ids=["proper-whole-group", "powerful-no", "cyclic-8-deleted"],
 )
 def test_sigma_recomputes_a_record_the_enumeration_cannot_write(
     capsys, tmp_path, family, edit, answer
@@ -84,6 +95,9 @@ def test_sigma_recomputes_a_record_the_enumeration_cannot_write(
     assert rc == 0 and first.splitlines()[0] == answer
     _edit_cached_records(tmp_path, edit)
     assert run(capsys, "sigma", "dihedral:16", family) == (0, first, "")
+    (path,) = (tmp_path / "cache").iterdir()
+    fresh = enumerate_subgroups(build_group("dihedral:16"))
+    assert path.read_text() == powcov.cache.serialize_lattice(fresh)
 
 
 def test_sigma_refuses_a_witness_that_fails_its_check(capsys, tmp_path):

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov.bitset import ElementSet
 from powcov.cache import LatticeCache
+from powcov.catalog import builtin_catalog
 from powcov.cover import (
     FamilySelector,
     build_instance,
@@ -233,6 +237,47 @@ def test_exact_matches_exhaustive_oracle(spec, family):
         assert res.infeasible
     else:
         assert res.optimal and res.size == oracle[0]
+
+
+# --------------------------------------------------------- pinned search
+
+def _searches(groups, families):
+    """[descriptor, family, status, size, nodes, witness bits in hex] of
+    every exact search, in the order given."""
+    rows = []
+    for name, g in groups:
+        lat = enumerate_subgroups(g)
+        for family in families:
+            res = solve_exact(build_instance(g, lat, family))
+            witness = [format(w.bits, "x") for w in res.witness]
+            rows.append([name, family.value, res.status, res.size, res.nodes_explored, witness])
+    return rows
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_exact_search_is_pinned_on_the_catalog():
+    # Every built-in group of order <= 64 with all four families: the 240
+    # queries of a sweep, whose 1,000 nodes are its traced cover.nodes.  The
+    # digest covers each node count and witness, so any change to the branch
+    # element or the child order fails here.
+    groups = [(e.id, e.build()) for e in builtin_catalog(max_order=64)]
+    rows = _searches(groups, list(FamilySelector))
+    assert len(rows) == 240
+    assert sum(row[4] for row in rows) == 1000
+    assert _digest(rows) == "f77a3309700c1c585dffb67c1a6e3655f54f7ff203016a97af94526fb27e7b22"
+
+
+def test_exact_search_is_pinned_on_the_tower():
+    # sigma_P of dihedral:8..512; orders up to 128 are the tower workload.
+    names = [f"dihedral:{2**k}" for k in range(3, 10)]
+    rows = _searches([(name, build_group(name)) for name in names], [POW])
+    assert [row[3] for row in rows] == [2 ** (k - 2) + 1 for k in range(3, 10)]
+    assert [row[4] for row in rows] == [4, 6, 10, 18, 34, 66, 130]
+    assert sum(row[4] for row in rows[:5]) == 72
+    assert _digest(rows) == "1c7065ebe2de0dab54f4bfe9b5aea087e87e974d18b870d7915d5c08a884a694"
 
 
 # ------------------------------------------------------------ random covers

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -659,11 +660,37 @@ def test_closure_matches_oracle(name, data):
     assert set(closure(g, seeds)) == closure_of(g.table.tolist(), seeds)
 
 
+def twisted_table(m, s):
+    """<x, y | x^m, y^2 = x^s, yx = x^-1 y> as pairs (i, j) for x^i y^j:
+    the dihedral group of order 2m at s = 0, the dicyclic one at s = m/2."""
+    elements = [(i, j) for j in range(2) for i in range(m)]
+    index = {e: k for k, e in enumerate(elements)}
+
+    def mul(u, v):
+        (i, j), (k, l) = u, v
+        return (i + (-k if j else k) + (s if j and l else 0)) % m, j ^ l
+
+    return [[index[mul(u, v)] for v in elements] for u in elements]
+
+
+S3_PERM = Path(__file__).resolve().parent / "data" / "s3.perm"
+
+# Groups where h/2 is odd or h is no power of 2: S3, two products with C3,
+# and twisted_table's dihedral (s = 0) and dicyclic (s = m/2) groups.
+TAG_DESCRIPTORS = [f"perm:{S3_PERM}", "product:(dihedral:8,cyclic:3)", "product:(dihedral:16,cyclic:3)"]
+TAG_TABLES = {f"D{2 * m}": (m, 0) for m in (3, 5, 6, 9, 10)}
+TAG_TABLES.update({f"Dic{m // 2}": (m, m // 2) for m in (6, 10)})
+
+
 def test_tags_match_the_pair_loop_oracle():
     names = [e.source for e in builtin_catalog(max_order=64)] + ["heisenberg:3", "heisenberg:5"]
-    for name in names:
-        g = _oracle_group(name)
+    groups = [(name, _oracle_group(name)) for name in names + TAG_DESCRIPTORS]
+    groups += [(name, FiniteGroup(twisted_table(*ms))) for name, ms in TAG_TABLES.items()]
+    seen = set()
+    for name, g in groups:
         table = g.table.tolist()
         orders = element_orders(table)
         for s in enumerate_subgroups(g).subgroups:
             assert s.tag == classify_oracle(table, orders, frozenset(s.elements)), (name, s.elements)
+            seen.add(s.tag)
+    assert {"dihedral(6)", "dihedral(10)", "dihedral(12)", "dihedral(18)", "dihedral(20)"} <= seen
