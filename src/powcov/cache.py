@@ -14,7 +14,8 @@ write and read each record.  Corrupted, edited or version-mismatched entries
 and impossible records are recomputed and overwritten, as is an entry whose
 subgroup counts break Frobenius' theorem (one deleted record does).  With
 the digest recomputed, p records deleted at one order or a flipped flag
-still pass.  I/O failures degrade to recomputation and are logged.
+still pass; `powcov sigma`'s answer re-checks refuse the flag, not the
+deletion.  I/O failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from .descriptors import factorize
 from .fileio import atomic_write_text
 from .groups import FiniteGroup
 from .lattice import Lattice, Subgroup, enumerate_subgroups
@@ -115,16 +117,11 @@ def _check_prime_power_counts(lat: Lattice) -> None:
     """Frobenius (1895): for each p^k dividing |G|, the subgroups of order
     p^k number 1 mod p.  Raise CacheEntryError where lat breaks that."""
     orders = [s.order for s in lat.subgroups]
-    rest, p = lat.group.order, 2
-    while rest > 1:
-        p = p if p * p <= rest else rest
-        q = p
-        while rest % p == 0:
-            rest, count = rest // p, orders.count(q)
+    for p, a in factorize(lat.group.order):
+        for q in (p**j for j in range(1, a + 1)):
+            count = orders.count(q)
             if count % p != 1:
                 raise CacheEntryError(f"{count} subgroups of order {q}, not 1 mod {p} (Frobenius)")
-            q *= p
-        p += 1
 
 
 class LatticeCache:

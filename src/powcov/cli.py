@@ -10,7 +10,7 @@ counterexample was found); 2 = usage or data error, including a range that
 holds nothing to check, an option that no named suite reads, a catalog that
 repeats an id, a catalog entry that verify cannot build (the other
 entries' checks still print, and stderr names the entry once), and a sigma
-witness that fails its re-check (no sigma line is printed).
+answer, witness or INF, that fails its re-check (no sigma line is printed).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
 from .catalog import builtin_catalog, load_catalog_file, select_entries
-from .cover import FamilySelector, sigma_of, verify_witness
+from .cover import FamilySelector, sigma_of, verify_infeasible, verify_witness
 from .fileio import save_cayley_file
 from .groups import FiniteGroup, build_group
 from .lattice import FLAGS
@@ -43,8 +43,12 @@ def _run_cache(args) -> LatticeCache:
 def cmd_sigma(args) -> int:
     g = build_group(args.descriptor)
     family = FamilySelector.from_name(args.family)
-    res = sigma_of(g, family, _run_cache(args))
+    cache = _run_cache(args)
+    res = sigma_of(g, family, cache)
     if res.infeasible:
+        if not verify_infeasible(g, family, memo_lattice(g, cache)):
+            fault = f"the {family.value} answer INF fails its re-check (try --no-cache)"
+            raise ValueError(f"{args.descriptor}: {fault}")
         if g.is_cyclic():
             print(f"{family.sigma_label} = INF (cyclic group has no proper-subgroup cover)")
         else:

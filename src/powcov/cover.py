@@ -31,6 +31,7 @@ __all__ = [
     "covering_number",
     "sigma_of",
     "verify_witness",
+    "verify_infeasible",
 ]
 
 OPTIMAL = "optimal"
@@ -46,7 +47,7 @@ class FamilySelector(Enum):
     family.  Each member holds its CLI name (its value) and aliases, its
     sigma label (also its sweep CSV column), the lattice.FLAGS key that
     admits a subgroup (None: every one) and the public predicate that
-    verify_witness re-checks a member with."""
+    verify_witness and verify_infeasible re-check with."""
 
     ALL = ("all", (), "sigma", None, None)
     ABELIAN = ("abelian", (), "sigma_A", "abelian", is_abelian)
@@ -255,3 +256,24 @@ def verify_witness(
             return False
         union |= w.bits
     return union == g.full_set().bits
+
+
+def verify_infeasible(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> bool:
+    """Re-check an INF answer independent of the solver and the cached flags.
+
+    Take the least element that no admitted proper subgroup of lat holds.
+    No proper subgroup of lat that holds it may pass the family's predicate,
+    freshly recomputed; under the all family, none may hold it.  The
+    members of lat's subgroups are trusted: a subgroup missing from lat
+    goes unseen.
+    """
+    proper = [s for s in lat.subgroups if s.is_proper]
+    missing = g.full_set().bits
+    for s in filter(family.admits, proper):
+        missing &= ~s.elements.bits
+    e = (missing & -missing).bit_length() - 1
+    return missing != 0 and not any(
+        family.predicate is None or family.predicate(g, s.elements)
+        for s in proper
+        if s.elements.bits >> e & 1
+    )

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-__all__ = ["DescriptorError", "GroupDescriptor", "parse_descriptor", "prime_power"]
+__all__ = ["DescriptorError", "GroupDescriptor", "factorize", "parse_descriptor", "prime_power"]
 
 HARD_MAX_ORDER = 512
 
@@ -90,17 +90,23 @@ class GroupDescriptor:
         return self.canonical()
 
 
-@functools.cache  # each cache record read asks it of the group's order
+@functools.cache  # each construction and cache record read asks it of the order
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """((p, a), ...) with n the product of the p^a, primes ascending; () for n < 2."""
+    factors, p = [], 2
+    while n > 1:
+        p = next((d for d in range(p, math.isqrt(n) + 1) if n % d == 0), n)
+        a = 0
+        while n % p == 0:
+            n, a = n // p, a + 1
+        factors.append((p, a))
+    return tuple(factors)
+
+
 def prime_power(n: int) -> Optional[tuple[int, int]]:
     """(p, k) when n = p^k for a prime p and k >= 1, else None (1 included)."""
-    if n < 2:
-        return None
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return (p, k) if n == 1 else None
+    factors = factorize(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def _parse_int(text: str, pos: int, what: str) -> tuple[int, int]:

@@ -26,14 +26,14 @@ the set, S <- S*S, until it stops growing.  A subgroup is generated by
 words of length at most its order, and each round doubles the length
 covered, so that takes O(log |H|) rounds of one gather each.
 
-Canonical element numbering for the built-in families puts rotation-like
-generator powers first and the reflection-type coset second:
-
-    cyclic:M        i              <->  z^i
-    2-power family  i / h+i        <->  x^i / x^i*y, order 2h, with x and y
-                                        named and related as in _TWO_COSET
-    elementary:p^k  base-p digit vectors, least significant digit first
-    product:(A,B)   (a, b)         <->  a*|B| + b
+Every built-in group but a product is built from the trivial group by
+_extension, one generator y at a time: cyclic:M is one extension with
+y^M = 1, elementary:p^k is k extensions with y^p = 1 and trivial action,
+and each 2-power family of order 2h is one of C_h with y^2 = x^sq and
+y*x*y^-1 = x^t, as in _TWO_COSET.  Extending N numbers n*y^a as
+n + |N|*a and names it n*y^a, with e dropped (z^i, r^i*s); elementary
+groups keep their base-p digit names, least significant digit first.  A
+product numbers (a, b) as a*|B| + b.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bitset import ElementSet
-from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
+from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor
+from .descriptors import factorize, prime_power
 
 __all__ = [
     "GroupError",
@@ -219,11 +220,38 @@ class FiniteGroup:
 # Constructors
 
 
-def _cyclic(m: int):
-    i = np.arange(m, dtype=np.int32)
-    table = (i[:, None] + i[None, :]) % m
-    names = ["e"] + ["z" if j == 1 else f"z^{j}" for j in range(1, m)]
-    return table, names
+# The trivial group: the base of every built-in table.
+_TRIVIAL = np.zeros((1, 1), dtype=np.int32)
+
+
+def _extension(base: np.ndarray, q: int, phi: Optional[np.ndarray], s: int) -> np.ndarray:
+    """The table of <N, y | y^q = s, y*n*y^-1 = phi(n)>, N given by its table
+    base (identity 0), phi an automorphism of N as an index array (None: the
+    identity) and s an element of N that phi fixes.  n*y^a is numbered
+    n + |N|*a: (n*y^a)(m*y^b) = n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).
+    FiniteGroup's validation refuses an inconsistent presentation.
+    """
+    size = len(base)
+    left = base[None, :, None]  # [a, n, 0, m] = n*phi^a(m); doubled, step = phi^len(left)
+    if phi is not None:
+        step = np.asarray(phi)
+        while len(left) < q:
+            left, step = np.concatenate([left, left[..., step]]), step[step]
+        left = left[:q]
+    ya = np.arange(0, q * size, size, dtype=np.int32)  # y^a is numbered |N|*a
+    yab = ya[:, None] + ya
+    if s:  # times s where a+b >= q; s = 1 changes nothing
+        left = np.where((yab >= q * size)[:, None, :, None], base[left, s], left)
+    table = left + (yab % (q * size))[:, None, :, None]
+    return table.reshape(q * size, q * size)
+
+
+def _extension_names(names: list, q: int, y: str) -> list:
+    """The names of n*y^a: n's name followed by y or y^a, e dropped when a >= 1."""
+    powers = [y if a == 1 else f"{y}^{a}" for a in range(1, q)]
+    if names == ["e"]:  # N is trivial: each name is y^a alone
+        return names + powers
+    return names + [y_a if n == "e" else f"{n}*{y_a}" for y_a in powers for n in names]
 
 
 # Each 2-power family of order 2h is <x, y | x^h = 1, y^2 = x^sq, y*x = x^t*y>:
@@ -234,40 +262,6 @@ _TWO_COSET = {
     "semidihedral": (lambda h: (h // 2 - 1, 0), "x", "y"),
     "modular": (lambda h: (h // 2 + 1, 0), "z", "t"),
 }
-
-
-def _two_coset_table(h: int, t: int, sq: int):
-    """Order-2h table for <x, y | x^h = 1, y^2 = x^sq, y*x = x^t*y>.
-
-    Indices 0..h-1 are x^i, indices h..2h-1 are x^i*y.
-    """
-    n = 2 * h
-    i = np.arange(h, dtype=np.int64)
-    table = np.zeros((n, n), dtype=np.int32)
-    rot = (i[:, None] + i[None, :]) % h
-    table[:h, :h] = rot
-    table[:h, h:] = rot + h                      # x^i * (x^j y) = x^(i+j) y
-    ref = (i[:, None] + t * i[None, :]) % h      # (x^i y) * x^j = x^(i+tj) y
-    table[h:, :h] = ref + h
-    table[h:, h:] = (ref + sq) % h               # (x^i y)(x^j y) = x^(i+tj+sq)
-    return table
-
-
-def _family_names(h: int, rot: str, ref: str):
-    names = ["e"] + [rot if j == 1 else f"{rot}^{j}" for j in range(1, h)]
-    names += [ref] + [f"{rot}*{ref}" if j == 1 else f"{rot}^{j}*{ref}" for j in range(1, h)]
-    return names
-
-
-def _elementary(p: int, k: int):
-    n = p**k
-    i = np.arange(n, dtype=np.int64)
-    digits = (i[:, None] // p ** np.arange(k)) % p          # (n, k)
-    summed = (digits[:, None, :] + digits[None, :, :]) % p  # (n, n, k)
-    table = (summed * p ** np.arange(k)).sum(axis=2).astype(np.int32)
-    sep = "" if p < 10 else "-"
-    names = [sep.join(str(d) for d in row) for row in digits]
-    return table, names
 
 
 def direct_product(a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
@@ -301,14 +295,21 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
         return direct_product(build_group(desc.params[0]), build_group(desc.params[1]))
 
     if desc.kind == "elementary":
-        table, names = _elementary(*desc.params)
+        p, k = desc.params
+        table = _TRIVIAL
+        for _ in range(k):
+            table = _extension(table, p, None, 0)
+        digits = (np.arange(p**k)[:, None] // p ** np.arange(k)) % p
+        names = [("" if p < 10 else "-").join(map(str, row)) for row in digits]
     elif desc.kind == "cyclic":
-        table, names = _cyclic(desc.params[0])
+        m = desc.params[0]
+        table, names = _extension(_TRIVIAL, m, None, 0), _extension_names(["e"], m, "z")
     else:
         relations, x, y = _TWO_COSET[desc.kind]
         h = desc.params[0] // 2
-        table = _two_coset_table(h, *relations(h))
-        names = _family_names(h, x, y)
+        t, sq = relations(h)
+        table = _extension(_extension(_TRIVIAL, h, None, 0), 2, t * np.arange(h) % h, sq % h)
+        names = _extension_names(_extension_names(["e"], h, x), 2, y)
     return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
 
@@ -489,16 +490,8 @@ def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
     """
     n = table.shape[0]
     orders = np.ones(n, dtype=np.int32)
-    rest, q = n, 2
-    while rest > 1:
-        if rest % q:
-            q += 1
-            continue
-        part = 1
-        while rest % q == 0:
-            rest //= q
-            part *= q
-        y = _power_map(table, identity, n // part)
+    for q, a in factorize(n):
+        y = _power_map(table, identity, n // q**a)
         qth = _power_map(table, identity, q)
         while (live := y != identity).any():
             orders[live] *= q

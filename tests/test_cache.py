@@ -108,7 +108,8 @@ def test_version_and_group_mismatches_miss(tmp_path):
     memo_lattice(g, cache)
     # bump the version field in place
     path = cache.path_for(g)
-    doc = json.loads(open(path).read())
+    with open(path) as fh:
+        doc = json.load(fh)
     doc["format_version"] = 99
     with open(path, "w") as fh:
         json.dump(doc, fh)

@@ -116,6 +116,22 @@ def test_sigma_refuses_a_witness_that_fails_its_check(capsys, tmp_path):
     assert err.startswith("error: dihedral:16: the powerful witness fails its re-check")
 
 
+def test_sigma_refuses_an_inf_answer_that_fails_its_check(capsys, tmp_path):
+    # <r> claims not to be powerful: no other proper subgroup holds r, so the
+    # cached flags give sigma_P = INF, which only the INF re-check refuses.
+    run(capsys, "sigma", "dihedral:16", "powerful")
+
+    def flip(records):
+        for row in records:
+            if row["tag"] == "cyclic(8)":
+                row["powerful"] = False
+
+    _edit_cached_records(tmp_path, flip)
+    rc, out, err = run(capsys, "sigma", "dihedral:16", "powerful")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: dihedral:16: the powerful answer INF fails its re-check")
+
+
 def test_sigma_cyclic_is_infeasible_with_reason(capsys):
     rc, out, _ = run(capsys, "sigma", "cyclic:8", "all")
     assert rc == 1

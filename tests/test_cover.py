@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov.bitset import ElementSet
-from powcov.cache import LatticeCache
+from powcov.cache import LatticeCache, memo_lattice
 from powcov.catalog import builtin_catalog
 from powcov.cover import (
     FamilySelector,
+    FamilyUndefinedError,
     build_instance,
     CoverInstance,
     covering_number,
     sigma_of,
     solve_exact,
     solve_greedy,
+    verify_infeasible,
     verify_witness,
 )
 from powcov.groups import GroupError, build_group
@@ -278,6 +280,23 @@ def test_exact_search_is_pinned_on_the_tower():
     assert [row[4] for row in rows] == [4, 6, 10, 18, 34, 66, 130]
     assert sum(row[4] for row in rows[:5]) == 72
     assert _digest(rows) == "1c7065ebe2de0dab54f4bfe9b5aea087e87e974d18b870d7915d5c08a884a694"
+
+
+def test_the_inf_check_passes_exactly_the_infeasible_answers():
+    # On every built-in group of order <= 32, with every family: an answer
+    # passes verify_infeasible iff the search found no cover.
+    cache = LatticeCache()
+    infeasible = 0
+    for entry in builtin_catalog(max_order=32):
+        g = entry.build()
+        for family in FamilySelector:
+            try:
+                res = sigma_of(g, family, cache)
+            except FamilyUndefinedError:  # a powerful family on cyclic:1
+                continue
+            assert verify_infeasible(g, family, memo_lattice(g, cache)) == res.infeasible
+            infeasible += res.infeasible
+    assert infeasible > 0
 
 
 # ------------------------------------------------------------ random covers

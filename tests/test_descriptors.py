@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from powcov.catalog import CatalogEntry, select_entries
 from powcov.cli import main
 from powcov.descriptors import (
-    KINDS, LEAST_ORDER, DescriptorError, GroupDescriptor, parse_descriptor, prime_power,
+    KINDS, LEAST_ORDER, DescriptorError, GroupDescriptor, factorize, parse_descriptor,
+    prime_power,
 )
 from powcov.groups import build_group
 
@@ -123,6 +124,20 @@ def test_prime_power():
     ]
     assert prime_power(1) is None and prime_power(0) is None and prime_power(12) is None
     assert prime_power(2) == (2, 1) and prime_power(81) == (3, 4) and prime_power(343) == (7, 3)
+
+
+def test_factorize_matches_brute_force():
+    primes = [p for p in range(2, 1025) if all(p % d for d in range(2, p))]
+    for n in range(1, 1025):
+        expected = []
+        for p in primes:
+            a = 0
+            while n % p**(a + 1) == 0:
+                a += 1
+            if a:
+                expected.append((p, a))
+        assert factorize(n) == tuple(expected), n
+        assert prime_power(n) == (expected[0] if len(expected) == 1 else None), n
 
 
 def test_a_huge_family_order_is_rejected_at_once():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -25,6 +27,7 @@ from powcov.groups import (
     quotient_group,
     subgroup_as_group,
 )
+from powcov.groups import _TRIVIAL, _extension
 
 from oracles import element_orders_stepwise
 
@@ -166,6 +169,45 @@ def test_element_orders_match_the_stepwise_loop():
     for source in sources:
         g = build_group(source)
         assert np.array_equal(g.element_orders, element_orders_stepwise(g.table)), source
+
+
+# Beyond the catalog: the 2-power families at the 512 cap, larger elementary
+# groups and cyclic groups whose orders have several primes.
+TABLE_EXTRAS = [
+    "dihedral:256", "dihedral:512", "quaternion:512", "semidihedral:512", "modular:512",
+    "elementary:2^9", "elementary:3^5", "elementary:7^3", "elementary:11^2",
+    "cyclic:300", "cyclic:504",
+]
+
+
+def test_every_builtin_table_and_name_list_is_pinned():
+    # (canonical descriptor, content key, names) of the 93 groups; the digest
+    # was computed before the constructors became extensions, so any change
+    # to a built-in element's number or name fails here.
+    rows = []
+    for source in [e.source for e in builtin_catalog()] + TABLE_EXTRAS:
+        g = build_group(source)
+        rows.append([g.descriptor, g.content_key(), list(g.names)])
+    assert len(rows) == 93
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "0374465240f6c79111c7dc2d57b5565dc0b88ff98cb7ab2682432605436bf96a"
+
+
+def test_an_inconsistent_extension_is_refused():
+    # y of order 3 acting on C_9 as x -> x^2: 2^3 = 8 is not 1 mod 9, so
+    # phi^3 is not conjugation by y^3 = 1 and the table is no group.
+    c9 = _extension(_TRIVIAL, 9, None, 0)
+    table = _extension(c9, 3, 2 * np.arange(9) % 9, 0)
+    with pytest.raises(ConstructionError, match=r"associativity fails at triple \(18, 9, 1\)"):
+        FiniteGroup(table)
+
+
+def test_a_consistent_extension_is_a_group():
+    # The same action on C_7 (2^3 = 8 = 1 mod 7) gives the group of order 21.
+    c7 = _extension(_TRIVIAL, 7, None, 0)
+    g = FiniteGroup(_extension(c7, 3, 2 * np.arange(7) % 7, 0))
+    assert g.order == 21 and not g.is_abelian()
+    assert sorted(int(v) for v in g.element_orders) == [1] + [3] * 14 + [7] * 6
 
 
 def test_dihedral_8_structure():

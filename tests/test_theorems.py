@@ -1,12 +1,13 @@
 """Theorems that hold at every order, used as oracles for the whole pipeline
 (table, lattice, flags, instance and solver) past the reach of brute force."""
 
+import numpy as np
 import pytest
 
 from powcov.cache import LatticeCache
 from powcov.catalog import builtin_catalog
 from powcov.cover import FamilySelector, sigma_of
-from powcov.groups import build_group, is_p_group
+from powcov.groups import FiniteGroup, _extension, build_group, is_p_group
 from powcov.lattice import is_powerful
 
 POWERFUL = FamilySelector.POWERFUL
@@ -32,6 +33,27 @@ def test_sigma_pe_is_inf_on_every_non_powerful_builtin_p_group():
         checked.append(entry.id)
         assert sigma_of(g, FamilySelector.POWERFULLY_EMBEDDED, cache).infeasible, entry.id
     assert len(checked) == 20
+
+
+def test_sigma_pe_is_inf_on_every_non_powerful_split_metacyclic_2_group():
+    """The theorem above on C_(2^a) x|_r C_(2^b), a, b >= 1, order <= 64:
+    every odd r with r^(2^b) = 1 mod 2^a, y acting on x as x -> x^r."""
+    cache = LatticeCache()
+    noncyclic = rejected = 0
+    for a in range(1, 6):
+        x = build_group(f"cyclic:{2**a}")
+        for b in range(1, 7 - a):
+            for r in range(1, 2**a, 2):
+                if pow(r, 2**b, 2**a) != 1:
+                    continue
+                g = FiniteGroup(_extension(x.table, 2**b, r * np.arange(2**a) % 2**a, 0))
+                if g.is_cyclic():
+                    continue
+                noncyclic += 1
+                if not is_powerful(g, g.full_set()):
+                    rejected += 1
+                    assert sigma_of(g, FamilySelector.POWERFULLY_EMBEDDED, cache).infeasible
+    assert (noncyclic, rejected) == (41, 18)
 
 
 # (G, K, families): G is a nonabelian p-group that is not powerful, K a
