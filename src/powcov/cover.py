@@ -49,7 +49,7 @@ class FamilySelector(Enum):
     admits a subgroup (None: every one) and the public predicate that
     verify_witness and verify_infeasible re-check with."""
 
-    ALL = ("all", (), "sigma", None, None)
+    ALL = ("all", (), "sigma", None, is_subgroup)
     ABELIAN = ("abelian", (), "sigma_A", "abelian", is_abelian)
     POWERFUL = ("powerful", (), "sigma_P", "powerful", is_powerful)
     POWERFULLY_EMBEDDED = (
@@ -248,32 +248,21 @@ def verify_witness(
     """
     union = 0
     for w in witness:
-        if w.n != g.order or not is_subgroup(g, w):
-            return False
-        if len(w) == g.order:
-            return False
-        if family.predicate is not None and not family.predicate(g, w):
+        if not is_subgroup(g, w) or len(w) == g.order or not family.predicate(g, w):
             return False
         union |= w.bits
     return union == g.full_set().bits
 
 
 def verify_infeasible(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> bool:
-    """Re-check an INF answer independent of the solver and the cached flags.
-
-    Take the least element that no admitted proper subgroup of lat holds.
-    No proper subgroup of lat that holds it may pass the family's predicate,
-    freshly recomputed; under the all family, none may hold it.  The
-    members of lat's subgroups are trusted: a subgroup missing from lat
-    goes unseen.
+    """Re-check an INF answer apart from the solver and the cached flags: no
+    proper subgroup of lat that holds the least element outside every admitted
+    one may pass the family's predicate, recomputed.  lat's members are trusted.
     """
     proper = [s for s in lat.subgroups if s.is_proper]
     missing = g.full_set().bits
     for s in filter(family.admits, proper):
         missing &= ~s.elements.bits
-    e = (missing & -missing).bit_length() - 1
-    return missing != 0 and not any(
-        family.predicate is None or family.predicate(g, s.elements)
-        for s in proper
-        if s.elements.bits >> e & 1
-    )
+    least = missing & -missing  # the least element left out, as a bit
+    holders = [s.elements for s in proper if s.elements.bits & least]
+    return least != 0 and not any(family.predicate(g, h) for h in holders)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -93,14 +94,12 @@ class GroupDescriptor:
 @functools.cache  # each construction and cache record read asks it of the order
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """((p, a), ...) with n the product of the p^a, primes ascending; () for n < 2."""
-    factors, p = [], 2
+    primes, p = [], 2  # each prime divisor of n, with multiplicity
     while n > 1:
         p = next((d for d in range(p, math.isqrt(n) + 1) if n % d == 0), n)
-        a = 0
-        while n % p == 0:
-            n, a = n // p, a + 1
-        factors.append((p, a))
-    return tuple(factors)
+        primes.append(p)
+        n //= p
+    return tuple(Counter(primes).items())
 
 
 def prime_power(n: int) -> Optional[tuple[int, int]]:

@@ -27,13 +27,11 @@ words of length at most its order, and each round doubles the length
 covered, so that takes O(log |H|) rounds of one gather each.
 
 Every built-in group but a product is built from the trivial group by
-_extension, one generator y at a time: cyclic:M is one extension with
-y^M = 1, elementary:p^k is k extensions with y^p = 1 and trivial action,
-and each 2-power family of order 2h is one of C_h with y^2 = x^sq and
-y*x*y^-1 = x^t, as in _TWO_COSET.  Extending N numbers n*y^a as
-n + |N|*a and names it n*y^a, with e dropped (z^i, r^i*s); elementary
-groups keep their base-p digit names, least significant digit first.  A
-product numbers (a, b) as a*|B| + b.
+_extension, one generator y at a time, which numbers n*y^a as n + |N|*a
+and names it n*y^a with e dropped: cyclic:M is one extension (z^i),
+elementary:p^k is k of them with trivial action (named by base-p digits,
+least significant first) and each 2-power family one of C_h, as in
+_TWO_COSET.  A product numbers (a, b) as a*|B| + b.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .bitset import ElementSet
-from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor
-from .descriptors import factorize, prime_power
+from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, factorize, parse_descriptor
 
 __all__ = [
     "GroupError",
@@ -227,20 +224,21 @@ _TRIVIAL = np.zeros((1, 1), dtype=np.int32)
 def _extension(base: np.ndarray, q: int, phi: Optional[np.ndarray], s: int) -> np.ndarray:
     """The table of <N, y | y^q = s, y*n*y^-1 = phi(n)>, N given by its table
     base (identity 0), phi an automorphism of N as an index array (None: the
-    identity) and s an element of N that phi fixes.  n*y^a is numbered
-    n + |N|*a: (n*y^a)(m*y^b) = n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).
-    FiniteGroup's validation refuses an inconsistent presentation.
+    identity, broadcast, not raised to q powers) and s an element of N that
+    phi fixes.  n*y^a is numbered n + |N|*a, and (n*y^a)(m*y^b) is
+    n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).  FiniteGroup's validation
+    refuses an inconsistent presentation.
     """
     size = len(base)
-    left = base[None, :, None]  # [a, n, 0, m] = n*phi^a(m); doubled, step = phi^len(left)
-    if phi is not None:
+    left = base[None, :, None]  # [a, n, 0, m] = n*phi^a(m)
+    if phi is not None:  # phi^0..phi^(q-1) by doubling: step is phi^len(left)
         step = np.asarray(phi)
         while len(left) < q:
             left, step = np.concatenate([left, left[..., step]]), step[step]
         left = left[:q]
     ya = np.arange(0, q * size, size, dtype=np.int32)  # y^a is numbered |N|*a
     yab = ya[:, None] + ya
-    if s:  # times s where a+b >= q; s = 1 changes nothing
+    if s:  # times s where a+b >= q; s = e (index 0) changes nothing
         left = np.where((yab >= q * size)[:, None, :, None], base[left, s], left)
     table = left + (yab % (q * size))[:, None, :, None]
     return table.reshape(q * size, q * size)
@@ -249,8 +247,6 @@ def _extension(base: np.ndarray, q: int, phi: Optional[np.ndarray], s: int) -> n
 def _extension_names(names: list, q: int, y: str) -> list:
     """The names of n*y^a: n's name followed by y or y^a, e dropped when a >= 1."""
     powers = [y if a == 1 else f"{y}^{a}" for a in range(1, q)]
-    if names == ["e"]:  # N is trivial: each name is y^a alone
-        return names + powers
     return names + [y_a if n == "e" else f"{n}*{y_a}" for y_a in powers for n in names]
 
 
@@ -598,8 +594,8 @@ def nilpotence_class(g: FiniteGroup) -> int:
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
     """The prime p when |G| = p^k with k >= 1, else None (trivial group included)."""
-    pk = prime_power(g.order)
-    return None if pk is None else pk[0]
+    factors = factorize(g.order)
+    return factors[0][0] if len(factors) == 1 else None
 
 
 def coclass(g: FiniteGroup) -> int:
@@ -613,4 +609,4 @@ def _coclass(order: int, cls: int) -> int:
     """log_p of a p-power order minus a nilpotence class: the one statement
     of the coclass, for coclass above and for the sweep, which has the
     class already."""
-    return prime_power(order)[1] - cls
+    return factorize(order)[0][1] - cls

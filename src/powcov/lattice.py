@@ -100,6 +100,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .bitset import ElementSet
+from .descriptors import factorize
 from .groups import (
     FiniteGroup,
     GroupError,
@@ -218,11 +219,7 @@ def _split(
     """
     r, h = members.shape
     span = frattini.nonzero()[1].reshape(r, -1)
-    d = 0
-    index = h // span.shape[1]
-    while index > 1:
-        index //= p
-        d += 1
+    d = dict(factorize(h // span.shape[1])).get(p, 0)  # |K : Phi(K)| = p^d
     basis = np.empty((r, d), dtype=members.dtype)
     if not d:
         return basis, []

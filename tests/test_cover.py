@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from powcov.cover import (
     verify_infeasible,
     verify_witness,
 )
-from powcov.groups import GroupError, build_group
+from powcov.groups import GroupError, build_group, is_p_group
 from powcov.lattice import enumerate_subgroups
 
 from oracles import exhaustive_min_cover
@@ -28,6 +29,7 @@ ALL = FamilySelector.ALL
 AB = FamilySelector.ABELIAN
 POW = FamilySelector.POWERFUL
 PE = FamilySelector.POWERFULLY_EMBEDDED
+S3_PERM = Path(__file__).resolve().parent / "data" / "s3.perm"
 
 
 # ---------------------------------------------------------- family selector
@@ -283,16 +285,20 @@ def test_exact_search_is_pinned_on_the_tower():
 
 
 def test_the_inf_check_passes_exactly_the_infeasible_answers():
-    # On every built-in group of order <= 32, with every family: an answer
-    # passes verify_infeasible iff the search found no cover.
+    # On every built-in group of order <= 32 and three groups that are not
+    # p-groups, with every family defined on each: an answer passes
+    # verify_infeasible iff the search found no cover.
     cache = LatticeCache()
     infeasible = 0
-    for entry in builtin_catalog(max_order=32):
-        g = entry.build()
+    groups = [entry.build() for entry in builtin_catalog(max_order=32)]
+    groups += [build_group(f"perm:{S3_PERM}"), build_group("cyclic:6"),
+               build_group("product:(dihedral:8,cyclic:3)")]
+    assert sum(g.order > 1 and is_p_group(g) is None for g in groups) == 3
+    for g in groups:
         for family in FamilySelector:
             try:
                 res = sigma_of(g, family, cache)
-            except FamilyUndefinedError:  # a powerful family on cyclic:1
+            except FamilyUndefinedError:  # a powerful family off a p-group
                 continue
             assert verify_infeasible(g, family, memo_lattice(g, cache)) == res.infeasible
             infeasible += res.infeasible

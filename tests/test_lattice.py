@@ -304,8 +304,7 @@ def test_public_pe_predicate_matches_lattice_flag(spec):
     for s in lat.subgroups:
         assert is_powerfully_embedded(g, s.elements) == s.is_powerfully_embedded, s.tag
         for family in FamilySelector:
-            if family.predicate is not None:
-                assert family.admits(s) == family.predicate(g, s.elements), (family, s.tag)
+            assert family.admits(s) == family.predicate(g, s.elements), (family, s.tag)
 
 
 @pytest.mark.parametrize(
