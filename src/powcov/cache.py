@@ -14,8 +14,10 @@ write and read each record.  Corrupted, edited or version-mismatched entries
 and impossible records are recomputed and overwritten, as is an entry whose
 subgroup counts break Frobenius' theorem (one deleted record does).  With
 the digest recomputed, p records deleted at one order or a flipped flag
-still pass; `powcov sigma`'s answer re-checks refuse the flag, not the
-deletion.  I/O failures degrade to recomputation and are logged.
+still pass.  `powcov sigma`'s re-checks refuse such an entry where it gives
+a wrong witness or a wrong INF, but not where it only inflates a finite
+answer: two klein records deleted from dihedral:16 give sigma_P = 7, not 5.
+I/O failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations

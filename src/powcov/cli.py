@@ -46,10 +46,10 @@ def cmd_sigma(args) -> int:
     cache = _run_cache(args)
     res = sigma_of(g, family, cache)
     if res.infeasible:
-        if not verify_infeasible(g, family, memo_lattice(g, cache)):
+        if res.route == "search" and not verify_infeasible(g, family, memo_lattice(g, cache)):
             fault = f"the {family.value} answer INF fails its re-check (try --no-cache)"
             raise ValueError(f"{args.descriptor}: {fault}")
-        if g.is_cyclic():
+        if res.route == "cyclic":
             print(f"{family.sigma_label} = INF (cyclic group has no proper-subgroup cover)")
         else:
             print(f"{family.sigma_label} = INF (no cover by this family exists)")

@@ -1,22 +1,22 @@
 """Minimum covers of a group by restricted families of proper subgroups.
 
-A covering-number query (sigma, sigma_A, sigma_P, sigma_PE) becomes an exact
-set-cover instance: the universe is the whole group, the candidates are the
-proper subgroups passing the family predicate, reduced by dominance.  The
-exact solver is a deterministic branch-and-bound over integer bitmasks.
+A covering-number query (sigma, sigma_A, sigma_P, sigma_PE) that the group
+alone does not answer (see sigma_of) becomes an exact set-cover instance:
+the universe is the whole group, the candidates are the proper subgroups
+passing the family predicate, reduced by dominance.  The exact solver is a
+deterministic branch-and-bound over integer bitmasks.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 from .bitset import ElementSet
 from .cache import LatticeCache, memo_lattice
-from .groups import FiniteGroup, GroupError, is_abelian, is_subgroup
-from .lattice import Lattice, Subgroup, is_powerful, is_powerfully_embedded
+from .groups import FiniteGroup, GroupError, is_abelian, is_p_group, is_subgroup
+from .lattice import Lattice, Subgroup, _subgroups_by_extension, is_powerful, is_powerfully_embedded
 
 __all__ = [
     "FamilySelector",
@@ -76,14 +76,15 @@ class FamilySelector(Enum):
                          f"{[f.value for f in cls]} or {aliases}")
 
     def admits(self, s: Subgroup) -> bool:
-        if self.flag is None:
-            return True
-        flag = getattr(s, "is_" + self.flag)
-        if flag is None:
+        return self.flag is None or getattr(s, "is_" + self.flag)
+
+    def require(self, g: FiniteGroup) -> None:
+        """Raise FamilyUndefinedError where the family is undefined on g."""
+        powerful = self.flag in ("powerful", "powerfully_embedded")
+        if powerful and g.order > 1 and is_p_group(g) is None:
             raise FamilyUndefinedError(
                 f"{self.value} family is undefined: ambient group is not a p-group"
             )
-        return flag
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,15 @@ class CoverResult:
 
     witness holds the chosen members as element sets, in the order the
     solver committed to them (the first optimum reached in canonical
-    order); it is empty when the instance is infeasible.
+    order); it is empty when the instance is infeasible.  route names the
+    step of sigma_of that answered.
     """
 
     status: str
     size: Optional[int]
     witness: tuple[ElementSet, ...]
     nodes_explored: int
-    elapsed: float
+    route: str = "search"
 
     @property
     def optimal(self) -> bool:
@@ -128,6 +130,7 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
     membership vector, which is the index order all tie-breaking downstream
     refers to.
     """
+    family.require(g)
     chosen = [s for s in reversed(lat.subgroups) if s.is_proper and family.admits(s)]
     kept: list[Subgroup] = []
     for s in chosen:
@@ -177,10 +180,9 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
     are cut by ceil(|uncovered| / max gain).  The witness reported is the
     first optimum the canonical order reaches.
     """
-    t0 = time.perf_counter()
     greedy = solve_greedy(inst)
     if greedy is None:
-        return CoverResult(INFEASIBLE, None, (), 0, time.perf_counter() - t0)
+        return CoverResult(INFEASIBLE, None, (), 0)
 
     universe = inst.universe.bits
     cands = [c.bits for c in inst.candidates]
@@ -223,7 +225,7 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
     dfs(universe)
     assert best_witness is not None
     members = tuple(inst.candidates[i] for i in best_witness)
-    return CoverResult(OPTIMAL, best_size, members, nodes, time.perf_counter() - t0)
+    return CoverResult(OPTIMAL, best_size, members, nodes)
 
 
 def covering_number(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> CoverResult:
@@ -233,8 +235,17 @@ def covering_number(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> Cov
 
 
 def sigma_of(g: FiniteGroup, family: FamilySelector, cache: LatticeCache) -> CoverResult:
-    """The covering query every command answers through: the covering number
-    of g by the family, on the lattice of g that cache holds."""
+    """The covering query every command answers through, settled in this
+    order: the family must be defined on g; a cyclic group, a union of no
+    proper subgroups, is INF (route "cyclic"); powerfully embedded subgroups
+    generate one (Lubotzky & Mann 1987), so sigma_PE of a p-group that is not
+    powerful is INF ("not powerful"); only the rest reads g's lattice from
+    cache, for the search ("search")."""
+    family.require(g)
+    if g.is_cyclic():
+        return CoverResult(INFEASIBLE, None, (), 0, "cyclic")
+    if family is FamilySelector.POWERFULLY_EMBEDDED and not is_powerful(g, g.full_set()):
+        return CoverResult(INFEASIBLE, None, (), 0, "not powerful")
     return covering_number(g, family, memo_lattice(g, cache))
 
 
@@ -255,14 +266,16 @@ def verify_witness(
 
 
 def verify_infeasible(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> bool:
-    """Re-check an INF answer apart from the solver and the cached flags: no
-    proper subgroup of lat that holds the least element outside every admitted
-    one may pass the family's predicate, recomputed.  lat's members are trusted.
+    """Re-check a search's INF answer apart from the solver and the cache: the
+    least element x outside every admitted proper subgroup of lat must lie in
+    no proper subgroup that passes the family's predicate, recomputed.  The
+    subgroups that hold x are found afresh from g's table, not from lat.
     """
-    proper = [s for s in lat.subgroups if s.is_proper]
-    missing = g.full_set().bits
-    for s in filter(family.admits, proper):
-        missing &= ~s.elements.bits
-    least = missing & -missing  # the least element left out, as a bit
-    holders = [s.elements for s in proper if s.elements.bits & least]
-    return least != 0 and not any(family.predicate(g, h) for h in holders)
+    whole = missing = g.full_set().bits
+    for s in lat.subgroups:
+        if s.is_proper and family.admits(s):
+            missing &= ~s.elements.bits
+    if not missing:
+        return False
+    holders = _subgroups_by_extension(g, (missing & -missing).bit_length() - 1)
+    return not any(family.predicate(g, ElementSet(h, g.order)) for h in holders if h != whole)

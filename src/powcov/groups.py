@@ -221,21 +221,19 @@ class FiniteGroup:
 _TRIVIAL = np.zeros((1, 1), dtype=np.int32)
 
 
-def _extension(base: np.ndarray, q: int, phi: Optional[np.ndarray], s: int) -> np.ndarray:
+def _extension(base: np.ndarray, q: int, phi: Sequence[int], s: int) -> np.ndarray:
     """The table of <N, y | y^q = s, y*n*y^-1 = phi(n)>, N given by its table
-    base (identity 0), phi an automorphism of N as an index array (None: the
-    identity, broadcast, not raised to q powers) and s an element of N that
-    phi fixes.  n*y^a is numbered n + |N|*a, and (n*y^a)(m*y^b) is
-    n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).  FiniteGroup's validation
-    refuses an inconsistent presentation.
+    base (identity 0), phi an automorphism of N as an index array and s an
+    element of N that phi fixes.  n*y^a is numbered n + |N|*a, and
+    (n*y^a)(m*y^b) is n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).
+    FiniteGroup's validation refuses an inconsistent presentation.
     """
     size = len(base)
     left = base[None, :, None]  # [a, n, 0, m] = n*phi^a(m)
-    if phi is not None:  # phi^0..phi^(q-1) by doubling: step is phi^len(left)
-        step = np.asarray(phi)
-        while len(left) < q:
-            left, step = np.concatenate([left, left[..., step]]), step[step]
-        left = left[:q]
+    step = np.asarray(phi)  # phi^0..phi^(q-1) by doubling: step is phi^len(left)
+    while len(left) < q:
+        left, step = np.concatenate([left, left[..., step]]), step[step]
+    left = left[:q]
     ya = np.arange(0, q * size, size, dtype=np.int32)  # y^a is numbered |N|*a
     yab = ya[:, None] + ya
     if s:  # times s where a+b >= q; s = e (index 0) changes nothing
@@ -294,17 +292,17 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
         p, k = desc.params
         table = _TRIVIAL
         for _ in range(k):
-            table = _extension(table, p, None, 0)
+            table = _extension(table, p, range(len(table)), 0)
         digits = (np.arange(p**k)[:, None] // p ** np.arange(k)) % p
         names = [("" if p < 10 else "-").join(map(str, row)) for row in digits]
     elif desc.kind == "cyclic":
         m = desc.params[0]
-        table, names = _extension(_TRIVIAL, m, None, 0), _extension_names(["e"], m, "z")
+        table, names = _extension(_TRIVIAL, m, [0], 0), _extension_names(["e"], m, "z")
     else:
         relations, x, y = _TWO_COSET[desc.kind]
         h = desc.params[0] // 2
         t, sq = relations(h)
-        table = _extension(_extension(_TRIVIAL, h, None, 0), 2, t * np.arange(h) % h, sq % h)
+        table = _extension(_extension(_TRIVIAL, h, [0], 0), 2, t * np.arange(h) % h, sq % h)
         names = _extension_names(_extension_names(["e"], h, x), 2, y)
     return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 

@@ -325,14 +325,14 @@ def _with(mask: np.ndarray, x: int) -> np.ndarray:
     return mask
 
 
-def _subgroups_by_extension(g: FiniteGroup) -> dict[int, bool]:
-    """{bitmask: maximal} for every subgroup of any finite group, by cyclic
-    extension.
+def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int, bool]:
+    """{bitmask: maximal} for every subgroup of any finite group that holds
+    <x> (by default every subgroup), by cyclic extension from <x>.
 
-    <H, x> depends only on <x>, so each subgroup is extended by one
-    generator of each cyclic subgroup outside it.  A subgroup K strictly
-    between H and G holds such a generator, and <H, x> <= K < G for it; so
-    a proper H is maximal iff every <H, x> it closes is G.
+    For H >= <x>, <H, y> depends only on <x, y>, so each subgroup is
+    extended by one y for each <x, y> outside it.  A subgroup K strictly
+    between H and G holds such a y, and <H, y> <= K < G for it; so a proper
+    H is maximal iff every <H, y> it closes is G.
     """
     n = g.order
     table = g.table
@@ -347,13 +347,13 @@ def _subgroups_by_extension(g: FiniteGroup) -> dict[int, bool]:
         queue.append((bits, mask))
         return True
 
-    seed = np.zeros(n, dtype=bool)
-    seed[g.identity] = True
+    seed = _with(np.zeros(n, dtype=bool), g.identity)
+    seed = seed if x is None else _close(table, _with(seed, x))
     admit(seed)
-    generators = [x for x in range(n) if admit(_close(table, _with(seed, x)))]
+    generators = [y for y in range(n) if admit(_close(table, _with(seed, y)))]
 
     for bits, mask in queue:  # the queue grows while it is walked
-        joins = [_close(table, _with(mask, x)) for x in generators if not mask[x]]
+        joins = [_close(table, _with(mask, y)) for y in generators if not mask[y]]
         maximal[bits] = bool(joins) and all(join.all() for join in joins)
         for join in joins:
             admit(join)

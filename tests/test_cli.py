@@ -132,6 +132,23 @@ def test_sigma_refuses_an_inf_answer_that_fails_its_check(capsys, tmp_path):
     assert err.startswith("error: dihedral:16: the powerful answer INF fails its re-check")
 
 
+def test_sigma_refuses_an_inf_answer_from_deleted_records(capsys, tmp_path):
+    # Deleting <r> and one D8 leaves one subgroup of order 8, 1 mod 2 as
+    # Frobenius asks, and r in no recorded subgroup, so the cached lattice
+    # gives sigma_P = INF.  The re-check finds the subgroups that hold r from
+    # the table, not the cache, and <r> among them is powerful.
+    run(capsys, "sigma", "dihedral:16", "powerful")
+
+    def delete(records):
+        (d8, *_) = [row for row in records if row["tag"] == "dihedral(8)"]
+        records[:] = [row for row in records if row["tag"] != "cyclic(8)" and row is not d8]
+
+    _edit_cached_records(tmp_path, delete)
+    rc, out, err = run(capsys, "sigma", "dihedral:16", "powerful")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: dihedral:16: the powerful answer INF fails its re-check")
+
+
 def test_sigma_cyclic_is_infeasible_with_reason(capsys):
     rc, out, _ = run(capsys, "sigma", "cyclic:8", "all")
     assert rc == 1
@@ -142,6 +159,29 @@ def test_sigma_pe_family_alias(capsys):
     rc, out, _ = run(capsys, "sigma", "dihedral:32", "pe")
     assert rc == 1
     assert out.strip() == "sigma_PE = INF (no cover by this family exists)"
+
+
+@pytest.mark.parametrize(
+    "argv, lattices",
+    [(("cyclic:128", "all"), 0), (("dihedral:32", "pe"), 0), (("modular:16", "pe"), 1)],
+)
+def test_sigma_reads_a_lattice_only_for_an_inf_the_search_found(
+    capsys, tmp_path, monkeypatch, argv, lattices
+):
+    # A cyclic group, and sigma_PE on a p-group that is not powerful, are
+    # answered off the table: no lattice is enumerated or cached, for the
+    # answer or for its re-check.  modular:16 is powerful, so the search
+    # finds its INF and the re-check reads the one lattice again.
+    keys = []
+
+    def counted(g):
+        keys.append(g.content_key())
+        return enumerate_subgroups(g)
+
+    monkeypatch.setattr(powcov.cache, "enumerate_subgroups", counted)
+    rc, out, _ = run(capsys, "sigma", *argv)
+    assert rc == 1 and " = INF (" in out
+    assert len(keys) == len(list((tmp_path / "cache").glob("*"))) == lattices
 
 
 def test_sigma_bad_descriptor_is_usage_error(capsys):

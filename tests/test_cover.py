@@ -175,7 +175,7 @@ def test_exact_is_deterministic():
 def test_result_bookkeeping():
     res = sigma_of(build_group("dihedral:16"), POW, LatticeCache())
     assert res.nodes_explored > 0
-    assert res.elapsed >= 0.0
+    assert res.route == "search"
     assert len(res.witness) == res.size
 
 

@@ -196,7 +196,7 @@ def test_every_builtin_table_and_name_list_is_pinned():
 def test_an_inconsistent_extension_is_refused():
     # y of order 3 acting on C_9 as x -> x^2: 2^3 = 8 is not 1 mod 9, so
     # phi^3 is not conjugation by y^3 = 1 and the table is no group.
-    c9 = _extension(_TRIVIAL, 9, None, 0)
+    c9 = _extension(_TRIVIAL, 9, [0], 0)
     table = _extension(c9, 3, 2 * np.arange(9) % 9, 0)
     with pytest.raises(ConstructionError, match=r"associativity fails at triple \(18, 9, 1\)"):
         FiniteGroup(table)
@@ -204,7 +204,7 @@ def test_an_inconsistent_extension_is_refused():
 
 def test_a_consistent_extension_is_a_group():
     # The same action on C_7 (2^3 = 8 = 1 mod 7) gives the group of order 21.
-    c7 = _extension(_TRIVIAL, 7, None, 0)
+    c7 = _extension(_TRIVIAL, 7, [0], 0)
     g = FiniteGroup(_extension(c7, 3, 2 * np.arange(7) % 7, 0))
     assert g.order == 21 and not g.is_abelian()
     assert sorted(int(v) for v in g.element_orders) == [1] + [3] * 14 + [7] * 6

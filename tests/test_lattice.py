@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from powcov import lattice
 from powcov.bitset import ElementSet
-from powcov.cache import serialize_lattice
+from powcov.cache import LatticeCache, serialize_lattice
 from powcov.catalog import builtin_catalog, entry_order
-from powcov.cover import FamilySelector, FamilyUndefinedError
+from powcov.cover import FamilySelector, FamilyUndefinedError, covering_number, sigma_of
 from powcov.descriptors import parse_descriptor, prime_power
 from powcov.groups import (
     FiniteGroup,
@@ -312,12 +312,18 @@ def test_public_pe_predicate_matches_lattice_flag(spec):
 )
 def test_powerful_families_are_undefined_off_p_groups(family):
     g = build_group("cyclic:6")
-    proper = [s for s in enumerate_subgroups(g).subgroups if s.is_proper]
+    lat = enumerate_subgroups(g)
+    # the sweep leaves the cell blank on this error and only on it; it is
+    # raised once per query, before the cyclic answer and any lattice scan
+    with pytest.raises(FamilyUndefinedError, match="p-group"):
+        family.require(g)
+    with pytest.raises(FamilyUndefinedError, match="p-group"):
+        sigma_of(g, family, LatticeCache())
+    with pytest.raises(FamilyUndefinedError, match="p-group"):
+        covering_number(g, family, lat)
+    proper = [s for s in lat.subgroups if s.is_proper]
     assert proper
     for s in proper:
-        # the sweep leaves the cell blank on this error and only on it
-        with pytest.raises(FamilyUndefinedError, match="p-group"):
-            family.admits(s)
         with pytest.raises(GroupError, match="p-group"):
             family.predicate(g, s.elements)
 

@@ -1,12 +1,45 @@
-"""The library's import paths: the README example and what `import powcov` loads."""
+"""The README's examples, console and library, and what `import powcov` loads."""
 
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import child_env
+from test_cli import child_env, run
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def console_examples():
+    """(argv, stdout lines, whether they are only the first ones) for each
+    `$ powcov ...` line of the README's console blocks, in order.  The
+    output runs to the next command or the block's end, less trailing blank
+    lines, or up to a `...` line, which shows that more follows."""
+    examples = []
+    for block in README.read_text().split("```console\n")[1:]:
+        for chunk in block.split("```", 1)[0].split("$ powcov ")[1:]:
+            command, *lines = chunk.split("\n")
+            cut = [i for i, line in enumerate(lines) if line.strip() == "..."]
+            lines = lines[: cut[0]] if cut else lines
+            while lines and not lines[-1]:
+                lines.pop()
+            examples.append((shlex.split(command), lines, bool(cut)))
+    return examples
+
+
+def test_readme_console_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    # conftest points POWCOV_CACHE_DIR at tmp_path / "cache"
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    shutil.copy(ROOT / "tests" / "data" / "s3.perm", tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    examples = console_examples()
+    assert len(examples) == 9
+    for argv, lines, partial in examples:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (1 if " = INF (" in out else 0, ""), argv
+        assert out.splitlines()[: len(lines) if partial else None] == lines, argv
 
 
 def library_example():
