@@ -149,36 +149,32 @@ def solve_greedy(inst: CoverInstance):
 
     Returns (size, witness) or None when the candidates cannot cover at all.
     """
-    universe = inst.universe.bits
     cands = [c.bits for c in inst.candidates]
-    covered = 0
-    for c in cands:
-        covered |= c
-    if universe & ~covered:
-        return None
-    uncovered = universe
+    uncovered = inst.universe.bits
     witness = []
     while uncovered:
-        best_i = -1
         best_gain = 0
         for i, c in enumerate(cands):
             gain = (c & uncovered).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_i = i
+        if not best_gain:
+            return None
         witness.append(best_i)
         uncovered &= ~cands[best_i]
     return len(witness), tuple(inst.candidates[i] for i in witness)
 
 
 def solve_exact(inst: CoverInstance) -> CoverResult:
-    """Minimum cover by deterministic branch-and-bound.
+    """Minimum cover by deterministic branch-and-bound, one loop over a stack.
 
-    The greedy decides feasibility and seeds the bound.  Branching picks
-    the first uncovered element in an order sorted once by (owner count,
-    element); children are tried by descending size, then index.  Nodes
-    are cut by ceil(|uncovered| / max gain).  The witness reported is the
-    first optimum the canonical order reaches.
+    The greedy decides feasibility and its size + 1 seeds the bound, which
+    only a smaller cover lowers, so the witness reported is the first optimum
+    the canonical order reaches.  Branching picks the first uncovered element
+    in an order sorted once by (owner count, element); children pop by
+    descending size, then index.  Nodes are counted as they pop and cut by
+    ceil(|uncovered| / max gain).
     """
     greedy = solve_greedy(inst)
     if greedy is None:
@@ -194,37 +190,27 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
     }
     branch_order = sorted(elem_cands, key=lambda e: (len(elem_cands[e]), e))
 
-    best_size = greedy[0]
-    best_witness: Optional[tuple[int, ...]] = None
-    stack: list[int] = []
+    best_size = greedy[0] + 1
+    best: tuple[int, ...] = ()
     nodes = 0
-
-    def dfs(uncovered: int) -> None:
-        nonlocal best_size, best_witness, nodes
+    stack = [(universe, ())]  # (uncovered, chosen candidate indices)
+    while stack:
+        uncovered, chosen = stack.pop()
         nodes += 1
         if not uncovered:
-            size = len(stack)
-            if size < best_size or (size == best_size and best_witness is None):
-                best_size = size
-                best_witness = tuple(stack)
-            return
-        limit = best_size if best_witness is None else best_size - 1
-        if len(stack) >= limit:
-            return
+            if len(chosen) < best_size:
+                best_size, best = len(chosen), chosen
+            continue
+        if len(chosen) + 1 >= best_size:
+            continue
         max_gain = max((c & uncovered).bit_count() for c in cands)
         need = -(-uncovered.bit_count() // max_gain)
-        if len(stack) + need > limit:
-            return
-
+        if len(chosen) + need >= best_size:
+            continue
         branch_e = next(e for e in branch_order if uncovered >> e & 1)
-        for i in elem_cands[branch_e]:
-            stack.append(i)
-            dfs(uncovered & ~cands[i])
-            stack.pop()
-
-    dfs(universe)
-    assert best_witness is not None
-    members = tuple(inst.candidates[i] for i in best_witness)
+        stack.extend((uncovered & ~cands[i], chosen + (i,)) for i in reversed(elem_cands[branch_e]))
+    assert best_size <= greedy[0], "the search recorded no cover"
+    members = tuple(inst.candidates[i] for i in best)
     return CoverResult(OPTIMAL, best_size, members, nodes)
 
 

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
-from .cover import CoverResult, FamilySelector, sigma_of
+from .cover import CoverResult, FamilySelector, covering_number, sigma_of
 from .descriptors import parse_descriptor
 from .groups import (
     FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
@@ -149,13 +149,14 @@ def suite_sigma_equals_p_plus_1(
     max_order: Optional[int],
 ) -> Checks:
     """sigma = p + 1 for every noncyclic p-group; no cover at all for cyclic
-    groups.  Noncyclic groups that are not p-groups are outside the theorem."""
+    groups.  Searched on the lattice: sigma_of answers cyclic groups by route.
+    Noncyclic groups that are not p-groups are outside the theorem."""
     checks = []
     for e, g in _entries(catalog, max_order):
         cyclic, p = g.is_cyclic(), is_p_group(g)
         if not cyclic and p is None:
             continue
-        sigma = _fmt(sigma_of(g, _ALL, cache))
+        sigma = _fmt(covering_number(g, _ALL, memo_lattice(g, cache)))
         claim, expected = ("cyclic", "INF") if cyclic else (f"noncyclic p={p}", str(p + 1))
         detail = f"{claim}: {_ALL.sigma_label} = {sigma}, expected {expected}"
         checks.append(CheckResult(e.id, sigma == expected, detail))
@@ -277,11 +278,13 @@ def suite_conjecture2(
 
 
 def suite_pe_d32(cache: LatticeCache) -> Checks:
-    """No cover of dihedral:32 by powerfully embedded subgroups exists."""
+    """No cover of dihedral:32 by powerfully embedded subgroups exists,
+    searched on the lattice since sigma_of answers it by route."""
     g = build_group("dihedral:32")
     family = FamilySelector.POWERFULLY_EMBEDDED
-    res = sigma_of(g, family, cache)
-    pe = [s for s in memo_lattice(g, cache).subgroups if s.is_proper and family.admits(s)]
+    lat = memo_lattice(g, cache)
+    res = covering_number(g, family, lat)
+    pe = [s for s in lat.subgroups if s.is_proper and family.admits(s)]
     union = sum(s.order - 1 for s in pe) + 1  # crude upper bound on coverage
     check = CheckResult(
         label="dihedral:32",

@@ -113,8 +113,10 @@ def test_criterion_04_sigma_chain_ordering():
 
 
 def test_criterion_05_powerfully_embedded_infeasible_at_32():
+    # Searched on the lattice: sigma_of would answer from the theorem that
+    # a non-powerful p-group has no such cover, checking it against itself.
     g = build_group("dihedral:32")
-    res = sigma_of(g, PE, LatticeCache())
+    res = covering_number(g, PE, memo_lattice(g, LatticeCache()))
     report(5, "powerfully-embedded-infeasible-at-32", res.infeasible,
            f"status {res.status}")
 

@@ -148,6 +148,29 @@ def test_greedy_none_when_candidates_cannot_cover():
     assert res.infeasible and res.witness == ()
 
 
+def test_a_tie_keeps_the_first_cover_reached():
+    # Both 2-covers are reached; the witness is the first in canonical
+    # order, so a search that records every leaf it reaches fails here.
+    inst = CoverInstance(
+        universe=ElementSet.full(4),
+        candidates=tuple(ElementSet.from_indices(c, 4) for c in ({0, 1}, {0, 2, 3}, {1, 2, 3})),
+    )
+    res = solve_exact(inst)
+    assert [sorted(w.indices()) for w in res.witness] == [[0, 2, 3], [1, 2, 3]]
+
+
+def test_a_cover_deeper_than_the_recursion_limit():
+    # 1,100 members, past the interpreter's default recursion limit of 1,000.
+    n = 1100
+    inst = CoverInstance(
+        universe=ElementSet.full(n),
+        candidates=tuple(ElementSet.from_indices([e], n) for e in range(n)),
+    )
+    res = solve_exact(inst)
+    assert res.optimal and res.size == n
+    assert res.nodes_explored == n + 1
+
+
 def test_exact_never_beaten_by_greedy():
     for spec in ("dihedral:16", "dihedral:32", "semidihedral:32", "quaternion:32"):
         g = build_group(spec)

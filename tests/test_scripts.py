@@ -33,12 +33,17 @@ def test_lattice_digests_match_the_pinned_records(tmp_path):
 
 @pytest.mark.parametrize(
     "command",
-    [["sigma", "dihedral:8", "powerful"], ["sweep", "--max-order", "8", "--stable-timing"]],
-    ids=["sigma", "sweep"],
+    [
+        ["sigma", "dihedral:8", "powerful"],
+        ["sweep", "--max-order", "8", "--stable-timing"],
+        ["verify", "main-theorem", "--max-n", "3"],
+    ],
+    ids=["sigma", "sweep", "verify"],
 )
 def test_traced_pass_still_sees_every_layer(tmp_path, command):
-    # perfbench/traced_pass.py wraps powcov's entry points by name; a rename
-    # would leave a layer untraced or its witnesses unchecked.
+    # perfbench/traced_pass.py wraps powcov's entry points by name; a rename,
+    # or a solver that bypasses solve_exact and solve_greedy, would leave a
+    # layer untraced or its witnesses unchecked.
     summary = tmp_path / "summary.json"
     if command[0] == "sweep":
         command = command + ["--out", str(tmp_path / "sweep.csv")]
@@ -52,4 +57,5 @@ def test_traced_pass_still_sees_every_layer(tmp_path, command):
     result = json.loads(summary.read_text())
     assert result["witness_failures"] == []
     assert result["witnesses_checked"] >= 1
-    assert {"cover.query", "cache.memo", "lattice.enumerate"} <= result["layers"].keys()
+    layers = {"cover.query", "cover.solve", "cache.memo", "lattice.enumerate"}
+    assert layers <= result["layers"].keys()
