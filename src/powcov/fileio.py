@@ -39,8 +39,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .descriptors import HARD_MAX_ORDER
 from .groups import CapError, FiniteGroup, GroupError
 
@@ -183,7 +181,7 @@ def save_cayley_file(g: FiniteGroup, path: str) -> None:
     """Write a group as a Cayley file; loading it back reproduces the table."""
     lines = [f"version {FORMAT_VERSION}", f"order {g.order}", "table"]
     for row in g.table:
-        lines.append(" ".join(str(int(v)) for v in row))
+        lines.append(" ".join(map(str, row)))
     if g.names:
         lines.append("names")
         lines.extend(g.names)
@@ -238,10 +236,5 @@ def load_permutation_generators(path: str) -> FiniteGroup:
                 index[r] = len(elements)
                 elements.append(r)
 
-    n = len(elements)
-    arr = np.array(elements, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        composed = arr[i][arr]
-        table[i] = [index[tuple(int(v) for v in row)] for row in composed]
+    table = [[index[tuple(map(p.__getitem__, q))] for q in elements] for p in elements]
     return FiniteGroup(table, descriptor=f"perm:{path}")

@@ -1,30 +1,35 @@
 """Finite groups as validated Cayley tables, plus the standard 2-group families.
 
-Elements are integers 0..n-1.  Every constructor validates the full group
-axioms on the finished table (Latin square, identity, inverses,
+Elements are integers 0..n-1 and a table is a tuple of n row tuples,
+table[a][b] = a*b, in plain Python.  Every constructor validates the full
+group axioms on the finished table (Latin square, identity, inverses,
 associativity), so anything downstream can trust the table blindly.
 
 Associativity uses Light's test (Clifford & Preston, The Algebraic Theory of
 Semigroups, 1961, section 1.2): an element a passes when (x*a)*y = x*(a*y)
 for all x and y, and the elements that pass are closed under the product.
 So checking a generating set of the table under its own product proves
-every triple, in O(n^2 * |gens|) instead of n^3.  The greedy generating set
-adds the least element outside the closure so far until nothing is left.
-The group keeps it as FiniteGroup.generators, the one set every normality
-test conjugates by (is_normal, quotient_group and the lattice's normal and
-powerfully-embedded flags): the normaliser of a subgroup is a subgroup, so
-it is all of G once it holds a generating set.  On every built-in p-group
-the set has d = dim G/Phi(G) elements, the size of a Burnside basis.
+every triple, in O(n^2 * |gens|) instead of n^3; row x*(a*y) over y is
+row x read at the entries of row a, one operator.itemgetter call.  The
+greedy generating set adds the least element outside the span so far until
+nothing is left.  The group keeps it as FiniteGroup.generators, the one set
+every normality test conjugates by (is_normal, quotient_group and the
+lattice's normal and powerfully-embedded flags): the normaliser of a
+subgroup is a subgroup, so it is all of G once it holds a generating set.
+On every built-in p-group the set has d = dim G/Phi(G) elements, the size
+of a Burnside basis.
 
-Subsets inside the private cores are bool masks and index arrays; an
-ElementSet is built only for a result a caller sees.  A subgroup argument
-gets one check, the block kernel's (_checked): the lattice runs it on a
-whole level of subgroups at once, and each public operation on its argument
-as a block of one row, whose product table then serves the operation.
-_close is the one closure routine, here and in the lattice: it squares
-the set, S <- S*S, until it stops growing.  A subgroup is generated by
-words of length at most its order, and each round doubles the length
-covered, so that takes O(log |H|) rounds of one gather each.
+Subsets are int bitmasks (bit i for element i), the form ElementSet and the
+lattice records keep; a subgroup being built is a list of its elements and
+a set of the same.  _adjoin is the one closure step, here and in the
+lattice: it grows a subgroup H by a new generator x to <H, x> by Dimino's
+coset enumeration.  <H, x> is the union of the right cosets H*r that right
+multiplication by the generators reaches from H*x, so each step costs one
+product per element gained plus one per coset and generator.  A subgroup
+argument gets one check (_checked): its greedy generators are adjoined one
+at a time, and the check fails as soon as a coset leaves the set.  What the
+check returns, the members and those generators, then serves the operation:
+abelian, normal and commutator tests read the generators only.
 
 Every built-in group but a product is built from the trivial group by
 _extension, one generator y at a time, which numbers n*y^a as n + |N|*a
@@ -36,9 +41,10 @@ _TWO_COSET.  A product numbers (a, b) as a*|B| + b.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from itertools import chain, compress, count, repeat
+from math import gcd
+from operator import add, itemgetter
+from typing import Callable, Optional, Sequence, Union
 
 from .bitset import ElementSet
 from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, factorize, parse_descriptor
@@ -65,6 +71,8 @@ __all__ = [
     "is_p_group",
 ]
 
+Table = tuple[tuple[int, ...], ...]
+
 
 class GroupError(ValueError):
     """Base class for group construction and operation failures."""
@@ -83,81 +91,94 @@ def _check_order(n: int) -> None:
         raise CapError(f"group order {n} exceeds construction cap {HARD_MAX_ORDER}")
 
 
+def _getter(index: Sequence[int]) -> Callable[[Sequence[int]], tuple]:
+    """A function taking a sequence to the tuple of its entries at index
+    (nonempty), at C speed."""
+    get = itemgetter(*index)
+    return get if len(index) > 1 else lambda values: (get(values),)
+
+
+def _gather(values: Sequence[int], index: Sequence[int]) -> tuple:
+    """tuple(values[i] for i in index)."""
+    return _getter(index)(values)
+
+
+def _first_difference(a: Sequence[int], b: Sequence[int]) -> int:
+    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
+
+
+def _refuse_line(rows: Table, word: str, other: str, i: int, line: Sequence[int]):
+    """Raise the error for a table line that is not a permutation: the first
+    entry of the table out of range, else the line's least repeated value."""
+    n = len(rows)
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if not 0 <= v < n:
+                raise ConstructionError(f"entry out of range at row {r}, col {c}: {v}")
+    dup = min(v for v in line if line.count(v) > 1)
+    at = [j for j, v in enumerate(line) if v == dup]
+    raise ConstructionError(
+        f"{word} {i} is not a permutation: value {dup} repeats at {other}s {at[0]} and {at[1]}"
+    )
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Attributes:
         order: number of elements n.
-        table: (n, n) int array, table[a, b] = a*b.  Read-only.
+        table: tuple of n row tuples, table[a][b] = a*b.
         identity: index of the identity element.
-        generators: int array of a generating set, the greedy one that
-            Light's test checked.  Read-only.
-        inverses: int array, inverses[a] = a^-1.
-        element_orders: int array of multiplicative orders.
+        generators: tuple of a generating set, the greedy one that Light's
+            test checked.
+        inverses: tuple, inverses[a] = a^-1.
+        element_orders: tuple of multiplicative orders.
         descriptor: provenance string ("dihedral:16", "quotient:...", ...).
         names: optional per-element display names (whitespace-free tokens).
     """
 
     def __init__(
         self,
-        table: Union[np.ndarray, Sequence[Sequence[int]]],
+        table: Sequence[Sequence[int]],
         descriptor: str = "",
         names: Optional[Sequence[str]] = None,
     ):
-        table = np.asarray(table, dtype=np.int32)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ConstructionError(f"table must be square, got shape {table.shape}")
-        n = table.shape[0]
+        try:
+            rows = tuple(tuple(map(int, row)) for row in table)
+        except TypeError:
+            raise ConstructionError("table must be square: a sequence of rows of integers") from None
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) != n:
+                raise ConstructionError(f"table must be square: {n} rows, row {i} has {len(row)} entries")
         if n == 0:
             raise ConstructionError("empty table")
         _check_order(n)
-        if table.min() < 0 or table.max() >= n:
-            bad = np.argwhere((table < 0) | (table >= n))[0]
-            raise ConstructionError(
-                f"entry out of range at row {bad[0]}, col {bad[1]}: "
-                f"{table[bad[0], bad[1]]}"
-            )
+        # A line is a permutation iff its set is {0..n-1}; range errors come first.
+        full = set(range(n))
+        columns = tuple(zip(*rows))
+        for word, other, lines in (("row", "column", rows), ("column", "row", columns)):
+            for i, line in enumerate(lines):
+                if set(line) != full:
+                    _refuse_line(rows, word, other, i, line)
 
-        rng = np.arange(n, dtype=np.int32)
-        for axis, word in ((1, "row"), (0, "column")):
-            ok = (np.sort(table, axis=axis) == (rng if axis == 1 else rng[:, None])).all()
-            if not ok:
-                other = "column" if word == "row" else "row"
-                for i in range(n):
-                    line = table[i, :] if axis == 1 else table[:, i]
-                    counts = np.bincount(line, minlength=n)
-                    if (counts != 1).any():
-                        dup = int(np.argmax(counts > 1))
-                        at = [int(v) for v in np.flatnonzero(line == dup)[:2]]
-                        raise ConstructionError(
-                            f"{word} {i} is not a permutation: value {dup} repeats "
-                            f"at {other}s {at[0]} and {at[1]}"
-                        )
-
-        ident_rows = np.flatnonzero((table == rng[None, :]).all(axis=1))
-        ident = None
-        for i in ident_rows:
-            if (table[:, i] == rng).all():
-                ident = int(i)
-                break
+        rng = tuple(range(n))
+        ident = next((i for i in rng if rows[i] == rng and columns[i] == rng), None)
         if ident is None:
             raise ConstructionError("no two-sided identity element")
 
         # Light's test on a greedy generating set; see the module docstring.
-        generators = _greedy_generators(table, ident)
+        generators = tuple(_greedy_generators(rows, ident, rng))
         for a in generators:
-            lhs = table[table[:, a]]       # lhs[x, y] = (x*a)*y
-            rhs = table[:, table[a]]       # rhs[x, y] = x*(a*y)
-            if not np.array_equal(lhs, rhs):
-                x, y = map(int, np.argwhere(lhs != rhs)[0])
-                raise ConstructionError(
-                    f"associativity fails at triple ({x}, {a}, {y}): "
-                    f"(a*b)*c = {int(lhs[x, y])}, a*(b*c) = {int(rhs[x, y])}"
-                )
-
-        inverses = np.argmax(table == ident, axis=1).astype(np.int32)
-
-        orders = _element_orders(table, ident)
+            after = _getter(rows[a])
+            for x, row in enumerate(rows):
+                lhs, rhs = rows[row[a]], after(row)  # (x*a)*y and x*(a*y) over y
+                if lhs != rhs:
+                    y = _first_difference(lhs, rhs)
+                    raise ConstructionError(
+                        f"associativity fails at triple ({x}, {a}, {y}): "
+                        f"(a*b)*c = {lhs[y]}, a*(b*c) = {rhs[y]}"
+                    )
 
         if names is not None:
             names = tuple(str(s) for s in names)
@@ -166,23 +187,21 @@ class FiniteGroup:
                     f"got {len(names)} names for {n} elements"
                 )
 
-        for array in (table, generators, inverses, orders):
-            array.setflags(write=False)
         self.order = n
-        self.table = table
+        self.table: Table = rows
         self.identity = ident
         self.generators = generators
-        self.inverses = inverses
-        self.element_orders = orders
+        self.inverses = tuple(row.index(ident) for row in rows)
+        self.element_orders = _element_orders(rows, ident)
         self.descriptor = descriptor
         self.names = names
         self._content_key: Optional[str] = None
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses[a]
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
@@ -191,22 +210,24 @@ class FiniteGroup:
         return ElementSet.full(self.order)
 
     def content_key(self) -> str:
-        """sha256 of the table bytes; the content-addressed cache key."""
+        """sha256 of the table as int32 bytes, row by row; the
+        content-addressed cache key."""
         if self._content_key is None:
             import hashlib
+            from array import array
 
             h = hashlib.sha256()
             h.update(b"powcov-cayley-v1")
             h.update(self.order.to_bytes(4, "little"))
-            h.update(np.ascontiguousarray(self.table, dtype=np.int32).tobytes())
+            h.update(b"".join(array("i", row).tobytes() for row in self.table))
             self._content_key = h.hexdigest()
         return self._content_key
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return _commute(self.table, self.generators)
 
     def is_cyclic(self) -> bool:
-        return int(self.element_orders.max()) == self.order
+        return max(self.element_orders) == self.order
 
     def __repr__(self) -> str:
         tag = self.descriptor or "?"
@@ -218,28 +239,33 @@ class FiniteGroup:
 
 
 # The trivial group: the base of every built-in table.
-_TRIVIAL = np.zeros((1, 1), dtype=np.int32)
+_TRIVIAL: Table = ((0,),)
 
 
-def _extension(base: np.ndarray, q: int, phi: Sequence[int], s: int) -> np.ndarray:
+def _extension(base: Table, q: int, phi: Sequence[int], s: int) -> Table:
     """The table of <N, y | y^q = s, y*n*y^-1 = phi(n)>, N given by its table
-    base (identity 0), phi an automorphism of N as an index array and s an
-    element of N that phi fixes.  n*y^a is numbered n + |N|*a, and
+    base (identity 0), phi an automorphism of N as an index sequence and s
+    an element of N that phi fixes.  n*y^a is numbered n + |N|*a, and
     (n*y^a)(m*y^b) is n*phi^a(m)*s^[a+b >= q]*y^((a+b) mod q).
     FiniteGroup's validation refuses an inconsistent presentation.
     """
     size = len(base)
-    left = base[None, :, None]  # [a, n, 0, m] = n*phi^a(m)
-    step = np.asarray(phi)  # phi^0..phi^(q-1) by doubling: step is phi^len(left)
-    while len(left) < q:
-        left, step = np.concatenate([left, left[..., step]]), step[step]
-    left = left[:q]
-    ya = np.arange(0, q * size, size, dtype=np.int32)  # y^a is numbered |N|*a
-    yab = ya[:, None] + ya
-    if s:  # times s where a+b >= q; s = e (index 0) changes nothing
-        left = np.where((yab >= q * size)[:, None, :, None], base[left, s], left)
-    table = left + (yab % (q * size))[:, None, :, None]
-    return table.reshape(q * size, q * size)
+    powers = [tuple(range(size))]  # phi^a as index tuples
+    while len(powers) < q:
+        powers.append(_gather(phi, powers[-1]))
+    # y^(a+b) is numbered |N|*((a+b) mod q): the offsets of row block a are
+    # those of block 0 turned left by a blocks.
+    ys = tuple(chain.from_iterable(repeat(size * b, size) for b in range(q)))
+    times_s = tuple(row[s] for row in base)
+    table = []
+    for a, power in enumerate(powers):
+        act = _getter(power)
+        offsets = ys[a * size:] + ys[:a * size]
+        for row in base:
+            left = act(row)  # n*phi^a(m) over m
+            wrapped = _gather(times_s, left) if s else left  # times s where a+b >= q
+            table.append(tuple(map(add, offsets, left * (q - a) + wrapped * a)))
+    return tuple(table)
 
 
 def _extension_names(names: list, q: int, y: str) -> list:
@@ -262,11 +288,10 @@ def direct_product(a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
     """External direct product; element (x, y) is numbered x*|B| + y."""
     n = a.order * b.order
     _check_order(n)
-    ta = a.table.astype(np.int64)
-    tb = b.table.astype(np.int64)
-    table = (
-        ta[:, None, :, None] * b.order + tb[None, :, None, :]
-    ).reshape(n, n)
+    table = []
+    for row_a in a.table:
+        scaled = tuple(chain.from_iterable(repeat(v * b.order, b.order) for v in row_a))
+        table += (tuple(map(add, scaled, row_b * a.order)) for row_b in b.table)
     names = None
     if a.names and b.names:
         names = [f"({na},{nb})" for na in a.names for nb in b.names]
@@ -293,8 +318,8 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
         table = _TRIVIAL
         for _ in range(k):
             table = _extension(table, p, range(len(table)), 0)
-        digits = (np.arange(p**k)[:, None] // p ** np.arange(k)) % p
-        names = [("" if p < 10 else "-").join(map(str, row)) for row in digits]
+        sep = "" if p < 10 else "-"
+        names = [sep.join(str(x // p**i % p) for i in range(k)) for x in range(p**k)]
     elif desc.kind == "cyclic":
         m = desc.params[0]
         table, names = _extension(_TRIVIAL, m, [0], 0), _extension_names(["e"], m, "z")
@@ -302,195 +327,192 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
         relations, x, y = _TWO_COSET[desc.kind]
         h = desc.params[0] // 2
         t, sq = relations(h)
-        table = _extension(_extension(_TRIVIAL, h, [0], 0), 2, t * np.arange(h) % h, sq % h)
+        table = _extension(_extension(_TRIVIAL, h, [0], 0), 2, [t * i % h for i in range(h)], sq % h)
         names = _extension_names(_extension_names(["e"], h, x), 2, y)
     return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
 
 def subgroup_as_group(g: FiniteGroup, members: ElementSet) -> FiniteGroup:
     """Reindex a subgroup's sub-table as a standalone group (elements sorted)."""
-    _, idx, prod = _argument(g, members, "element set")
-    idx = idx[0]
-    pos = np.zeros(g.order, dtype=np.int32)
-    pos[idx] = np.arange(len(idx), dtype=np.int32)
-    table = pos[prod[0]]
-    names = [g.name_of(int(e)) for e in idx] if g.names else None
+    idx, _ = _argument(g, members, "element set")
+    pos = {x: i for i, x in enumerate(idx)}
+    table = [[pos[g.table[x][y]] for y in idx] for x in idx]
+    names = [g.name_of(e) for e in idx] if g.names else None
     desc = f"subgroup:[{','.join(map(str, idx))}]of({g.descriptor})"
     return FiniteGroup(table, descriptor=desc, names=names)
 
 
 # ---------------------------------------------------------------------------
-# Subset operations
+# Subsets: int bitmasks, and subgroups as (elements, span, gens) while built
 
 
-def _close(table: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The closure of a bool mask that holds the identity, by squaring.
+_BIT = tuple(1 << i for i in range(HARD_MAX_ORDER))
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-    S <- S*S until the count stops growing; S*S contains S because S holds
-    the identity, and a set with S*S = S is closed under the product.  The
-    table need not be associative: the result is then the closure under its
-    own product, which is what the greedy generating set below needs.
+
+def _members_of(bits: int) -> list[int]:
+    """The elements of a bitmask, ascending."""
+    return list(compress(count(), format(bits, "b")[::-1].encode().translate(_DIGITS)))
+
+
+def _bits_of(elements) -> int:
+    """The bitmask of distinct elements."""
+    return sum(map(_BIT.__getitem__, elements))
+
+
+def _adjoin(table: Table, elements: list, span: set, gens: list, x: int, inside=None) -> bool:
+    """Grow the subgroup H that elements lists (span holds the same elements,
+    gens generates them) to <H, x>, x outside H, in place: x joins gens and
+    each right coset H*r that right multiplication by gens reaches from H*x
+    joins H.  Returns False, leaving the three half grown, as soon as a coset
+    leaves the set inside.
+
+    The cosets reached are closed under right multiplication by every
+    generator, and hold H, so their union is <H, x>.  On a table that is
+    not yet known to be a group the union is still a set of products of
+    gens, which is what the greedy generating set needs.
     """
-    mask = mask.copy()
-    members = mask.nonzero()[0]
-    while True:
-        mask[table[members[:, None], members]] = True
-        grown = mask.nonzero()[0]
-        if grown.size == members.size:
-            return mask
-        members = grown
+    gens.append(x)
+    if len(elements) == 1:  # H = {e}: walk the powers of x instead
+        power = x
+        while power not in span:
+            if inside is not None and power not in inside:
+                return False
+            span.add(power)
+            elements.append(power)
+            power = table[power][x]
+        return True
+    rows = list(map(table.__getitem__, elements))
+    queue = [x]
+    while queue:
+        r = queue.pop()
+        if r in span:
+            continue
+        coset = list(map(itemgetter(r), rows))
+        if inside is not None and not inside.issuperset(coset):
+            return False
+        span.update(coset)
+        elements += coset
+        queue += map(table[r].__getitem__, gens)
+    return True
 
 
-def _greedy_generators(table: np.ndarray, identity: int) -> np.ndarray:
-    """Each element that lies outside the closure of those before it."""
-    span = np.zeros(len(table), dtype=bool)
-    span[identity] = True
-    gens = []
-    while not span.all():
-        x = int(np.argmin(span))
-        gens.append(x)
-        span[x] = True
-        span = _close(table, span)
-    return np.asarray(gens, dtype=np.int64)
+def _generate(g: FiniteGroup, seeds, conjugators=()) -> tuple[list, set, list]:
+    """(elements, span, gens) of the least subgroup that holds the seeds
+    and is closed under conjugation by each element of conjugators: each
+    generator adjoined sends its conjugates back as seeds."""
+    table, inverses = g.table, g.inverses
+    elements, span, gens = [g.identity], {g.identity}, []
+    seeds = list(seeds)
+    while seeds:
+        x = seeds.pop()
+        if x not in span:
+            _adjoin(table, elements, span, gens, x)
+            seeds += [table[table[inverses[y]][x]][y] for y in conjugators]
+    return elements, span, gens
 
 
-def _mask(n: int, values: np.ndarray) -> np.ndarray:
-    """The bool mask of the distinct entries of an index array."""
-    mask = np.zeros(n, dtype=bool)
-    mask[values] = True
-    return mask
+def _greedy_generators(table: Table, identity: int, members: Sequence[int], inside=None) -> Optional[list]:
+    """Each of the members that lies outside the span of those before it,
+    or None as soon as a coset leaves the set inside."""
+    elements, span, gens = [identity], {identity}, []
+    for x in members:
+        if len(span) == len(members):
+            break
+        if x not in span and not _adjoin(table, elements, span, gens, x, inside):
+            return None
+    return gens
 
 
-def _mask_of(members: ElementSet) -> np.ndarray:
-    raw = np.frombuffer(members.bits.to_bytes((members.n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=members.n, bitorder="little").view(bool)
+def _checked(g: FiniteGroup, bits: int, what: str = "enumerated set") -> tuple[list, list]:
+    """The members, ascending, and the greedy generators of a bitmask.
+
+    Raises GroupError unless the set holds the identity and is closed under
+    the product, that is, unless it is a subgroup: each member outside the
+    span of the generators so far is adjoined, and a coset that leaves the
+    set fails the check.  The span then equals the set.
+    """
+    members = _members_of(bits)
+    inside = set(members)
+    gens = _greedy_generators(g.table, g.identity, members, inside) if g.identity in inside else None
+    if gens is None:
+        raise GroupError(f"{what} is not a subgroup")
+    return members, gens
 
 
-def _set_of(mask: np.ndarray) -> ElementSet:
-    bits = int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-    return ElementSet(bits, mask.size)
+def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[list, list]:
+    """A subgroup argument, checked: its members and greedy generators."""
+    if members.n != g.order:
+        raise GroupError(f"{what} is not a subgroup")
+    return _checked(g, members.bits, what)
 
 
-def _seed_mask(g: FiniteGroup, seed) -> np.ndarray:
-    """The identity and the seed elements as a mask; indices are range-checked."""
-    idx = _mask_of(seed).nonzero()[0] if isinstance(seed, ElementSet) else [int(i) for i in seed]
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= g.order):
-        bad = int(idx[(idx < 0) | (idx >= g.order)][0])
+def _set_of(g: FiniteGroup, elements) -> ElementSet:
+    return ElementSet(_bits_of(elements), g.order)
+
+
+def _commutator(g: FiniteGroup, x: int, y: int) -> int:
+    """x^-1 y^-1 x y = (yx)^-1 (xy)."""
+    t = g.table
+    return t[g.inverses[t[y][x]]][t[x][y]]
+
+
+def _commute(table: Table, xs: Sequence[int]) -> bool:
+    """Whether every two of xs commute."""
+    return all(table[x][y] == table[y][x] for i, x in enumerate(xs) for y in xs[i + 1:])
+
+
+def _normal(g: FiniteGroup, bits: int, gens: Sequence[int], conjugators: Sequence[int]) -> bool:
+    """Whether y^-1 x y = x [x, y] lies in the subgroup bits, that is,
+    whether [x, y] does, for every generator x of it and every y in
+    conjugators.  Conjugating by a generating set of G is enough: the
+    elements that normalise a subgroup form a subgroup."""
+    return all(bits >> _commutator(g, x, y) & 1 for x in gens for y in conjugators)
+
+
+def _power(table: Table, identity: int, x: int, k: int) -> int:
+    """x^k, by repeated squaring."""
+    out = identity
+    while k:
+        if k & 1:
+            out = table[out][x]
+        x, k = table[x][x], k >> 1
+    return out
+
+
+def _power_map(table: Table, identity: int, k: int) -> tuple[int, ...]:
+    """x -> x^k on every element."""
+    return tuple(_power(table, identity, x, k) for x in range(len(table)))
+
+
+def _element_orders(table: Table, identity: int) -> tuple[int, ...]:
+    """The order of every element of a group table.  Each element whose
+    order is not known yet walks its powers x, x^2, .. back to the identity;
+    that walk of length m gives every power x^j its order m / gcd(j, m)."""
+    orders = [0] * len(table)
+    for x in range(len(table)):
+        if not orders[x]:
+            powers = [x]
+            while powers[-1] != identity:
+                powers.append(table[powers[-1]][x])
+            m = len(powers)
+            for j, y in enumerate(powers, 1):
+                orders[y] = m // gcd(j, m)
+    return tuple(orders)
+
+
+def _seeds(g: FiniteGroup, seed) -> list[int]:
+    """Seed elements as a list; indices are range-checked."""
+    idx = list(seed) if isinstance(seed, ElementSet) else [int(i) for i in seed]
+    bad = next((i for i in idx if not 0 <= i < g.order), None)
+    if bad is not None:
         raise GroupError(f"element index {bad} out of range for order {g.order}")
-    mask = _mask(g.order, idx)
-    mask[g.identity] = True
-    return mask
+    return idx
 
 
 def closure(g: FiniteGroup, seed) -> ElementSet:
     """Smallest subgroup containing the seed elements (the empty seed gives {e})."""
-    return _set_of(_close(g.table, _seed_mask(g, seed)))
-
-
-# ---------------------------------------------------------------------------
-# The block kernel: m bool-mask rows of h members each, one numpy call per
-# step.  The lattice runs it on a whole level of subgroups; each public
-# operation below runs it on its argument, as a block of one row.
-
-
-def _holds(masks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per row: whether row r of the mask block holds every entry of values[r]."""
-    return masks[np.arange(len(masks))[:, None, None], values].all(axis=(1, 2))
-
-
-def _checked(
-    g: FiniteGroup, masks: np.ndarray, what: str = "enumerated set"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices (m, h) and product tables (m, h, h) of a block of m
-    bool-mask rows with h members each.
-
-    Raises GroupError unless every row holds the identity and is closed
-    under the product, that is, unless every row is a subgroup.
-    """
-    members = masks.nonzero()[1].reshape(len(masks), -1)
-    prod = g.table[members[:, :, None], members[:, None, :]]
-    if not (masks[:, g.identity].all() and _holds(masks, prod).all()):
-        raise GroupError(f"{what} is not a subgroup")
-    return members, prod
-
-
-def _abelian(prod: np.ndarray) -> np.ndarray:
-    """Per row: every two members commute, from the rows' product tables."""
-    return (prod == prod.transpose(0, 2, 1)).all(axis=(1, 2))
-
-
-def _normal(
-    g: FiniteGroup, masks: np.ndarray, members: np.ndarray, conjugators: np.ndarray
-) -> np.ndarray:
-    """Per row: y^-1 K y lies in K for every y in conjugators.
-
-    Conjugating by a generating set of G is enough: the elements that
-    normalise K form a subgroup.
-    """
-    y = conjugators[None, :, None]
-    return _holds(masks, g.table[g.table[g.inverses[y], members[:, None, :]], y])
-
-
-def _images(n: int, power: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The (m, n) mask of each row's image under the map power."""
-    mask = np.zeros((len(members), n), dtype=bool)
-    mask[np.arange(len(members))[:, None], power[members]] = True
-    return mask
-
-
-def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[np.ndarray, ...]:
-    """A subgroup argument as a checked block of one row: (mask, members, prod)."""
-    if members.n != g.order:
-        raise GroupError(f"{what} is not a subgroup")
-    mask = _mask_of(members)[None]
-    return (mask, *_checked(g, mask, what))
-
-
-def _commutators(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """x^-1 y^-1 x y = (yx)^-1 (xy) for x in xs and y in the 1-d ys, as an
-    array of shape xs.shape + ys.shape."""
-    t = g.table
-    x = xs[..., None]
-    return t[g.inverses[t[ys, x]], t[x, ys]]
-
-
-def _commutator_subgroup(g: FiniteGroup, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """[<xs>, <ys>] as a mask, given the member indices of two subgroups."""
-    return _close(g.table, _mask(g.order, _commutators(g, xs, ys)))
-
-
-def _power_map(table: np.ndarray, identity: int, k: int) -> np.ndarray:
-    """x -> x^k on every element, by repeated squaring."""
-    n = table.shape[0]
-    cur = np.full(n, identity, dtype=np.int64)
-    base = np.arange(n, dtype=np.int64)
-    while k:
-        if k & 1:
-            cur = table[cur, base].astype(np.int64)
-        base = table[base, base].astype(np.int64)
-        k >>= 1
-    return cur
-
-
-def _element_orders(table: np.ndarray, identity: int) -> np.ndarray:
-    """The order of every element of a group table, one prime of n at a time.
-
-    The table is a group, so by Lagrange every order divides n.  For each
-    prime q with q^a exactly dividing n, y = x^(n/q^a) has order the q-part
-    q^j of x's order, and j is the number of q-th powers that take y to the
-    identity: at most a steps, against one step per unit of the exponent
-    when x is multiplied by itself until it returns to the identity.
-    """
-    n = table.shape[0]
-    orders = np.ones(n, dtype=np.int32)
-    for q, a in factorize(n):
-        y = _power_map(table, identity, n // q**a)
-        qth = _power_map(table, identity, q)
-        while (live := y != identity).any():
-            orders[live] *= q
-            y = qth[y]
-    return orders
+    return _set_of(g, _generate(g, _seeds(g, seed))[0])
 
 
 def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
@@ -503,44 +525,48 @@ def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
 
 
 def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
-    """True iff every two members of the subgroup commute: [H, H] is trivial."""
-    _, _, prod = _argument(g, members, "argument")
-    return bool(_abelian(prod)[0])
+    """True iff every two members of the subgroup commute: its generators do."""
+    _, gens = _argument(g, members, "argument")
+    return _commute(g.table, gens)
 
 
 def commutator_subgroup(g: FiniteGroup, a: ElementSet, b: ElementSet) -> ElementSet:
-    """[A, B]: the subgroup generated by all commutators x^-1 y^-1 x y."""
-    _, ai, _ = _argument(g, a, "first argument")
-    _, bi, _ = _argument(g, b, "second argument")
-    return _set_of(_commutator_subgroup(g, ai[0], bi[0]))
+    """[A, B]: the subgroup generated by all commutators x^-1 y^-1 x y.
+
+    It is the normal closure in <A, B> of the commutators of a generator of
+    A with a generator of B (Robinson, A Course in the Theory of Groups,
+    5.1.7).
+    """
+    _, xs = _argument(g, a, "first argument")
+    _, ys = _argument(g, b, "second argument")
+    commutators = [_commutator(g, x, y) for x in xs for y in ys]
+    return _set_of(g, _generate(g, commutators, xs + ys)[0])
 
 
 def power_subgroup(g: FiniteGroup, members: ElementSet, k: int) -> ElementSet:
     """H^k: the subgroup generated by the k-th powers of the members."""
-    _, idx, _ = _argument(g, members, "argument")
+    idx, _ = _argument(g, members, "argument")
     if k < 0:
         raise GroupError(f"power exponent must be >= 0, got {k}")
-    return _set_of(_close(g.table, _images(g.order, _power_map(g.table, g.identity, k), idx)[0]))
+    powers = {_power(g.table, g.identity, x, k) for x in idx}
+    return _set_of(g, _generate(g, powers)[0])
 
 
 def center(g: FiniteGroup) -> ElementSet:
-    commutes = (g.table == g.table.T).all(axis=1)
-    return _set_of(commutes)
+    """The elements that commute with every generator of G."""
+    t = g.table
+    return _set_of(g, (z for z in range(g.order) if all(t[z][y] == t[y][z] for y in g.generators)))
 
 
 def normal_closure(g: FiniteGroup, seed) -> ElementSet:
     """Smallest normal subgroup containing the seed elements."""
-    idx = np.flatnonzero(_seed_mask(g, seed))
-    allg = np.arange(g.order, dtype=np.int64)
-    half = g.table[g.inverses[allg][:, None], idx]      # g^-1 * s
-    conj = g.table[half, allg[:, None]]                 # (g^-1 s) * g
-    return _set_of(_close(g.table, _mask(g.order, conj)))
+    return _set_of(g, _generate(g, _seeds(g, seed), g.generators)[0])
 
 
 def is_normal(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff the subgroup is invariant under conjugation by every element."""
-    mask, idx, _ = _argument(g, members, "argument")
-    return bool(_normal(g, mask, idx, g.generators)[0])
+    _, gens = _argument(g, members, "argument")
+    return _normal(g, members.bits, gens, g.generators)
 
 
 def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
@@ -549,43 +575,46 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
     The quotient map is verified to be a surjective homomorphism on every
     pair of elements.
     """
-    mask, idx, _ = _argument(g, normal, "normal subgroup")
-    if not _normal(g, mask, idx, g.generators)[0]:
+    idx, gens = _argument(g, normal, "normal subgroup")
+    if not _normal(g, normal.bits, gens, g.generators):
         raise GroupError("subgroup is not normal")
-    idx = idx[0]
     n = g.order
-    coset_id = np.full(n, -1, dtype=np.int64)
+    coset_id = [-1] * n
     reps = []
     for x in range(n):
         if coset_id[x] < 0:
-            members = g.table[idx, x]
-            coset_id[members] = len(reps)
+            for m in idx:
+                coset_id[g.table[m][x]] = len(reps)
             reps.append(x)
-    reps_arr = np.asarray(reps, dtype=np.int64)
-    table = coset_id[g.table[reps_arr[:, None], reps_arr]]
+    at_reps = _getter(reps)
+    table = tuple(_gather(coset_id, at_reps(g.table[r])) for r in reps)
 
     phi = coset_id
-    lhs = table[phi[:, None], phi[None, :]]
-    rhs = phi[g.table]
-    if not np.array_equal(lhs, rhs):
-        x, y = map(int, np.argwhere(lhs != rhs)[0])  # pragma: no cover
-        raise GroupError(f"quotient map fails homomorphism at pair ({x}, {y})")
+    at_phi = _getter(phi)
+    for x, row in enumerate(g.table):
+        lhs, rhs = at_phi(table[phi[x]]), _gather(phi, row)
+        if lhs != rhs:  # pragma: no cover
+            raise GroupError(f"quotient map fails homomorphism at pair ({x}, {_first_difference(lhs, rhs)})")
 
-    names = [f"[{g.name_of(int(r))}]" for r in reps] if g.names else None
+    names = [f"[{g.name_of(r)}]" for r in reps] if g.names else None
     desc = f"quotient:({g.descriptor})/[{','.join(map(str, sorted(normal)))}]"
     return FiniteGroup(table, descriptor=desc, names=names)
 
 
 def nilpotence_class(g: FiniteGroup) -> int:
-    """Length of the lower central series: least c with G_c trivial (G_0 = G)."""
-    whole = np.arange(g.order, dtype=np.int64)
-    term = whole
+    """Length of the lower central series: least c with G_c trivial (G_0 = G).
+
+    G_(i+1) = [G_i, G] is the normal closure in G of the commutators of the
+    generators of G_i with those of G (G_i is normal; Robinson 5.1.7).
+    """
+    size, gens = g.order, list(g.generators)
     c = 0
-    while term.size > 1:
-        nxt = np.flatnonzero(_commutator_subgroup(g, term, whole))
-        if nxt.size == term.size:
+    while size > 1:
+        commutators = [_commutator(g, x, y) for x in gens for y in g.generators]
+        elements, _, gens = _generate(g, commutators, g.generators)
+        if len(elements) == size:
             raise GroupError("group is not nilpotent: lower central series stalls")
-        term = nxt
+        size = len(elements)
         c += 1
     return c
 

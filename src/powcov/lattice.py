@@ -11,63 +11,61 @@ Two enumeration paths, chosen by the group's order:
   |G|/p^(k+1) is proper in its normaliser (normalisers grow in p-groups),
   so N(H)/H has a subgroup of order p, whose preimage K has order
   |G|/p^k, and H is maximal in K.  So the descent needs no global set of
-  seen subgroups: each level's preimages are deduplicated on their packed
-  bytes with a set, and a level's subgroups are found only once.
+  seen subgroups: each level's preimages are deduplicated as int bitmasks
+  in a set, and a level's subgroups are found only once.
 * Every other group (and the trivial one) starts from the trivial subgroup
   and extends every subgroup found by a generator of each cyclic subgroup
   outside it, until no new subgroup appears.  Every subgroup is generated by
   its cyclic subgroups, so that is exhaustive for any finite group.  Each
-  join <H, x> is closed on its own with _close.  The subgroups found are
-  then grouped by order and pass through the same check, abelian, normal
-  and tag kernel as a level of the descent.
+  queued subgroup keeps its elements and generators, so a join <H, y> grows
+  H by y with groups._adjoin rather than closing from scratch.  The
+  subgroups found are then grouped by order and get the same check,
+  abelian, normal and tag as a level of the descent.
 
-Each level is sorted by its packed masks read with element 0 first, and the
-lattice lists the levels from the smallest order up.  That canonical order,
-by order and then by membership vector, is the only sort: the cover
-instance reads the lattice backwards, and the cache and the record digests
-keep it.
+Each level is sorted by membership vector, element 0 first, and the lattice
+lists the levels from the smallest order up.  That canonical order, by
+order and then by membership vector, is the only sort: the cover instance
+reads the lattice backwards, and the cache and the record digests keep it.
 
-A level is one block of rows of equal size h, so every step below but
-one closure is one numpy call per level rather than per subgroup.  The
-members stack as an (m, h) array M, and one gather, prod =
-table[M[:, :, None], M[:, None, :]], serves three things: the subgroup
-check (each row holds the identity and is closed under the product; the
-only check any enumerated subgroup gets), the abelian flag (prod equals
-its transpose) and the commutators of the nonabelian rows
-(table[inv[prod^T], prod]).  The tags read only the members' element
-orders.  Power images are scattered into (m, n) masks.  An abelian K
-skips closure: x -> x^p is then a homomorphism on K, so its image is
-Phi(K) = K^p.  Each nonabelian row closes K^p u [K, K] on its own with
-groups._close, the one closure routine, as the extension path closes
-each join; closing the rows together, each padded to the widest with the
-identity, measured no faster.  Rows are then grouped by |Phi(K)|, which
-fixes d, and each group runs the greedy basis loop (each x_i is the
-least member of K outside <Phi(K), x_1..x_{i-1}>), the coset codes in
-F_p^d and all its hyperplane preimages as batched calls.  A level is cut
-into chunks so that no temporary holds more than about _BUDGET entries;
-the largest, the product tables and the preimage stack, hold at most
-rows * h * n.
+Each enumerated set gets one check, groups._checked: its greedy generators
+are adjoined one at a time by coset enumeration, failing as soon as a coset
+leaves the set, so the set is a subgroup exactly when the check passes.
+Everything else about a subgroup K is read from those generators, so K
+costs O(|K| d) for d generators rather than a product table of |K|^2:
 
-Flags, from the level's data:
+* Phi(K).  An abelian K skips closure: x -> x^p is then a homomorphism on
+  K, so its image is Phi(K) = K^p.  Otherwise Phi(K) is the normal closure
+  in K of the p-th powers and the commutators of K's generators: K^p is
+  characteristic, and [K, K] is the normal closure of those commutators.
+* The maximal subgroups.  The generators outside the span so far give a
+  Burnside basis x_1..x_d: <Phi(K), x_1..x_(i-1)> is normal in its join
+  with x_i, with quotient of order p, so the join is the union of its cosets
+  by x_i^j for 0 <= j < p, and listing them in that order puts the members
+  with code c in F_p^d (base-p digits) in block c.  At p = 2 the preimage
+  of the kernel of a functional f is K minus the XOR of the digit masks
+  (members whose digit i is 1) over the i in f, so the XORs over all
+  subsets of places, built by doubling, cost one XOR a preimage.  At odd p
+  a preimage is the OR of the blocks whose codes the hyperplane holds.
 
-* abelian: every two members commute.
-* normal: conjugating K by each element of g.generators, the generating
-  set of G that FiniteGroup keeps, keeps K inside K.  The normaliser of K
-  is a subgroup, so it is all of G once it holds a generating set of G.
+Flags, from K's generators:
+
+* abelian: every two generators commute.
+* normal: conjugating each generator of K by each element of g.generators,
+  the generating set of G that FiniteGroup keeps, keeps it inside K.  The
+  normaliser of K is a subgroup, so it is all of G once it holds a
+  generating set of G.  y^-1 x y = x [x, y], so that asks whether the
+  commutators [x, y] lie in K; a K inside the center of G, which is every
+  subgroup of an abelian G, has none but the identity and is normal and
+  abelian with no commutator taken.
 * powerful: [K, K] lies in K^k, with k = p at odd p and k = 4 at p = 2.
-  That holds iff every commutator of K is a k-th power of a member of K,
-  so K^k is never closed.  If K is powerful, its k-th powers already form
-  the subgroup K^k (Lubotzky & Mann, "Powerful p-groups. I", J. Algebra
-  105 (1987)), which holds [K, K] and so every commutator.  Conversely, k-th
-  powers lie in the subgroup K^k, so if every commutator is one, K^k holds
-  the subgroup they generate.
-* powerfully embedded: K is normal and [x, y] is a k-th power of a member
-  of K for every x in K's Burnside basis and every y in g.generators.
-  [K, G] is the normal closure in G of those [x, y] (Robinson 5.1.7, which
-  holds for any generating sets of K and G), and K^k is
-  characteristic in K, hence normal in G, so K^k holds [K, G] iff it holds
-  them.  The k-th powers suffice by the same argument as above: a
-  powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
+  K^k is characteristic in K, so K/K^k is abelian, and [K, K] <= K^k,
+  iff the commutators of K's generators lie in the closure of the k-th
+  powers.  An abelian K is powerful with no closure.
+* powerfully embedded: K is normal and [x, y] lies in K^k for every
+  generator x of K and every y in g.generators.  [K, G] is the normal
+  closure in G of those [x, y] (Robinson 5.1.7, which holds for any
+  generating sets of K and G), and K^k is characteristic in K, hence normal
+  in G, so K^k holds [K, G] iff it holds them.
 * maximal: a proper subgroup no larger proper subgroup contains, known
   from the enumeration.  In the descent these are level 1, the subgroups of
   index p.  On the extension path, a proper H is maximal iff every join
@@ -78,15 +76,16 @@ Flags, from the level's data:
   inverts C and H = C u aC is dihedral.  The dihedral group of order h has
   a rotation of order h/2, and h/2 reflections plus the half-turn if 4 | h.
 
-Groups that are not p-groups get no powerful flags.  The block kernel
-(the subgroup check, the normal test and the power images) lives in
-groups.py, where the public is_subgroup, is_abelian, is_normal,
-quotient_group, power_subgroup and commutator_subgroup run it on their
-argument as a block of one row.  The public is_powerful,
-is_powerfully_embedded and classify_small here do the same;
-is_powerfully_embedded conjugates by all of G and takes all of K and G as
-commutator arguments, because cover.verify_witness uses it as an
-independent re-check of the lattice's flag.
+Groups that are not p-groups get no powerful flags.  The public
+is_powerful and is_powerfully_embedded re-check a flag from the definitions
+instead, as cover.verify_witness needs, with no closure: the commutator of
+each generator x of K with each member of K (for the embedded test, with
+each element of G, by all of which it also conjugates) must be a k-th power
+of a member of K.  If K passes, the commutators of K's generators (with
+G's) lie in K^k, so K is powerful (powerfully embedded) by the arguments
+above.  Conversely the k-th powers of a powerful K form K^k (Lubotzky &
+Mann, "Powerful p-groups. I", J. Algebra 105 (1987)), which holds [K, K];
+and a powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
 """
 
 from __future__ import annotations
@@ -95,25 +94,25 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import Optional
 
 from .bitset import ElementSet
-from .descriptors import factorize
 from .groups import (
     FiniteGroup,
     GroupError,
-    _abelian,
+    _BIT,
+    _adjoin,
     _argument,
+    _bits_of,
     _checked,
-    _close,
-    _commutators,
-    _holds,
-    _images,
+    _commutator,
+    _commute,
+    _gather,
+    _generate,
     _normal,
+    _power,
     _power_map,
-    _set_of,
+    center,
     is_normal,  # re-exported: perfbench's traced pass looks it up here by name
     is_p_group,
 )
@@ -129,9 +128,6 @@ __all__ = [
     "classify_small",
 ]
 
-# The most entries any temporary of the level kernel holds, give or take.
-_BUDGET = 1 << 20
-
 
 def _prime(g: FiniteGroup) -> int:
     p = is_p_group(g)
@@ -140,140 +136,89 @@ def _prime(g: FiniteGroup) -> int:
     return p
 
 
-def _power_maps(g: FiniteGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """x -> x^p and x -> x^k, with k = 4 at p = 2 and k = p otherwise: the
-    exponent of the powerful and powerfully embedded tests."""
-    power_p = _power_map(g.table, g.identity, p)
-    return power_p, (power_p[power_p] if p == 2 else power_p)
-
-
-# ---------------------------------------------------------------------------
-# The block kernel (see groups.py): rows of equal size, one numpy call per step
-
-
-def _flags(
-    g: FiniteGroup, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The kernel every block runs: members, product tables, and the
-    abelian, normal and tag of each row."""
-    members, prod = _checked(g, masks)
-    normal = _normal(g, masks, members, g.generators)
-    return members, prod, _abelian(prod), normal, _tags(g, members)
-
-
-def _self_commutators(g: FiniteGroup, prod: np.ndarray) -> np.ndarray:
-    """[x, y] = (yx)^-1 (xy) for every two members of each row, from the
-    rows' product tables."""
-    return g.table[g.inverses[prod.transpose(0, 2, 1)], prod]
-
-
-def _tags(g: FiniteGroup, members: np.ndarray) -> list[str]:
-    """Each row's coarse isomorphism-type tag, from its element orders
-    alone; see classify_small and the module docstring."""
-    m, h = members.shape
-    if h == 1:
-        return ["trivial"] * m
-    orders = g.element_orders[members]
-    cyclic = (orders == h).any(axis=1)
-    klein = (orders <= 2).all(axis=1) & (h == 4)
-    count = (orders == 2).sum(axis=1)
-    dihedral = (orders == h // 2).any(axis=1) & (count == h // 2 + (h % 4 == 0))
-    quaternion = (count == 1) & (h & (h - 1) == 0)
-    first = np.argmax(np.stack((cyclic, klein, dihedral, quaternion, np.ones(m, dtype=bool))), axis=0)
-    labels = (f"cyclic({h})", "klein", f"dihedral({h})", "quaternion-like", "other")
-    return [labels[i] for i in first.tolist()]
+def _commutators(g: FiniteGroup, xs, ys) -> set[int]:
+    """The commutators [x, y] = (yx)^-1 (xy) other than the identity, x in
+    xs, y in ys."""
+    t, inv = g.table, g.inverses
+    return {t[inv[t[y][x]]][t[x][y]] for x in xs for y in ys} - {g.identity}
 
 
 @functools.cache
-def _hyperplanes(p: int, d: int) -> np.ndarray:
-    """(p^d + 1, (p^d - 1)/(p - 1)) read-only bool array: entry [c, h] says
-    whether the vector with base-p code c lies in hyperplane h of F_p^d.
-    Each hyperplane is the kernel of one functional, normalised so that its
-    first nonzero coordinate is 1.  The last row, code p^d, marks elements
-    outside K and lies in no hyperplane."""
-    functionals = np.array(
-        [
-            (0,) * lead + (1,) + tail
-            for lead in range(d)
-            for tail in itertools.product(range(p), repeat=d - lead - 1)
-        ],
-        dtype=np.int64,
-    ).T
-    vectors = np.arange(p**d)[:, None] // p ** np.arange(d) % p
-    inside = (vectors @ functionals) % p == 0
-    planes = np.vstack((inside, np.zeros((1, inside.shape[1]), dtype=bool)))
-    planes.setflags(write=False)
-    return planes
+def _digit_selectors(d: int) -> tuple[tuple[int, ...], ...]:
+    """For each place i < d, whether digit i of the binary code c is 1, for
+    every code c below 2^d."""
+    return tuple(tuple(c >> i & 1 for c in range(1 << d)) for i in range(d))
 
 
-def _split(
-    g: FiniteGroup, p: int, members: np.ndarray, frattini: np.ndarray
-) -> tuple[np.ndarray, list[bytes]]:
-    """Burnside bases (r, d) and the packed maximal subgroups of r rows K
-    that share |K| and |Phi(K)|, given Phi(K) as masks.
-
-    Members of Phi(K) get code 0.  The greedy x_i is the least member of K
-    still without a code; <Phi(K), x_1..x_{i-1}> is normal in its join with
-    x_i, with quotient of order p, so that join is the union of its cosets by
-    x_i^j for 0 <= j < p, and the j-th coset gains digit j at place i.
-    """
-    r, h = members.shape
-    span = frattini.nonzero()[1].reshape(r, -1)
-    d = dict(factorize(h // span.shape[1])).get(p, 0)  # |K : Phi(K)| = p^d
-    basis = np.empty((r, d), dtype=members.dtype)
-    if not d:
-        return basis, []
-    rows = np.arange(r)[:, None]
-    outside = p**d
-    codes = np.full((r, g.order), outside, dtype=np.int32)
-    codes[rows, span] = 0
-    digits = np.arange(1, p, dtype=np.int32)
-    for i in range(d):
-        x = members[rows[:, 0], np.argmax(codes[rows, members] == outside, axis=1)]
-        basis[:, i] = x
-        steps = [x]
-        for _ in range(p - 2):
-            steps.append(g.table[steps[-1], x])
-        cosets = g.table[span[:, :, None], np.stack(steps, axis=1)[:, None, :]]
-        codes[rows[:, :, None], cosets] = codes[rows, span][:, :, None] + digits * p**i
-        span = np.concatenate((span, cosets.reshape(r, -1)), axis=1)
-    return basis, _pack(_hyperplanes(p, d)[codes].transpose(0, 2, 1))
+def _tag(g: FiniteGroup, members: list[int]) -> str:
+    """A subgroup's coarse isomorphism-type tag, from its element orders
+    alone; see classify_small and the module docstring."""
+    h = len(members)
+    if h == 1:
+        return "trivial"
+    orders = _gather(g.element_orders, members)
+    involutions = orders.count(2)
+    if h in orders:
+        return f"cyclic({h})"
+    if h == 4 and max(orders) <= 2:
+        return "klein"
+    if h // 2 in orders and involutions == h // 2 + (h % 4 == 0):
+        return f"dihedral({h})"
+    if involutions == 1 and h & (h - 1) == 0:
+        return "quaternion-like"
+    return "other"
 
 
-# ---------------------------------------------------------------------------
-# Levels: packed keys in, records out
+@functools.cache
+def _hyperplanes(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The hyperplanes of F_p^d, each as the tuple of the base-p codes
+    (digit i is coordinate i) of its vectors.  Each is the kernel of one
+    functional, normalised so that its first nonzero coordinate is 1."""
+    vectors = [[c // p**i % p for i in range(d)] for c in range(p**d)]
+    functionals = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d)
+        for tail in itertools.product(range(p), repeat=d - lead - 1)
+    ]
+    return tuple(
+        tuple(c for c, v in enumerate(vectors) if sum(map(operator.mul, f, v)) % p == 0)
+        for f in functionals
+    )
 
 
-def _pack(masks: np.ndarray) -> list[bytes]:
-    """Little-endian packed bytes of each bool-mask row (along the last
-    axis), without trailing zero bytes; the bytes are still distinct and
-    int.from_bytes reads them unchanged."""
-    packed = np.ascontiguousarray(np.packbits(masks, axis=-1, bitorder="little"))
-    width = packed.shape[-1]
-    return packed.reshape(-1, width).view(f"S{width}").ravel().tolist()
+def _maximal_below(g: FiniteGroup, p: int, bits: int, gens: list, frattini: list) -> list[int]:
+    """The maximal subgroups of K, the subgroup bits that gens generates, as
+    bitmasks: the preimages of the hyperplanes of K/Phi(K), given the
+    elements of Phi(K).  See the module docstring."""
+    table = g.table
+    span, inside = list(frattini), set(frattini)
+    d = 0
+    for x in gens:
+        if x in inside:
+            continue
+        d += 1
+        cosets, step = [], x
+        rows = list(map(table.__getitem__, span))
+        for _ in range(p - 1):  # the cosets by x^j, j = 1..p-1, in order
+            cosets += map(operator.itemgetter(step), rows)
+            step = table[step][x]
+        span += cosets
+        inside.update(cosets)
+    blocks = list(map(sum, zip(*[map(_BIT.__getitem__, span)] * len(frattini))))
+    if p != 2:
+        return [sum(_gather(blocks, kernel)) for kernel in _hyperplanes(p, d)]
+    below = [bits]  # K minus the XOR of the digit masks of every subset of places
+    for digit in _digit_selectors(d):
+        mask = sum(itertools.compress(blocks, digit))
+        below += [b ^ mask for b in below]
+    return below[1:]
 
 
-def _blocks(keys: list[bytes], h: int, n: int) -> Iterator[tuple[list[bytes], np.ndarray]]:
-    """Chunks of one level's keys, with their bool masks, sized so that no
-    temporary of the kernel exceeds about _BUDGET entries."""
-    width = (n + 7) // 8
-    step = max(1, _BUDGET // (h * n))
-    for start in range(0, len(keys), step):
-        chunk = keys[start:start + step]
-        raw = np.array(chunk, dtype=f"S{width}").view(np.uint8).reshape(len(chunk), width)
-        yield chunk, np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
-
-
-# Each byte with its bits reversed.
-_MSB_FIRST = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _canonical(keys) -> list[bytes]:
-    """One level's packed keys in canonical order: by membership vector,
-    element 0 first, which is the order of the big-endian packed masks.
-    Reversing the bits of each little-endian byte gives those bytes; keys
-    cut short by _pack still compare as if padded with zero bytes."""
-    return sorted(keys, key=lambda k: k.translate(_MSB_FIRST))
+def _canonical(found, n: int) -> list[int]:
+    """One level's bitmasks in canonical order: by membership vector,
+    element 0 first."""
+    spec = f"0{n}b"
+    return sorted(found, key=lambda bits: format(bits, spec)[::-1])
 
 
 def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
@@ -283,46 +228,28 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
     hyperplane preimage in K/Phi(K) over this one's K.  The maximal
     subgroups are level 1, the subgroups of index p."""
     n = g.order
-    table = g.table
-    power_p, power_k = _power_maps(g, p)
+    power_p = _power_map(g.table, g.identity, p)
+    power_k = _gather(power_p, power_p) if p == 2 else power_p
+    central = center(g).bits
     levels: list[list[tuple]] = []
-    level, h = _pack(np.ones((1, n), dtype=bool)), n
+    level = [(1 << n) - 1]
     while level:
-        found: set[bytes] = set()
+        found: set[int] = set()
         records: list[tuple] = []
-        maximal = itertools.repeat(len(levels) == 1)
-        for keys, masks in _blocks(level, h, n):
-            members, prod, abelian, normal, tags = _flags(g, masks)
-            kth = _images(n, power_k, members)
-            frattini = _images(n, power_p, members) if p == 2 else kth.copy()
-            powerful = abelian.copy()
-            nonabelian = np.flatnonzero(~abelian)
-            if nonabelian.size:
-                comm = _self_commutators(g, prod[nonabelian])
-                powerful[nonabelian] = _holds(kth[nonabelian], comm)
-                seed = frattini[nonabelian]
-                seed[np.arange(nonabelian.size)[:, None, None], comm] = True
-                frattini[nonabelian] = [_close(table, row) for row in seed]
-            embedded = np.zeros(len(keys), dtype=bool)
-            sizes = np.count_nonzero(frattini, axis=1)
-            for size in set(sizes.tolist()):
-                rows = np.flatnonzero(sizes == size)
-                basis, below = _split(g, p, members[rows], frattini[rows])
-                commutators = _commutators(g, basis, g.generators)
-                embedded[rows] = normal[rows] & _holds(kth[rows], commutators)
-                found.update(below)
-            bits = (int.from_bytes(k, "little") for k in keys)
-            flags = abelian.tolist(), normal.tolist(), maximal, powerful.tolist(), embedded.tolist()
-            records += zip(bits, *flags, tags)
+        maximal = len(levels) == 1
+        for bits in level:
+            members, gens = _checked(g, bits)
+            outer = _commutators(g, gens, g.generators) if bits & ~central else set()
+            inner = _commutators(g, gens, gens) if outer else outer  # else K is central
+            normal = all(bits >> c & 1 for c in outer)
+            kth = _generate(g, set(_gather(power_k, members)))[1] if inner or (normal and outer) else set()
+            pth = set(_gather(power_p, members))
+            frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
+            found.update(_maximal_below(g, p, bits, gens, frattini))
+            records.append((bits, not inner, normal, maximal, inner <= kth, normal and outer <= kth, _tag(g, members)))
         levels.append(records)
-        level, h = _canonical(found), h // p
+        level = _canonical(found, n)
     return levels
-
-
-def _with(mask: np.ndarray, x: int) -> np.ndarray:
-    mask = mask.copy()
-    mask[x] = True
-    return mask
 
 
 def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int, bool]:
@@ -332,31 +259,35 @@ def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int
     For H >= <x>, <H, y> depends only on <x, y>, so each subgroup is
     extended by one y for each <x, y> outside it.  A subgroup K strictly
     between H and G holds such a y, and <H, y> <= K < G for it; so a proper
-    H is maximal iff every <H, y> it closes is G.
+    H is maximal iff every <H, y> it closes is G.  Each subgroup is kept as
+    (elements, span, gens), and a join copies H's and adjoins y.
     """
     n = g.order
-    table = g.table
     maximal: dict[int, bool] = {}
-    queue: list[tuple[int, np.ndarray]] = []
+    queue: list[tuple[int, tuple]] = []
 
-    def admit(mask: np.ndarray) -> bool:
-        bits = _set_of(mask).bits
+    def join(sub: tuple, y: int) -> tuple:
+        elements, span, gens = sub[0][:], set(sub[1]), sub[2][:]
+        _adjoin(g.table, elements, span, gens, y)
+        return elements, span, gens
+
+    def admit(sub: tuple) -> bool:
+        bits = _bits_of(sub[0])
         if bits in maximal:
             return False
         maximal[bits] = False
-        queue.append((bits, mask))
+        queue.append((bits, sub))
         return True
 
-    seed = _with(np.zeros(n, dtype=bool), g.identity)
-    seed = seed if x is None else _close(table, _with(seed, x))
+    seed = _generate(g, () if x is None else (x,))
     admit(seed)
-    generators = [y for y in range(n) if admit(_close(table, _with(seed, y)))]
+    generators = [y for y in range(n) if y not in seed[1] and admit(join(seed, y))]
 
-    for bits, mask in queue:  # the queue grows while it is walked
-        joins = [_close(table, _with(mask, y)) for y in generators if not mask[y]]
-        maximal[bits] = bool(joins) and all(join.all() for join in joins)
-        for join in joins:
-            admit(join)
+    for bits, sub in queue:  # the queue grows while it is walked
+        joins = [join(sub, y) for y in generators if y not in sub[1]]
+        maximal[bits] = bool(joins) and all(len(j[0]) == n for j in joins)
+        for j in joins:
+            admit(j)
     return maximal
 
 
@@ -364,27 +295,29 @@ def _levels_by_extension(g: FiniteGroup) -> list[list[tuple]]:
     """Records as _levels_by_descent gives them, with no powerful flags,
     for a group that is not a p-group: its subgroups grouped by order into
     levels, the smallest first."""
-    n = g.order
-    width = (n + 7) // 8
     maximal = _subgroups_by_extension(g)
-    by_order: dict[int, list[bytes]] = {}
+    by_order: dict[int, list[int]] = {}
     for bits in maximal:
-        by_order.setdefault(bits.bit_count(), []).append(bits.to_bytes(width, "little"))
+        by_order.setdefault(bits.bit_count(), []).append(bits)
     levels = []
-    nothing = itertools.repeat(None)
     for h in sorted(by_order):
         records: list[tuple] = []
-        for keys, masks in _blocks(_canonical(by_order[h]), h, n):
-            _, _, abelian, normal, tags = _flags(g, masks)
-            bits = [int.from_bytes(k, "little") for k in keys]
-            flags = abelian.tolist(), normal.tolist(), map(maximal.get, bits), nothing, nothing
-            records += zip(bits, *flags, tags)
+        for bits in _canonical(by_order[h], g.order):
+            members, gens = _checked(g, bits)
+            abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
+            records.append((bits, abelian, normal, maximal[bits], None, None, _tag(g, members)))
         levels.append(records)
     return levels
 
 
 # ---------------------------------------------------------------------------
-# Public predicates: one checked row through the same kernel
+# Public predicates: the checked argument, then the definitions
+
+
+def _kth_powers(g: FiniteGroup, p: int, members: list[int]) -> set[int]:
+    """The k-th powers of the members: k = 4 at p = 2, else p."""
+    k = 4 if p == 2 else p
+    return {_power(g.table, g.identity, x, k) for x in members}
 
 
 def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
@@ -394,9 +327,9 @@ def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
     elements, so the answer is independent of the ambient group.
     """
     p = _prime(g)
-    _, idx, prod = _argument(g, members, "argument")
-    kth = _images(g.order, _power_maps(g, p)[1], idx)
-    return bool(_holds(kth, _self_commutators(g, prod))[0])
+    idx, gens = _argument(g, members, "argument")
+    powers = _kth_powers(g, p, idx)
+    return all(_commutator(g, x, y) in powers for x in gens for y in idx)
 
 
 def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
@@ -406,11 +339,12 @@ def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
     keeps the reported reason honest when the argument is not normal.
     """
     p = _prime(g)
-    mask, idx, _ = _argument(g, members, "argument")
-    everything = np.arange(g.order)
-    kth = _images(g.order, _power_maps(g, p)[1], idx)
-    normal = _normal(g, mask, idx, everything)
-    return bool((normal & _holds(kth, _commutators(g, idx, everything)))[0])
+    idx, gens = _argument(g, members, "argument")
+    everything = range(g.order)
+    powers = _kth_powers(g, p, idx)
+    return _normal(g, members.bits, gens, everything) and all(
+        _commutator(g, x, y) in powers for x in gens for y in everything
+    )
 
 
 def classify_small(g: FiniteGroup, members: ElementSet) -> str:
@@ -421,8 +355,8 @@ def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     2-group with a unique involution), or "other", the first that fits.  m
     is the subgroup's total order; the element orders decide the tag.
     """
-    _, idx, _ = _argument(g, members, "element set")
-    return _tags(g, idx)[0]
+    idx, _ = _argument(g, members, "element set")
+    return _tag(g, idx)
 
 
 # The enumeration's flags by record key; Subgroup's attribute is "is_" + key.

@@ -1,7 +1,6 @@
 import os
 import stat
 
-import numpy as np
 import pytest
 
 from powcov.fileio import (
@@ -97,7 +96,7 @@ def test_round_trip_is_byte_stable(tmp_path):
     g2 = load_cayley_file(str(p1))
     save_cayley_file(g2, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
-    assert np.array_equal(g.table, g2.table)
+    assert g.table == g2.table
     assert g.names == g2.names
     assert g2.descriptor == f"file:{p1}"
 
@@ -183,7 +182,7 @@ def test_octagon_symmetries_give_dihedral_16(tmp_path):
     assert g.order == 16
     assert g.descriptor == f"perm:{path}"
     d16 = build_group("dihedral:16")
-    assert sorted(g.element_orders.tolist()) == sorted(d16.element_orders.tolist())
+    assert sorted(g.element_orders) == sorted(d16.element_orders)
 
 
 def test_identity_permutation_alone(tmp_path):
@@ -230,4 +229,4 @@ def test_permutation_group_agrees_with_cyclic(tmp_path):
     g = load_permutation_generators(path)
     c5 = build_group("cyclic:5")
     assert g.order == 5
-    assert sorted(g.element_orders.tolist()) == sorted(c5.element_orders.tolist())
+    assert sorted(g.element_orders) == sorted(c5.element_orders)

@@ -2,7 +2,6 @@ import hashlib
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,8 +148,9 @@ def test_associativity_is_checked_at_every_generator():
 
 def test_tables_arrive_read_only():
     g = build_group("cyclic:4")
-    with pytest.raises(ValueError):
-        g.table[0, 0] = 3
+    for attribute in (g.table, g.table[0], g.generators, g.inverses, g.element_orders):
+        with pytest.raises(TypeError):
+            attribute[0] = 3
 
 
 # ------------------------------------------------------------- construction
@@ -168,7 +168,7 @@ def test_element_orders_match_the_stepwise_loop():
     ]
     for source in sources:
         g = build_group(source)
-        assert np.array_equal(g.element_orders, element_orders_stepwise(g.table)), source
+        assert list(g.element_orders) == element_orders_stepwise(g.table).tolist(), source
 
 
 # Beyond the catalog: the 2-power families at the 512 cap, larger elementary
@@ -197,7 +197,7 @@ def test_an_inconsistent_extension_is_refused():
     # y of order 3 acting on C_9 as x -> x^2: 2^3 = 8 is not 1 mod 9, so
     # phi^3 is not conjugation by y^3 = 1 and the table is no group.
     c9 = _extension(_TRIVIAL, 9, [0], 0)
-    table = _extension(c9, 3, 2 * np.arange(9) % 9, 0)
+    table = _extension(c9, 3, [2 * i % 9 for i in range(9)], 0)
     with pytest.raises(ConstructionError, match=r"associativity fails at triple \(18, 9, 1\)"):
         FiniteGroup(table)
 
@@ -205,7 +205,7 @@ def test_an_inconsistent_extension_is_refused():
 def test_a_consistent_extension_is_a_group():
     # The same action on C_7 (2^3 = 8 = 1 mod 7) gives the group of order 21.
     c7 = _extension(_TRIVIAL, 7, [0], 0)
-    g = FiniteGroup(_extension(c7, 3, 2 * np.arange(7) % 7, 0))
+    g = FiniteGroup(_extension(c7, 3, [2 * i % 7 for i in range(7)], 0))
     assert g.order == 21 and not g.is_abelian()
     assert sorted(int(v) for v in g.element_orders) == [1] + [3] * 14 + [7] * 6
 
@@ -352,7 +352,7 @@ def test_hard_cap():
     with pytest.raises(CapError, match="544"):
         direct_product(build_group("dihedral:32"), build_group("cyclic:17"))
     with pytest.raises(CapError):
-        FiniteGroup(np.zeros((513, 513), dtype=np.int32))
+        FiniteGroup([[0] * 513] * 513)
     assert build_group("dihedral:512").order == 512
 
 

@@ -1,14 +1,12 @@
 import itertools
-from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov import lattice
 from powcov.bitset import ElementSet
-from powcov.cache import LatticeCache, serialize_lattice
+from powcov.cache import LatticeCache
 from powcov.catalog import builtin_catalog, entry_order
 from powcov.cover import FamilySelector, FamilyUndefinedError, covering_number, sigma_of
 from powcov.descriptors import parse_descriptor, prime_power
@@ -158,7 +156,7 @@ def test_subgroup_counts_past_order_128(spec, count):
 )
 def test_matches_subset_closure_oracle(spec):
     g = build_group(spec)
-    assert lattice_sets(g) == subset_closure_subgroups(g.table.tolist())
+    assert lattice_sets(g) == subset_closure_subgroups(g.table)
 
 
 def test_symmetric_group_s4_matches_subset_closure_oracle():
@@ -177,7 +175,7 @@ def test_product_and_quotient_match_subset_closure_oracle():
     central_product = quotient_group(big, closure(big, [10]))
     for g in (product, central_product):
         assert g.order == 16
-        assert lattice_sets(g) == subset_closure_subgroups(g.table.tolist())
+        assert lattice_sets(g) == subset_closure_subgroups(g.table)
 
 
 def test_lattice_is_sorted_and_flags_consistent():
@@ -217,7 +215,7 @@ def test_maximal_flags_match_the_oracle(spec):
     # Maximal: proper, and no proper subgroup strictly contains it.  The
     # flag comes from the descent's first level or from the extension path.
     g = FiniteGroup(s4_table()) if spec == "S4" else build_group(spec)
-    proper = [h for h in subset_closure_subgroups(g.table.tolist()) if len(h) < g.order]
+    proper = [h for h in subset_closure_subgroups(g.table) if len(h) < g.order]
     expected = {h for h in proper if not any(h < k for k in proper)}
     lat = enumerate_subgroups(g)
     assert {frozenset(s.elements) for s in lat.subgroups if s.is_maximal} == expected
@@ -346,7 +344,7 @@ def test_odd_p_power_index():
 
 def flags_match_definitions(g):
     """Every subgroup's four flags against the definitional oracle."""
-    table = g.table.tolist()
+    table = g.table
     p = is_p_group(g)
     for s in enumerate_subgroups(g).subgroups:
         flags = (s.is_abelian, s.is_normal, s.is_powerful, s.is_powerfully_embedded)
@@ -370,27 +368,23 @@ def test_generators_generate_and_decide_normality():
     # every element of G instead.  Its normal flag needs no prime.
     groups = [e.build() for e in builtin_catalog(max_order=32)] + [FiniteGroup(s4_table())]
     for g in groups:
-        table = g.table.tolist()
-        assert not g.generators.flags.writeable
-        assert closure_of(table, g.generators.tolist()) == frozenset(range(g.order)), g
+        table = g.table
+        assert isinstance(g.generators, tuple)
+        assert closure_of(table, g.generators) == frozenset(range(g.order)), g
         for members in subset_closure_subgroups(table):
             expected = subgroup_flags(table, members, 2)[1]
             got = is_normal(g, ElementSet.from_indices(members, g.order))
             assert got == expected, (g, sorted(members))
 
 
-def _bits(mask):
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 def test_enumeration_checks_each_subgroup_once(monkeypatch):
-    # Every row of every level passes through the level check exactly once.
+    # Every subgroup of every level passes through the check exactly once.
     rows = []
     check = lattice._checked
 
-    def counting_check(g, masks, *args):
-        rows.extend(_bits(mask) for mask in masks)
-        return check(g, masks, *args)
+    def counting_check(g, bits, *args):
+        rows.append(bits)
+        return check(g, bits, *args)
 
     monkeypatch.setattr(lattice, "_checked", counting_check)
     for spec in ("dihedral:64", "elementary:2^4"):
@@ -403,18 +397,19 @@ def test_enumeration_checks_each_subgroup_once(monkeypatch):
 def test_hyperplanes_are_built_once_and_read_only():
     planes = lattice._hyperplanes(3, 2)
     assert planes is lattice._hyperplanes(3, 2)
-    assert not planes.flags.writeable
-    # p + 1 = 4 lines of F_3^2, each holding p = 3 of its 9 vectors; the
-    # last row (outside K) lies in none.
-    assert planes.shape == (10, 4)
-    assert planes[:9].sum(axis=0).tolist() == [3] * 4 and not planes[9].any()
+    assert isinstance(planes, tuple) and all(isinstance(plane, tuple) for plane in planes)
+    # p + 1 = 4 lines of F_3^2, each holding p = 3 of its 9 vectors: the
+    # origin and two more, and every vector lies on one of them.
+    assert len(planes) == 4 and all(len(plane) == 3 and 0 in plane for plane in planes)
+    assert set().union(*planes) == set(range(9))
+    # At p = 2 the digit selectors are cached the same way.
+    digits = lattice._digit_selectors(3)
+    assert digits is lattice._digit_selectors(3)
+    assert digits == ((0, 1, 0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1))
 
 
-def _block(g, *rows):
-    masks = np.zeros((len(rows), g.order), dtype=bool)
-    for mask, row in zip(masks, rows):
-        mask[list(row)] = True
-    return masks
+def _bits(g, *rows):
+    return [ElementSet.from_indices(row, g.order).bits for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -429,29 +424,8 @@ def _block(g, *rows):
 def test_level_check_rejects_a_block_with_one_bad_row(rows):
     g = build_group("dihedral:16")
     with pytest.raises(GroupError, match="enumerated set is not a subgroup"):
-        lattice._checked(g, _block(g, *rows))
-
-
-def test_chunked_levels_give_the_unchunked_records(monkeypatch):
-    cases = [
-        build_group("dihedral:32"),
-        build_group("elementary:2^4"),
-        build_group("product:(quaternion:8,cyclic:2)"),
-        FiniteGroup(heisenberg_table(3)),
-        FiniteGroup(wreath_table(4)),
-    ]
-    whole = [serialize_lattice(enumerate_subgroups(g)) for g in cases]
-    monkeypatch.setattr(lattice, "_BUDGET", 1)  # every chunk is one row
-    rows = Counter()
-    check = lattice._checked
-
-    def counting_check(g, masks, *args):
-        rows[len(masks)] += 1
-        return check(g, masks, *args)
-
-    monkeypatch.setattr(lattice, "_checked", counting_check)
-    assert [serialize_lattice(enumerate_subgroups(g)) for g in cases] == whole
-    assert set(rows) == {1}
+        for bits in _bits(g, *rows):
+            lattice._checked(g, bits)
 
 
 def _d16_non_subgroup():
@@ -662,7 +636,7 @@ def _oracle_group(name):
 def test_closure_matches_oracle(name, data):
     g = _oracle_group(name)
     seeds = data.draw(st.lists(st.integers(min_value=0, max_value=g.order - 1), max_size=3))
-    assert set(closure(g, seeds)) == closure_of(g.table.tolist(), seeds)
+    assert set(closure(g, seeds)) == closure_of(g.table, seeds)
 
 
 def twisted_table(m, s):
@@ -693,7 +667,7 @@ def test_tags_match_the_pair_loop_oracle():
     groups += [(name, FiniteGroup(twisted_table(*ms))) for name, ms in TAG_TABLES.items()]
     seen = set()
     for name, g in groups:
-        table = g.table.tolist()
+        table = g.table
         orders = element_orders(table)
         for s in enumerate_subgroups(g).subgroups:
             assert s.tag == classify_oracle(table, orders, frozenset(s.elements)), (name, s.elements)

@@ -72,3 +72,38 @@ def test_cli_does_not_load_the_closed_form_dihedral_module(tmp_path):
     loaded = loaded_submodules(tmp_path, "import powcov.cli")
     assert "powcov.cli" in loaded
     assert "powcov.dihedral_nf" not in loaded
+
+
+# A launcher that blocks `import numpy`, then runs the command line as the
+# console script does.
+WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from powcov.__main__ import run; sys.exit(run())"
+
+
+def test_cli_imports_no_numpy(tmp_path):
+    probe = "import sys, powcov.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(tmp_path)
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_commands_run_the_same_without_numpy(tmp_path):
+    report = tmp_path / "report.csv"
+    commands = [
+        ["sweep", "--max-order", "16", "--stable-timing", "--out", str(report)],
+        ["verify", "main-theorem", "--max-n", "3"],
+        ["sigma", "dihedral:16", "powerful"],
+        ["lattice", "dihedral:16", "--no-cache"],
+    ]
+    for argv in commands:
+        runs = []
+        for name, launcher in (("plain", ["-m", "powcov"]), ("blocked", ["-c", WITHOUT_NUMPY])):
+            proc = subprocess.run(
+                [sys.executable, *launcher, *argv],
+                capture_output=True, text=True, env=child_env(tmp_path / name),
+            )
+            written = report.read_text() if report.exists() else None
+            report.unlink(missing_ok=True)
+            runs.append((proc.returncode, proc.stdout, written))
+        assert runs[0][0] == 0, (argv, runs[0])
+        assert runs[1] == runs[0], argv

@@ -26,7 +26,7 @@ SPECS = [e.source for e in builtin_catalog()] + list(NON_P_GROUPS)
 def relabelled(g: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
     """g with each element x renamed perm[x]."""
     old = np.argsort(perm)  # old[perm[x]] = x
-    return FiniteGroup(perm[g.table[old[:, None], old[None, :]]])
+    return FiniteGroup(perm[np.asarray(g.table)[old[:, None], old[None, :]]])
 
 
 def invariants(g: FiniteGroup):

@@ -3,7 +3,6 @@
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from powcov.cache import LatticeCache, memo_lattice
@@ -52,7 +51,7 @@ def _split_metacyclic():
         for b in range(1, 7 - a):
             for r in range(1, 2**a, 2):
                 if pow(r, 2**b, 2**a) == 1:
-                    g = FiniteGroup(_extension(x.table, 2**b, r * np.arange(2**a) % 2**a, 0))
+                    g = FiniteGroup(_extension(x.table, 2**b, [r * i % 2**a for i in range(2**a)], 0))
                     if not g.is_cyclic():
                         yield g
 
