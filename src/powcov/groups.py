@@ -47,7 +47,7 @@ from operator import add, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .bitset import ElementSet
-from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, factorize, parse_descriptor
+from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
 
 __all__ = [
     "GroupError",
@@ -134,7 +134,8 @@ class FiniteGroup:
         inverses: tuple, inverses[a] = a^-1.
         element_orders: tuple of multiplicative orders.
         descriptor: provenance string ("dihedral:16", "quotient:...", ...).
-        names: optional per-element display names (whitespace-free tokens).
+        names: optional per-element display names (whitespace-free tokens,
+            none starting with '#').
     """
 
     def __init__(
@@ -185,6 +186,12 @@ class FiniteGroup:
             if len(names) != n:
                 raise ConstructionError(
                     f"got {len(names)} names for {n} elements"
+                )
+            # A Cayley file holds each name as one token on a line of its own.
+            bad = next((i for i, s in enumerate(names) if s.split() != [s] or s.startswith("#")), None)
+            if bad is not None:
+                raise ConstructionError(
+                    f"name {names[bad]!r} of element {bad} is empty, holds whitespace or starts with '#'"
                 )
 
         self.order = n
@@ -621,8 +628,8 @@ def nilpotence_class(g: FiniteGroup) -> int:
 
 def is_p_group(g: FiniteGroup) -> Optional[int]:
     """The prime p when |G| = p^k with k >= 1, else None (trivial group included)."""
-    factors = factorize(g.order)
-    return factors[0][0] if len(factors) == 1 else None
+    power = prime_power(g.order)
+    return None if power is None else power[0]
 
 
 def coclass(g: FiniteGroup) -> int:
@@ -636,4 +643,4 @@ def _coclass(order: int, cls: int) -> int:
     """log_p of a p-power order minus a nilpotence class: the one statement
     of the coclass, for coclass above and for the sweep, which has the
     class already."""
-    return factorize(order)[0][1] - cls
+    return prime_power(order)[1] - cls

@@ -18,14 +18,14 @@ Two enumeration paths, chosen by the group's order:
   outside it, until no new subgroup appears.  Every subgroup is generated by
   its cyclic subgroups, so that is exhaustive for any finite group.  Each
   queued subgroup keeps its elements and generators, so a join <H, y> grows
-  H by y with groups._adjoin rather than closing from scratch.  The
-  subgroups found are then grouped by order and get the same check,
-  abelian, normal and tag as a level of the descent.
+  H by y with groups._adjoin rather than closing from scratch.  Each
+  subgroup found gets the same check, abelian, normal and tag as in the
+  descent.
 
-Each level is sorted by membership vector, element 0 first, and the lattice
-lists the levels from the smallest order up.  That canonical order, by
-order and then by membership vector, is the only sort: the cover instance
-reads the lattice backwards, and the cache and the record digests keep it.
+Both paths return their records unsorted, and enumerate_subgroups sorts
+them once, by order and then by membership vector, element 0 first.  That
+canonical order is the only sort: the cover instance reads the lattice
+backwards, and the cache and the record digests keep it.
 
 Each enumerated set gets one check, groups._checked: its greedy generators
 are adjoined one at a time by coset enumeration, failing as soon as a coset
@@ -37,15 +37,13 @@ costs O(|K| d) for d generators rather than a product table of |K|^2:
   K, so its image is Phi(K) = K^p.  Otherwise Phi(K) is the normal closure
   in K of the p-th powers and the commutators of K's generators: K^p is
   characteristic, and [K, K] is the normal closure of those commutators.
-* The maximal subgroups.  The generators outside the span so far give a
-  Burnside basis x_1..x_d: <Phi(K), x_1..x_(i-1)> is normal in its join
-  with x_i, with quotient of order p, so the join is the union of its cosets
-  by x_i^j for 0 <= j < p, and listing them in that order puts the members
-  with code c in F_p^d (base-p digits) in block c.  At p = 2 the preimage
-  of the kernel of a functional f is K minus the XOR of the digit masks
-  (members whose digit i is 1) over the i in f, so the XORs over all
-  subsets of places, built by doubling, cost one XOR a preimage.  At odd p
-  a preimage is the OR of the blocks whose codes the hyperplane holds.
+* The maximal subgroups.  groups._adjoin grows Phi(K) by each generator
+  of K outside the span so far, and those generators are a Burnside basis
+  x_1..x_d.  H = <Phi(K), x_1..x_(i-1)> holds Phi(K), so it is normal in K
+  and H x_i^j x_k = H x_i^j for k < i: adjoining x_i with the basis alone
+  appends the cosets H x_i^j for j = 1..p-1 in that order, and the members
+  with code c in F_p^d (base-p digits) land in block c.  At every prime the
+  preimage of a hyperplane is the OR of the blocks whose codes it holds.
 
 Flags, from K's generators:
 
@@ -143,13 +141,6 @@ def _commutators(g: FiniteGroup, xs, ys) -> set[int]:
     return {t[inv[t[y][x]]][t[x][y]] for x in xs for y in ys} - {g.identity}
 
 
-@functools.cache
-def _digit_selectors(d: int) -> tuple[tuple[int, ...], ...]:
-    """For each place i < d, whether digit i of the binary code c is 1, for
-    every code c below 2^d."""
-    return tuple(tuple(c >> i & 1 for c in range(1 << d)) for i in range(d))
-
-
 def _tag(g: FiniteGroup, members: list[int]) -> str:
     """A subgroup's coarse isomorphism-type tag, from its element orders
     alone; see classify_small and the module docstring."""
@@ -186,57 +177,32 @@ def _hyperplanes(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _maximal_below(g: FiniteGroup, p: int, bits: int, gens: list, frattini: list) -> list[int]:
-    """The maximal subgroups of K, the subgroup bits that gens generates, as
+def _maximal_below(g: FiniteGroup, p: int, gens: list, frattini: list) -> list[int]:
+    """The maximal subgroups of K, the subgroup that gens generates, as
     bitmasks: the preimages of the hyperplanes of K/Phi(K), given the
     elements of Phi(K).  See the module docstring."""
-    table = g.table
-    span, inside = list(frattini), set(frattini)
-    d = 0
+    elements, span, basis = list(frattini), set(frattini), []
     for x in gens:
-        if x in inside:
-            continue
-        d += 1
-        cosets, step = [], x
-        rows = list(map(table.__getitem__, span))
-        for _ in range(p - 1):  # the cosets by x^j, j = 1..p-1, in order
-            cosets += map(operator.itemgetter(step), rows)
-            step = table[step][x]
-        span += cosets
-        inside.update(cosets)
-    blocks = list(map(sum, zip(*[map(_BIT.__getitem__, span)] * len(frattini))))
-    if p != 2:
-        return [sum(_gather(blocks, kernel)) for kernel in _hyperplanes(p, d)]
-    below = [bits]  # K minus the XOR of the digit masks of every subset of places
-    for digit in _digit_selectors(d):
-        mask = sum(itertools.compress(blocks, digit))
-        below += [b ^ mask for b in below]
-    return below[1:]
+        if x not in span:
+            _adjoin(g.table, elements, span, basis, x)
+    blocks = list(map(sum, zip(*[map(_BIT.__getitem__, elements)] * len(frattini))))
+    return [sum(_gather(blocks, kernel)) for kernel in _hyperplanes(p, len(basis))]
 
 
-def _canonical(found, n: int) -> list[int]:
-    """One level's bitmasks in canonical order: by membership vector,
-    element 0 first."""
-    spec = f"0{n}b"
-    return sorted(found, key=lambda bits: format(bits, spec)[::-1])
-
-
-def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
+def _records_by_descent(g: FiniteGroup, p: int) -> list[tuple]:
     """Every subgroup of the p-group g, as records (bitmask, abelian,
-    normal, maximal, powerful, powerfully embedded, tag), one list per
-    level from G down, each in canonical order: the next level is every
-    hyperplane preimage in K/Phi(K) over this one's K.  The maximal
-    subgroups are level 1, the subgroups of index p."""
+    normal, maximal, powerful, powerfully embedded, tag), level by level
+    from G down: the next level is every hyperplane preimage in K/Phi(K)
+    over this one's K.  The maximal subgroups are level 1, the subgroups
+    of index p."""
     n = g.order
     power_p = _power_map(g.table, g.identity, p)
     power_k = _gather(power_p, power_p) if p == 2 else power_p
     central = center(g).bits
-    levels: list[list[tuple]] = []
-    level = [(1 << n) - 1]
+    records: list[tuple] = []
+    level, depth = {(1 << n) - 1}, 0
     while level:
         found: set[int] = set()
-        records: list[tuple] = []
-        maximal = len(levels) == 1
         for bits in level:
             members, gens = _checked(g, bits)
             outer = _commutators(g, gens, g.generators) if bits & ~central else set()
@@ -245,11 +211,10 @@ def _levels_by_descent(g: FiniteGroup, p: int) -> list[list[tuple]]:
             kth = _generate(g, set(_gather(power_k, members)))[1] if inner or (normal and outer) else set()
             pth = set(_gather(power_p, members))
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
-            found.update(_maximal_below(g, p, bits, gens, frattini))
-            records.append((bits, not inner, normal, maximal, inner <= kth, normal and outer <= kth, _tag(g, members)))
-        levels.append(records)
-        level = _canonical(found, n)
-    return levels
+            found.update(_maximal_below(g, p, gens, frattini))
+            records.append((bits, not inner, normal, depth == 1, inner <= kth, normal and outer <= kth, _tag(g, members)))
+        level, depth = found, depth + 1
+    return records
 
 
 def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int, bool]:
@@ -291,23 +256,15 @@ def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int
     return maximal
 
 
-def _levels_by_extension(g: FiniteGroup) -> list[list[tuple]]:
-    """Records as _levels_by_descent gives them, with no powerful flags,
-    for a group that is not a p-group: its subgroups grouped by order into
-    levels, the smallest first."""
-    maximal = _subgroups_by_extension(g)
-    by_order: dict[int, list[int]] = {}
-    for bits in maximal:
-        by_order.setdefault(bits.bit_count(), []).append(bits)
-    levels = []
-    for h in sorted(by_order):
-        records: list[tuple] = []
-        for bits in _canonical(by_order[h], g.order):
-            members, gens = _checked(g, bits)
-            abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
-            records.append((bits, abelian, normal, maximal[bits], None, None, _tag(g, members)))
-        levels.append(records)
-    return levels
+def _records_by_extension(g: FiniteGroup) -> list[tuple]:
+    """Records as _records_by_descent gives them, with no powerful flags,
+    for a group that is not a p-group."""
+    records: list[tuple] = []
+    for bits, maximal in _subgroups_by_extension(g).items():
+        members, gens = _checked(g, bits)
+        abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
+        records.append((bits, abelian, normal, maximal, None, None, _tag(g, members)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +391,14 @@ class Lattice:
 
 
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:
-    """Every subgroup of g, flags included, in canonical order."""
+    """Every subgroup of g, flags included, in canonical order: by order,
+    then by membership vector, element 0 first."""
     p = is_p_group(g)
-    levels = _levels_by_extension(g) if p is None else _levels_by_descent(g, p)[::-1]
+    records = _records_by_extension(g) if p is None else _records_by_descent(g, p)
     n = g.order
-    subgroups: list[Subgroup] = []
-    for level in levels:
-        subgroups += (Subgroup(ElementSet(bits, n), *flags) for bits, *flags in level)
-    return Lattice(group=g, subgroups=tuple(subgroups))
+    spec = f"0{n}b"
+    records.sort(key=lambda record: (record[0].bit_count(), format(record[0], spec)[::-1]))
+    return Lattice(group=g, subgroups=tuple(Subgroup(ElementSet(bits, n), *flags) for bits, *flags in records))
 
 
 def maximal_subgroups(g: FiniteGroup, lattice: Optional[Lattice] = None) -> tuple[Subgroup, ...]:

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 
 import pytest
@@ -10,7 +11,7 @@ from powcov.fileio import (
     load_permutation_generators,
     save_cayley_file,
 )
-from powcov.groups import CapError, GroupError, build_group
+from powcov.groups import CapError, ConstructionError, FiniteGroup, GroupError, build_group
 
 
 def write(tmp_path, name, text):
@@ -146,6 +147,17 @@ def test_malformed_cayley_files(tmp_path, text, msg):
     path = write(tmp_path, "m.cayley", text)
     with pytest.raises(FileFormatError, match=msg):
         load_cayley_file(path)
+
+
+def test_names_a_cayley_file_cannot_hold_are_refused(tmp_path):
+    # The file holds one name a line, split on whitespace, and skips lines
+    # that start with '#': "#a" would be saved as a comment and lost.
+    path = write(tmp_path, "in.cayley", "version 1\norder 2\ntable\n0 1\n1 0\nnames\ne #a\n")
+    with pytest.raises(ConstructionError, match="'#a' of element 1"):
+        load_cayley_file(path)
+    for name in ("", "a b", "a\tb", "#"):
+        with pytest.raises(ConstructionError, match=re.escape(f"{name!r} of element 1")):
+            FiniteGroup([[0, 1], [1, 0]], names=["e", name])
 
 
 def test_file_errors_are_group_errors(tmp_path):

@@ -24,7 +24,7 @@ from powcov.groups import (
     quotient_group,
 )
 from powcov.lattice import (
-    _levels_by_descent,
+    _records_by_descent,
     _subgroups_by_extension,
     classify_small,
     enumerate_subgroups,
@@ -48,8 +48,7 @@ def lattice_sets(g):
 
 def descent_maximal(g):
     """{bitmask: maximal} from the descent, as the extension path gives it."""
-    levels = _levels_by_descent(g, is_p_group(g))
-    return {bits: maximal for level in levels for bits, _, _, maximal, *_ in level}
+    return {bits: maximal for bits, _, _, maximal, *_ in _records_by_descent(g, is_p_group(g))}
 
 
 # ------------------------------------------------------------- enumeration
@@ -387,7 +386,7 @@ def test_enumeration_checks_each_subgroup_once(monkeypatch):
         return check(g, bits, *args)
 
     monkeypatch.setattr(lattice, "_checked", counting_check)
-    for spec in ("dihedral:64", "elementary:2^4"):
+    for spec in ("dihedral:64", "elementary:2^4", "product:(dihedral:8,cyclic:3)"):
         rows.clear()
         lat = enumerate_subgroups(build_group(spec))
         assert len(rows) == len(lat)
@@ -402,10 +401,11 @@ def test_hyperplanes_are_built_once_and_read_only():
     # origin and two more, and every vector lies on one of them.
     assert len(planes) == 4 and all(len(plane) == 3 and 0 in plane for plane in planes)
     assert set().union(*planes) == set(range(9))
-    # At p = 2 the digit selectors are cached the same way.
-    digits = lattice._digit_selectors(3)
-    assert digits is lattice._digit_selectors(3)
-    assert digits == ((0, 1, 0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 0, 0, 1, 1), (0, 0, 0, 0, 1, 1, 1, 1))
+    # The same rule at p = 2: the 7 planes of F_2^3, each holding 4 of its
+    # 8 vectors, the origin among them.
+    planes = lattice._hyperplanes(2, 3)
+    assert len(planes) == 7 and all(len(plane) == 4 and 0 in plane for plane in planes)
+    assert len(set(planes)) == 7
 
 
 def _bits(g, *rows):
@@ -556,6 +556,13 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
     ]
     q = quotient_group(g, data.draw(st.sampled_from(normal)))
     assert descent_maximal(q) == _subgroups_by_extension(q)
+
+
+@pytest.mark.parametrize("spec", [s for s in P_GROUP_PRODUCTS if _prime(s) != 2])
+def test_descent_matches_extension_on_odd_products(spec):
+    # The test above draws 8 of the products, so it seldom reaches these.
+    g = build_group(spec)
+    assert descent_maximal(g) == _subgroups_by_extension(g)
 
 
 @settings(max_examples=8, deadline=None)
