@@ -12,7 +12,8 @@ Cayley file — the full multiplication table::
     1 0 3 2
     2 3 0 1
     3 2 1 0
-    names        # optional section
+    # the names section is optional
+    names
     e
     a
     b

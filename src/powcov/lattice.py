@@ -401,8 +401,6 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     return Lattice(group=g, subgroups=tuple(Subgroup(ElementSet(bits, n), *flags) for bits, *flags in records))
 
 
-def maximal_subgroups(g: FiniteGroup, lattice: Optional[Lattice] = None) -> tuple[Subgroup, ...]:
+def maximal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     """The proper subgroups not contained in any other proper subgroup."""
-    if lattice is None:
-        lattice = enumerate_subgroups(g)
-    return tuple(s for s in lattice.subgroups if s.is_maximal)
+    return tuple(s for s in enumerate_subgroups(g).subgroups if s.is_maximal)

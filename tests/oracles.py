@@ -6,12 +6,14 @@ straight from their definitions (every commutator, every k-th power, every
 conjugate), the isomorphism-type tag walks every pair of involutions,
 minimum covers come from exhaustive combination search, element orders
 come from multiplying each element by itself until it returns (in pure
-Python, and as the numpy loop the library used to run), and the order-16
+Python, and as the numpy loop the library used to run), the order-16
 quaternion group is built from 2x2 matrices over the field with 17
-elements.
+elements, and the dihedral 2-groups' products, element orders and optimal
+cover come from the normal form r^j s^k.
 """
 
 from itertools import combinations
+from math import gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -236,3 +238,31 @@ def classify_oracle(
     if h & (h - 1) == 0 and len(invol) == 1:
         return "quaternion-like"
     return "other"
+
+
+def dihedral_product(n: int, x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+    """The product of normal forms in the dihedral group of order 2^(n+1).
+
+    (j, k) stands for r^j s^k, with r a rotation of order 2^n and s a
+    reflection.  Since s r^j = r^(-j) s,
+    (j1, k1)(j2, k2) = (j1 + (-1)^k1 j2 mod 2^n, k1 xor k2).
+    """
+    (j1, k1), (j2, k2) = x, y
+    return (j1 - j2 if k1 else j1 + j2) % (1 << n), k1 ^ k2
+
+
+def dihedral_order(n: int, x: Tuple[int, int]) -> int:
+    """Reflections have order 2; the rotation r^j has order 2^n / gcd(j, 2^n)."""
+    j, k = x
+    return 2 if k else (1 << n) // gcd(j, 1 << n)
+
+
+def dihedral_explicit_cover(n: int) -> List[FrozenSet[int]]:
+    """The paper's cover of the dihedral group of order 2^(n+1) by
+    2^(n-1) + 1 abelian subgroups, as element indices in the numbering
+    build_group uses (r^j is j, r^j s is 2^n + j): the rotation subgroup,
+    then the Klein four-groups {1, r^h, r^i s, r^(i+h) s} with h = 2^(n-1)
+    and 0 <= i < h.  Two reflections commute exactly when their rotation
+    offsets differ by h, so these are all of its Klein four-groups."""
+    m, h = 1 << n, 1 << (n - 1)
+    return [frozenset(range(m))] + [frozenset({0, h, m + i, m + i + h}) for i in range(h)]

@@ -17,17 +17,18 @@ from powcov.cover import (
     verify_witness,
 )
 from powcov.cache import LatticeCache, memo_lattice
-from powcov.dihedral_nf import (
-    explicit_powerful_cover,
-    klein_subgroups_nf,
-    nf_embed,
-    nf_order,
-)
 from powcov.groups import GroupError, build_group, is_p_group, quotient_group
 from powcov.lattice import enumerate_subgroups, is_powerful
 from powcov.verify import run_suite
 
-from oracles import element_orders, exhaustive_min_cover, subset_closure_subgroups
+from oracles import (
+    dihedral_explicit_cover,
+    dihedral_order,
+    dihedral_product,
+    element_orders,
+    exhaustive_min_cover,
+    subset_closure_subgroups,
+)
 
 ALL = FamilySelector.ALL
 AB = FamilySelector.ABELIAN
@@ -219,43 +220,56 @@ def test_criterion_09_product_and_quotient_bounds():
 
 
 def test_criterion_10_closed_form_regressions():
+    """The normal form r^j s^k against the tables, the paper's explicit cover
+    and its counting bound on the library's own lattice.  A cover must hold
+    r, and only the rotation subgroup does; every other admitted member
+    holds at most 2 of the 2^n reflections.  So at least 1 + 2^n / 2 members
+    are needed, the explicit cover has that many, and the tower's optimum
+    does not rest on the solver."""
     bad = []
-    # element-order formula against every Cayley table entry, n <= 5
-    for n in range(2, 6):
-        emb = nf_embed(n)
-        g = build_group(f"dihedral:{1 << (n + 1)}")
-        table_orders = element_orders(g.table)
-        for x, i in emb.items():
-            if nf_order(x) != table_orders[i]:
-                bad.append(("order-formula", n, (x.j, x.k)))
-    # Klein four-subgroup census against brute-force subgroup search, n <= 5
-    for n in range(2, 6):
-        emb = nf_embed(n)
-        g = build_group(f"dihedral:{1 << (n + 1)}")
-        table = g.table
+    for n in range(2, 9):
+        m = 1 << n
+        t = tower(n)
+        g, table = t["group"], t["group"].table
+        nf = [(j, k) for k in (0, 1) for j in range(m)]  # element i is nf[i]
         orders = element_orders(table)
-        brute = {
-            s
-            for s in subset_closure_subgroups(table)
-            if len(s) == 4 and all(orders[i] <= 2 for i in s)
-        }
-        formula = {
-            frozenset(emb[x] for x in k.members) for k in klein_subgroups_nf(n)
-        }
-        if brute != formula:
-            bad.append(("klein-census", n, len(brute), len(formula)))
-    # the explicit cover construction is a valid powerful cover, n = 2..6
-    for n in range(2, 7):
-        emb = nf_embed(n)
-        g = build_group(f"dihedral:{1 << (n + 1)}")
-        witness = [
-            ElementSet.from_indices((emb[x] for x in c.members), g.order)
-            for c in explicit_powerful_cover(n)
-        ]
-        if not verify_witness(g, POW, witness):
-            bad.append(("explicit-cover", n))
+        cover = dihedral_explicit_cover(n)
+        if n <= 4:
+            bad += [
+                ("product", n, x, y)
+                for a, x in enumerate(nf)
+                for b, y in enumerate(nf)
+                if nf[table[a][b]] != dihedral_product(n, x, y)
+            ]
+        bad += [("order-formula", n, x) for x, o in zip(nf, orders) if dihedral_order(n, x) != o]
+        if n <= 5:
+            brute = {
+                s
+                for s in subset_closure_subgroups(table)
+                if len(s) == 4 and all(orders[i] <= 2 for i in s)
+            }
+            if brute != set(cover[1:]):
+                bad.append(("klein-census", n, len(brute), len(cover) - 1))
+        witness = [ElementSet.from_indices(c, g.order) for c in cover]
+        for family in (POW, AB):
+            if not verify_witness(g, family, witness):
+                bad.append(("explicit-cover", n, family.value))
         if len(witness) != 2 ** (n - 1) + 1:
             bad.append(("explicit-cover-size", n, len(witness)))
+        # the counting bound, read off enumerate_subgroups(g)
+        proper = [s for s in t["lattice"].subgroups if s.is_proper]
+        holders = [frozenset(s.elements.indices()) for s in proper if 1 in s.elements]
+        if orders[1] != m or holders != cover[:1]:
+            bad.append(("only-rotations-hold-r", n, orders[1], len(holders)))
+        for family in (POW, AB):
+            most = max(
+                sum(i >= m for i in s.elements.indices())
+                for s in proper
+                if family.admits(s) and 1 not in s.elements
+            )
+            bound = 1 + -(-m // most)
+            if most > 2 or bound != t["powerful"].size:
+                bad.append(("counting-bound", n, family.value, most, bound, t["powerful"].size))
     report(10, "closed-form-regressions", not bad, str(bad))
 
 

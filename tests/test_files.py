@@ -1,9 +1,11 @@
 import os
 import re
 import stat
+import textwrap
 
 import pytest
 
+from powcov import fileio
 from powcov.fileio import (
     FileFormatError,
     atomic_write_text,
@@ -111,6 +113,13 @@ def test_comments_commas_and_blank_lines(tmp_path):
     g = load_cayley_file(path)
     assert g.order == 2
     assert g.names == ("e", "x")
+
+
+def test_the_docstring_example_loads(tmp_path):
+    text = fileio.__doc__.split("table::\n\n", 1)[1].split("\n\n", 1)[0]
+    g = load_cayley_file(write(tmp_path, "doc.cayley", textwrap.dedent(text) + "\n"))
+    assert g.table == ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+    assert g.names == ("e", "a", "b", "ab")
 
 
 def test_trivial_group_file(tmp_path):

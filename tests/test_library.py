@@ -1,5 +1,6 @@
 """The README's examples, console and library, and what `import powcov` loads."""
 
+import ast
 import shlex
 import shutil
 import subprocess
@@ -68,10 +69,18 @@ def test_package_import_loads_no_submodule(tmp_path):
     assert loaded_submodules(tmp_path, "import powcov") == []
 
 
-def test_cli_does_not_load_the_closed_form_dihedral_module(tmp_path):
-    loaded = loaded_submodules(tmp_path, "import powcov.cli")
-    assert "powcov.cli" in loaded
-    assert "powcov.dihedral_nf" not in loaded
+def test_every_module_is_imported_by_another_module():
+    """Each module of src/powcov but the entry points is imported, at module
+    or function level, by another: none lingers that nothing reaches."""
+    reached = set()
+    package = ROOT / "src" / "powcov"
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                reached.update(set(names) - {path.stem})
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+    assert sorted(modules - reached) == []
 
 
 # A launcher that blocks `import numpy`, then runs the command line as the
