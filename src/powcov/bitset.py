@@ -12,9 +12,7 @@ __all__ = ["ElementSet"]
 class ElementSet:
     """An immutable subset of {0, ..., n-1}, tagged with the ambient size n.
 
-    ``bits`` has bit i set iff element i is a member.  Set algebra on two
-    ElementSets with different n raises, which catches subsets of one group
-    being mixed into another.
+    ``bits`` has bit i set iff element i is a member.
     """
 
     bits: int
@@ -27,16 +25,8 @@ class ElementSet:
             raise ValueError(f"bitmask {self.bits:#x} out of range for n={self.n}")
 
     @classmethod
-    def empty(cls, n: int) -> "ElementSet":
-        return cls(0, n)
-
-    @classmethod
     def full(cls, n: int) -> "ElementSet":
         return cls((1 << n) - 1, n)
-
-    @classmethod
-    def singleton(cls, i: int, n: int) -> "ElementSet":
-        return cls.from_indices((i,), n)
 
     @classmethod
     def from_indices(cls, indices: Iterable[int], n: int) -> "ElementSet":
@@ -47,13 +37,6 @@ class ElementSet:
             bits |= 1 << i
         return cls(bits, n)
 
-    def _check(self, other: "ElementSet") -> None:
-        if self.n != other.n:
-            raise ValueError(f"ambient size mismatch: {self.n} != {other.n}")
-
-    def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool(self.bits >> i & 1)
-
     def __len__(self) -> int:
         return self.bits.bit_count()
 
@@ -63,28 +46,6 @@ class ElementSet:
             low = bits & -bits
             yield low.bit_length() - 1
             bits ^= low
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.bits | other.bits, self.n)
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.bits & other.bits, self.n)
-
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
-        self._check(other)
-        return ElementSet(self.bits & ~other.bits, self.n)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"ElementSet({{{','.join(map(str, self))}}}, n={self.n})"

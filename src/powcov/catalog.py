@@ -79,8 +79,8 @@ def entry_order(entry: CatalogEntry) -> Optional[int]:
         return None
 
 
-def builtin_catalog(max_order: Optional[int] = 128) -> List[CatalogEntry]:
-    """The shipped catalog, in deterministic order, filtered to max_order."""
+def builtin_catalog() -> List[CatalogEntry]:
+    """The shipped catalog, in deterministic order."""
     specs: List[str] = ["cyclic:1"]
     specs += [f"cyclic:{q}" for q in range(2, 129) if prime_power(q)]
     specs += [f"elementary:2^{k}" for k in range(2, 6)]
@@ -103,7 +103,7 @@ def builtin_catalog(max_order: Optional[int] = 128) -> List[CatalogEntry]:
         "product:(quaternion:8,cyclic:2)",
         "product:(dihedral:8,dihedral:8)",
     ]
-    return select_entries([CatalogEntry(id=s, source=s) for s in specs], max_order)
+    return [CatalogEntry(id=s, source=s) for s in specs]
 
 
 def select_entries(
@@ -116,7 +116,7 @@ def select_entries(
     the error.
     """
     if entries is None:
-        return builtin_catalog(max_order)
+        entries = builtin_catalog()
     if max_order is None:
         return list(entries)
     return [e for e in entries if (order := entry_order(e)) is None or order <= max_order]

@@ -29,7 +29,7 @@ product per element gained plus one per coset and generator.  A subgroup
 argument gets one check (_checked): its greedy generators are adjoined one
 at a time, and the check fails as soon as a coset leaves the set.  What the
 check returns, the members and those generators, then serves the operation:
-abelian, normal and commutator tests read the generators only.
+abelian and normal tests read the generators only.
 
 Every built-in group but a product is built from the trivial group by
 _extension, one generator y at a time, which numbers n*y^a as n + |N|*a
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from itertools import chain, compress, count, repeat
 from math import gcd
-from operator import add, itemgetter
+from operator import add, index, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .bitset import ElementSet
@@ -57,13 +57,9 @@ __all__ = [
     "build_group",
     "direct_product",
     "subgroup_as_group",
-    "closure",
     "is_subgroup",
     "is_abelian",
-    "commutator_subgroup",
-    "power_subgroup",
     "center",
-    "normal_closure",
     "is_normal",
     "quotient_group",
     "nilpotence_class",
@@ -145,9 +141,9 @@ class FiniteGroup:
         names: Optional[Sequence[str]] = None,
     ):
         try:
-            rows = tuple(tuple(map(int, row)) for row in table)
+            rows = tuple(tuple(map(index, row)) for row in table)
         except TypeError:
-            raise ConstructionError("table must be square: a sequence of rows of integers") from None
+            raise ConstructionError("table must be a square sequence of rows of integers") from None
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -203,12 +199,6 @@ class FiniteGroup:
         self.descriptor = descriptor
         self.names = names
         self._content_key: Optional[str] = None
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
 
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
@@ -454,10 +444,6 @@ def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[list, lis
     return _checked(g, members.bits, what)
 
 
-def _set_of(g: FiniteGroup, elements) -> ElementSet:
-    return ElementSet(_bits_of(elements), g.order)
-
-
 def _commutator(g: FiniteGroup, x: int, y: int) -> int:
     """x^-1 y^-1 x y = (yx)^-1 (xy)."""
     t = g.table
@@ -508,20 +494,6 @@ def _element_orders(table: Table, identity: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def _seeds(g: FiniteGroup, seed) -> list[int]:
-    """Seed elements as a list; indices are range-checked."""
-    idx = list(seed) if isinstance(seed, ElementSet) else [int(i) for i in seed]
-    bad = next((i for i in idx if not 0 <= i < g.order), None)
-    if bad is not None:
-        raise GroupError(f"element index {bad} out of range for order {g.order}")
-    return idx
-
-
-def closure(g: FiniteGroup, seed) -> ElementSet:
-    """Smallest subgroup containing the seed elements (the empty seed gives {e})."""
-    return _set_of(g, _generate(g, _seeds(g, seed))[0])
-
-
 def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
     """True iff the set is nonempty and closed under the product."""
     try:
@@ -537,37 +509,11 @@ def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
     return _commute(g.table, gens)
 
 
-def commutator_subgroup(g: FiniteGroup, a: ElementSet, b: ElementSet) -> ElementSet:
-    """[A, B]: the subgroup generated by all commutators x^-1 y^-1 x y.
-
-    It is the normal closure in <A, B> of the commutators of a generator of
-    A with a generator of B (Robinson, A Course in the Theory of Groups,
-    5.1.7).
-    """
-    _, xs = _argument(g, a, "first argument")
-    _, ys = _argument(g, b, "second argument")
-    commutators = [_commutator(g, x, y) for x in xs for y in ys]
-    return _set_of(g, _generate(g, commutators, xs + ys)[0])
-
-
-def power_subgroup(g: FiniteGroup, members: ElementSet, k: int) -> ElementSet:
-    """H^k: the subgroup generated by the k-th powers of the members."""
-    idx, _ = _argument(g, members, "argument")
-    if k < 0:
-        raise GroupError(f"power exponent must be >= 0, got {k}")
-    powers = {_power(g.table, g.identity, x, k) for x in idx}
-    return _set_of(g, _generate(g, powers)[0])
-
-
 def center(g: FiniteGroup) -> ElementSet:
     """The elements that commute with every generator of G."""
     t = g.table
-    return _set_of(g, (z for z in range(g.order) if all(t[z][y] == t[y][z] for y in g.generators)))
-
-
-def normal_closure(g: FiniteGroup, seed) -> ElementSet:
-    """Smallest normal subgroup containing the seed elements."""
-    return _set_of(g, _generate(g, _seeds(g, seed), g.generators)[0])
+    central = (z for z in range(g.order) if all(t[z][y] == t[y][z] for y in g.generators))
+    return ElementSet(_bits_of(central), g.order)
 
 
 def is_normal(g: FiniteGroup, members: ElementSet) -> bool:

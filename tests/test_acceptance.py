@@ -7,7 +7,7 @@ see the lines; each test also stands alone.  One more test takes criterion
 import time
 
 from powcov.bitset import ElementSet
-from powcov.catalog import builtin_catalog
+from powcov.catalog import builtin_catalog, select_entries
 from powcov.cover import (
     FamilySelector,
     build_instance,
@@ -154,7 +154,7 @@ def oracle_mismatches(entries) -> list:
     for entry in entries:
         g = entry.build()
         lat = enumerate_subgroups(g)
-        ours = {frozenset(s.elements.indices()) for s in lat.subgroups}
+        ours = {frozenset(s.elements) for s in lat.subgroups}
         oracle_subs = subset_closure_subgroups(g.table)
         if ours != oracle_subs:
             bad.append((entry.id, "subgroup enumeration"))
@@ -165,7 +165,7 @@ def oracle_mismatches(entries) -> list:
             except GroupError:
                 continue
             res = solve_exact(inst)
-            cand = [frozenset(c.indices()) for c in inst.candidates]
+            cand = [frozenset(c) for c in inst.candidates]
             best = exhaustive_min_cover(frozenset(range(g.order)), cand)
             if best is None:
                 if not res.infeasible:
@@ -177,7 +177,7 @@ def oracle_mismatches(entries) -> list:
 
 def test_criterion_08_oracle_equivalence_to_32():
     t0 = time.perf_counter()
-    entries = builtin_catalog(max_order=32)
+    entries = select_entries(None, 32)
     bad = oracle_mismatches(entries)
     total = time.perf_counter() - t0
     ok = not bad and len(entries) == 44 and total < 60.0
@@ -188,7 +188,7 @@ def test_criterion_08_oracle_equivalence_to_32():
 def test_oracle_equivalence_at_order_64():
     # Past criterion 08's range: the oracles reach order 64 now that the
     # subset-closure search walks each closure once per start index.
-    entries = [e for e in builtin_catalog(max_order=64) if e.build().order == 64]
+    entries = [e for e in select_entries(None, 64) if e.build().order == 64]
     assert len(entries) == 7
     assert oracle_mismatches(entries) == []
 
@@ -258,12 +258,12 @@ def test_criterion_10_closed_form_regressions():
             bad.append(("explicit-cover-size", n, len(witness)))
         # the counting bound, read off enumerate_subgroups(g)
         proper = [s for s in t["lattice"].subgroups if s.is_proper]
-        holders = [frozenset(s.elements.indices()) for s in proper if 1 in s.elements]
+        holders = [frozenset(s.elements) for s in proper if 1 in s.elements]
         if orders[1] != m or holders != cover[:1]:
             bad.append(("only-rotations-hold-r", n, orders[1], len(holders)))
         for family in (POW, AB):
             most = max(
-                sum(i >= m for i in s.elements.indices())
+                sum(i >= m for i in s.elements)
                 for s in proper
                 if family.admits(s) and 1 not in s.elements
             )

@@ -59,7 +59,7 @@ def test_serialized_form_is_deterministic_json():
 def test_spliced_text_is_the_dump_of_the_whole_envelope():
     # serialize_lattice dumps the records once and splices them in; the bytes
     # must be those of one json.dumps of the envelope, on every built-in group.
-    for entry in builtin_catalog(max_order=None):
+    for entry in builtin_catalog():
         lat = enumerate_subgroups(entry.build())
         records = [s.record() for s in lat.subgroups]
         payload = {

@@ -1,18 +1,19 @@
 import pytest
 
-from powcov.catalog import CatalogEntry, builtin_catalog, entry_order, load_catalog_file
+from powcov.catalog import CatalogEntry, builtin_catalog, entry_order, load_catalog_file, select_entries
 from powcov.descriptors import DescriptorError
 
 
 def test_builtin_sizes():
     assert len(builtin_catalog()) == 82
-    assert len(builtin_catalog(max_order=32)) == 44
+    assert len(select_entries(None, 32)) == 44
+    assert select_entries(None, None) == select_entries(None, 128) == builtin_catalog()
     ids = [e.id for e in builtin_catalog()]
     assert len(set(ids)) == len(ids)
 
 
 def test_order_filter_is_real():
-    for e in builtin_catalog(max_order=32):
+    for e in select_entries(None, 32):
         assert e.build().order <= 32
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from powcov.bitset import ElementSet
 from powcov.cache import LatticeCache, memo_lattice
-from powcov.catalog import builtin_catalog
+from powcov.catalog import select_entries
 from powcov.cover import (
     FamilySelector,
     FamilyUndefinedError,
@@ -101,7 +101,7 @@ def test_pe_infeasible_on_d32():
 def test_d8_powerful_witness_members():
     g = build_group("dihedral:8")
     res = sigma_of(g, POW, LatticeCache())
-    sets = {frozenset(w.indices()) for w in res.witness}
+    sets = {frozenset(w) for w in res.witness}
     assert sets == {
         frozenset({0, 1, 2, 3}),   # the rotation subgroup
         frozenset({0, 2, 4, 6}),   # klein: half-turn with reflections s, r^2 s
@@ -116,9 +116,9 @@ def test_d16_powerful_witness_is_rotations_plus_kleins():
     assert res.size == 5
     assert [len(w) for w in res.witness] == [8, 4, 4, 4, 4]
     rotations = frozenset(range(8))
-    assert frozenset(res.witness[0].indices()) == rotations
+    assert frozenset(res.witness[0]) == rotations
     # the four kleins partition the reflections into pairs
-    reflections = [frozenset(w.indices()) - {0, 4} for w in res.witness[1:]]
+    reflections = [frozenset(w) - {0, 4} for w in res.witness[1:]]
     assert all(len(r) == 2 for r in reflections)
     assert frozenset().union(*reflections) == frozenset(range(8, 16))
 
@@ -132,7 +132,7 @@ def test_build_instance_is_dominance_reduced_and_sorted():
     assert sizes == sorted(sizes, reverse=True)
     for i, a in enumerate(inst.candidates):
         for b in inst.candidates[i + 1:]:
-            assert not b.issubset(a) and not a.issubset(b)
+            assert b.bits & ~a.bits and a.bits & ~b.bits
     # maximal subgroups survive reduction
     assert sizes[:3] == [8, 8, 8]
 
@@ -156,7 +156,7 @@ def test_a_tie_keeps_the_first_cover_reached():
         candidates=tuple(ElementSet.from_indices(c, 4) for c in ({0, 1}, {0, 2, 3}, {1, 2, 3})),
     )
     res = solve_exact(inst)
-    assert [sorted(w.indices()) for w in res.witness] == [[0, 2, 3], [1, 2, 3]]
+    assert [sorted(w) for w in res.witness] == [[0, 2, 3], [1, 2, 3]]
 
 
 def test_a_cover_deeper_than_the_recursion_limit():
@@ -257,7 +257,7 @@ def test_exact_matches_exhaustive_oracle(spec, family):
     g = build_group(spec)
     lat = enumerate_subgroups(g)
     inst = build_instance(g, lat, family)
-    cand_sets = [frozenset(c.indices()) for c in inst.candidates]
+    cand_sets = [frozenset(c) for c in inst.candidates]
     oracle = exhaustive_min_cover(frozenset(range(g.order)), cand_sets)
     res = solve_exact(inst)
     if oracle is None:
@@ -290,7 +290,7 @@ def test_exact_search_is_pinned_on_the_catalog():
     # queries of a sweep, whose 1,000 nodes are its traced cover.nodes.  The
     # digest covers each node count and witness, so any change to the branch
     # element or the child order fails here.
-    groups = [(e.id, e.build()) for e in builtin_catalog(max_order=64)]
+    groups = [(e.id, e.build()) for e in select_entries(None, 64)]
     rows = _searches(groups, list(FamilySelector))
     assert len(rows) == 240
     assert sum(row[4] for row in rows) == 1000
@@ -313,7 +313,7 @@ def test_the_inf_check_passes_exactly_the_infeasible_answers():
     # verify_infeasible iff the search found no cover.
     cache = LatticeCache()
     infeasible = 0
-    groups = [entry.build() for entry in builtin_catalog(max_order=32)]
+    groups = [entry.build() for entry in select_entries(None, 32)]
     groups += [build_group(f"perm:{S3_PERM}"), build_group("cyclic:6"),
                build_group("product:(dihedral:8,cyclic:3)")]
     assert sum(g.order > 1 and is_p_group(g) is None for g in groups) == 3

@@ -52,9 +52,7 @@ def test_order_property():
 
 
 def test_order_matches_built_group():
-    from powcov.catalog import builtin_catalog
-
-    for e in builtin_catalog(max_order=32):
+    for e in select_entries(None, 32):
         assert parse_descriptor(e.source).order == build_group(e.source).order
 
 

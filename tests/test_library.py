@@ -83,6 +83,32 @@ def test_every_module_is_imported_by_another_module():
     assert sorted(modules - reached) == []
 
 
+def test_every_public_name_is_used_outside_its_export_list():
+    """Each name in a module's __all__ is referenced by code of the package,
+    perfbench or scripts, as a name, an attribute, an import or a string
+    (perfbench wraps entry points by their names): none is exported for its
+    own tests alone."""
+    public, used = {}, set()
+    for path in [*(ROOT / "src" / "powcov").glob("*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]:
+        nodes = [ast.parse(path.read_text())]
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                public[path.stem] = ast.literal_eval(node.value)
+                continue
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+            nodes.extend(ast.iter_child_nodes(node))
+    assert len(public) == 11
+    assert {module: sorted(set(names) - used) for module, names in public.items() if set(names) - used} == {}
+
+
 # A launcher that blocks `import numpy`, then runs the command line as the
 # console script does.
 WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from powcov.__main__ import run; sys.exit(run())"

@@ -8,7 +8,7 @@ import powcov.cover
 import powcov.sweep
 
 from powcov.cache import LatticeCache
-from powcov.catalog import CatalogEntry, builtin_catalog
+from powcov.catalog import CatalogEntry, select_entries
 from powcov.cover import FamilySelector
 from powcov.groups import GroupError
 from powcov.sweep import (
@@ -104,7 +104,7 @@ def test_each_row_walks_the_lower_central_series_once(monkeypatch):
     calls = []
     walk = powcov.sweep.nilpotence_class
     monkeypatch.setattr(powcov.sweep, "nilpotence_class", lambda g: calls.append(g) or walk(g))
-    entries = builtin_catalog(max_order=16) + [CatalogEntry("c6", "cyclic:6")]
+    entries = select_entries(None, 16) + [CatalogEntry("c6", "cyclic:6")]
     rows = run_sweep(entries, stable_timing=True)
     assert len(calls) == len(rows) == len(entries)
     assert [(r.nilpotence_class, r.coclass) for r in rows[-1:]] == [(1, None)]
@@ -157,7 +157,7 @@ def test_markdown_flags_planted_violation():
 
 
 def test_builtin_catalog_sweep_is_clean():
-    rows = run_sweep(builtin_catalog(max_order=32), stable_timing=True)
+    rows = run_sweep(select_entries(None, 32), stable_timing=True)
     assert all(r.error == "" for r in rows)
     md = markdown_report(rows)
     violations = md.split("## violations", 1)[1]
@@ -182,7 +182,7 @@ def test_a_sweep_enumerates_each_lattice_once(monkeypatch, explicit):
         return enumerate_subgroups(g)
 
     monkeypatch.setattr(powcov.cache, "enumerate_subgroups", counted)
-    entries = builtin_catalog(max_order=32)
+    entries = select_entries(None, 32)
     given = {"cache": LatticeCache()} if explicit else {}
     rows = run_sweep(entries, ALL_FAMILIES, stable_timing=True, **given)
     assert all(r.error == "" for r in rows)

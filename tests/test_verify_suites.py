@@ -11,7 +11,7 @@ from powcov.verify import (
     format_report,
     run_suite,
 )
-from powcov.catalog import CatalogEntry, builtin_catalog
+from powcov.catalog import CatalogEntry, select_entries
 
 
 def test_report_status_logic():
@@ -158,7 +158,7 @@ def test_all_names_run_clean():
 def test_catalog_suites_build_only_groups_within_max_order(tmp_path, constructions):
     (tmp_path / "c5.perm").write_text("version 1\ndegree 5\ngen 1 2 3 4 0\n")
     rep = run_suite("sigma-equals-p-plus-1", max_order=16)
-    kept = [e.id for e in builtin_catalog(max_order=16)]
+    kept = [e.id for e in select_entries(None, 16)]
     assert [c.label for c in rep.checks] == kept
     assert constructions == Counter(kept)  # a built-in entry's id is its source
 
