@@ -10,8 +10,9 @@ deterministic and an entry holds only what the table determines (not the
 descriptor that built it), so a cache hit is byte-identical to what
 recomputation would store.  This module owns the envelope (version, content
 key, order, SHA-256 digest of the records); Subgroup.record and from_record
-write and read each record.  Corrupted, edited or version-mismatched entries
-and impossible records are recomputed and overwritten, as is an entry whose
+write and read each record.  Corrupted, edited or version-mismatched entries,
+entries that are not UTF-8 JSON text or nest too deep to parse, and
+impossible records are recomputed and overwritten, as is an entry whose
 subgroup counts break Frobenius' theorem (one deleted record does).  With
 the digest recomputed, p records deleted at one order or a flipped flag
 still pass.  `powcov sigma`'s re-checks refuse such an entry where it gives
@@ -92,7 +93,7 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
     any mismatch (bad JSON, wrong version, wrong group, edited or impossible records)."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also an over-long int, or nesting too deep
         raise CacheEntryError(f"not valid JSON: {e}")
     if not isinstance(payload, dict):
         raise CacheEntryError("top level is not an object")
@@ -146,9 +147,9 @@ class LatticeCache:
             return None
         path = self.path_for(g)
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except FileNotFoundError:
+        except (FileNotFoundError, UnicodeDecodeError):
             return None
         except OSError as e:
             _warn("lattice cache read failed (%s); recomputing", e)

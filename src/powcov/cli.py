@@ -31,8 +31,8 @@ from .verify import SUITE_NAMES, SUITES, format_report, run_suite
 __all__ = ["main"]
 
 
-def _print_members(g: FiniteGroup, members) -> str:
-    return "{" + ", ".join(g.name_of(i) for i in members) + "}"
+def _print_members(g: FiniteGroup, bits: int) -> str:
+    return "{" + ", ".join(g.name_of(i) for i in range(g.order) if bits >> i & 1) + "}"
 
 
 def _run_cache(args) -> LatticeCache:
@@ -60,7 +60,7 @@ def cmd_sigma(args) -> int:
     print(f"{family.sigma_label} = {res.size}")
     print("witness:")
     for w in res.witness:
-        print(f"  order {len(w):>3}: {_print_members(g, w)}")
+        print(f"  order {w.bit_count():>3}: {_print_members(g, w)}")
     return 0
 
 
@@ -71,7 +71,7 @@ def cmd_lattice(args) -> int:
     print(f"{args.descriptor}: order {g.order}, {c['subgroups']} subgroups")
     for key in ("proper",) + FLAGS:
         label = key.replace("_", " ")
-        print(f"  {label}: {c[key]}")
+        print(f"  {label}: {'n/a' if c[key] is None else c[key]}")
     tags = Counter(s.tag for s in lat.subgroups)
     parts = [f"{tag} x{n}" for tag, n in sorted(tags.items())]
     print("  tags: " + ", ".join(parts))

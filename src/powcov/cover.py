@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .bitset import ElementSet
 from .cache import LatticeCache, memo_lattice
 from .groups import FiniteGroup, GroupError, is_abelian, is_p_group, is_subgroup
 from .lattice import Lattice, Subgroup, _subgroups_by_extension, is_powerful, is_powerfully_embedded
@@ -89,17 +88,18 @@ class FamilySelector(Enum):
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """An exact-cover problem: cover the universe with the candidate sets."""
+    """An exact-cover problem: cover the universe with the candidate sets,
+    all bitmasks of the group's elements."""
 
-    universe: ElementSet
-    candidates: tuple[ElementSet, ...]
+    universe: int
+    candidates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CoverResult:
     """Outcome of a cover search.
 
-    witness holds the chosen members as element sets, in the order the
+    witness holds the chosen members as bitmasks, in the order the
     solver committed to them (the first optimum reached in canonical
     order); it is empty when the instance is infeasible.  route names the
     step of sigma_of that answered.
@@ -107,7 +107,7 @@ class CoverResult:
 
     status: str
     size: Optional[int]
-    witness: tuple[ElementSet, ...]
+    witness: tuple[int, ...]
     nodes_explored: int
     route: str = "search"
 
@@ -131,17 +131,12 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
     refers to.
     """
     family.require(g)
-    chosen = [s for s in reversed(lat.subgroups) if s.is_proper and family.admits(s)]
-    kept: list[Subgroup] = []
-    for s in chosen:
-        if not any(
-            s.elements.bits & ~t.elements.bits == 0 for t in kept
-        ):
-            kept.append(s)
-    return CoverInstance(
-        universe=g.full_set(),
-        candidates=tuple(s.elements for s in kept),
-    )
+    chosen = [s.bits for s in reversed(lat.subgroups) if s.is_proper and family.admits(s)]
+    kept: list[int] = []
+    for c in chosen:
+        if not any(c & ~t == 0 for t in kept):
+            kept.append(c)
+    return CoverInstance(universe=g.full_set(), candidates=tuple(kept))
 
 
 def solve_greedy(inst: CoverInstance):
@@ -149,8 +144,8 @@ def solve_greedy(inst: CoverInstance):
 
     Returns (size, witness) or None when the candidates cannot cover at all.
     """
-    cands = [c.bits for c in inst.candidates]
-    uncovered = inst.universe.bits
+    cands = inst.candidates
+    uncovered = inst.universe
     witness = []
     while uncovered:
         best_gain = 0
@@ -180,8 +175,8 @@ def solve_exact(inst: CoverInstance) -> CoverResult:
     if greedy is None:
         return CoverResult(INFEASIBLE, None, (), 0)
 
-    universe = inst.universe.bits
-    cands = [c.bits for c in inst.candidates]
+    universe = inst.universe
+    cands = inst.candidates
     sizes = [c.bit_count() for c in cands]
     elem_cands = {
         e: sorted((i for i, c in enumerate(cands) if c >> e & 1), key=lambda i: (-sizes[i], i))
@@ -236,7 +231,7 @@ def sigma_of(g: FiniteGroup, family: FamilySelector, cache: LatticeCache) -> Cov
 
 
 def verify_witness(
-    g: FiniteGroup, family: FamilySelector, witness: Sequence[ElementSet]
+    g: FiniteGroup, family: FamilySelector, witness: Sequence[int]
 ) -> bool:
     """Re-check a purported cover from scratch, independent of the solver.
 
@@ -245,10 +240,10 @@ def verify_witness(
     """
     union = 0
     for w in witness:
-        if not is_subgroup(g, w) or len(w) == g.order or not family.predicate(g, w):
+        if not is_subgroup(g, w) or w == g.full_set() or not family.predicate(g, w):
             return False
-        union |= w.bits
-    return union == g.full_set().bits
+        union |= w
+    return union == g.full_set()
 
 
 def verify_infeasible(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> bool:
@@ -257,11 +252,11 @@ def verify_infeasible(g: FiniteGroup, family: FamilySelector, lat: Lattice) -> b
     no proper subgroup that passes the family's predicate, recomputed.  The
     subgroups that hold x are found afresh from g's table, not from lat.
     """
-    whole = missing = g.full_set().bits
+    whole = missing = g.full_set()
     for s in lat.subgroups:
         if s.is_proper and family.admits(s):
-            missing &= ~s.elements.bits
+            missing &= ~s.bits
     if not missing:
         return False
     holders = _subgroups_by_extension(g, (missing & -missing).bit_length() - 1)
-    return not any(family.predicate(g, ElementSet(h, g.order)) for h in holders if h != whole)
+    return not any(family.predicate(g, h) for h in holders if h != whole)

@@ -19,17 +19,19 @@ subgroup is a subgroup, so it is all of G once it holds a generating set.
 On every built-in p-group the set has d = dim G/Phi(G) elements, the size
 of a Burnside basis.
 
-Subsets are int bitmasks (bit i for element i), the form ElementSet and the
-lattice records keep; a subgroup being built is a list of its elements and
-a set of the same.  _adjoin is the one closure step, here and in the
-lattice: it grows a subgroup H by a new generator x to <H, x> by Dimino's
-coset enumeration.  <H, x> is the union of the right cosets H*r that right
-multiplication by the generators reaches from H*x, so each step costs one
-product per element gained plus one per coset and generator.  A subgroup
-argument gets one check (_checked): its greedy generators are adjoined one
-at a time, and the check fails as soon as a coset leaves the set.  What the
-check returns, the members and those generators, then serves the operation:
-abelian and normal tests read the generators only.
+A subset of G is an int bitmask, bit i set when element i is a member: the
+form every argument, result and lattice record takes.  A subgroup being
+built is a list of its elements and a set of the same.  _adjoin is the one
+closure step, here and in the lattice: it grows a subgroup H by a new
+generator x to <H, x> by Dimino's coset enumeration.  <H, x> is the union
+of the right cosets H*r that right multiplication by the generators reaches
+from H*x, so each step costs one product per element gained plus one per
+coset and generator.  A subgroup argument gets one check (_checked): a mask
+that is negative or has a bit at or above |G| fails it; otherwise its
+greedy generators are adjoined one at a time, and the check fails as soon
+as a coset leaves the set.  What the check returns, the members and those
+generators, then serves the operation: abelian and normal tests read the
+generators only.
 
 Every built-in group but a product is built from the trivial group by
 _extension, one generator y at a time, which numbers n*y^a as n + |N|*a
@@ -46,7 +48,6 @@ from math import gcd
 from operator import add, index, itemgetter
 from typing import Callable, Optional, Sequence, Union
 
-from .bitset import ElementSet
 from .descriptors import HARD_MAX_ORDER, PATH_KINDS, GroupDescriptor, parse_descriptor, prime_power
 
 __all__ = [
@@ -203,8 +204,8 @@ class FiniteGroup:
     def name_of(self, a: int) -> str:
         return self.names[a] if self.names else str(a)
 
-    def full_set(self) -> ElementSet:
-        return ElementSet.full(self.order)
+    def full_set(self) -> int:
+        return (1 << self.order) - 1
 
     def content_key(self) -> str:
         """sha256 of the table as int32 bytes, row by row; the
@@ -329,9 +330,9 @@ def build_group(spec: Union[str, GroupDescriptor]) -> FiniteGroup:
     return FiniteGroup(table, descriptor=desc.canonical(), names=names)
 
 
-def subgroup_as_group(g: FiniteGroup, members: ElementSet) -> FiniteGroup:
+def subgroup_as_group(g: FiniteGroup, members: int) -> FiniteGroup:
     """Reindex a subgroup's sub-table as a standalone group (elements sorted)."""
-    idx, _ = _argument(g, members, "element set")
+    idx, _ = _checked(g, members, "element set")
     pos = {x: i for i, x in enumerate(idx)}
     table = [[pos[g.table[x][y]] for y in idx] for x in idx]
     names = [g.name_of(e) for e in idx] if g.names else None
@@ -424,24 +425,20 @@ def _greedy_generators(table: Table, identity: int, members: Sequence[int], insi
 def _checked(g: FiniteGroup, bits: int, what: str = "enumerated set") -> tuple[list, list]:
     """The members, ascending, and the greedy generators of a bitmask.
 
-    Raises GroupError unless the set holds the identity and is closed under
-    the product, that is, unless it is a subgroup: each member outside the
-    span of the generators so far is adjoined, and a coset that leaves the
-    set fails the check.  The span then equals the set.
+    Raises GroupError unless the mask is a subset of G (not negative, no bit
+    at or above |G|) that holds the identity and is closed under the
+    product, that is, unless it is a subgroup: each member outside the span
+    of the generators so far is adjoined, and a coset that leaves the set
+    fails the check.  The span then equals the set.
     """
+    if bits < 0 or bits >> g.order:
+        raise GroupError(f"{what} is not a subgroup")
     members = _members_of(bits)
     inside = set(members)
     gens = _greedy_generators(g.table, g.identity, members, inside) if g.identity in inside else None
     if gens is None:
         raise GroupError(f"{what} is not a subgroup")
     return members, gens
-
-
-def _argument(g: FiniteGroup, members: ElementSet, what: str) -> tuple[list, list]:
-    """A subgroup argument, checked: its members and greedy generators."""
-    if members.n != g.order:
-        raise GroupError(f"{what} is not a subgroup")
-    return _checked(g, members.bits, what)
 
 
 def _commutator(g: FiniteGroup, x: int, y: int) -> int:
@@ -494,42 +491,42 @@ def _element_orders(table: Table, identity: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def is_subgroup(g: FiniteGroup, members: ElementSet) -> bool:
+def is_subgroup(g: FiniteGroup, members: int) -> bool:
     """True iff the set is nonempty and closed under the product."""
     try:
-        _argument(g, members, "element set")
+        _checked(g, members, "element set")
     except GroupError:
         return False
     return True
 
 
-def is_abelian(g: FiniteGroup, members: ElementSet) -> bool:
+def is_abelian(g: FiniteGroup, members: int) -> bool:
     """True iff every two members of the subgroup commute: its generators do."""
-    _, gens = _argument(g, members, "argument")
+    _, gens = _checked(g, members, "argument")
     return _commute(g.table, gens)
 
 
-def center(g: FiniteGroup) -> ElementSet:
+def center(g: FiniteGroup) -> int:
     """The elements that commute with every generator of G."""
     t = g.table
     central = (z for z in range(g.order) if all(t[z][y] == t[y][z] for y in g.generators))
-    return ElementSet(_bits_of(central), g.order)
+    return _bits_of(central)
 
 
-def is_normal(g: FiniteGroup, members: ElementSet) -> bool:
+def is_normal(g: FiniteGroup, members: int) -> bool:
     """True iff the subgroup is invariant under conjugation by every element."""
-    _, gens = _argument(g, members, "argument")
-    return _normal(g, members.bits, gens, g.generators)
+    _, gens = _checked(g, members, "argument")
+    return _normal(g, members, gens, g.generators)
 
 
-def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
+def quotient_group(g: FiniteGroup, normal: int) -> FiniteGroup:
     """G/N with cosets numbered by their smallest member, checked as a group.
 
     The quotient map is verified to be a surjective homomorphism on every
     pair of elements.
     """
-    idx, gens = _argument(g, normal, "normal subgroup")
-    if not _normal(g, normal.bits, gens, g.generators):
+    idx, gens = _checked(g, normal, "normal subgroup")
+    if not _normal(g, normal, gens, g.generators):
         raise GroupError("subgroup is not normal")
     n = g.order
     coset_id = [-1] * n
@@ -550,7 +547,7 @@ def quotient_group(g: FiniteGroup, normal: ElementSet) -> FiniteGroup:
             raise GroupError(f"quotient map fails homomorphism at pair ({x}, {_first_difference(lhs, rhs)})")
 
     names = [f"[{g.name_of(r)}]" for r in reps] if g.names else None
-    desc = f"quotient:({g.descriptor})/[{','.join(map(str, sorted(normal)))}]"
+    desc = f"quotient:({g.descriptor})/[{','.join(map(str, idx))}]"
     return FiniteGroup(table, descriptor=desc, names=names)
 
 

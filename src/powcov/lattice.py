@@ -94,13 +94,11 @@ import operator
 from dataclasses import dataclass
 from typing import Optional
 
-from .bitset import ElementSet
 from .groups import (
     FiniteGroup,
     GroupError,
     _BIT,
     _adjoin,
-    _argument,
     _bits_of,
     _checked,
     _commutator,
@@ -190,17 +188,16 @@ def _maximal_below(g: FiniteGroup, p: int, gens: list, frattini: list) -> list[i
 
 
 def _records_by_descent(g: FiniteGroup, p: int) -> list[tuple]:
-    """Every subgroup of the p-group g, as records (bitmask, abelian,
-    normal, maximal, powerful, powerfully embedded, tag), level by level
-    from G down: the next level is every hyperplane preimage in K/Phi(K)
-    over this one's K.  The maximal subgroups are level 1, the subgroups
-    of index p."""
-    n = g.order
+    """Every subgroup of the p-group g, as records (bitmask, proper,
+    abelian, normal, maximal, powerful, powerfully embedded, tag), level by
+    level from G down: the next level is every hyperplane preimage in
+    K/Phi(K) over this one's K.  The proper subgroups are the levels below
+    G, and the maximal ones level 1, the subgroups of index p."""
     power_p = _power_map(g.table, g.identity, p)
     power_k = _gather(power_p, power_p) if p == 2 else power_p
-    central = center(g).bits
+    central = center(g)
     records: list[tuple] = []
-    level, depth = {(1 << n) - 1}, 0
+    level, depth = {g.full_set()}, 0
     while level:
         found: set[int] = set()
         for bits in level:
@@ -212,7 +209,8 @@ def _records_by_descent(g: FiniteGroup, p: int) -> list[tuple]:
             pth = set(_gather(power_p, members))
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
             found.update(_maximal_below(g, p, gens, frattini))
-            records.append((bits, not inner, normal, depth == 1, inner <= kth, normal and outer <= kth, _tag(g, members)))
+            powerful, embedded = inner <= kth, normal and outer <= kth
+            records.append((bits, depth > 0, not inner, normal, depth == 1, powerful, embedded, _tag(g, members)))
         level, depth = found, depth + 1
     return records
 
@@ -259,11 +257,12 @@ def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int
 def _records_by_extension(g: FiniteGroup) -> list[tuple]:
     """Records as _records_by_descent gives them, with no powerful flags,
     for a group that is not a p-group."""
+    full = g.full_set()
     records: list[tuple] = []
     for bits, maximal in _subgroups_by_extension(g).items():
         members, gens = _checked(g, bits)
         abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
-        records.append((bits, abelian, normal, maximal, None, None, _tag(g, members)))
+        records.append((bits, bits != full, abelian, normal, maximal, None, None, _tag(g, members)))
     return records
 
 
@@ -277,34 +276,34 @@ def _kth_powers(g: FiniteGroup, p: int, members: list[int]) -> set[int]:
     return {_power(g.table, g.identity, x, k) for x in members}
 
 
-def is_powerful(g: FiniteGroup, members: ElementSet) -> bool:
+def is_powerful(g: FiniteGroup, members: int) -> bool:
     """True iff [H, H] lies inside H^4 (p = 2) or H^p (p odd).
 
     The test is intrinsic to H: both sides are computed from H's own
     elements, so the answer is independent of the ambient group.
     """
     p = _prime(g)
-    idx, gens = _argument(g, members, "argument")
+    idx, gens = _checked(g, members, "argument")
     powers = _kth_powers(g, p, idx)
     return all(_commutator(g, x, y) in powers for x in gens for y in idx)
 
 
-def is_powerfully_embedded(g: FiniteGroup, members: ElementSet) -> bool:
+def is_powerfully_embedded(g: FiniteGroup, members: int) -> bool:
     """True iff N is normal with [N, G] inside N^4 (p = 2) or N^p (p odd).
 
     [N, G] <= N^k <= N already forces normality, but the explicit check
     keeps the reported reason honest when the argument is not normal.
     """
     p = _prime(g)
-    idx, gens = _argument(g, members, "argument")
+    idx, gens = _checked(g, members, "argument")
     everything = range(g.order)
     powers = _kth_powers(g, p, idx)
-    return _normal(g, members.bits, gens, everything) and all(
+    return _normal(g, members, gens, everything) and all(
         _commutator(g, x, y) in powers for x in gens for y in everything
     )
 
 
-def classify_small(g: FiniteGroup, members: ElementSet) -> str:
+def classify_small(g: FiniteGroup, members: int) -> str:
     """Coarse isomorphism-type tag used in lattice reports.
 
     One of "trivial", "cyclic(m)", "klein", "dihedral(m)" (an element of
@@ -312,7 +311,7 @@ def classify_small(g: FiniteGroup, members: ElementSet) -> str:
     2-group with a unique involution), or "other", the first that fits.  m
     is the subgroup's total order; the element orders decide the tag.
     """
-    idx, _ = _argument(g, members, "element set")
+    idx, _ = _checked(g, members, "element set")
     return _tag(g, idx)
 
 
@@ -323,10 +322,11 @@ _flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
 
 @dataclass(frozen=True)
 class Subgroup:
-    """One node of a subgroup lattice: its members, the flags the enumeration
-    computed and its tag.  Order and properness are read off the members."""
+    """One node of a subgroup lattice: its members as a bitmask, the flags
+    the enumeration computed and its tag.  The order is read off the bits."""
 
-    elements: ElementSet
+    bits: int
+    is_proper: bool
     is_abelian: bool
     is_normal: bool
     is_maximal: bool
@@ -336,15 +336,11 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_proper(self) -> bool:
-        return len(self.elements) < self.elements.n
+        return self.bits.bit_count()
 
     def record(self) -> dict:
         """The JSON record the cache stores for this subgroup."""
-        row = {"bits": format(self.elements.bits, "x"), "order": self.order, "tag": self.tag}
+        row = {"bits": format(self.bits, "x"), "order": self.order, "tag": self.tag}
         row["proper"] = self.is_proper
         row.update(zip(FLAGS, _flags_of(self)))
         return row
@@ -352,23 +348,26 @@ class Subgroup:
     @classmethod
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
         """The subgroup of g that a record() describes.  Raises ValueError
-        unless order and proper agree with the members, the flags are JSON
-        booleans (the powerful two null unless g is a p-group) and the tag a
-        string: the enumeration writes no other record."""
+        unless the bits are a subset of g, order and proper agree with them,
+        the flags are JSON booleans (the powerful two null unless g is a
+        p-group) and the tag a string: the enumeration writes no other
+        record."""
         try:
-            elements = ElementSet(int(row["bits"], 16), g.order)
+            bits = int(row["bits"], 16)
             fields = [row[key] for key in FLAGS + ("tag",)]
             order, proper = row["order"], row["proper"]
         except (KeyError, TypeError) as e:
             raise ValueError(f"cannot read record {row!r}: {e!r}") from None
         powerful = type(None) if is_p_group(g) is None else bool
         if (
-            order != len(elements)
-            or proper is not (len(elements) < g.order)
+            bits < 0
+            or bits >> g.order
+            or order != bits.bit_count()
+            or proper is not (order < g.order)
             or list(map(type, fields)) != [bool, bool, bool, powerful, powerful, str]
         ):
             raise ValueError(f"the enumeration writes no record {row}")
-        return cls(elements, *fields)
+        return cls(bits, proper, *fields)
 
 
 @dataclass(frozen=True)
@@ -383,10 +382,12 @@ class Lattice:
         return len(self.subgroups)
 
     def counts(self) -> dict:
-        """The number of subgroups, and of those proper and with each flag."""
+        """The number of subgroups, and of those proper and with each flag;
+        None for a flag left undefined (the powerful two off p-groups)."""
         out = {"subgroups": len(self.subgroups), "proper": sum(s.is_proper for s in self.subgroups)}
         for flag in FLAGS:
-            out[flag] = sum(bool(getattr(s, "is_" + flag)) for s in self.subgroups)
+            values = [getattr(s, "is_" + flag) for s in self.subgroups]
+            out[flag] = None if None in values else sum(values)
         return out
 
 
@@ -395,10 +396,9 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     then by membership vector, element 0 first."""
     p = is_p_group(g)
     records = _records_by_extension(g) if p is None else _records_by_descent(g, p)
-    n = g.order
-    spec = f"0{n}b"
+    spec = f"0{g.order}b"
     records.sort(key=lambda record: (record[0].bit_count(), format(record[0], spec)[::-1]))
-    return Lattice(group=g, subgroups=tuple(Subgroup(ElementSet(bits, n), *flags) for bits, *flags in records))
+    return Lattice(group=g, subgroups=tuple(Subgroup(*record) for record in records))
 
 
 def maximal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -202,7 +202,7 @@ def suite_quotient(
         for sub in memo_lattice(g, cache).subgroups:
             if not sub.is_normal or sub.order == g.order:
                 continue
-            q = quotient_group(g, sub.elements)
+            q = quotient_group(g, sub.bits)
             if q.is_cyclic() or is_powerful(q, q.full_set()):
                 continue
             res = sigma_of(q, _POW, cache)
@@ -320,7 +320,7 @@ def suite_monotonicity(
         for sub in memo_lattice(g, cache).subgroups:
             if not sub.is_proper or sub.order < 4:
                 continue
-            h = subgroup_as_group(g, sub.elements)
+            h = subgroup_as_group(g, sub.bits)
             if h.is_cyclic():
                 continue
             scanned += 1

@@ -165,6 +165,16 @@ def element_orders_stepwise(table) -> np.ndarray:
     return orders
 
 
+def bits_of(indices) -> int:
+    """The bitmask of a set of element indices: bit i set when i is one."""
+    return sum(1 << i for i in set(indices))
+
+
+def members_of(bits: int) -> FrozenSet[int]:
+    """The element indices of a bitmask."""
+    return frozenset(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
 def closure_of(table: Sequence[Sequence[int]], seeds) -> FrozenSet[int]:
     """The subgroup generated by the seed elements."""
     members = frozenset([find_identity(table)])

@@ -6,7 +6,6 @@ see the lines; each test also stands alone.  One more test takes criterion
 
 import time
 
-from powcov.bitset import ElementSet
 from powcov.catalog import builtin_catalog, select_entries
 from powcov.cover import (
     FamilySelector,
@@ -22,11 +21,13 @@ from powcov.lattice import enumerate_subgroups, is_powerful
 from powcov.verify import run_suite
 
 from oracles import (
+    bits_of,
     dihedral_explicit_cover,
     dihedral_order,
     dihedral_product,
     element_orders,
     exhaustive_min_cover,
+    members_of,
     subset_closure_subgroups,
 )
 
@@ -154,7 +155,7 @@ def oracle_mismatches(entries) -> list:
     for entry in entries:
         g = entry.build()
         lat = enumerate_subgroups(g)
-        ours = {frozenset(s.elements) for s in lat.subgroups}
+        ours = {members_of(s.bits) for s in lat.subgroups}
         oracle_subs = subset_closure_subgroups(g.table)
         if ours != oracle_subs:
             bad.append((entry.id, "subgroup enumeration"))
@@ -165,7 +166,7 @@ def oracle_mismatches(entries) -> list:
             except GroupError:
                 continue
             res = solve_exact(inst)
-            cand = [frozenset(c) for c in inst.candidates]
+            cand = list(map(members_of, inst.candidates))
             best = exhaustive_min_cover(frozenset(range(g.order)), cand)
             if best is None:
                 if not res.infeasible:
@@ -208,7 +209,7 @@ def test_criterion_09_product_and_quotient_bounds():
         for s in lat.subgroups:
             if not (s.is_normal and s.is_proper):
                 continue
-            q = quotient_group(g, s.elements)
+            q = quotient_group(g, s.bits)
             if max(q.element_orders) == q.order:
                 continue  # cyclic quotient
             if is_powerful(q, q.full_set()):
@@ -250,7 +251,7 @@ def test_criterion_10_closed_form_regressions():
             }
             if brute != set(cover[1:]):
                 bad.append(("klein-census", n, len(brute), len(cover) - 1))
-        witness = [ElementSet.from_indices(c, g.order) for c in cover]
+        witness = list(map(bits_of, cover))
         for family in (POW, AB):
             if not verify_witness(g, family, witness):
                 bad.append(("explicit-cover", n, family.value))
@@ -258,14 +259,14 @@ def test_criterion_10_closed_form_regressions():
             bad.append(("explicit-cover-size", n, len(witness)))
         # the counting bound, read off enumerate_subgroups(g)
         proper = [s for s in t["lattice"].subgroups if s.is_proper]
-        holders = [frozenset(s.elements) for s in proper if 1 in s.elements]
+        holders = [members_of(s.bits) for s in proper if s.bits >> 1 & 1]
         if orders[1] != m or holders != cover[:1]:
             bad.append(("only-rotations-hold-r", n, orders[1], len(holders)))
         for family in (POW, AB):
             most = max(
-                sum(i >= m for i in s.elements)
+                (s.bits >> m).bit_count()  # the reflections, elements m..2m-1
                 for s in proper
-                if family.admits(s) and 1 not in s.elements
+                if family.admits(s) and not s.bits >> 1 & 1
             )
             bound = 1 + -(-m // most)
             if most > 2 or bound != t["powerful"].size:

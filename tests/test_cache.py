@@ -34,7 +34,7 @@ def test_serialization_round_trip():
     back = deserialize_lattice(text, g)
     assert len(back) == len(lat)
     for a, b in zip(lat.subgroups, back.subgroups):
-        assert a.elements.bits == b.elements.bits
+        assert a.bits == b.bits
         assert (a.order, a.tag) == (b.order, b.tag)
         assert (a.is_proper, a.is_abelian, a.is_normal, a.is_maximal) == (
             b.is_proper,
@@ -172,9 +172,7 @@ def test_memo_backed_by_disk_cache(tmp_path):
     # second process-equivalent: memory empty, disk warm
     lat2 = memo_lattice(g, LatticeCache(str(tmp_path)))
     assert lat2 is not lat
-    assert [s.elements.bits for s in lat2.subgroups] == [
-        s.elements.bits for s in lat.subgroups
-    ]
+    assert [s.bits for s in lat2.subgroups] == [s.bits for s in lat.subgroups]
 
 
 def _edit_entry(cache, g, edit):
@@ -200,7 +198,7 @@ def test_edited_subgroup_bits_are_recomputed(tmp_path):
     _edit_entry(cache, g, add_reflection)
     assert cache.get(g) is None
     lat = memo_lattice(g, cache)  # recomputed and overwritten
-    assert all(len(s.elements) == s.order for s in lat.subgroups)
+    assert lat == enumerate_subgroups(g)
     with open(cache.path_for(g)) as fh:
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
 
@@ -265,6 +263,27 @@ def test_refused_entries_miss_and_are_rewritten(tmp_path, reason):
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
 
 
+# Entries that are not JSON text: each reads as a miss, not as an error.
+UNREADABLE = {
+    "not-utf-8": b'{"format_version":"\xff"}\n',
+    "nested-too-deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_entries_miss_and_are_rewritten(tmp_path, case):
+    g = build_group("dihedral:16")
+    memo_lattice(g, LatticeCache(str(tmp_path)))
+    cache = LatticeCache(str(tmp_path))
+    path = cache.path_for(g)
+    with open(path, "wb") as fh:
+        fh.write(UNREADABLE[case])
+    assert cache.get(g) is None
+    assert len(memo_lattice(g, cache)) == 19
+    with open(path) as fh:
+        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+
+
 def _proper_whole_group(records):
     records[-1]["proper"] = True  # the canonical order puts G last
 
@@ -295,6 +314,15 @@ def _powerful_off_p_groups(records):
     records[0]["powerful"] = True  # cyclic:6 is not a p-group
 
 
+def _negative_bits(records):
+    records[0]["bits"] = "-1"  # (-1).bit_count() is 1, the trivial record's order
+
+
+def _bit_at_order(records):
+    records[0]["bits"] = format(1 | 1 << 16, "x")  # element 16 of a group of order 16
+    records[0]["order"] = 2
+
+
 # Records no enumeration writes, each under a recomputed digest, so that only
 # Subgroup.from_record can refuse them.
 BAD_RECORDS = {
@@ -305,6 +333,8 @@ BAD_RECORDS = {
     "powerful-null": ("dihedral:16", _powerful_null),
     "tag-number": ("dihedral:16", _tag_number),
     "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups),
+    "negative-bits": ("dihedral:16", _negative_bits),
+    "bit-at-order": ("dihedral:16", _bit_at_order),
 }
 
 
@@ -350,7 +380,7 @@ def test_records_are_written_and_read_by_the_subgroup_alone():
     for s in enumerate_subgroups(g).subgroups:
         row = json.loads(json.dumps(s.record()))
         assert Subgroup.from_record(row, g) == s
-        assert (row["order"], row["proper"]) == (len(s.elements), len(s.elements) < 16)
+        assert (row["order"], row["proper"]) == (s.bits.bit_count(), s.bits.bit_count() < 16)
 
 
 def test_aliases_of_one_table_write_identical_entries(tmp_path):

@@ -54,6 +54,19 @@ def test_sigma_ignores_an_edited_cache_entry(capsys, tmp_path):
     assert "order   9" not in second
 
 
+@pytest.mark.parametrize(
+    "entry", [b'{"format_version":"\xff"}\n', b"[" * 200_000], ids=["not-utf-8", "nested-too-deep"]
+)
+def test_sigma_recomputes_an_entry_that_is_not_json_text(capsys, tmp_path, entry):
+    # Once exit 2 with a codec error and exit 1 with a RecursionError.
+    rc, first, _ = run(capsys, "sigma", "dihedral:16", "powerful")
+    (path,) = (tmp_path / "cache").iterdir()
+    path.write_bytes(entry)
+    assert run(capsys, "sigma", "dihedral:16", "powerful") == (rc, first, "")
+    fresh = enumerate_subgroups(build_group("dihedral:16"))
+    assert path.read_text() == powcov.cache.serialize_lattice(fresh)
+
+
 def _edit_cached_records(tmp_path, edit):
     """Apply edit to the records of the one cache entry and recompute their
     digest, so that no envelope check refuses the entry."""
@@ -209,6 +222,14 @@ def test_lattice_counts(capsys):
     assert "  powerful: 5" in out
     assert "  powerfully embedded: 2" in out
     assert "quaternion-like x1" in out
+
+
+@pytest.mark.parametrize("descriptor", ["cyclic:6", f"perm:{Path(__file__).parent / 'data' / 's3.perm'}"])
+def test_lattice_prints_na_for_powerful_flags_off_p_groups(capsys, descriptor):
+    # The powerful flags are undefined there, as in sweep's blank cells.
+    rc, out, _ = run(capsys, "lattice", descriptor)
+    assert rc == 0
+    assert out.splitlines()[5:7] == ["  powerful: n/a", "  powerfully embedded: n/a"]
 
 
 # ---------------------------------------------------------------- construct

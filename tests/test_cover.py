@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powcov.bitset import ElementSet
 from powcov.cache import LatticeCache, memo_lattice
 from powcov.catalog import select_entries
 from powcov.cover import (
@@ -23,7 +22,7 @@ from powcov.cover import (
 from powcov.groups import GroupError, build_group, is_p_group
 from powcov.lattice import enumerate_subgroups
 
-from oracles import exhaustive_min_cover
+from oracles import bits_of, exhaustive_min_cover, members_of
 
 ALL = FamilySelector.ALL
 AB = FamilySelector.ABELIAN
@@ -95,13 +94,13 @@ def test_pe_infeasible_on_d32():
     assert res.infeasible
     # reason: only the trivial subgroup and the center are PE
     inst = build_instance(g, enumerate_subgroups(g), PE)
-    assert sum(len(c) for c in inst.candidates) < g.order
+    assert sum(c.bit_count() for c in inst.candidates) < g.order
 
 
 def test_d8_powerful_witness_members():
     g = build_group("dihedral:8")
     res = sigma_of(g, POW, LatticeCache())
-    sets = {frozenset(w) for w in res.witness}
+    sets = {members_of(w) for w in res.witness}
     assert sets == {
         frozenset({0, 1, 2, 3}),   # the rotation subgroup
         frozenset({0, 2, 4, 6}),   # klein: half-turn with reflections s, r^2 s
@@ -114,11 +113,11 @@ def test_d16_powerful_witness_is_rotations_plus_kleins():
     g = build_group("dihedral:16")
     res = sigma_of(g, POW, LatticeCache())
     assert res.size == 5
-    assert [len(w) for w in res.witness] == [8, 4, 4, 4, 4]
+    assert [w.bit_count() for w in res.witness] == [8, 4, 4, 4, 4]
     rotations = frozenset(range(8))
-    assert frozenset(res.witness[0]) == rotations
+    assert members_of(res.witness[0]) == rotations
     # the four kleins partition the reflections into pairs
-    reflections = [frozenset(w) - {0, 4} for w in res.witness[1:]]
+    reflections = [members_of(w) - {0, 4} for w in res.witness[1:]]
     assert all(len(r) == 2 for r in reflections)
     assert frozenset().union(*reflections) == frozenset(range(8, 16))
 
@@ -128,21 +127,17 @@ def test_d16_powerful_witness_is_rotations_plus_kleins():
 def test_build_instance_is_dominance_reduced_and_sorted():
     g = build_group("dihedral:16")
     inst = build_instance(g, enumerate_subgroups(g), ALL)
-    sizes = [len(c) for c in inst.candidates]
+    sizes = [c.bit_count() for c in inst.candidates]
     assert sizes == sorted(sizes, reverse=True)
     for i, a in enumerate(inst.candidates):
         for b in inst.candidates[i + 1:]:
-            assert b.bits & ~a.bits and a.bits & ~b.bits
+            assert b & ~a and a & ~b
     # maximal subgroups survive reduction
     assert sizes[:3] == [8, 8, 8]
 
 
 def test_greedy_none_when_candidates_cannot_cover():
-    universe = ElementSet.from_indices(range(4), 4)
-    inst = CoverInstance(
-        universe=universe,
-        candidates=(ElementSet.from_indices([0, 1], 4),),
-    )
+    inst = CoverInstance(universe=bits_of(range(4)), candidates=(bits_of([0, 1]),))
     assert solve_greedy(inst) is None
     res = solve_exact(inst)
     assert res.infeasible and res.witness == ()
@@ -152,19 +147,19 @@ def test_a_tie_keeps_the_first_cover_reached():
     # Both 2-covers are reached; the witness is the first in canonical
     # order, so a search that records every leaf it reaches fails here.
     inst = CoverInstance(
-        universe=ElementSet.full(4),
-        candidates=tuple(ElementSet.from_indices(c, 4) for c in ({0, 1}, {0, 2, 3}, {1, 2, 3})),
+        universe=bits_of(range(4)),
+        candidates=tuple(map(bits_of, ({0, 1}, {0, 2, 3}, {1, 2, 3}))),
     )
     res = solve_exact(inst)
-    assert [sorted(w) for w in res.witness] == [[0, 2, 3], [1, 2, 3]]
+    assert [sorted(members_of(w)) for w in res.witness] == [[0, 2, 3], [1, 2, 3]]
 
 
 def test_a_cover_deeper_than_the_recursion_limit():
     # 1,100 members, past the interpreter's default recursion limit of 1,000.
     n = 1100
     inst = CoverInstance(
-        universe=ElementSet.full(n),
-        candidates=tuple(ElementSet.from_indices([e], n) for e in range(n)),
+        universe=(1 << n) - 1,
+        candidates=tuple(1 << e for e in range(n)),
     )
     res = solve_exact(inst)
     assert res.optimal and res.size == n
@@ -191,7 +186,7 @@ def test_exact_is_deterministic():
     a = solve_exact(build_instance(g, lat, POW))
     b = solve_exact(build_instance(g, lat, POW))
     assert a.size == b.size
-    assert [w.bits for w in a.witness] == [w.bits for w in b.witness]
+    assert a.witness == b.witness
     assert a.nodes_explored == b.nodes_explored
 
 
@@ -218,7 +213,7 @@ def test_verify_witness_rejects_bad_members():
     good = covering_number(g, POW, lat).witness
     assert verify_witness(g, POW, good)
     # not a subgroup
-    broken = (ElementSet.from_indices([0, 1], 16),) + good[1:]
+    broken = (bits_of([0, 1]),) + good[1:]
     assert not verify_witness(g, POW, broken)
     # the whole group is not a proper member
     assert not verify_witness(g, POW, (g.full_set(),) + good)
@@ -226,9 +221,9 @@ def test_verify_witness_rejects_bad_members():
     assert not verify_witness(g, POW, good[:-1])
     # wrong family: a dihedral-order-8 subgroup is neither abelian nor powerful
     d8 = next(s for s in lat.subgroups if s.tag == "dihedral(8)")
-    assert not verify_witness(g, AB, good[1:] + (d8.elements,))
-    assert not verify_witness(g, POW, good[1:] + (d8.elements,))
-    # sets sized for a different group are rejected, not mis-read
+    assert not verify_witness(g, AB, good[1:] + (d8.bits,))
+    assert not verify_witness(g, POW, good[1:] + (d8.bits,))
+    # masks with bits past a smaller group's order are rejected, not mis-read
     assert not verify_witness(build_group("dihedral:8"), POW, good)
 
 
@@ -244,7 +239,7 @@ def test_verify_witness_rechecks_powerfully_embedded(spec, non_pe):
     outside = [s for s in lat.subgroups if s.is_proper and not s.is_powerfully_embedded]
     assert len(outside) == non_pe
     for s in outside:
-        assert not verify_witness(g, PE, res.witness + (s.elements,)), s.tag
+        assert not verify_witness(g, PE, res.witness + (s.bits,)), s.tag
 
 
 # ----------------------------------------------------------- oracle parity
@@ -257,7 +252,7 @@ def test_exact_matches_exhaustive_oracle(spec, family):
     g = build_group(spec)
     lat = enumerate_subgroups(g)
     inst = build_instance(g, lat, family)
-    cand_sets = [frozenset(c) for c in inst.candidates]
+    cand_sets = list(map(members_of, inst.candidates))
     oracle = exhaustive_min_cover(frozenset(range(g.order)), cand_sets)
     res = solve_exact(inst)
     if oracle is None:
@@ -276,7 +271,7 @@ def _searches(groups, families):
         lat = enumerate_subgroups(g)
         for family in families:
             res = solve_exact(build_instance(g, lat, family))
-            witness = [format(w.bits, "x") for w in res.witness]
+            witness = [format(w, "x") for w in res.witness]
             rows.append([name, family.value, res.status, res.size, res.nodes_explored, witness])
     return rows
 
@@ -341,8 +336,8 @@ def test_exact_matches_oracle_on_random_instances(data):
     ]
     cands = [c for c in cands if c]
     inst = CoverInstance(
-        universe=ElementSet.full(n),
-        candidates=tuple(ElementSet.from_indices(c, n) for c in cands),
+        universe=(1 << n) - 1,
+        candidates=tuple(map(bits_of, cands)),
     )
     res = solve_exact(inst)
     oracle = exhaustive_min_cover(frozenset(range(n)), cands)
@@ -353,5 +348,5 @@ def test_exact_matches_oracle_on_random_instances(data):
         assert res.size == oracle[0]
         union = 0
         for w in res.witness:
-            union |= w.bits
+            union |= w
         assert union == (1 << n) - 1

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powcov.bitset import ElementSet
 from powcov.catalog import builtin_catalog
+from powcov.cover import FamilySelector, verify_witness
 from powcov.groups import (
     CapError,
     ConstructionError,
@@ -17,6 +17,7 @@ from powcov.groups import (
     center,
     coclass,
     direct_product,
+    is_normal,
     is_p_group,
     is_subgroup,
     nilpotence_class,
@@ -24,19 +25,16 @@ from powcov.groups import (
     subgroup_as_group,
 )
 from powcov.groups import _TRIVIAL, _commutator, _extension, _generate
+from powcov.lattice import is_powerful
 
-from oracles import closure_of, element_orders_stepwise
+from oracles import bits_of, closure_of, element_orders_stepwise, members_of
 
 pytestmark = []
 
 
-def members(g, *indices):
-    return ElementSet.from_indices(indices, g.order)
-
-
 def generated(g, *seeds):
     """The subgroup the seeds generate, from the oracle."""
-    return ElementSet.from_indices(closure_of(g.table, seeds), g.order)
+    return bits_of(closure_of(g.table, seeds))
 
 
 # ---------------------------------------------------------------- validation
@@ -228,7 +226,7 @@ def test_a_consistent_extension_is_a_group():
 def test_dihedral_8_structure():
     g = build_group("dihedral:8")
     assert [int(v) for v in g.element_orders] == [1, 4, 2, 4, 2, 2, 2, 2]
-    assert list(center(g)) == [0, 2]
+    assert center(g) == bits_of([0, 2])
     assert g.name_of(1) == "r" and g.name_of(4) == "s"
 
 
@@ -291,15 +289,27 @@ def test_closure_examples():
 
 def test_is_subgroup():
     g = build_group("dihedral:8")
-    assert is_subgroup(g, members(g, 0, 2, 4, 6))
-    assert not is_subgroup(g, members(g, 0, 1, 4))
-    assert not is_subgroup(g, members(g, 1, 3))  # no identity
-    assert not is_subgroup(g, ElementSet(0, 8))
+    assert is_subgroup(g, bits_of([0, 2, 4, 6]))
+    assert not is_subgroup(g, bits_of([0, 1, 4]))
+    assert not is_subgroup(g, bits_of([1, 3]))  # no identity
+    assert not is_subgroup(g, 0)
+
+
+# Each mask agrees with the subgroup {0, 1} of elementary:2^3 on the elements
+# 0..7 and differs only outside them, so only the range check refuses it.
+@pytest.mark.parametrize("mask", [-1, 0b11 | 1 << 8], ids=["negative", "bit-at-order"])
+def test_masks_outside_the_group_are_refused(mask):
+    g = build_group("elementary:2^3")
+    for operation in (is_normal, is_powerful, quotient_group, subgroup_as_group):
+        with pytest.raises(GroupError, match="is not a subgroup"):
+            operation(g, mask)
+    assert not is_subgroup(g, mask)
+    assert not verify_witness(g, FamilySelector.ALL, [mask])
 
 
 def test_center_of_abelian_is_everything():
     g = build_group("cyclic:12")
-    assert len(center(g)) == 12
+    assert center(g) == g.full_set()
     assert g.is_abelian()
 
 
@@ -310,7 +320,7 @@ def test_subgroup_as_group_reindexes():
     assert sorted(int(v) for v in h.element_orders) == [1, 2, 4, 4, 8, 8, 8, 8]
     assert h.descriptor.startswith("subgroup:")
     with pytest.raises(GroupError):
-        subgroup_as_group(g, members(g, 0, 1, 8))
+        subgroup_as_group(g, bits_of([0, 1, 8]))
 
 
 def test_quotient_group_collapses_center():
@@ -394,13 +404,13 @@ def test_closure_is_a_subgroup_containing_seed(spec, data):
     seed = data.draw(
         st.lists(st.integers(min_value=0, max_value=g.order - 1), max_size=3)
     )
-    c = ElementSet.from_indices(_generate(g, seed)[0], g.order)
+    c = bits_of(_generate(g, seed)[0])
     assert is_subgroup(g, c)
-    assert set(seed) <= set(c)
+    assert set(seed) <= members_of(c)
 
 
 @settings(max_examples=20, deadline=None)
 @given(small_groups)
 def test_commutator_with_center_is_trivial(spec):
     g = build_group(spec)
-    assert {_commutator(g, z, y) for z in center(g) for y in range(g.order)} == {g.identity}
+    assert {_commutator(g, z, y) for z in members_of(center(g)) for y in range(g.order)} == {g.identity}

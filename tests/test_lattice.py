@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcov import lattice
-from powcov.bitset import ElementSet
 from powcov.cache import LatticeCache
 from powcov.catalog import builtin_catalog, entry_order, select_entries
 from powcov.cover import FamilySelector, FamilyUndefinedError, covering_number, sigma_of
@@ -32,9 +31,11 @@ from powcov.lattice import (
 )
 
 from oracles import (
+    bits_of,
     classify_oracle,
     closure_of,
     element_orders,
+    members_of,
     subgroup_flags,
     subset_closure_subgroups,
 )
@@ -42,11 +43,11 @@ from test_groups import generated
 
 
 def lattice_sets(g):
-    return {frozenset(s.elements) for s in enumerate_subgroups(g).subgroups}
+    return {members_of(s.bits) for s in enumerate_subgroups(g).subgroups}
 
 def descent_maximal(g):
     """{bitmask: maximal} from the descent, as the extension path gives it."""
-    return {bits: maximal for bits, _, _, maximal, *_ in _records_by_descent(g, is_p_group(g))}
+    return {bits: maximal for bits, _, _, _, maximal, *_ in _records_by_descent(g, is_p_group(g))}
 
 
 # ------------------------------------------------------------- enumeration
@@ -181,8 +182,8 @@ def test_lattice_is_sorted_and_flags_consistent():
     orders = [s.order for s in lat.subgroups]
     assert orders == sorted(orders)
     for s in lat.subgroups:
-        assert is_subgroup(g, s.elements)
-        assert s.order == len(s.elements)
+        assert is_subgroup(g, s.bits)
+        assert s.order == len(members_of(s.bits))
         assert g.order % s.order == 0
         assert s.is_proper == (s.order < g.order)
         if s.is_maximal:
@@ -195,7 +196,7 @@ def test_maximal_subgroups_of_dihedral():
     assert len(maxes) == 3
     assert sorted(m.order for m in maxes) == [16, 16, 16]
     # the rotation subgroup is one of them
-    assert closure_of(g.table, [1]) in {frozenset(m.elements) for m in maxes}
+    assert closure_of(g.table, [1]) in {members_of(m.bits) for m in maxes}
 
 
 def s4_table():
@@ -214,7 +215,7 @@ def test_maximal_flags_match_the_oracle(spec):
     proper = [h for h in subset_closure_subgroups(g.table) if len(h) < g.order]
     expected = {h for h in proper if not any(h < k for k in proper)}
     lat = enumerate_subgroups(g)
-    assert {frozenset(s.elements) for s in lat.subgroups if s.is_maximal} == expected
+    assert {members_of(s.bits) for s in lat.subgroups if s.is_maximal} == expected
 
 
 @pytest.mark.parametrize("spec", ["dihedral:16", "elementary:2^4", "cyclic:12", "S4"])
@@ -223,7 +224,7 @@ def test_lattice_order_is_order_then_membership_vector(spec):
     # element 0 first, on both enumeration paths.
     g = FiniteGroup(s4_table()) if spec == "S4" else build_group(spec)
     keys = [
-        (s.order, [int(i in s.elements) for i in range(g.order)])
+        (s.order, [s.bits >> i & 1 for i in range(g.order)])
         for s in enumerate_subgroups(g).subgroups
     ]
     assert keys == sorted(keys)
@@ -270,7 +271,7 @@ def test_powerfully_embedded_in_d32():
     lat = enumerate_subgroups(g)
     pe = [s for s in lat.subgroups if s.is_proper and s.is_powerfully_embedded]
     assert [s.order for s in pe] == [1, 2]
-    assert frozenset(pe[1].elements) == closure_of(g.table, [8])  # the center
+    assert members_of(pe[1].bits) == closure_of(g.table, [8])  # the center
 
 
 def test_pe_implies_powerful_and_normal():
@@ -296,9 +297,9 @@ def test_public_pe_predicate_matches_lattice_flag(spec):
     if spec in ("modular:32", "dihedral:16"):
         assert {s.is_powerfully_embedded for s in lat.subgroups} == {True, False}
     for s in lat.subgroups:
-        assert is_powerfully_embedded(g, s.elements) == s.is_powerfully_embedded, s.tag
+        assert is_powerfully_embedded(g, s.bits) == s.is_powerfully_embedded, s.tag
         for family in FamilySelector:
-            assert family.admits(s) == family.predicate(g, s.elements), (family, s.tag)
+            assert family.admits(s) == family.predicate(g, s.bits), (family, s.tag)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +320,7 @@ def test_powerful_families_are_undefined_off_p_groups(family):
     assert proper
     for s in proper:
         with pytest.raises(GroupError, match="p-group"):
-            family.predicate(g, s.elements)
+            family.predicate(g, s.bits)
 
 
 def test_predicates_demand_p_groups():
@@ -344,7 +345,7 @@ def flags_match_definitions(g):
     p = is_p_group(g)
     for s in enumerate_subgroups(g).subgroups:
         flags = (s.is_abelian, s.is_normal, s.is_powerful, s.is_powerfully_embedded)
-        assert flags == subgroup_flags(table, frozenset(s.elements), p), (g, s.elements)
+        assert flags == subgroup_flags(table, members_of(s.bits), p), (g, s.bits)
 
 
 def test_flags_match_definitions_on_builtin_groups_to_order_32():
@@ -369,7 +370,7 @@ def test_generators_generate_and_decide_normality():
         assert closure_of(table, g.generators) == frozenset(range(g.order)), g
         for members in subset_closure_subgroups(table):
             expected = subgroup_flags(table, members, 2)[1]
-            got = is_normal(g, ElementSet.from_indices(members, g.order))
+            got = is_normal(g, bits_of(members))
             assert got == expected, (g, sorted(members))
 
 
@@ -387,7 +388,7 @@ def test_enumeration_checks_each_subgroup_once(monkeypatch):
         rows.clear()
         lat = enumerate_subgroups(build_group(spec))
         assert len(rows) == len(lat)
-        assert set(rows) == {s.elements.bits for s in lat.subgroups}
+        assert set(rows) == {s.bits for s in lat.subgroups}
 
 
 def test_hyperplanes_are_built_once_and_read_only():
@@ -405,10 +406,6 @@ def test_hyperplanes_are_built_once_and_read_only():
     assert len(set(planes)) == 7
 
 
-def _bits(g, *rows):
-    return [ElementSet.from_indices(row, g.order).bits for row in rows]
-
-
 @pytest.mark.parametrize(
     "rows",
     [
@@ -421,13 +418,13 @@ def _bits(g, *rows):
 def test_level_check_rejects_a_block_with_one_bad_row(rows):
     g = build_group("dihedral:16")
     with pytest.raises(GroupError, match="enumerated set is not a subgroup"):
-        for bits in _bits(g, *rows):
+        for bits in map(bits_of, rows):
             lattice._checked(g, bits)
 
 
 def _d16_non_subgroup():
     g = build_group("dihedral:16")
-    return g, ElementSet.from_indices([0, 1, 8], g.order)  # {e, r, s}
+    return g, bits_of([0, 1, 8])  # {e, r, s}
 
 
 @pytest.mark.parametrize(
@@ -485,11 +482,11 @@ def test_every_member_is_a_subgroup_and_closed(spec):
     lat = enumerate_subgroups(g)
     seen = set()
     for s in lat.subgroups:
-        key = s.elements.bits
+        key = s.bits
         assert key not in seen  # no duplicates
         seen.add(key)
-        assert is_subgroup(g, s.elements)
-        assert closure_of(g.table, s.elements) == frozenset(s.elements)
+        assert is_subgroup(g, s.bits)
+        assert closure_of(g.table, members_of(s.bits)) == members_of(s.bits)
 
 
 def heisenberg_table(p):
@@ -512,7 +509,7 @@ def test_heisenberg_group_lattice(p, count):
     table = heisenberg_table(p)
     g = FiniteGroup(table)
     lat = enumerate_subgroups(g)
-    assert {s.elements.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
+    assert {s.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
     assert len(lat) == count
     if p == 3:
         assert lattice_sets(g) == subset_closure_subgroups(table)
@@ -541,9 +538,7 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
     subgroups = descent_maximal(g)
     assert subgroups == _subgroups_by_extension(g)
     normal = [
-        es
-        for es in (ElementSet(bits, g.order) for bits in subgroups)
-        if 1 < len(es) < g.order and is_normal(g, es)
+        bits for bits in subgroups if 1 < bits.bit_count() < g.order and is_normal(g, bits)
     ]
     q = quotient_group(g, data.draw(st.sampled_from(normal)))
     assert descent_maximal(q) == _subgroups_by_extension(q)
@@ -562,7 +557,7 @@ def test_flags_match_definitions_on_products_and_quotients(spec, data):
     g = build_group(spec)
     flags_match_definitions(g)
     normal = [
-        s.elements for s in enumerate_subgroups(g).subgroups if s.is_normal and 1 < s.order < g.order
+        s.bits for s in enumerate_subgroups(g).subgroups if s.is_normal and 1 < s.order < g.order
     ]
     flags_match_definitions(quotient_group(g, data.draw(st.sampled_from(normal))))
 
@@ -606,12 +601,12 @@ def test_flags_on_a_group_whose_fourth_powers_are_no_subgroup():
     fourth = {table[table[x][x]][table[x][x]] for x in range(g.order)}
     assert fourth != closure_of(table, fourth)
     lat = enumerate_subgroups(g)
-    assert {s.elements.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
+    assert {s.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
     large = [s for s in lat.subgroups if s.order >= 32]
     assert any(not s.is_abelian for s in large)
     for s in large:
         flags = (s.is_abelian, s.is_normal, s.is_powerful, s.is_powerfully_embedded)
-        assert flags == subgroup_flags(table, frozenset(s.elements), 2), s.elements
+        assert flags == subgroup_flags(table, members_of(s.bits), 2), s.bits
 
 
 ORACLE_GROUPS = (
@@ -668,6 +663,6 @@ def test_tags_match_the_pair_loop_oracle():
         table = g.table
         orders = element_orders(table)
         for s in enumerate_subgroups(g).subgroups:
-            assert s.tag == classify_oracle(table, orders, frozenset(s.elements)), (name, s.elements)
+            assert s.tag == classify_oracle(table, orders, members_of(s.bits)), (name, s.bits)
             seen.add(s.tag)
     assert {"dihedral(6)", "dihedral(10)", "dihedral(12)", "dihedral(18)", "dihedral(20)"} <= seen
