@@ -25,8 +25,7 @@ call, so its error can be named once (CatalogEntry.error).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .descriptors import PATH_KINDS, parse_descriptor, prime_power
 from .fileio import content_lines
@@ -41,22 +40,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    """A catalog row: a stable id plus the descriptor that names its group."""
+    """A catalog row: a stable id plus the descriptor that names its group.
+    That pair is its value; the build it keeps (see build) is no part of it."""
 
-    id: str
-    source: str
-    # the group or the error of the first build, set once though frozen
-    _built: Any = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("id", "source", "_built")
+
+    def __init__(self, id: str, source: str):
+        self.id, self.source, self._built = id, source, None
+
+    def __eq__(self, other):
+        if not isinstance(other, CatalogEntry):
+            return NotImplemented
+        return (self.id, self.source) == (other.id, other.source)
+
+    def __hash__(self):
+        return hash((self.id, self.source))
 
     def build(self) -> FiniteGroup:
         """The entry's group, constructed on the first call only."""
         if self._built is None:
             try:
-                object.__setattr__(self, "_built", build_group(self.source))
+                self._built = build_group(self.source)
             except (OSError, ValueError) as exc:
-                object.__setattr__(self, "_built", exc)
+                self._built = exc
         if self.error is not None:
             raise self.error
         return self._built
@@ -135,8 +142,9 @@ def load_catalog_file(path: str) -> List[CatalogEntry]:
         first = first_line.setdefault(entry_id, lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: duplicate id {entry_id!r} (first on line {first})")
-        kind, colon, rel = source.partition(":")
-        if kind in PATH_KINDS and colon and not os.path.isabs(rel):
+        # An empty path stays as it is, for the grammar to refuse.
+        kind, _, rel = source.partition(":")
+        if kind in PATH_KINDS and rel and not os.path.isabs(rel):
             source = f"{kind}:{os.path.join(base, rel)}"
         entries.append(CatalogEntry(id=entry_id, source=source))
     return entries

@@ -9,9 +9,8 @@ deterministic branch-and-bound over integer bitmasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cache import LatticeCache, memo_lattice
 from .groups import FiniteGroup, GroupError, is_abelian, is_p_group, is_subgroup
@@ -86,8 +85,7 @@ class FamilySelector(Enum):
             )
 
 
-@dataclass(frozen=True)
-class CoverInstance:
+class CoverInstance(NamedTuple):
     """An exact-cover problem: cover the universe with the candidate sets,
     all bitmasks of the group's elements."""
 
@@ -95,8 +93,7 @@ class CoverInstance:
     candidates: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     """Outcome of a cover search.
 
     witness holds the chosen members as bitmasks, in the order the

@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 __all__ = ["DescriptorError", "GroupDescriptor", "factorize", "parse_descriptor", "prime_power"]
 
@@ -48,21 +47,16 @@ class DescriptorError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(NamedTuple):
     """A parsed descriptor: construction kind plus kind-specific parameters.
 
     params holds (order,) for the single-parameter families, (p, k) for
     elementary, (left, right) sub-descriptors for product, and (path,) for
-    the path kinds.
+    the path kinds.  parse_descriptor refuses one of an unknown kind.
     """
 
     kind: str
     params: tuple
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DescriptorError(f"unknown descriptor kind {self.kind!r}")
 
     def canonical(self) -> str:
         if self.kind == "elementary":
@@ -178,6 +172,8 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
 def parse_descriptor(text: Union[str, GroupDescriptor]) -> GroupDescriptor:
     """Parse a descriptor string; raise DescriptorError with a position on junk."""
     if isinstance(text, GroupDescriptor):
+        if text.kind not in KINDS:  # built by hand, not by _parse
+            raise DescriptorError(f"unknown descriptor kind {text.kind!r}")
         return text
     text = text.strip()
     if not text:

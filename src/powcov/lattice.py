@@ -22,7 +22,7 @@ Two enumeration paths, chosen by the group's order:
   subgroup found gets the same check, abelian, normal and tag as in the
   descent.
 
-Both paths return their records unsorted, and enumerate_subgroups sorts
+Both paths return their Subgroups unsorted, and enumerate_subgroups sorts
 them once, by order and then by membership vector, element 0 first.  That
 canonical order is the only sort: the cover instance reads the lattice
 backwards, and the cache and the record digests keep it.
@@ -91,8 +91,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .groups import (
     FiniteGroup,
@@ -187,16 +186,15 @@ def _maximal_below(g: FiniteGroup, p: int, gens: list, frattini: list) -> list[i
     return [sum(_gather(blocks, kernel)) for kernel in _hyperplanes(p, len(basis))]
 
 
-def _records_by_descent(g: FiniteGroup, p: int) -> list[tuple]:
-    """Every subgroup of the p-group g, as records (bitmask, proper,
-    abelian, normal, maximal, powerful, powerfully embedded, tag), level by
-    level from G down: the next level is every hyperplane preimage in
-    K/Phi(K) over this one's K.  The proper subgroups are the levels below
-    G, and the maximal ones level 1, the subgroups of index p."""
+def _records_by_descent(g: FiniteGroup, p: int) -> list[Subgroup]:
+    """Every subgroup of the p-group g, flags included, level by level from
+    G down: the next level is every hyperplane preimage in K/Phi(K) over
+    this one's K.  The proper subgroups are the levels below G, and the
+    maximal ones level 1, the subgroups of index p."""
     power_p = _power_map(g.table, g.identity, p)
     power_k = _gather(power_p, power_p) if p == 2 else power_p
     central = center(g)
-    records: list[tuple] = []
+    records: list[Subgroup] = []
     level, depth = {g.full_set()}, 0
     while level:
         found: set[int] = set()
@@ -210,7 +208,7 @@ def _records_by_descent(g: FiniteGroup, p: int) -> list[tuple]:
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
             found.update(_maximal_below(g, p, gens, frattini))
             powerful, embedded = inner <= kth, normal and outer <= kth
-            records.append((bits, depth > 0, not inner, normal, depth == 1, powerful, embedded, _tag(g, members)))
+            records.append(Subgroup(bits, depth > 0, not inner, normal, depth == 1, powerful, embedded, _tag(g, members)))
         level, depth = found, depth + 1
     return records
 
@@ -254,15 +252,15 @@ def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int
     return maximal
 
 
-def _records_by_extension(g: FiniteGroup) -> list[tuple]:
-    """Records as _records_by_descent gives them, with no powerful flags,
-    for a group that is not a p-group."""
+def _records_by_extension(g: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup of g, a group that is not a p-group, with every flag
+    but the powerful two."""
     full = g.full_set()
-    records: list[tuple] = []
+    records: list[Subgroup] = []
     for bits, maximal in _subgroups_by_extension(g).items():
         members, gens = _checked(g, bits)
         abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
-        records.append((bits, bits != full, abelian, normal, maximal, None, None, _tag(g, members)))
+        records.append(Subgroup(bits, bits != full, abelian, normal, maximal, None, None, _tag(g, members)))
     return records
 
 
@@ -320,8 +318,7 @@ FLAGS = ("abelian", "normal", "maximal", "powerful", "powerfully_embedded")
 _flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """One node of a subgroup lattice: its members as a bitmask, the flags
     the enumeration computed and its tag.  The order is read off the bits."""
 
@@ -348,10 +345,10 @@ class Subgroup:
     @classmethod
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
         """The subgroup of g that a record() describes.  Raises ValueError
-        unless the bits are a subset of g, order and proper agree with them,
-        the flags are JSON booleans (the powerful two null unless g is a
-        p-group) and the tag a string: the enumeration writes no other
-        record."""
+        unless the bits are a subset of g, in the lowercase unprefixed hex
+        that record() writes, order and proper agree with them, the flags
+        are JSON booleans (the powerful two null unless g is a p-group) and
+        the tag a string: the enumeration writes no other record."""
         try:
             bits = int(row["bits"], 16)
             fields = [row[key] for key in FLAGS + ("tag",)]
@@ -362,6 +359,7 @@ class Subgroup:
         if (
             bits < 0
             or bits >> g.order
+            or format(bits, "x") != row["bits"]
             or order != bits.bit_count()
             or proper is not (order < g.order)
             or list(map(type, fields)) != [bool, bool, bool, powerful, powerful, str]
@@ -370,13 +368,19 @@ class Subgroup:
         return cls(bits, proper, *fields)
 
 
-@dataclass(frozen=True)
 class Lattice:
     """All subgroups of a group in canonical order: by order, then by
     membership vector, element 0 first."""
 
-    group: FiniteGroup
-    subgroups: tuple[Subgroup, ...]
+    __slots__ = ("group", "subgroups")
+
+    def __init__(self, group: FiniteGroup, subgroups: tuple[Subgroup, ...]):
+        self.group, self.subgroups = group, subgroups
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return (self.group, self.subgroups) == (other.group, other.subgroups)
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -395,10 +399,10 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     """Every subgroup of g, flags included, in canonical order: by order,
     then by membership vector, element 0 first."""
     p = is_p_group(g)
-    records = _records_by_extension(g) if p is None else _records_by_descent(g, p)
+    subgroups = _records_by_extension(g) if p is None else _records_by_descent(g, p)
     spec = f"0{g.order}b"
-    records.sort(key=lambda record: (record[0].bit_count(), format(record[0], spec)[::-1]))
-    return Lattice(group=g, subgroups=tuple(Subgroup(*record) for record in records))
+    subgroups.sort(key=lambda s: (s.bits.bit_count(), format(s.bits, spec)[::-1]))
+    return Lattice(group=g, subgroups=tuple(subgroups))
 
 
 def maximal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -23,8 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 from .cache import LatticeCache
 from .catalog import CatalogEntry
@@ -54,8 +53,7 @@ CSV_COLUMNS = (
 SigmaCell = Union[int, str, None]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     id: str
     source: str
     order: Optional[int]

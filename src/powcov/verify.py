@@ -19,7 +19,6 @@ chain_violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import CatalogEntry, select_entries
@@ -43,15 +42,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     ok: Optional[bool]  # None: nothing to compare, such as every value INF
     detail: str
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     name: str
     kind: str  # "theorem" or "conjecture"
     scope: str  # human-readable statement of the range actually checked

@@ -323,6 +323,17 @@ def _bit_at_order(records):
     records[0]["order"] = 2
 
 
+def _trivial_bits(text):
+    def edit(records):
+        records[0]["bits"] = text  # int(text, 16) is 1, the trivial record's bits
+    return edit
+
+
+def _uppercase_bits(records):
+    row = next(row for row in records if not row["bits"].isdigit())
+    row["bits"] = row["bits"].upper()
+
+
 # Records no enumeration writes, each under a recomputed digest, so that only
 # Subgroup.from_record can refuse them.
 BAD_RECORDS = {
@@ -335,6 +346,11 @@ BAD_RECORDS = {
     "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups),
     "negative-bits": ("dihedral:16", _negative_bits),
     "bit-at-order": ("dihedral:16", _bit_at_order),
+    "hex-prefix": ("dihedral:16", _trivial_bits("0x1")),
+    "hex-space": ("dihedral:16", _trivial_bits(" 1")),
+    "hex-sign": ("dihedral:16", _trivial_bits("+1")),
+    "hex-underscore": ("dihedral:16", _trivial_bits("0_1")),
+    "hex-uppercase": ("dihedral:16", _uppercase_bits),
 }
 
 

@@ -72,6 +72,16 @@ def test_load_catalog_file(tmp_path):
     assert entries[0].build().order == 16
 
 
+def test_an_empty_path_in_a_catalog_file_is_the_grammar_s_error(tmp_path):
+    cat = tmp_path / "empty.catalog"
+    cat.write_text("x perm:\ny file:\n")
+    for entry, kind in zip(load_catalog_file(str(cat)), ("perm", "file")):
+        assert entry.source == f"{kind}:"  # not resolved to the catalog's directory
+        with pytest.raises(DescriptorError) as exc:
+            entry.build()
+        assert str(exc.value) == f"empty {kind} path (in '{kind}:' at position {len(kind) + 1})"
+
+
 def test_load_catalog_file_rejects_malformed_lines(tmp_path):
     cat = tmp_path / "bad.catalog"
     cat.write_text("only-an-id\n")

@@ -191,6 +191,13 @@ def test_passthrough_and_idempotence():
     assert parse_descriptor(d) is d
 
 
+def test_a_descriptor_built_by_hand_keeps_to_the_kinds():
+    bogus = GroupDescriptor("bogus", (4,))
+    for use in (parse_descriptor, build_group):
+        with pytest.raises(DescriptorError, match="unknown descriptor kind 'bogus'"):
+            use(bogus)
+
+
 atoms = st.one_of(
     st.sampled_from([2, 4, 8, 16]).map(lambda m: f"dihedral:{max(m, 4)}"),
     st.integers(min_value=1, max_value=30).map(lambda m: f"cyclic:{m}"),

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_cli import child_env, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,12 +118,15 @@ def test_every_public_name_is_used_outside_its_export_list():
 WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from powcov.__main__ import run; sys.exit(run())"
 
 
-def test_cli_imports_no_numpy(tmp_path):
-    probe = "import sys, powcov.cli; print('numpy' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_import_adds_no(tmp_path, module):
+    # Only what the import adds counts: a site hook may load any of them first.
+    probe = "import sys; before = set(sys.modules); import powcov.cli; print(*set(sys.modules) - before)"
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(tmp_path)
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert "powcov.cli" in proc.stdout.split() and module not in proc.stdout.split()
 
 
 def test_commands_run_the_same_without_numpy(tmp_path):

@@ -149,9 +149,7 @@ def test_run_sweep_writes_csv_and_markdown(tmp_path):
 def test_markdown_flags_planted_violation():
     good = sweep_entry(CatalogEntry("d16", "dihedral:16"), stable_timing=True)
     # fabricate a chain violation: sigma above sigma_P
-    from dataclasses import replace
-
-    bad = replace(good, id="planted", sigmas={**good.sigmas, ALL: 9, AB: 5})
+    bad = good._replace(id="planted", sigmas={**good.sigmas, ALL: 9, AB: 5})
     md = markdown_report([good, bad])
     assert "  - planted: sigma 9 > sigma_P 5\n  - planted: sigma 9 > sigma_A 5\n" in md
 
