@@ -4,10 +4,12 @@
 Example:
     python scripts/lattice_digests.py --out tests/data/lattice_digests.json
 
-Each value is the `subgroups_sha256` a lattice cache entry carries: a
-SHA-256 of the lattice's subgroup records (bits, order, flags, tag).  The
-tier-1 suite recomputes every digest and compares it with the committed
-file, so a change to enumeration or to any flag that alters one record of
+Each value is a SHA-256 of the lattice's subgroup records (bits, order,
+flags), each with its subgroup's classify_small tag added, in the sorted,
+compact JSON text whose digest a cache entry carries.  That entry stores no
+tag, so its `subgroups_sha256` is not the value here.  The tier-1 suite
+recomputes every digest and compares it with the committed file, so a
+change to enumeration, to any flag or to a tag that alters one record of
 one built-in lattice fails there.  The built-in groups are p-groups apart
 from the trivial one, so EXTENSION adds groups that are not, to pin the
 cyclic-extension path as well.
@@ -17,7 +19,7 @@ import argparse
 import json
 import sys
 
-from powcov.cache import serialize_lattice
+from powcov.cache import _records_digest
 from powcov.catalog import builtin_catalog
 from powcov.groups import build_group
 from powcov.lattice import enumerate_subgroups
@@ -33,7 +35,8 @@ EXTENSION = (
 
 
 def _digest(g) -> str:
-    return json.loads(serialize_lattice(enumerate_subgroups(g)))["subgroups_sha256"]
+    lat = enumerate_subgroups(g)
+    return _records_digest([{**s.record(), "tag": tag} for s, tag in zip(lat.subgroups, lat.tags())])
 
 
 def lattice_digests() -> dict:

@@ -17,8 +17,8 @@ subgroup counts break Frobenius' theorem (one deleted record does).  With
 the digest recomputed, p records deleted at one order or a flipped flag
 still pass.  `powcov sigma`'s re-checks refuse such an entry where it gives
 a wrong witness or a wrong INF, but not where it only inflates a finite
-answer: two klein records deleted from dihedral:16 give sigma_P = 7, not 5.
-I/O failures degrade to recomputation and are logged.
+answer: two Klein records deleted from dihedral:16 give sigma_P = 7, not 5.
+I/O failures degrade to recomputation and are logged.  No record holds a tag.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "memo_lattice",
 ]
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 def default_cache_dir() -> str:

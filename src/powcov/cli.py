@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from typing import List, Optional
 
 from .cache import LatticeCache, default_cache_dir, memo_lattice
@@ -67,14 +66,13 @@ def cmd_sigma(args) -> int:
 def cmd_lattice(args) -> int:
     g = build_group(args.descriptor)
     lat = memo_lattice(g, cache=_run_cache(args))
-    c = lat.counts()
-    print(f"{args.descriptor}: order {g.order}, {c['subgroups']} subgroups")
-    for key in ("proper",) + FLAGS:
-        label = key.replace("_", " ")
-        print(f"  {label}: {'n/a' if c[key] is None else c[key]}")
-    tags = Counter(s.tag for s in lat.subgroups)
-    parts = [f"{tag} x{n}" for tag, n in sorted(tags.items())]
-    print("  tags: " + ", ".join(parts))
+    print(f"{args.descriptor}: order {g.order}, {len(lat)} subgroups")
+    print(f"  proper: {sum(s.is_proper for s in lat.subgroups)}")
+    for flag in FLAGS:
+        values = [getattr(s, "is_" + flag) for s in lat.subgroups]
+        print(f"  {flag.replace('_', ' ')}: {'n/a' if None in values else sum(values)}")
+    tags = lat.tags()
+    print("  tags: " + ", ".join(f"{tag} x{tags.count(tag)}" for tag in sorted(set(tags))))
     return 0
 
 

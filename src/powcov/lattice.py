@@ -19,7 +19,7 @@ Two enumeration paths, chosen by the group's order:
   its cyclic subgroups, so that is exhaustive for any finite group.  Each
   queued subgroup keeps its elements and generators, so a join <H, y> grows
   H by y with groups._adjoin rather than closing from scratch.  Each
-  subgroup found gets the same check, abelian, normal and tag as in the
+  subgroup found gets the same check, abelian and normal flags as in the
   descent.
 
 Both paths return their Subgroups unsorted, and enumerate_subgroups sorts
@@ -68,11 +68,6 @@ Flags, from K's generators:
   from the enumeration.  In the descent these are level 1, the subgroups of
   index p.  On the extension path, a proper H is maximal iff every join
   <H, x> it closes is G.
-* tag: H of order h is dihedral(h) iff it has some c of order h/2 and
-  h/2 + [4 | h] involutions.  C = <c> holds [4 | h] involutions, so all
-  h/2 elements outside C are; for a outside C and x in C, ax is one, so a
-  inverts C and H = C u aC is dihedral.  The dihedral group of order h has
-  a rotation of order h/2, and h/2 reflections plus the half-turn if 4 | h.
 
 Groups that are not p-groups get no powerful flags.  The public
 is_powerful and is_powerfully_embedded re-check a flag from the definitions
@@ -138,14 +133,20 @@ def _commutators(g: FiniteGroup, xs, ys) -> set[int]:
     return {t[inv[t[y][x]]][t[x][y]] for x in xs for y in ys} - {g.identity}
 
 
-def _tag(g: FiniteGroup, members: list[int]) -> str:
-    """A subgroup's coarse isomorphism-type tag, from its element orders
-    alone; see classify_small and the module docstring."""
-    h = len(members)
+def _order_masks(g: FiniteGroup) -> dict[int, int]:
+    """{m: the bitmask of g's elements of order m}."""
+    orders = g.element_orders
+    return {m: _bits_of(x for x in range(g.order) if orders[x] == m) for m in set(orders)}
+
+
+def _tag(masks: dict[int, int], bits: int) -> str:
+    """The classify_small tag of the subgroup with members bits, from the
+    number of its elements of each order, given g's _order_masks."""
+    h = bits.bit_count()
     if h == 1:
         return "trivial"
-    orders = _gather(g.element_orders, members)
-    involutions = orders.count(2)
+    orders = {m: n for m, mask in masks.items() if (n := (bits & mask).bit_count())}
+    involutions = orders.get(2, 0)
     if h in orders:
         return f"cyclic({h})"
     if h == 4 and max(orders) <= 2:
@@ -208,7 +209,7 @@ def _records_by_descent(g: FiniteGroup, p: int) -> list[Subgroup]:
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
             found.update(_maximal_below(g, p, gens, frattini))
             powerful, embedded = inner <= kth, normal and outer <= kth
-            records.append(Subgroup(bits, depth > 0, not inner, normal, depth == 1, powerful, embedded, _tag(g, members)))
+            records.append(Subgroup(bits, depth > 0, not inner, normal, depth == 1, powerful, embedded))
         level, depth = found, depth + 1
     return records
 
@@ -258,9 +259,9 @@ def _records_by_extension(g: FiniteGroup) -> list[Subgroup]:
     full = g.full_set()
     records: list[Subgroup] = []
     for bits, maximal in _subgroups_by_extension(g).items():
-        members, gens = _checked(g, bits)
+        gens = _checked(g, bits)[1]
         abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
-        records.append(Subgroup(bits, bits != full, abelian, normal, maximal, None, None, _tag(g, members)))
+        records.append(Subgroup(bits, bits != full, abelian, normal, maximal, None, None))
     return records
 
 
@@ -307,20 +308,26 @@ def classify_small(g: FiniteGroup, members: int) -> str:
     One of "trivial", "cyclic(m)", "klein", "dihedral(m)" (an element of
     order m/2 and m/2 + [4 | m] involutions), "quaternion-like" (noncyclic
     2-group with a unique involution), or "other", the first that fits.  m
-    is the subgroup's total order; the element orders decide the tag.
+    is the subgroup's total order; the element orders decide the tag: H of
+    order h is dihedral(h) iff it has some c of order h/2 and h/2 + [4 | h]
+    involutions.  C = <c> holds [4 | h] involutions, so all h/2 elements
+    outside C are; for a outside C and x in C, ax is one, so a inverts C and
+    H = C u aC is dihedral.  The dihedral group of order h has a rotation of
+    order h/2, and h/2 reflections plus the half-turn if 4 | h.
     """
-    idx, _ = _checked(g, members, "element set")
-    return _tag(g, idx)
+    _checked(g, members, "element set")
+    return _tag(_order_masks(g), members)
 
 
 # The enumeration's flags by record key; Subgroup's attribute is "is_" + key.
 FLAGS = ("abelian", "normal", "maximal", "powerful", "powerfully_embedded")
 _flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
+_RECORD_KEYS = frozenset(("bits", "order", "proper") + FLAGS)
 
 
 class Subgroup(NamedTuple):
-    """One node of a subgroup lattice: its members as a bitmask, the flags
-    the enumeration computed and its tag.  The order is read off the bits."""
+    """One node of a subgroup lattice: its members as a bitmask and the
+    flags the enumeration computed.  The order is read off the bits."""
 
     bits: int
     is_proper: bool
@@ -329,7 +336,6 @@ class Subgroup(NamedTuple):
     is_maximal: bool
     is_powerful: Optional[bool]
     is_powerfully_embedded: Optional[bool]
-    tag: str
 
     @property
     def order(self) -> int:
@@ -337,32 +343,32 @@ class Subgroup(NamedTuple):
 
     def record(self) -> dict:
         """The JSON record the cache stores for this subgroup."""
-        row = {"bits": format(self.bits, "x"), "order": self.order, "tag": self.tag}
-        row["proper"] = self.is_proper
+        row = {"bits": format(self.bits, "x"), "order": self.order, "proper": self.is_proper}
         row.update(zip(FLAGS, _flags_of(self)))
         return row
 
     @classmethod
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
         """The subgroup of g that a record() describes.  Raises ValueError
-        unless the bits are a subset of g, in the lowercase unprefixed hex
-        that record() writes, order and proper agree with them, the flags
-        are JSON booleans (the powerful two null unless g is a p-group) and
-        the tag a string: the enumeration writes no other record."""
+        unless it has just the keys record() writes, its bits are a subset
+        of g in the same lowercase unprefixed hex, order and proper agree
+        with them, and the flags are JSON booleans (the powerful two null
+        unless g is a p-group): the enumeration writes no other record."""
         try:
             bits = int(row["bits"], 16)
-            fields = [row[key] for key in FLAGS + ("tag",)]
+            fields = [row[key] for key in FLAGS]
             order, proper = row["order"], row["proper"]
         except (KeyError, TypeError) as e:
             raise ValueError(f"cannot read record {row!r}: {e!r}") from None
         powerful = type(None) if is_p_group(g) is None else bool
         if (
-            bits < 0
+            row.keys() != _RECORD_KEYS
+            or bits < 0
             or bits >> g.order
             or format(bits, "x") != row["bits"]
             or order != bits.bit_count()
             or proper is not (order < g.order)
-            or list(map(type, fields)) != [bool, bool, bool, powerful, powerful, str]
+            or list(map(type, fields)) != [bool, bool, bool, powerful, powerful]
         ):
             raise ValueError(f"the enumeration writes no record {row}")
         return cls(bits, proper, *fields)
@@ -385,14 +391,10 @@ class Lattice:
     def __len__(self) -> int:
         return len(self.subgroups)
 
-    def counts(self) -> dict:
-        """The number of subgroups, and of those proper and with each flag;
-        None for a flag left undefined (the powerful two off p-groups)."""
-        out = {"subgroups": len(self.subgroups), "proper": sum(s.is_proper for s in self.subgroups)}
-        for flag in FLAGS:
-            values = [getattr(s, "is_" + flag) for s in self.subgroups]
-            out[flag] = None if None in values else sum(values)
-        return out
+    def tags(self) -> list[str]:
+        """Each subgroup's classify_small tag, in lattice order."""
+        masks = _order_masks(self.group)
+        return [_tag(masks, s.bits) for s in self.subgroups]
 
 
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:

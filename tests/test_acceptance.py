@@ -17,7 +17,7 @@ from powcov.cover import (
 )
 from powcov.cache import LatticeCache, memo_lattice
 from powcov.groups import GroupError, build_group, is_p_group, quotient_group
-from powcov.lattice import enumerate_subgroups, is_powerful
+from powcov.lattice import classify_small, enumerate_subgroups, is_powerful
 from powcov.verify import run_suite
 
 from oracles import (
@@ -142,7 +142,7 @@ def test_criterion_07_dihedral_lattice_census():
     for n in range(2, 7):
         lat = tower(n)["lattice"]
         maximal = sum(1 for s in lat.subgroups if s.is_maximal)
-        klein = sum(1 for s in lat.subgroups if s.tag == "klein")
+        klein = sum(1 for s in lat.subgroups if classify_small(lat.group, s.bits) == "klein")
         if maximal != 3 or klein != 2 ** (n - 1):
             bad.append((n, maximal, klein))
     report(7, "dihedral-lattice-census", not bad, str(bad))

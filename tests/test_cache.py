@@ -17,7 +17,9 @@ from powcov.cache import (
 )
 from powcov.catalog import builtin_catalog
 from powcov.groups import build_group
-from powcov.lattice import Subgroup, enumerate_subgroups
+from powcov.lattice import Subgroup, classify_small, enumerate_subgroups
+
+from test_cli import cyclic_8
 
 
 def test_default_dir_honors_env(monkeypatch, tmp_path):
@@ -35,7 +37,7 @@ def test_serialization_round_trip():
     assert len(back) == len(lat)
     for a, b in zip(lat.subgroups, back.subgroups):
         assert a.bits == b.bits
-        assert (a.order, a.tag) == (b.order, b.tag)
+        assert (a.order, classify_small(g, a.bits)) == (b.order, classify_small(g, b.bits))
         assert (a.is_proper, a.is_abelian, a.is_normal, a.is_maximal) == (
             b.is_proper,
             b.is_abelian,
@@ -192,7 +194,7 @@ def test_edited_subgroup_bits_are_recomputed(tmp_path):
     cache = LatticeCache(str(tmp_path))
 
     def add_reflection(records):
-        (row,) = [r for r in records if r["tag"] == "cyclic(8)"]
+        (row,) = filter(cyclic_8, records)
         row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")
 
     _edit_entry(cache, g, add_reflection)
@@ -228,7 +230,7 @@ def _malformed_record(doc):
 
 def _cyclic_8_deleted(doc):
     # D16 has three subgroups of order 8; two break the count 1 mod 2.
-    doc["subgroups"] = [row for row in doc["subgroups"] if row["tag"] != "cyclic(8)"]
+    doc["subgroups"] = [row for row in doc["subgroups"] if not cyclic_8(row)]
     doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
     return json.dumps(doc)
 
@@ -306,8 +308,12 @@ def _powerful_null(records):
     records[-1]["powerful"] = None  # dihedral:16 is a p-group
 
 
-def _tag_number(records):
-    records[0]["tag"] = 1
+def _tag_kept(records):
+    records[0]["tag"] = "trivial"  # as in every record of a format 3 entry
+
+
+def _unknown_key(records):
+    records[0]["junk"] = [1, 2]
 
 
 def _powerful_off_p_groups(records):
@@ -342,7 +348,8 @@ BAD_RECORDS = {
     "wrong-order": ("dihedral:16", _wrong_order),
     "abelian-one": ("dihedral:16", _abelian_one),
     "powerful-null": ("dihedral:16", _powerful_null),
-    "tag-number": ("dihedral:16", _tag_number),
+    "tag-kept": ("dihedral:16", _tag_kept),
+    "unknown-key": ("dihedral:16", _unknown_key),
     "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups),
     "negative-bits": ("dihedral:16", _negative_bits),
     "bit-at-order": ("dihedral:16", _bit_at_order),

@@ -25,6 +25,16 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+# A cache record holds no tag.  Among dihedral:16's three subgroups of order
+# 8, <r>, cyclic(8), is the abelian one, and the other two are dihedral(8).
+def cyclic_8(row):
+    return row["order"] == 8 and row["abelian"]
+
+
+def dihedral_8(row):
+    return row["order"] == 8 and not row["abelian"]
+
+
 # -------------------------------------------------------------------- sigma
 
 def test_sigma_powerful_dihedral(capsys):
@@ -45,7 +55,7 @@ def test_sigma_ignores_an_edited_cache_entry(capsys, tmp_path):
     assert rc == 0
     (path,) = (tmp_path / "cache").iterdir()
     doc = json.loads(path.read_text())
-    (row,) = [r for r in doc["subgroups"] if r["tag"] == "cyclic(8)"]
+    (row,) = filter(cyclic_8, doc["subgroups"])
     row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")  # add s to <r>
     path.write_text(json.dumps(doc))
     rc, second, _ = run(capsys, "sigma", "dihedral:16", "powerful")
@@ -88,7 +98,7 @@ def _powerful_no(records):
 
 
 def _cyclic_8_deleted(records):
-    records[:] = [row for row in records if row["tag"] != "cyclic(8)"]
+    records[:] = [row for row in records if not cyclic_8(row)]
 
 
 @pytest.mark.parametrize(
@@ -120,7 +130,7 @@ def test_sigma_refuses_a_witness_that_fails_its_check(capsys, tmp_path):
 
     def flip(records):
         for row in records:
-            if row["tag"] == "dihedral(8)":
+            if dihedral_8(row):
                 row["powerful"] = True
 
     _edit_cached_records(tmp_path, flip)
@@ -136,7 +146,7 @@ def test_sigma_refuses_an_inf_answer_that_fails_its_check(capsys, tmp_path):
 
     def flip(records):
         for row in records:
-            if row["tag"] == "cyclic(8)":
+            if cyclic_8(row):
                 row["powerful"] = False
 
     _edit_cached_records(tmp_path, flip)
@@ -153,8 +163,8 @@ def test_sigma_refuses_an_inf_answer_from_deleted_records(capsys, tmp_path):
     run(capsys, "sigma", "dihedral:16", "powerful")
 
     def delete(records):
-        (d8, *_) = [row for row in records if row["tag"] == "dihedral(8)"]
-        records[:] = [row for row in records if row["tag"] != "cyclic(8)" and row is not d8]
+        (d8, *_) = filter(dihedral_8, records)
+        records[:] = [row for row in records if not cyclic_8(row) and row is not d8]
 
     _edit_cached_records(tmp_path, delete)
     rc, out, err = run(capsys, "sigma", "dihedral:16", "powerful")
@@ -568,6 +578,14 @@ def test_reports_match_pinned_bytes(capsys, tmp_path):
     assert rc == 0
     assert out_csv.read_bytes() == (REPORTS / "sweep_builtin.csv").read_bytes()
     assert (tmp_path / "sweep_builtin.md").read_bytes() == (REPORTS / "sweep_builtin.md").read_bytes()
+    # `powcov lattice` over the groups with pinned lattice digests: the
+    # built-in catalog, then five groups that are not p-groups.
+    out = ""
+    for name in json.loads((REPORTS.parent / "lattice_digests.json").read_text()):
+        rc, text, _ = run(capsys, "lattice", name, "--no-cache")
+        assert rc == 0
+        out += text
+    assert out == (REPORTS / "lattice_builtin.txt").read_text()
 
 
 # ------------------------------------------ groups outside the p-group claims

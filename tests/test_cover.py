@@ -20,7 +20,7 @@ from powcov.cover import (
     verify_witness,
 )
 from powcov.groups import GroupError, build_group, is_p_group
-from powcov.lattice import enumerate_subgroups
+from powcov.lattice import classify_small, enumerate_subgroups
 
 from oracles import bits_of, exhaustive_min_cover, members_of
 
@@ -220,7 +220,7 @@ def test_verify_witness_rejects_bad_members():
     # union shortfall
     assert not verify_witness(g, POW, good[:-1])
     # wrong family: a dihedral-order-8 subgroup is neither abelian nor powerful
-    d8 = next(s for s in lat.subgroups if s.tag == "dihedral(8)")
+    d8 = next(s for s in lat.subgroups if classify_small(g, s.bits) == "dihedral(8)")
     assert not verify_witness(g, AB, good[1:] + (d8.bits,))
     assert not verify_witness(g, POW, good[1:] + (d8.bits,))
     # masks with bits past a smaller group's order are rejected, not mis-read
@@ -239,7 +239,7 @@ def test_verify_witness_rechecks_powerfully_embedded(spec, non_pe):
     outside = [s for s in lat.subgroups if s.is_proper and not s.is_powerfully_embedded]
     assert len(outside) == non_pe
     for s in outside:
-        assert not verify_witness(g, PE, res.witness + (s.bits,)), s.tag
+        assert not verify_witness(g, PE, res.witness + (s.bits,)), classify_small(g, s.bits)
 
 
 # ----------------------------------------------------------- oracle parity

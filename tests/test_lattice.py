@@ -21,6 +21,8 @@ from powcov.groups import (
 )
 from powcov.groups import _generate
 from powcov.lattice import (
+    FLAGS,
+    Subgroup,
     _records_by_descent,
     _subgroups_by_extension,
     classify_small,
@@ -235,21 +237,34 @@ def test_klein_census_in_dihedral():
     for n in (2, 3, 4):
         g = build_group(f"dihedral:{2 ** (n + 1)}")
         lat = enumerate_subgroups(g)
-        kleins = [s for s in lat.subgroups if s.tag == "klein"]
+        kleins = [s for s in lat.subgroups if classify_small(g, s.bits) == "klein"]
         assert len(kleins) == 2 ** (n - 1)
 
 
 def test_tags_on_q8():
-    lat = enumerate_subgroups(build_group("quaternion:8"))
-    tags = sorted(s.tag for s in lat.subgroups)
+    g = build_group("quaternion:8")
+    tags = sorted(classify_small(g, s.bits) for s in enumerate_subgroups(g).subgroups)
     assert tags == ["cyclic(2)", "cyclic(4)", "cyclic(4)", "cyclic(4)", "quaternion-like", "trivial"]
+
+
+def test_enumeration_tags_no_subgroup(monkeypatch):
+    # A tag is computed only where it is read; each enumeration path, the
+    # descent and the extension, records the flags the cover reads and no tag.
+    def untaggable(*args):
+        raise AssertionError("the enumeration tagged a subgroup")
+
+    monkeypatch.setattr(lattice, "_tag", untaggable)
+    assert "tag" not in Subgroup._fields
+    for descriptor in ("dihedral:16", "product:(dihedral:8,cyclic:3)"):
+        for s in enumerate_subgroups(build_group(descriptor)).subgroups:
+            assert s.record().keys() == {"bits", "order", "proper", *FLAGS}
 
 
 def test_dihedral_subgroups_tagged():
     g = build_group("dihedral:16")
     lat = enumerate_subgroups(g)
-    assert any(s.tag == "dihedral(8)" for s in lat.subgroups)
-    assert any(s.tag == "cyclic(8)" for s in lat.subgroups)
+    assert any(classify_small(g, s.bits) == "dihedral(8)" for s in lat.subgroups)
+    assert any(classify_small(g, s.bits) == "cyclic(8)" for s in lat.subgroups)
 
 
 # --------------------------------------------------------------- predicates
@@ -297,9 +312,9 @@ def test_public_pe_predicate_matches_lattice_flag(spec):
     if spec in ("modular:32", "dihedral:16"):
         assert {s.is_powerfully_embedded for s in lat.subgroups} == {True, False}
     for s in lat.subgroups:
-        assert is_powerfully_embedded(g, s.bits) == s.is_powerfully_embedded, s.tag
+        assert is_powerfully_embedded(g, s.bits) == s.is_powerfully_embedded, classify_small(g, s.bits)
         for family in FamilySelector:
-            assert family.admits(s) == family.predicate(g, s.bits), (family, s.tag)
+            assert family.admits(s) == family.predicate(g, s.bits), (family, classify_small(g, s.bits))
 
 
 @pytest.mark.parametrize(
@@ -662,7 +677,9 @@ def test_tags_match_the_pair_loop_oracle():
     for name, g in groups:
         table = g.table
         orders = element_orders(table)
-        for s in enumerate_subgroups(g).subgroups:
-            assert s.tag == classify_oracle(table, orders, members_of(s.bits)), (name, s.bits)
-            seen.add(s.tag)
+        lat = enumerate_subgroups(g)
+        for s, tag in zip(lat.subgroups, lat.tags(), strict=True):
+            assert tag == classify_small(g, s.bits), (name, s.bits)
+            assert tag == classify_oracle(table, orders, members_of(s.bits)), (name, s.bits)
+            seen.add(tag)
     assert {"dihedral(6)", "dihedral(10)", "dihedral(12)", "dihedral(18)", "dihedral(20)"} <= seen

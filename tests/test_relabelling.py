@@ -15,7 +15,7 @@ import pytest
 from powcov.catalog import builtin_catalog
 from powcov.cover import FamilySelector, covering_number
 from powcov.groups import FiniteGroup, GroupError, build_group
-from powcov.lattice import enumerate_subgroups
+from powcov.lattice import classify_small, enumerate_subgroups
 
 # Past the built-in catalog: groups that are not p-groups, which take the
 # extension path.
@@ -33,7 +33,7 @@ def invariants(g: FiniteGroup):
     lat = enumerate_subgroups(g)
     flags = Counter(
         (s.order, s.is_abelian, s.is_normal, s.is_maximal, s.is_powerful,
-         s.is_powerfully_embedded, s.tag)
+         s.is_powerfully_embedded, classify_small(g, s.bits))
         for s in lat.subgroups
     )
     sigmas = {}
