@@ -4,14 +4,16 @@
 Example:
     python scripts/lattice_digests.py --out tests/data/lattice_digests.json
 
-Each value is a SHA-256 of the lattice's subgroup records (bits, order,
-flags), each with its subgroup's classify_small tag added, in the sorted,
-compact JSON text whose digest a cache entry carries.  That entry stores no
-tag, so its `subgroups_sha256` is not the value here.  The tier-1 suite
-recomputes every digest and compares it with the committed file, so a
-change to enumeration, to any flag or to a tag that alters one record of
-one built-in lattice fails there.  The built-in groups are p-groups apart
-from the trivial one, so EXTENSION adds groups that are not, to pin the
+Each value is a SHA-256 of the lattice's subgroup records, in the sorted,
+compact JSON text whose digest a cache entry carries.  The record shape is
+the digest's own, built here and not by Subgroup.record: bits, order,
+proper, the four enumerated flags, maximal (from Lattice.maximal) and the
+classify_small tag.  A cache entry keeps less, so its `subgroups_sha256` is
+not the value here.  The tier-1 suite recomputes every digest and compares
+it with the committed file, so a change to enumeration, to any flag, to
+the maximal subgroups or to a tag that alters one record of one built-in
+lattice fails there.  The built-in groups are p-groups apart from the
+trivial one, so EXTENSION adds groups that are not, to pin the
 cyclic-extension path as well.
 """
 
@@ -36,7 +38,22 @@ EXTENSION = (
 
 def _digest(g) -> str:
     lat = enumerate_subgroups(g)
-    return _records_digest([{**s.record(), "tag": tag} for s, tag in zip(lat.subgroups, lat.tags())])
+    maximal = set(lat.maximal())
+    records = [
+        {
+            "bits": format(s.bits, "x"),
+            "order": s.order,
+            "proper": s.is_proper,
+            "abelian": s.is_abelian,
+            "normal": s.is_normal,
+            "maximal": s.bits in maximal,
+            "powerful": s.is_powerful,
+            "powerfully_embedded": s.is_powerfully_embedded,
+            "tag": tag,
+        }
+        for s, tag in zip(lat.subgroups, lat.tags())
+    ]
+    return _records_digest(records)
 
 
 def lattice_digests() -> dict:

@@ -10,15 +10,16 @@ deterministic and an entry holds only what the table determines (not the
 descriptor that built it), so a cache hit is byte-identical to what
 recomputation would store.  This module owns the envelope (version, content
 key, order, SHA-256 digest of the records); Subgroup.record and from_record
-write and read each record.  Corrupted, edited or version-mismatched entries,
-entries that are not UTF-8 JSON text or nest too deep to parse, and
-impossible records are recomputed and overwritten, as is an entry whose
-subgroup counts break Frobenius' theorem (one deleted record does).  With
-the digest recomputed, p records deleted at one order or a flipped flag
-still pass.  `powcov sigma`'s re-checks refuse such an entry where it gives
-a wrong witness or a wrong INF, but not where it only inflates a finite
-answer: two Klein records deleted from dihedral:16 give sigma_P = 7, not 5.
-I/O failures degrade to recomputation and are logged.  No record holds a tag.
+write and read each record: its bits and four FLAGS, not what they or the
+lattice give (order, proper, maximal, tag).  Corrupted, edited or
+version-mismatched entries, entries that are not UTF-8 JSON text or nest too
+deep to parse, and impossible records are recomputed and overwritten, as is
+an entry whose subgroup counts break Frobenius' theorem (one deleted record
+does).  With the digest recomputed, p records deleted at one order or a
+flipped flag still pass.  `powcov sigma`'s re-checks refuse such an entry
+where it gives a wrong witness or a wrong INF, but not where it only
+inflates a finite answer: two Klein records deleted from dihedral:16 give
+sigma_P = 7, not 5.  I/O failures degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = [
     "memo_lattice",
 ]
 
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 def default_cache_dir() -> str:

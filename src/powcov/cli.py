@@ -71,6 +71,8 @@ def cmd_lattice(args) -> int:
     for flag in FLAGS:
         values = [getattr(s, "is_" + flag) for s in lat.subgroups]
         print(f"  {flag.replace('_', ' ')}: {'n/a' if None in values else sum(values)}")
+        if flag == "normal":  # the report keeps the maximal count in its place
+            print(f"  maximal: {len(lat.maximal())}")
     tags = lat.tags()
     print("  tags: " + ", ".join(f"{tag} x{tags.count(tag)}" for tag in sorted(set(tags))))
     return 0

@@ -14,7 +14,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cache import LatticeCache, memo_lattice
 from .groups import FiniteGroup, GroupError, is_abelian, is_p_group, is_subgroup
-from .lattice import Lattice, Subgroup, _subgroups_by_extension, is_powerful, is_powerfully_embedded
+from .lattice import Lattice, Subgroup, _dominant, _subgroups_by_extension
+from .lattice import is_powerful, is_powerfully_embedded
 
 __all__ = [
     "FamilySelector",
@@ -129,11 +130,7 @@ def build_instance(g: FiniteGroup, lat: Lattice, family: FamilySelector) -> Cove
     """
     family.require(g)
     chosen = [s.bits for s in reversed(lat.subgroups) if s.is_proper and family.admits(s)]
-    kept: list[int] = []
-    for c in chosen:
-        if not any(c & ~t == 0 for t in kept):
-            kept.append(c)
-    return CoverInstance(universe=g.full_set(), candidates=tuple(kept))
+    return CoverInstance(universe=g.full_set(), candidates=tuple(_dominant(chosen)))
 
 
 def solve_greedy(inst: CoverInstance):

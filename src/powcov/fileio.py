@@ -61,8 +61,10 @@ class FileFormatError(GroupError):
 
 
 def check_replaceable(path: str) -> None:
-    """Raise OSError if path exists and is not a regular file (a device, a
-    FIFO, a directory): a rename would replace it.  One made later is not seen."""
+    """Raise OSError if path is empty, or is a device, FIFO, directory or other
+    non-regular file a rename would replace.  One made later is not seen."""
+    if not path:
+        raise OSError("the output path is empty")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} exists and is not a regular file; not replacing it")
 

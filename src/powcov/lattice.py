@@ -25,7 +25,10 @@ Two enumeration paths, chosen by the group's order:
 Both paths return their Subgroups unsorted, and enumerate_subgroups sorts
 them once, by order and then by membership vector, element 0 first.  That
 canonical order is the only sort: the cover instance reads the lattice
-backwards, and the cache and the record digests keep it.
+backwards, and the cache and the record digests keep it.  Read backwards,
+it also gives the maximal subgroups with no flag: a proper subgroup is
+maximal iff no larger proper one contains it, and _dominant keeps just
+those (Lattice.maximal).
 
 Each enumerated set gets one check, groups._checked: its greedy generators
 are adjoined one at a time by coset enumeration, failing as soon as a coset
@@ -64,10 +67,6 @@ Flags, from K's generators:
   closure in G of those [x, y] (Robinson 5.1.7, which holds for any
   generating sets of K and G), and K^k is characteristic in K, hence normal
   in G, so K^k holds [K, G] iff it holds them.
-* maximal: a proper subgroup no larger proper subgroup contains, known
-  from the enumeration.  In the descent these are level 1, the subgroups of
-  index p.  On the extension path, a proper H is maximal iff every join
-  <H, x> it closes is G.
 
 Groups that are not p-groups get no powerful flags.  The public
 is_powerful and is_powerfully_embedded re-check a flag from the definitions
@@ -158,6 +157,15 @@ def _tag(masks: dict[int, int], bits: int) -> str:
     return "other"
 
 
+def _dominant(masks) -> list[int]:
+    """The masks, in the order given, that no mask kept before them contains."""
+    kept: list[int] = []
+    for c in masks:
+        if c not in map(c.__and__, kept):
+            kept.append(c)
+    return kept
+
+
 @functools.cache
 def _hyperplanes(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     """The hyperplanes of F_p^d, each as the tuple of the base-p codes
@@ -190,13 +198,13 @@ def _maximal_below(g: FiniteGroup, p: int, gens: list, frattini: list) -> list[i
 def _records_by_descent(g: FiniteGroup, p: int) -> list[Subgroup]:
     """Every subgroup of the p-group g, flags included, level by level from
     G down: the next level is every hyperplane preimage in K/Phi(K) over
-    this one's K.  The proper subgroups are the levels below G, and the
-    maximal ones level 1, the subgroups of index p."""
+    this one's K."""
     power_p = _power_map(g.table, g.identity, p)
     power_k = _gather(power_p, power_p) if p == 2 else power_p
     central = center(g)
+    full = g.full_set()
     records: list[Subgroup] = []
-    level, depth = {g.full_set()}, 0
+    level = {full}
     while level:
         found: set[int] = set()
         for bits in level:
@@ -209,48 +217,34 @@ def _records_by_descent(g: FiniteGroup, p: int) -> list[Subgroup]:
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
             found.update(_maximal_below(g, p, gens, frattini))
             powerful, embedded = inner <= kth, normal and outer <= kth
-            records.append(Subgroup(bits, depth > 0, not inner, normal, depth == 1, powerful, embedded))
-        level, depth = found, depth + 1
+            records.append(Subgroup(bits, bits != full, not inner, normal, powerful, embedded))
+        level = found
     return records
 
 
-def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> dict[int, bool]:
-    """{bitmask: maximal} for every subgroup of any finite group that holds
-    <x> (by default every subgroup), by cyclic extension from <x>.
+def _subgroups_by_extension(g: FiniteGroup, x: Optional[int] = None) -> set[int]:
+    """The bitmask of every subgroup of any finite group that holds <x> (by
+    default of every subgroup), by cyclic extension from <x>.
 
     For H >= <x>, <H, y> depends only on <x, y>, so each subgroup is
-    extended by one y for each <x, y> outside it.  A subgroup K strictly
-    between H and G holds such a y, and <H, y> <= K < G for it; so a proper
-    H is maximal iff every <H, y> it closes is G.  Each subgroup is kept as
+    extended by the least y of each <x, y> outside it.  Each is kept as
     (elements, span, gens), and a join copies H's and adjoins y.
     """
-    n = g.order
-    maximal: dict[int, bool] = {}
-    queue: list[tuple[int, tuple]] = []
-
-    def join(sub: tuple, y: int) -> tuple:
-        elements, span, gens = sub[0][:], set(sub[1]), sub[2][:]
-        _adjoin(g.table, elements, span, gens, y)
-        return elements, span, gens
-
-    def admit(sub: tuple) -> bool:
-        bits = _bits_of(sub[0])
-        if bits in maximal:
-            return False
-        maximal[bits] = False
-        queue.append((bits, sub))
-        return True
-
     seed = _generate(g, () if x is None else (x,))
-    admit(seed)
-    generators = [y for y in range(n) if y not in seed[1] and admit(join(seed, y))]
-
-    for bits, sub in queue:  # the queue grows while it is walked
-        joins = [join(sub, y) for y in generators if y not in sub[1]]
-        maximal[bits] = bool(joins) and all(len(j[0]) == n for j in joins)
-        for j in joins:
-            admit(j)
-    return maximal
+    found, queue, generators = {_bits_of(seed[0])}, [seed], []
+    for sub in queue:  # the queue grows while it is walked
+        for y in range(g.order) if sub is seed else generators:
+            if y in sub[1]:
+                continue
+            elements, span, gens = sub[0][:], set(sub[1]), sub[2][:]
+            _adjoin(g.table, elements, span, gens, y)
+            bits = _bits_of(elements)
+            if bits not in found:
+                found.add(bits)
+                queue.append((elements, span, gens))
+                if sub is seed:  # the least y of each <x, y>
+                    generators.append(y)
+    return found
 
 
 def _records_by_extension(g: FiniteGroup) -> list[Subgroup]:
@@ -258,10 +252,10 @@ def _records_by_extension(g: FiniteGroup) -> list[Subgroup]:
     but the powerful two."""
     full = g.full_set()
     records: list[Subgroup] = []
-    for bits, maximal in _subgroups_by_extension(g).items():
+    for bits in _subgroups_by_extension(g):
         gens = _checked(g, bits)[1]
         abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
-        records.append(Subgroup(bits, bits != full, abelian, normal, maximal, None, None))
+        records.append(Subgroup(bits, bits != full, abelian, normal, None, None))
     return records
 
 
@@ -320,9 +314,9 @@ def classify_small(g: FiniteGroup, members: int) -> str:
 
 
 # The enumeration's flags by record key; Subgroup's attribute is "is_" + key.
-FLAGS = ("abelian", "normal", "maximal", "powerful", "powerfully_embedded")
+FLAGS = ("abelian", "normal", "powerful", "powerfully_embedded")
 _flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
-_RECORD_KEYS = frozenset(("bits", "order", "proper") + FLAGS)
+_RECORD_KEYS = frozenset(("bits",) + FLAGS)
 
 
 class Subgroup(NamedTuple):
@@ -333,7 +327,6 @@ class Subgroup(NamedTuple):
     is_proper: bool
     is_abelian: bool
     is_normal: bool
-    is_maximal: bool
     is_powerful: Optional[bool]
     is_powerfully_embedded: Optional[bool]
 
@@ -342,22 +335,20 @@ class Subgroup(NamedTuple):
         return self.bits.bit_count()
 
     def record(self) -> dict:
-        """The JSON record the cache stores for this subgroup."""
-        row = {"bits": format(self.bits, "x"), "order": self.order, "proper": self.is_proper}
-        row.update(zip(FLAGS, _flags_of(self)))
-        return row
+        """The JSON record the cache stores for this subgroup: its bits and
+        its FLAGS, nothing the bits or the lattice give."""
+        return {"bits": format(self.bits, "x"), **dict(zip(FLAGS, _flags_of(self)))}
 
     @classmethod
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
-        """The subgroup of g that a record() describes.  Raises ValueError
-        unless it has just the keys record() writes, its bits are a subset
-        of g in the same lowercase unprefixed hex, order and proper agree
-        with them, and the flags are JSON booleans (the powerful two null
-        unless g is a p-group): the enumeration writes no other record."""
+        """The subgroup of g that a record() describes, proper unless its
+        bits are all of g.  Raises ValueError unless it has just the keys
+        record() writes, its bits are a subset of g in the same lowercase
+        unprefixed hex, and the flags are JSON booleans (the powerful two
+        null unless g is a p-group): the enumeration writes no other record."""
         try:
             bits = int(row["bits"], 16)
             fields = [row[key] for key in FLAGS]
-            order, proper = row["order"], row["proper"]
         except (KeyError, TypeError) as e:
             raise ValueError(f"cannot read record {row!r}: {e!r}") from None
         powerful = type(None) if is_p_group(g) is None else bool
@@ -366,12 +357,10 @@ class Subgroup(NamedTuple):
             or bits < 0
             or bits >> g.order
             or format(bits, "x") != row["bits"]
-            or order != bits.bit_count()
-            or proper is not (order < g.order)
-            or list(map(type, fields)) != [bool, bool, bool, powerful, powerful]
+            or list(map(type, fields)) != [bool, bool, powerful, powerful]
         ):
             raise ValueError(f"the enumeration writes no record {row}")
-        return cls(bits, proper, *fields)
+        return cls(bits, bits != g.full_set(), *fields)
 
 
 class Lattice:
@@ -396,6 +385,11 @@ class Lattice:
         masks = _order_masks(self.group)
         return [_tag(masks, s.bits) for s in self.subgroups]
 
+    def maximal(self) -> list[int]:
+        """The maximal subgroups as bitmasks, in reverse canonical order:
+        the proper subgroups that no larger proper one contains."""
+        return _dominant(s.bits for s in reversed(self.subgroups) if s.is_proper)
+
 
 def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     """Every subgroup of g, flags included, in canonical order: by order,
@@ -408,5 +402,8 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
 
 
 def maximal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """The proper subgroups not contained in any other proper subgroup."""
-    return tuple(s for s in enumerate_subgroups(g).subgroups if s.is_maximal)
+    """The proper subgroups not contained in any other proper subgroup, in
+    canonical order."""
+    lat = enumerate_subgroups(g)
+    maximal = set(lat.maximal())
+    return tuple(s for s in lat.subgroups if s.bits in maximal)

@@ -77,7 +77,7 @@ def sweep_entry(
     cache: Optional[LatticeCache] = None,
     stable_timing: bool = False,
 ) -> SweepRow:
-    """Compute one row, each family by one sigma_of query on cache (by
+    """Compute one row, each family once by one sigma_of query on cache (by
     default a fresh memory-only LatticeCache()).  A group that fails to build
     or to compute (an OSError or ValueError, GroupError included) is recorded
     in the row's error cell; a family undefined on the group leaves its cell
@@ -96,7 +96,7 @@ def sweep_entry(
         except GroupError:
             cls = None
         cocls = None if p is None else _coclass(order, cls)  # a p-group is nilpotent
-        for fam in families:
+        for fam in dict.fromkeys(families):
             try:
                 res = sigma_of(g, fam, cache)
             except FamilyUndefinedError:
@@ -186,24 +186,24 @@ def run_sweep(
     """Sweep all entries; write CSV and Markdown reports when out_csv is set.
 
     The Markdown lands next to the CSV with the extension replaced by .md;
-    if either path is not replaceable (fileio.check_replaceable), neither
-    report is written.
+    if either path is not replaceable (fileio.check_replaceable), the sweep
+    stops before its first row.
     Rows come back in input order.  cache holds the run's lattices; by
     default the sweep gets a fresh memory-only LatticeCache() of its own.
     """
-    cache = LatticeCache() if cache is None else cache
-    rows = [
-        sweep_entry(e, families, cache=cache, stable_timing=stable_timing)
-        for e in entries
-    ]
-
     if out_csv is not None:
         from .fileio import atomic_write_text, check_replaceable
 
         stem = out_csv[: -len(".csv")] if out_csv.endswith(".csv") else out_csv
         out_md = stem + ".md"
-        for path in (out_csv, out_md):  # refuse either before writing both
+        for path in (out_csv, out_md):  # refuse either before the first row
             check_replaceable(path)
+    cache = LatticeCache() if cache is None else cache
+    rows = [
+        sweep_entry(e, families, cache=cache, stable_timing=stable_timing)
+        for e in entries
+    ]
+    if out_csv is not None:
         atomic_write_text(out_csv, rows_to_csv(rows))
         atomic_write_text(out_md, markdown_report(rows))
     return rows

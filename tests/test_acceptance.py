@@ -141,7 +141,7 @@ def test_criterion_07_dihedral_lattice_census():
     bad = []
     for n in range(2, 7):
         lat = tower(n)["lattice"]
-        maximal = sum(1 for s in lat.subgroups if s.is_maximal)
+        maximal = len(lat.maximal())
         klein = sum(1 for s in lat.subgroups if classify_small(lat.group, s.bits) == "klein")
         if maximal != 3 or klein != 2 ** (n - 1):
             bad.append((n, maximal, klein))

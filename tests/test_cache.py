@@ -17,7 +17,7 @@ from powcov.cache import (
 )
 from powcov.catalog import builtin_catalog
 from powcov.groups import build_group
-from powcov.lattice import Subgroup, classify_small, enumerate_subgroups
+from powcov.lattice import FLAGS, Subgroup, classify_small, enumerate_subgroups
 
 from test_cli import cyclic_8
 
@@ -38,14 +38,10 @@ def test_serialization_round_trip():
     for a, b in zip(lat.subgroups, back.subgroups):
         assert a.bits == b.bits
         assert (a.order, classify_small(g, a.bits)) == (b.order, classify_small(g, b.bits))
-        assert (a.is_proper, a.is_abelian, a.is_normal, a.is_maximal) == (
-            b.is_proper,
-            b.is_abelian,
-            b.is_normal,
-            b.is_maximal,
-        )
+        assert (a.is_proper, a.is_abelian, a.is_normal) == (b.is_proper, b.is_abelian, b.is_normal)
         assert a.is_powerful == b.is_powerful
         assert a.is_powerfully_embedded == b.is_powerfully_embedded
+    assert back.maximal() == lat.maximal()
 
 
 def test_serialized_form_is_deterministic_json():
@@ -286,18 +282,10 @@ def test_unreadable_entries_miss_and_are_rewritten(tmp_path, case):
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
 
 
-def _proper_whole_group(records):
-    records[-1]["proper"] = True  # the canonical order puts G last
-
-
 def _powerful_no(records):
     for row in records:
         if row["powerful"] is False:
             row["powerful"] = "no"  # truthy, so bool() would read it as True
-
-
-def _wrong_order(records):
-    records[1]["order"] += 1
 
 
 def _abelian_one(records):
@@ -310,6 +298,23 @@ def _powerful_null(records):
 
 def _tag_kept(records):
     records[0]["tag"] = "trivial"  # as in every record of a format 3 entry
+
+
+# A format 4 entry edited to say 5 keeps order, proper and maximal in every
+# record, each true of its bits.
+def _order_kept(records):
+    for row in records:
+        row["order"] = int(row["bits"], 16).bit_count()
+
+
+def _proper_kept(records):
+    for row in records:
+        row["proper"] = row is not records[-1]  # the canonical order puts G last
+
+
+def _maximal_kept(records):
+    for row in records:
+        row["maximal"] = int(row["bits"], 16).bit_count() == 8  # index 2 in dihedral:16
 
 
 def _unknown_key(records):
@@ -326,7 +331,6 @@ def _negative_bits(records):
 
 def _bit_at_order(records):
     records[0]["bits"] = format(1 | 1 << 16, "x")  # element 16 of a group of order 16
-    records[0]["order"] = 2
 
 
 def _trivial_bits(text):
@@ -343,9 +347,10 @@ def _uppercase_bits(records):
 # Records no enumeration writes, each under a recomputed digest, so that only
 # Subgroup.from_record can refuse them.
 BAD_RECORDS = {
-    "proper-whole-group": ("dihedral:16", _proper_whole_group),
+    "proper-kept": ("dihedral:16", _proper_kept),
     "powerful-no": ("dihedral:16", _powerful_no),
-    "wrong-order": ("dihedral:16", _wrong_order),
+    "order-kept": ("dihedral:16", _order_kept),
+    "maximal-kept": ("dihedral:16", _maximal_kept),
     "abelian-one": ("dihedral:16", _abelian_one),
     "powerful-null": ("dihedral:16", _powerful_null),
     "tag-kept": ("dihedral:16", _tag_kept),
@@ -383,6 +388,39 @@ def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
         assert fh.read() == serialize_lattice(enumerate_subgroups(g))
 
 
+def _format_4_entry(lat):
+    """The entry format 4 wrote for lat: each record also held the subgroup's
+    order, whether it is proper and whether it is maximal."""
+    maximal = set(lat.maximal())
+    records = [
+        {**s.record(), "order": s.order, "proper": s.is_proper, "maximal": s.bits in maximal}
+        for s in lat.subgroups
+    ]
+    doc = json.loads(serialize_lattice(lat))
+    doc.update(format_version=4, subgroups=records, subgroups_sha256=_records_digest(records))
+    return doc
+
+
+def test_a_format_4_entry_misses_and_is_rewritten_as_format_5(tmp_path):
+    # Caches written before format 5 recompute each lattice once; the same
+    # entry edited to say 5 is refused by its records.
+    g = build_group("dihedral:16")
+    cache = LatticeCache(str(tmp_path))
+    path = cache.path_for(g)
+    doc = _format_4_entry(enumerate_subgroups(g))
+    for version, refusal in ((4, "format version 4 != 5"), (5, "malformed subgroup record")):
+        text = json.dumps({**doc, "format_version": version})
+        with pytest.raises(CacheEntryError, match=refusal):
+            deserialize_lattice(text, g)
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert LatticeCache(str(tmp_path)).get(g) is None
+        memo_lattice(g, LatticeCache(str(tmp_path)))
+        with open(path) as fh:
+            assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+    assert json.loads(serialize_lattice(enumerate_subgroups(g)))["format_version"] == 5
+
+
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -403,7 +441,8 @@ def test_records_are_written_and_read_by_the_subgroup_alone():
     for s in enumerate_subgroups(g).subgroups:
         row = json.loads(json.dumps(s.record()))
         assert Subgroup.from_record(row, g) == s
-        assert (row["order"], row["proper"]) == (s.bits.bit_count(), s.bits.bit_count() < 16)
+        assert row.keys() == {"bits", *FLAGS}
+        assert s.is_proper == (s.bits.bit_count() < 16)
 
 
 def test_aliases_of_one_table_write_identical_entries(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 import powcov
 import powcov.cache
 import powcov.cli
+import powcov.sweep
 from powcov.catalog import builtin_catalog
 from powcov.cli import main
 from powcov.groups import build_group
@@ -25,14 +26,19 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-# A cache record holds no tag.  Among dihedral:16's three subgroups of order
-# 8, <r>, cyclic(8), is the abelian one, and the other two are dihedral(8).
+# A cache record holds the bits and the flags, no order or tag.  Among
+# dihedral:16's three subgroups of order 8, <r>, cyclic(8), is the abelian
+# one, and the other two are dihedral(8).
+def _order_8(row):
+    return int(row["bits"], 16).bit_count() == 8
+
+
 def cyclic_8(row):
-    return row["order"] == 8 and row["abelian"]
+    return _order_8(row) and row["abelian"]
 
 
 def dihedral_8(row):
-    return row["order"] == 8 and not row["abelian"]
+    return _order_8(row) and not row["abelian"]
 
 
 # -------------------------------------------------------------------- sigma
@@ -88,7 +94,9 @@ def _edit_cached_records(tmp_path, edit):
 
 
 def _proper_whole_group(records):
-    records[-1]["proper"] = True  # G itself, last in canonical order
+    # G itself, last in canonical order, under the key format 5 retired: a
+    # record says it is proper only through its bits.
+    records[-1]["proper"] = True
 
 
 def _powerful_no(records):
@@ -381,7 +389,7 @@ def test_sweep_refuses_an_out_path_that_is_not_a_regular_file(tmp_path, capsys):
     assert out == ""
     assert err == f"error: {fifo} exists and is not a regular file; not replacing it\n"
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert sorted(os.listdir(tmp_path)) == ["cache", "pipe.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["pipe.csv"]  # refused before any lattice is cached
 
 
 def test_sweep_writes_no_report_when_the_markdown_path_is_refused(tmp_path, capsys):
@@ -391,7 +399,31 @@ def test_sweep_writes_no_report_when_the_markdown_path_is_refused(tmp_path, caps
     assert rc == 2
     assert err == f"error: {fifo} exists and is not a regular file; not replacing it\n"
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-    assert sorted(os.listdir(tmp_path)) == ["cache", "r.md"]
+    assert sorted(os.listdir(tmp_path)) == ["r.md"]
+
+
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--max-order", "4"], ["construct", "dihedral:8"]], ids=["sweep", "construct"]
+)
+def test_an_empty_out_path_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # os.path.dirname(os.path.abspath("")) is the parent of the working
+    # directory, so an empty path would put the temporary file there.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc, out, err = run(capsys, *argv, "--out", "")
+    assert (rc, out, err) == (2, "", "error: the output path is empty\n")
+    assert sorted(os.listdir(tmp_path)) == ["work"]
+    assert os.listdir(work) == []
+
+
+def test_sweep_refuses_a_directory_before_its_first_row(tmp_path, capsys, monkeypatch):
+    rows = []
+    monkeypatch.setattr(powcov.sweep, "sweep_entry", lambda *args, **kwargs: rows.append(args))
+    rc, out, err = run(capsys, "sweep", "--out", str(tmp_path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: {tmp_path} exists and is not a regular file; not replacing it\n"
+    assert rows == []
 
 
 def test_sweep_catalog_with_bad_entry(tmp_path, capsys):

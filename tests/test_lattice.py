@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 from powcov import lattice
 from powcov.cache import LatticeCache
 from powcov.catalog import builtin_catalog, entry_order, select_entries
-from powcov.cover import FamilySelector, FamilyUndefinedError, covering_number, sigma_of
+from powcov.cover import (
+    FamilySelector,
+    FamilyUndefinedError,
+    build_instance,
+    covering_number,
+    sigma_of,
+)
 from powcov.descriptors import parse_descriptor, prime_power
 from powcov.groups import (
     FiniteGroup,
@@ -47,9 +54,12 @@ from test_groups import generated
 def lattice_sets(g):
     return {members_of(s.bits) for s in enumerate_subgroups(g).subgroups}
 
-def descent_maximal(g):
-    """{bitmask: maximal} from the descent, as the extension path gives it."""
-    return {bits: maximal for bits, _, _, _, maximal, *_ in _records_by_descent(g, is_p_group(g))}
+def descent_bits(g):
+    """The bitmask of every subgroup the descent finds, each once."""
+    records = _records_by_descent(g, is_p_group(g))
+    bits = {s.bits for s in records}
+    assert len(bits) == len(records)
+    return bits
 
 
 # ------------------------------------------------------------- enumeration
@@ -188,8 +198,8 @@ def test_lattice_is_sorted_and_flags_consistent():
         assert s.order == len(members_of(s.bits))
         assert g.order % s.order == 0
         assert s.is_proper == (s.order < g.order)
-        if s.is_maximal:
-            assert s.is_proper
+    proper = {s.bits for s in lat.subgroups if s.is_proper}
+    assert set(lat.maximal()) <= proper
 
 
 def test_maximal_subgroups_of_dihedral():
@@ -211,13 +221,14 @@ def s4_table():
     "spec", ["S4", "cyclic:12", "product:(dihedral:8,cyclic:3)", "dihedral:16"]
 )
 def test_maximal_flags_match_the_oracle(spec):
-    # Maximal: proper, and no proper subgroup strictly contains it.  The
-    # flag comes from the descent's first level or from the extension path.
+    # Maximal: proper, and no proper subgroup strictly contains it.
+    # Lattice.maximal reads that off either enumeration path's lattice.
     g = FiniteGroup(s4_table()) if spec == "S4" else build_group(spec)
     proper = [h for h in subset_closure_subgroups(g.table) if len(h) < g.order]
     expected = {h for h in proper if not any(h < k for k in proper)}
-    lat = enumerate_subgroups(g)
-    assert {members_of(s.bits) for s in lat.subgroups if s.is_maximal} == expected
+    maximal = enumerate_subgroups(g).maximal()
+    assert {members_of(bits) for bits in maximal} == expected
+    assert len(maximal) == len(expected)
 
 
 @pytest.mark.parametrize("spec", ["dihedral:16", "elementary:2^4", "cyclic:12", "S4"])
@@ -257,7 +268,21 @@ def test_enumeration_tags_no_subgroup(monkeypatch):
     assert "tag" not in Subgroup._fields
     for descriptor in ("dihedral:16", "product:(dihedral:8,cyclic:3)"):
         for s in enumerate_subgroups(build_group(descriptor)).subgroups:
-            assert s.record().keys() == {"bits", "order", "proper", *FLAGS}
+            assert s.record().keys() == {"bits", *FLAGS}
+
+
+def test_enumeration_computes_no_maximality(monkeypatch):
+    # Maximality is read off a lattice, by the one containment filter; the
+    # descent and the extension path record only the flags the cover reads.
+    def unfiltered(*args):
+        raise AssertionError("the enumeration ran the containment filter")
+
+    monkeypatch.setattr(lattice, "_dominant", unfiltered)
+    assert Subgroup._fields == (
+        "bits", "is_proper", "is_abelian", "is_normal", "is_powerful", "is_powerfully_embedded"
+    )
+    for descriptor in ("dihedral:16", "product:(dihedral:8,cyclic:3)"):
+        enumerate_subgroups(build_group(descriptor))
 
 
 def test_dihedral_subgroups_tagged():
@@ -524,7 +549,7 @@ def test_heisenberg_group_lattice(p, count):
     table = heisenberg_table(p)
     g = FiniteGroup(table)
     lat = enumerate_subgroups(g)
-    assert {s.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
+    assert {s.bits for s in lat.subgroups} == _subgroups_by_extension(g)
     assert len(lat) == count
     if p == 3:
         assert lattice_sets(g) == subset_closure_subgroups(table)
@@ -550,20 +575,20 @@ def test_descent_matches_extension_on_products_and_quotients(spec, data):
     # The cyclic-extension path is exhaustive for any finite group, which
     # makes it an oracle for the Frattini descent past order 32.
     g = build_group(spec)
-    subgroups = descent_maximal(g)
+    subgroups = descent_bits(g)
     assert subgroups == _subgroups_by_extension(g)
     normal = [
         bits for bits in subgroups if 1 < bits.bit_count() < g.order and is_normal(g, bits)
     ]
     q = quotient_group(g, data.draw(st.sampled_from(normal)))
-    assert descent_maximal(q) == _subgroups_by_extension(q)
+    assert descent_bits(q) == _subgroups_by_extension(q)
 
 
 @pytest.mark.parametrize("spec", [s for s in P_GROUP_PRODUCTS if _prime(s) != 2])
 def test_descent_matches_extension_on_odd_products(spec):
     # The test above draws 8 of the products, so it seldom reaches these.
     g = build_group(spec)
-    assert descent_maximal(g) == _subgroups_by_extension(g)
+    assert descent_bits(g) == _subgroups_by_extension(g)
 
 
 @settings(max_examples=8, deadline=None)
@@ -602,7 +627,7 @@ def test_descent_on_a_group_whose_squares_are_no_subgroup():
     g = FiniteGroup(table)
     squares = {table[x][x] for x in range(g.order)}
     assert squares != closure_of(table, squares)
-    assert descent_maximal(g) == _subgroups_by_extension(g)
+    assert descent_bits(g) == _subgroups_by_extension(g)
     flags_match_definitions(g)
 
 
@@ -616,7 +641,7 @@ def test_flags_on_a_group_whose_fourth_powers_are_no_subgroup():
     fourth = {table[table[x][x]][table[x][x]] for x in range(g.order)}
     assert fourth != closure_of(table, fourth)
     lat = enumerate_subgroups(g)
-    assert {s.bits for s in lat.subgroups} == set(_subgroups_by_extension(g))
+    assert {s.bits for s in lat.subgroups} == _subgroups_by_extension(g)
     large = [s for s in lat.subgroups if s.order >= 32]
     assert any(not s.is_abelian for s in large)
     for s in large:
@@ -683,3 +708,27 @@ def test_tags_match_the_pair_loop_oracle():
             assert tag == classify_oracle(table, orders, members_of(s.bits)), (name, s.bits)
             seen.add(tag)
     assert {"dihedral(6)", "dihedral(10)", "dihedral(12)", "dihedral(18)", "dihedral(20)"} <= seen
+
+
+PINNED_DIGESTS = Path(__file__).resolve().parent / "data" / "lattice_digests.json"
+
+
+def test_maximal_subgroups_match_the_join_oracle():
+    # A proper H is maximal iff <H, x> = G for every x outside H, found here
+    # from the table alone, on every lattice with a pinned digest and on S3.
+    # The cover's candidates over all proper subgroups are those same masks.
+    for name in [*json.loads(PINNED_DIGESTS.read_text()), f"perm:{S3_PERM}"]:
+        g = build_group(name)
+        lat = enumerate_subgroups(g)
+        expected = [
+            s.bits
+            for s in reversed(lat.subgroups)
+            if s.is_proper
+            and all(
+                len(_generate(g, [*members_of(s.bits), x])[0]) == g.order
+                for x in range(g.order)
+                if not s.bits >> x & 1
+            )
+        ]
+        assert lat.maximal() == expected, name
+        assert build_instance(g, lat, FamilySelector.ALL).candidates == tuple(expected), name

@@ -31,8 +31,9 @@ def relabelled(g: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
 
 def invariants(g: FiniteGroup):
     lat = enumerate_subgroups(g)
+    maximal = set(lat.maximal())
     flags = Counter(
-        (s.order, s.is_abelian, s.is_normal, s.is_maximal, s.is_powerful,
+        (s.order, s.is_abelian, s.is_normal, s.bits in maximal, s.is_powerful,
          s.is_powerfully_embedded, classify_small(g, s.bits))
         for s in lat.subgroups
     )

@@ -110,6 +110,19 @@ def test_each_row_walks_the_lower_central_series_once(monkeypatch):
     assert [(r.nilpotence_class, r.coclass) for r in rows[-1:]] == [(1, None)]
 
 
+def test_a_repeated_family_is_answered_once(monkeypatch):
+    # --families powerful,powerful asks each powerful query once.
+    calls = []
+    sigma_of = powcov.sweep.sigma_of
+    monkeypatch.setattr(
+        powcov.sweep, "sigma_of", lambda g, family, cache: calls.append(family) or sigma_of(g, family, cache)
+    )
+    entries = select_entries(None, 16)
+    rows = run_sweep(entries, families=(POW, ALL, POW), stable_timing=True)
+    assert calls == [POW, ALL] * len(entries)
+    assert rows == run_sweep(entries, families=(POW, ALL), stable_timing=True)
+
+
 def test_csv_shape_and_error_escaping():
     product = "product:(cyclic:4,cyclic:2)"
     rows = [
