@@ -13,10 +13,12 @@ key, order, SHA-256 digest of the records); Subgroup.record and from_record
 write and read each record: its bits and four FLAGS, not what they or the
 lattice give (order, proper, maximal, tag).  Corrupted, edited or
 version-mismatched entries, entries that are not UTF-8 JSON text or nest too
-deep to parse, and impossible records are recomputed and overwritten, as is
-an entry whose subgroup counts break Frobenius' theorem (one deleted record
-does).  With the digest recomputed, p records deleted at one order or a
-flipped flag still pass.  `powcov sigma`'s re-checks refuse such an entry
+deep to parse, impossible records (one without the identity, the empty one
+included), records out of canonical order or repeated, and records without
+the trivial subgroup or G are recomputed and overwritten, as is an entry
+whose subgroup counts break Frobenius' theorem (one deleted record does).
+With the digest recomputed, p records deleted at one order or a flipped
+flag still pass.  `powcov sigma`'s re-checks refuse such an entry
 where it gives a wrong witness or a wrong INF, but not where it only
 inflates a finite answer: two Klein records deleted from dihedral:16 give
 sigma_P = 7, not 5.  I/O failures degrade to recomputation and are logged.
@@ -32,7 +34,7 @@ from typing import Dict, Optional
 from .descriptors import factorize
 from .fileio import atomic_write_text
 from .groups import FiniteGroup
-from .lattice import Lattice, Subgroup, enumerate_subgroups
+from .lattice import Lattice, Subgroup, _canonical_key, enumerate_subgroups
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -113,6 +115,11 @@ def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
         lat = Lattice(group=g, subgroups=tuple(Subgroup.from_record(row, g) for row in records))
     except (TypeError, ValueError) as e:
         raise CacheEntryError(f"malformed subgroup record: {e}")
+    keys = list(map(_canonical_key(g), lat.subgroups))
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise CacheEntryError("subgroup records are out of canonical order or repeat")
+    if not keys or keys[0][0] > 1 or lat.subgroups[-1].is_proper:
+        raise CacheEntryError("subgroup records lack the trivial subgroup or the group")
     _check_prime_power_counts(lat)
     return lat
 

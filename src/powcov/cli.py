@@ -86,7 +86,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = SUITE_NAMES if "all" in args.suite else args.suite
+    names = SUITE_NAMES if "all" in args.suite else tuple(dict.fromkeys(args.suite))
     for option in ("max_n", "max_order", "catalog"):
         if getattr(args, option) is not None and not any(
             option in SUITES[name].defaults for name in names

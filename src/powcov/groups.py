@@ -31,7 +31,9 @@ that is negative or has a bit at or above |G| fails it; otherwise its
 greedy generators are adjoined one at a time, and the check fails as soon
 as a coset leaves the set.  What the check returns, the members and those
 generators, then serves the operation: abelian and normal tests read the
-generators only.
+generators only.  _commutators is the one commutator step, as _adjoin is
+the one closure step: the commutators [x, y] other than the identity, x
+and y over two sets, which every abelian, normal and powerful test reads.
 
 Every built-in group but a product is built from the trivial group by
 _extension, one generator y at a time, which numbers n*y^a as n + |N|*a
@@ -220,9 +222,6 @@ class FiniteGroup:
             h.update(b"".join(array("i", row).tobytes() for row in self.table))
             self._content_key = h.hexdigest()
         return self._content_key
-
-    def is_abelian(self) -> bool:
-        return _commute(self.table, self.generators)
 
     def is_cyclic(self) -> bool:
         return max(self.element_orders) == self.order
@@ -441,15 +440,11 @@ def _checked(g: FiniteGroup, bits: int, what: str = "enumerated set") -> tuple[l
     return members, gens
 
 
-def _commutator(g: FiniteGroup, x: int, y: int) -> int:
-    """x^-1 y^-1 x y = (yx)^-1 (xy)."""
-    t = g.table
-    return t[g.inverses[t[y][x]]][t[x][y]]
-
-
-def _commute(table: Table, xs: Sequence[int]) -> bool:
-    """Whether every two of xs commute."""
-    return all(table[x][y] == table[y][x] for i, x in enumerate(xs) for y in xs[i + 1:])
+def _commutators(g: FiniteGroup, xs, ys) -> set[int]:
+    """The commutators [x, y] = x^-1 y^-1 x y = (yx)^-1 (xy) other than the
+    identity, x in xs, y in ys."""
+    t, inv = g.table, g.inverses
+    return {t[inv[t[y][x]]][t[x][y]] for x in xs for y in ys} - {g.identity}
 
 
 def _normal(g: FiniteGroup, bits: int, gens: Sequence[int], conjugators: Sequence[int]) -> bool:
@@ -457,7 +452,7 @@ def _normal(g: FiniteGroup, bits: int, gens: Sequence[int], conjugators: Sequenc
     whether [x, y] does, for every generator x of it and every y in
     conjugators.  Conjugating by a generating set of G is enough: the
     elements that normalise a subgroup form a subgroup."""
-    return all(bits >> _commutator(g, x, y) & 1 for x in gens for y in conjugators)
+    return all(bits >> c & 1 for c in _commutators(g, gens, conjugators))
 
 
 def _power(table: Table, identity: int, x: int, k: int) -> int:
@@ -503,14 +498,12 @@ def is_subgroup(g: FiniteGroup, members: int) -> bool:
 def is_abelian(g: FiniteGroup, members: int) -> bool:
     """True iff every two members of the subgroup commute: its generators do."""
     _, gens = _checked(g, members, "argument")
-    return _commute(g.table, gens)
+    return not _commutators(g, gens, gens)
 
 
 def center(g: FiniteGroup) -> int:
     """The elements that commute with every generator of G."""
-    t = g.table
-    central = (z for z in range(g.order) if all(t[z][y] == t[y][z] for y in g.generators))
-    return _bits_of(central)
+    return _bits_of(z for z in range(g.order) if not _commutators(g, (z,), g.generators))
 
 
 def is_normal(g: FiniteGroup, members: int) -> bool:
@@ -560,8 +553,7 @@ def nilpotence_class(g: FiniteGroup) -> int:
     size, gens = g.order, list(g.generators)
     c = 0
     while size > 1:
-        commutators = [_commutator(g, x, y) for x in gens for y in g.generators]
-        elements, _, gens = _generate(g, commutators, g.generators)
+        elements, _, gens = _generate(g, _commutators(g, gens, g.generators), g.generators)
         if len(elements) == size:
             raise GroupError("group is not nilpotent: lower central series stalls")
         size = len(elements)

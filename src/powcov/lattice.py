@@ -48,9 +48,10 @@ costs O(|K| d) for d generators rather than a product table of |K|^2:
   with code c in F_p^d (base-p digits) land in block c.  At every prime the
   preimage of a hyperplane is the OR of the blocks whose codes it holds.
 
-Flags, from K's generators:
+Flags, from K's generators and groups._commutators, the one commutator
+step, which gives the commutators [x, y] other than the identity:
 
-* abelian: every two generators commute.
+* abelian: K's generators have no commutator.
 * normal: conjugating each generator of K by each element of g.generators,
   the generating set of G that FiniteGroup keeps, keeps it inside K.  The
   normaliser of K is a subgroup, so it is all of G once it holds a
@@ -62,22 +63,22 @@ Flags, from K's generators:
   K^k is characteristic in K, so K/K^k is abelian, and [K, K] <= K^k,
   iff the commutators of K's generators lie in the closure of the k-th
   powers.  An abelian K is powerful with no closure.
-* powerfully embedded: K is normal and [x, y] lies in K^k for every
-  generator x of K and every y in g.generators.  [K, G] is the normal
-  closure in G of those [x, y] (Robinson 5.1.7, which holds for any
-  generating sets of K and G), and K^k is characteristic in K, hence normal
-  in G, so K^k holds [K, G] iff it holds them.
+* powerfully embedded: [x, y] lies in K^k for every generator x of K and
+  every y in g.generators.  [K, G] is the normal closure in G of those
+  [x, y] (Robinson 5.1.7, which holds for any generating sets of K and G),
+  and K^k is characteristic in K, hence normal in G, so K^k holds [K, G]
+  iff it holds them.  As K^k <= K, that also makes K normal.
 
 Groups that are not p-groups get no powerful flags.  The public
 is_powerful and is_powerfully_embedded re-check a flag from the definitions
 instead, as cover.verify_witness needs, with no closure: the commutator of
 each generator x of K with each member of K (for the embedded test, with
-each element of G, by all of which it also conjugates) must be a k-th power
-of a member of K.  If K passes, the commutators of K's generators (with
-G's) lie in K^k, so K is powerful (powerfully embedded) by the arguments
-above.  Conversely the k-th powers of a powerful K form K^k (Lubotzky &
-Mann, "Powerful p-groups. I", J. Algebra 105 (1987)), which holds [K, K];
-and a powerfully embedded K is powerful, as [K, K] <= [K, G] <= K^k.
+each element of G) must be a k-th power of a member of K.  If K passes,
+the commutators of K's generators (with G's) lie in K^k, so K is powerful
+(powerfully embedded, hence normal) by the arguments above.  Conversely
+the k-th powers of a powerful K form K^k (Lubotzky & Mann, "Powerful
+p-groups. I", J. Algebra 105 (1987)), which holds [K, K]; and a powerfully
+embedded K is powerful, as [K, K] <= [K, G] <= K^k.
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ from .groups import (
     _adjoin,
     _bits_of,
     _checked,
-    _commutator,
-    _commute,
+    _commutators,
     _gather,
     _generate,
     _normal,
@@ -123,13 +123,6 @@ def _prime(g: FiniteGroup) -> int:
     if p is None:
         raise GroupError("powerful-subgroup predicates require a nontrivial p-group")
     return p
-
-
-def _commutators(g: FiniteGroup, xs, ys) -> set[int]:
-    """The commutators [x, y] = (yx)^-1 (xy) other than the identity, x in
-    xs, y in ys."""
-    t, inv = g.table, g.inverses
-    return {t[inv[t[y][x]]][t[x][y]] for x in xs for y in ys} - {g.identity}
 
 
 def _order_masks(g: FiniteGroup) -> dict[int, int]:
@@ -216,7 +209,7 @@ def _records_by_descent(g: FiniteGroup, p: int) -> list[Subgroup]:
             pth = set(_gather(power_p, members))
             frattini = _generate(g, pth | inner, gens)[0] if inner else list(pth)
             found.update(_maximal_below(g, p, gens, frattini))
-            powerful, embedded = inner <= kth, normal and outer <= kth
+            powerful, embedded = inner <= kth, outer <= kth
             records.append(Subgroup(bits, bits != full, not inner, normal, powerful, embedded))
         level = found
     return records
@@ -254,7 +247,7 @@ def _records_by_extension(g: FiniteGroup) -> list[Subgroup]:
     records: list[Subgroup] = []
     for bits in _subgroups_by_extension(g):
         gens = _checked(g, bits)[1]
-        abelian, normal = _commute(g.table, gens), _normal(g, bits, gens, g.generators)
+        abelian, normal = not _commutators(g, gens, gens), _normal(g, bits, gens, g.generators)
         records.append(Subgroup(bits, bits != full, abelian, normal, None, None))
     return records
 
@@ -277,23 +270,19 @@ def is_powerful(g: FiniteGroup, members: int) -> bool:
     """
     p = _prime(g)
     idx, gens = _checked(g, members, "argument")
-    powers = _kth_powers(g, p, idx)
-    return all(_commutator(g, x, y) in powers for x in gens for y in idx)
+    return _commutators(g, gens, idx) <= _kth_powers(g, p, idx)
 
 
 def is_powerfully_embedded(g: FiniteGroup, members: int) -> bool:
     """True iff N is normal with [N, G] inside N^4 (p = 2) or N^p (p odd).
 
-    [N, G] <= N^k <= N already forces normality, but the explicit check
-    keeps the reported reason honest when the argument is not normal.
+    One pass over G settles both: if each [x, y] lies in N^k <= N, then
+    y^-1 x y = x [x, y] lies in N for every generator x and every y, so N
+    is normal with no test of its own.
     """
     p = _prime(g)
     idx, gens = _checked(g, members, "argument")
-    everything = range(g.order)
-    powers = _kth_powers(g, p, idx)
-    return _normal(g, members, gens, everything) and all(
-        _commutator(g, x, y) in powers for x in gens for y in everything
-    )
+    return _commutators(g, gens, range(g.order)) <= _kth_powers(g, p, idx)
 
 
 def classify_small(g: FiniteGroup, members: int) -> str:
@@ -343,9 +332,10 @@ class Subgroup(NamedTuple):
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
         """The subgroup of g that a record() describes, proper unless its
         bits are all of g.  Raises ValueError unless it has just the keys
-        record() writes, its bits are a subset of g in the same lowercase
-        unprefixed hex, and the flags are JSON booleans (the powerful two
-        null unless g is a p-group): the enumeration writes no other record."""
+        record() writes, its bits are a subset of g that holds the identity,
+        in the same lowercase unprefixed hex, and the flags are JSON booleans
+        (the powerful two null unless g is a p-group): the enumeration
+        writes no other record."""
         try:
             bits = int(row["bits"], 16)
             fields = [row[key] for key in FLAGS]
@@ -356,6 +346,7 @@ class Subgroup(NamedTuple):
             row.keys() != _RECORD_KEYS
             or bits < 0
             or bits >> g.order
+            or not bits >> g.identity & 1
             or format(bits, "x") != row["bits"]
             or list(map(type, fields)) != [bool, bool, powerful, powerful]
         ):
@@ -396,9 +387,15 @@ def enumerate_subgroups(g: FiniteGroup) -> Lattice:
     then by membership vector, element 0 first."""
     p = is_p_group(g)
     subgroups = _records_by_extension(g) if p is None else _records_by_descent(g, p)
-    spec = f"0{g.order}b"
-    subgroups.sort(key=lambda s: (s.bits.bit_count(), format(s.bits, spec)[::-1]))
+    subgroups.sort(key=_canonical_key(g))
     return Lattice(group=g, subgroups=tuple(subgroups))
+
+
+def _canonical_key(g: FiniteGroup):
+    """The sort key of the canonical order on g's Subgroups: by order, then
+    by membership vector, element 0 first."""
+    spec = f"0{g.order}b"
+    return lambda s: (s.bits.bit_count(), format(s.bits, spec)[::-1])
 
 
 def maximal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -344,6 +344,36 @@ def _uppercase_bits(records):
     row["bits"] = row["bits"].upper()
 
 
+def _identity_dropped(records):
+    records[1]["bits"] = format(int(records[1]["bits"], 16) & ~1, "x")  # element 0 is e
+
+
+def _empty_twice(records):
+    # `powcov lattice dihedral:8` once printed 12 subgroups, not 10.
+    records[:0] = [{**records[0], "bits": "0"}] * 2
+
+
+def _reversed_within_orders(records):
+    # Each order's records last first: the subgroups are the same, but
+    # `powcov sigma elementary:2^3 all` once printed another witness.
+    by_order = {}
+    for row in records:
+        by_order.setdefault(int(row["bits"], 16).bit_count(), []).append(row)
+    records[:] = [row for rows in by_order.values() for row in reversed(rows)]
+
+
+def _repeated(records):
+    records[1:1] = [records[1], records[1]]  # each count stays 1 mod 2
+
+
+def _trivial_deleted(records):
+    del records[0]  # no count of Frobenius' theorem reads order 1
+
+
+def _group_deleted(records):
+    del records[-1]  # 6 is no prime power, so no count reads G's order
+
+
 # Records no enumeration writes, each under a recomputed digest, so that only
 # Subgroup.from_record can refuse them.
 BAD_RECORDS = {
@@ -363,12 +393,24 @@ BAD_RECORDS = {
     "hex-sign": ("dihedral:16", _trivial_bits("+1")),
     "hex-underscore": ("dihedral:16", _trivial_bits("0_1")),
     "hex-uppercase": ("dihedral:16", _uppercase_bits),
+    "identity-dropped": ("dihedral:16", _identity_dropped),
+    "empty-twice": ("dihedral:8", _empty_twice),
 }
 
+# Record lists no enumeration writes, though each of their records could be
+# one: (group, edit, the refusal of deserialize_lattice).
+BAD_LISTS = {
+    "reversed-within-orders": ("elementary:2^3", _reversed_within_orders, "out of canonical order"),
+    "repeated": ("dihedral:8", _repeated, "out of canonical order or repeat"),
+    "trivial-deleted": ("dihedral:8", _trivial_deleted, "lack the trivial subgroup or the group"),
+    "group-deleted": ("cyclic:6", _group_deleted, "lack the trivial subgroup or the group"),
+}
+UNWRITABLE = {**{case: (*bad, "malformed subgroup record") for case, bad in BAD_RECORDS.items()}, **BAD_LISTS}
 
-@pytest.mark.parametrize("case", BAD_RECORDS)
+
+@pytest.mark.parametrize("case", UNWRITABLE)
 def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
-    descriptor, edit = BAD_RECORDS[case]
+    descriptor, edit, refusal = UNWRITABLE[case]
     g = build_group(descriptor)
     memo_lattice(g, LatticeCache(str(tmp_path)))
     cache = LatticeCache(str(tmp_path))
@@ -380,7 +422,7 @@ def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
     text = json.dumps(doc)
     with open(path, "w") as fh:
         fh.write(text)
-    with pytest.raises(CacheEntryError, match="malformed subgroup record"):
+    with pytest.raises(CacheEntryError, match=refusal):
         deserialize_lattice(text, g)
     assert cache.get(g) is None
     memo_lattice(g, cache)

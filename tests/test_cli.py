@@ -345,6 +345,12 @@ def test_verify_all_prints_each_suite_as_run_alone(capsys):
         assert alone == report + "\n"
 
 
+def test_a_repeated_suite_runs_once(capsys):
+    rc, once, _ = run(capsys, "verify", "chain", "--max-order", "8")
+    assert (rc, once.count("suite chain:")) == (0, 1)
+    assert run(capsys, "verify", "chain", "chain", "--max-order", "8") == (0, once, "")
+
+
 @pytest.mark.parametrize("no_cache", [[], ["--no-cache"]], ids=["disk", "memory"])
 def test_verify_all_enumerates_each_lattice_once(no_cache, capsys, monkeypatch):
     calls = Counter()

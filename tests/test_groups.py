@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from powcov.groups import (
     center,
     coclass,
     direct_product,
+    is_abelian,
     is_normal,
     is_p_group,
     is_subgroup,
@@ -24,10 +26,10 @@ from powcov.groups import (
     quotient_group,
     subgroup_as_group,
 )
-from powcov.groups import _TRIVIAL, _commutator, _extension, _generate
+from powcov.groups import _TRIVIAL, _commutators, _extension, _generate
 from powcov.lattice import is_powerful
 
-from oracles import bits_of, closure_of, element_orders_stepwise, members_of
+from oracles import bits_of, closure_of, element_orders_stepwise, find_identity, members_of
 
 pytestmark = []
 
@@ -219,7 +221,7 @@ def test_a_consistent_extension_is_a_group():
     # The same action on C_7 (2^3 = 8 = 1 mod 7) gives the group of order 21.
     c7 = _extension(_TRIVIAL, 7, [0], 0)
     g = FiniteGroup(_extension(c7, 3, [2 * i % 7 for i in range(7)], 0))
-    assert g.order == 21 and not g.is_abelian()
+    assert g.order == 21 and not is_abelian(g, g.full_set())
     assert sorted(int(v) for v in g.element_orders) == [1] + [3] * 14 + [7] * 6
 
 
@@ -310,7 +312,7 @@ def test_masks_outside_the_group_are_refused(mask):
 def test_center_of_abelian_is_everything():
     g = build_group("cyclic:12")
     assert center(g) == g.full_set()
-    assert g.is_abelian()
+    assert is_abelian(g, g.full_set())
 
 
 def test_subgroup_as_group_reindexes():
@@ -327,7 +329,7 @@ def test_quotient_group_collapses_center():
     g = build_group("dihedral:16")
     q = quotient_group(g, center(g))
     assert q.order == 8
-    assert not q.is_abelian()  # the half-order dihedral group again
+    assert not is_abelian(q, q.full_set())  # the half-order dihedral group again
     assert q.descriptor.startswith("quotient:")
     with pytest.raises(GroupError, match="normal"):
         quotient_group(g, generated(g, 8))
@@ -413,4 +415,43 @@ def test_closure_is_a_subgroup_containing_seed(spec, data):
 @given(small_groups)
 def test_commutator_with_center_is_trivial(spec):
     g = build_group(spec)
-    assert {_commutator(g, z, y) for z in members_of(center(g)) for y in range(g.order)} == {g.identity}
+    assert _commutators(g, members_of(center(g)), range(g.order)) == set()
+
+
+# ------------------------------------------------------- commutator kernel
+
+# The catalog groups of order <= 64, and three that are not p-groups.
+KERNEL_GROUPS = [e.source for e in builtin_catalog() if e.build().order <= 64] + [
+    f"perm:{Path(__file__).resolve().parent / 'data' / 's3.perm'}",
+    "product:(dihedral:8,cyclic:3)",
+    "cyclic:6",
+]
+
+
+def commutators_by_definition(t, xs, ys):
+    """{x^-1 y^-1 x y} - {e}, with e and the inverses read off the table."""
+    e = find_identity(t)
+    inv = [row.index(e) for row in t]
+    return {t[t[t[inv[x]][inv[y]]][x]][y] for x in xs for y in ys} - {e}
+
+
+def test_the_commutator_kernel_matches_the_definition():
+    for spec in KERNEL_GROUPS:
+        g = build_group(spec)
+        n = g.order
+        for xs, ys in ((range(n), range(n)), (g.generators, range(0, n, 3)), (range(1, n, 2), (n - 1,))):
+            assert _commutators(g, xs, ys) == commutators_by_definition(g.table, xs, ys), spec
+
+
+def test_the_center_commutes_with_every_element():
+    for spec in KERNEL_GROUPS:
+        g = build_group(spec)
+        t = g.table
+        everything = range(g.order)
+        assert center(g) == bits_of(z for z in everything if all(t[z][y] == t[y][z] for y in everything)), spec
+
+
+def test_a_group_is_abelian_iff_its_table_is_symmetric():
+    for spec in KERNEL_GROUPS:
+        g = build_group(spec)
+        assert is_abelian(g, g.full_set()) == (g.table == tuple(zip(*g.table))), spec

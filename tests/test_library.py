@@ -85,32 +85,55 @@ def test_every_module_is_imported_by_another_module():
     assert sorted(modules - reached) == []
 
 
+def _defined(stmt) -> list:
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(tree) -> set:
+    """The names a syntax tree references: as a name, an attribute, an
+    import or a string (perfbench wraps entry points by their names)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name, node.asname))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
 def test_every_public_name_is_used_outside_its_export_list():
     """Each name in a module's __all__ is referenced by code of the package,
-    perfbench or scripts, as a name, an attribute, an import or a string
-    (perfbench wraps entry points by their names): none is exported for its
-    own tests alone.  Every module of the package but the entry points
-    declares an __all__."""
-    public, used = {}, set()
-    for path in [*(ROOT / "src" / "powcov").glob("*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]:
-        nodes = [ast.parse(path.read_text())]
-        while nodes:
-            node = nodes.pop()
-            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
-                public[path.stem] = ast.literal_eval(node.value)
+    perfbench or scripts, and each module-level private function, class or
+    constant of the package by such code outside its own definition: none
+    is kept for its own tests alone.  Every module of the package but the
+    entry points declares an __all__."""
+    package = ROOT / "src" / "powcov"
+    public, private, uses = {}, {}, []
+    for path in [*package.glob("*.py"), *ROOT.glob("perfbench/*.py"), *ROOT.glob("scripts/*.py")]:
+        for stmt in ast.parse(path.read_text()).body:
+            names = _defined(stmt)
+            if names == ["__all__"]:
+                public[path.stem] = ast.literal_eval(stmt.value)
                 continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.update((node.name, node.asname))
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
-            nodes.extend(ast.iter_child_nodes(node))
-    modules = {path.stem for path in (ROOT / "src" / "powcov").glob("*.py")} - {"__init__", "__main__"}
+            uses.append(_referenced(stmt))
+            for name in names:
+                if path.parent == package and name.startswith("_") and not name.startswith("__"):
+                    private[f"{path.stem}.{name}"] = (name, len(uses) - 1)
+    used = set().union(*uses)
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
     assert sorted(modules - set(public)) == []
     assert {module: sorted(set(names) - used) for module, names in public.items() if set(names) - used} == {}
+    assert private  # the scan finds the package's helpers
+    unused = [key for key, (name, own) in private.items() if not any(name in u for i, u in enumerate(uses) if i != own)]
+    assert sorted(unused) == []
 
 
 # A launcher that blocks `import numpy`, then runs the command line as the
