@@ -11,17 +11,18 @@ descriptor that built it), so a cache hit is byte-identical to what
 recomputation would store.  This module owns the envelope (version, content
 key, order, SHA-256 digest of the records); Subgroup.record and from_record
 write and read each record: its bits and four FLAGS, not what they or the
-lattice give (order, proper, maximal, tag).  Corrupted, edited or
-version-mismatched entries, entries that are not UTF-8 JSON text or nest too
-deep to parse, impossible records (one without the identity, the empty one
-included), records out of canonical order or repeated, and records without
-the trivial subgroup or G are recomputed and overwritten, as is an entry
-whose subgroup counts break Frobenius' theorem (one deleted record does).
-With the digest recomputed, p records deleted at one order or a flipped
-flag still pass.  `powcov sigma`'s re-checks refuse such an entry
-where it gives a wrong witness or a wrong INF, but not where it only
-inflates a finite answer: two Klein records deleted from dihedral:16 give
-sigma_P = 7, not 5.  I/O failures degrade to recomputation and are logged.
+lattice give (order, proper, maximal, tag).  An entry is used only if
+serialize_lattice writes back exactly its text for the lattice its records
+describe, so the writer states the format once.  Beyond that round trip, a
+record's bits must lie in G and hold the identity, and the records must
+hold the trivial subgroup and G and meet Frobenius' count (one deleted
+record breaks it).  Any other entry, or one that is not UTF-8 JSON, is
+recomputed and overwritten.  With the digest recomputed, p records deleted
+at one order or a flipped flag still pass.  `powcov sigma`'s re-checks
+refuse such an entry where it gives a wrong witness or a wrong INF, but
+not where it only inflates a finite answer: two Klein records deleted from
+dihedral:16 give sigma_P = 7, not 5.  I/O failures degrade to
+recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -92,33 +93,18 @@ class CacheEntryError(ValueError):
 
 
 def deserialize_lattice(text: str, g: FiniteGroup) -> Lattice:
-    """Rebuild a Lattice for g from cached text; raises CacheEntryError on
-    any mismatch (bad JSON, wrong version, wrong group, edited or impossible records)."""
+    """The Lattice of the subgroups text records for g, each bits once, in
+    canonical order; raises CacheEntryError unless serialize_lattice writes
+    it back as text and it passes the checks the module docstring names."""
     try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as e:  # also an over-long int, or nesting too deep
-        raise CacheEntryError(f"not valid JSON: {e}")
-    if not isinstance(payload, dict):
-        raise CacheEntryError("top level is not an object")
-    if payload.get("format_version") != CACHE_FORMAT_VERSION:
-        raise CacheEntryError(
-            f"format version {payload.get('format_version')!r} != {CACHE_FORMAT_VERSION}"
-        )
-    if payload.get("content_key") != g.content_key():
-        raise CacheEntryError("content key does not match the group")
-    if payload.get("order") != g.order:
-        raise CacheEntryError("order does not match the group")
-    records = payload.get("subgroups")
-    if payload.get("subgroups_sha256") != _records_digest(records):
-        raise CacheEntryError("subgroup records do not match their digest")
-    try:
-        lat = Lattice(group=g, subgroups=tuple(Subgroup.from_record(row, g) for row in records))
-    except (TypeError, ValueError) as e:
-        raise CacheEntryError(f"malformed subgroup record: {e}")
-    keys = list(map(_canonical_key(g), lat.subgroups))
-    if any(a >= b for a, b in zip(keys, keys[1:])):
-        raise CacheEntryError("subgroup records are out of canonical order or repeat")
-    if not keys or keys[0][0] > 1 or lat.subgroups[-1].is_proper:
+        rows = json.loads(text)["subgroups"]
+        subgroups = {s.bits: s for s in (Subgroup.from_record(row, g) for row in rows)}
+    except (LookupError, TypeError, ValueError, RecursionError) as e:  # also nesting too deep
+        raise CacheEntryError(f"unreadable entry: {e!r}")
+    lat = Lattice(group=g, subgroups=tuple(sorted(subgroups.values(), key=_canonical_key(g))))
+    if serialize_lattice(lat) != text:
+        raise CacheEntryError("serialize_lattice does not write the entry back byte for byte")
+    if not lat.subgroups or lat.subgroups[0].order > 1 or lat.subgroups[-1].is_proper:
         raise CacheEntryError("subgroup records lack the trivial subgroup or the group")
     _check_prime_power_counts(lat)
     return lat

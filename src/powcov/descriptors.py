@@ -15,6 +15,10 @@ end of the descriptor, so it can be no product factor.  groups.build_group
 builds every kind.
 An elementary:P^K whose P or K exceeds HARD_MAX_ORDER is refused before P
 is tested for a prime or P^K is formed, so no descriptor makes them hang.
+Products nest at most HARD_MAX_ORDER.bit_length() deep, so no descriptor
+exhausts the parser's recursion.  No group under the cap needs more: a
+product nested d deep has at least d+1 factors, so with its trivial
+factors dropped it has order at least 2^(d+1).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import NamedTuple, Optional, Union
 __all__ = ["DescriptorError", "GroupDescriptor", "factorize", "parse_descriptor", "prime_power"]
 
 HARD_MAX_ORDER = 512
+_MAX_NESTING = HARD_MAX_ORDER.bit_length()  # of products; see the module docstring
 
 # The least order of each 2-power family.
 LEAST_ORDER = {"dihedral": 4, "quaternion": 8, "semidihedral": 16, "modular": 8}
@@ -111,7 +116,8 @@ def _parse_int(text: str, pos: int, what: str) -> tuple[int, int]:
     return int(text[start:pos]), pos
 
 
-def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
+def _parse(text: str, pos: int, depth: int = 0) -> tuple[GroupDescriptor, int]:
+    """The descriptor at pos, inside depth products, and the position after it."""
     colon = text.find(":", pos)
     if colon < 0:
         raise DescriptorError("expected kind:params", text, pos)
@@ -133,12 +139,16 @@ def _parse(text: str, pos: int) -> tuple[GroupDescriptor, int]:
         return GroupDescriptor(kind, (path,)), len(text)
 
     if kind == "product":
+        if depth == _MAX_NESTING:
+            raise DescriptorError(
+                f"products nest deeper than {_MAX_NESTING} levels", text, colon - len(kind)
+            )
         if pos >= len(text) or text[pos] != "(":
             raise DescriptorError("expected '(' after product:", text, pos)
-        left, pos = _parse(text, pos + 1)
+        left, pos = _parse(text, pos + 1, depth + 1)
         if pos >= len(text) or text[pos] != ",":
             raise DescriptorError("expected ',' between product factors", text, pos)
-        right, pos = _parse(text, pos + 1)
+        right, pos = _parse(text, pos + 1, depth + 1)
         if pos >= len(text) or text[pos] != ")":
             raise DescriptorError("expected ')' closing product", text, pos)
         return GroupDescriptor("product", (left, right)), pos + 1

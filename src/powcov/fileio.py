@@ -61,10 +61,13 @@ class FileFormatError(GroupError):
 
 
 def check_replaceable(path: str) -> None:
-    """Raise OSError if path is empty, or is a device, FIFO, directory or other
-    non-regular file a rename would replace.  One made later is not seen."""
+    """Raise OSError if path is empty, ends in a separator, or is a device,
+    FIFO, directory or other non-regular file a rename would replace.  One
+    made later is not seen."""
     if not path:
         raise OSError("the output path is empty")
+    if path.endswith((os.sep, os.altsep or os.sep)):
+        raise OSError(f"{path} ends in a path separator, so names a directory; not writing it")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} exists and is not a regular file; not replacing it")
 

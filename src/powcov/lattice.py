@@ -304,8 +304,6 @@ def classify_small(g: FiniteGroup, members: int) -> str:
 
 # The enumeration's flags by record key; Subgroup's attribute is "is_" + key.
 FLAGS = ("abelian", "normal", "powerful", "powerfully_embedded")
-_flags_of = operator.attrgetter(*("is_" + flag for flag in FLAGS))
-_RECORD_KEYS = frozenset(("bits",) + FLAGS)
 
 
 class Subgroup(NamedTuple):
@@ -325,33 +323,28 @@ class Subgroup(NamedTuple):
 
     def record(self) -> dict:
         """The JSON record the cache stores for this subgroup: its bits and
-        its FLAGS, nothing the bits or the lattice give."""
-        return {"bits": format(self.bits, "x"), **dict(zip(FLAGS, _flags_of(self)))}
+        its FLAGS, nothing the bits or the lattice give.  The keys are spelled
+        out: every cache read writes each record back, and a literal dict
+        builds in half the time of one zipped from FLAGS."""
+        bits, _, abelian, normal, powerful, embedded = self
+        return {"bits": format(bits, "x"), "abelian": abelian, "normal": normal,
+                "powerful": powerful, "powerfully_embedded": embedded}
 
     @classmethod
     def from_record(cls, row: dict, g: FiniteGroup) -> "Subgroup":
         """The subgroup of g that a record() describes, proper unless its
-        bits are all of g.  Raises ValueError unless it has just the keys
-        record() writes, its bits are a subset of g that holds the identity,
-        in the same lowercase unprefixed hex, and the flags are JSON booleans
-        (the powerful two null unless g is a p-group): the enumeration
-        writes no other record."""
-        try:
-            bits = int(row["bits"], 16)
-            fields = [row[key] for key in FLAGS]
-        except (KeyError, TypeError) as e:
-            raise ValueError(f"cannot read record {row!r}: {e!r}") from None
-        powerful = type(None) if is_p_group(g) is None else bool
-        if (
-            row.keys() != _RECORD_KEYS
-            or bits < 0
-            or bits >> g.order
-            or not bits >> g.identity & 1
-            or format(bits, "x") != row["bits"]
-            or list(map(type, fields)) != [bool, bool, powerful, powerful]
-        ):
-            raise ValueError(f"the enumeration writes no record {row}")
-        return cls(bits, bits != g.full_set(), *fields)
+        bits are all of g.  Raises ValueError unless its bits are a subset
+        of g (a negative int shifts to -1) that holds the identity.  Each
+        flag is read as bool, and the powerful two as None off p-groups, so
+        a record with any other flag, key or spelling does not write back
+        to itself, which cache.deserialize_lattice refuses."""
+        bits = int(row["bits"], 16)
+        if bits >> g.order or not bits >> g.identity & 1:
+            raise ValueError(f"bits {row['bits']!r} name no subset of g that holds the identity")
+        abelian, normal, powerful, embedded = [bool(row[flag]) for flag in FLAGS]
+        if is_p_group(g) is None:
+            powerful = embedded = None
+        return cls(bits, bits != g.full_set(), abelian, normal, powerful, embedded)
 
 
 class Lattice:

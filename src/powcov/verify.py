@@ -24,9 +24,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from .catalog import CatalogEntry, select_entries
 from .cache import LatticeCache, memo_lattice
 from .cover import CoverResult, FamilySelector, covering_number, sigma_of
-from .descriptors import parse_descriptor
+from .descriptors import HARD_MAX_ORDER, parse_descriptor
 from .groups import (
-    FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
+    CapError, FiniteGroup, build_group, coclass, is_p_group, quotient_group, subgroup_as_group,
 )
 from .lattice import is_powerful
 
@@ -135,6 +135,10 @@ Checks = Tuple[str, List[CheckResult]]  # a suite's scope and its checks
 
 def suite_main_theorem(cache: LatticeCache, max_n: int) -> Checks:
     """sigma_P of the dihedral group of order 2^(n+1) equals 2^(n-1)+1."""
+    if max_n + 1 > HARD_MAX_ORDER.bit_length() - 1:  # before any build; 2^(max_n+1) is never formed
+        raise CapError(
+            f"tower index n={max_n} gives order 2^{max_n + 1}, past the cap {HARD_MAX_ORDER}"
+        )
     labels = [f"dihedral:{1 << (n + 1)}" for n in range(2, max_n + 1)]
     checks = [_tower_check(label, build_group(label), cache, exact=True) for label in labels]
     return f"dihedral groups of order 8..{1 << (max_n + 1)}", checks

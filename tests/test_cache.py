@@ -9,6 +9,7 @@ from powcov.cache import (
     CACHE_FORMAT_VERSION,
     CacheEntryError,
     LatticeCache,
+    _dump,
     _records_digest,
     default_cache_dir,
     deserialize_lattice,
@@ -19,7 +20,13 @@ from powcov.catalog import builtin_catalog
 from powcov.groups import build_group
 from powcov.lattice import FLAGS, Subgroup, classify_small, enumerate_subgroups
 
-from test_cli import cyclic_8
+from test_cli import cyclic_8, edit_cache_entry
+
+# Each refusal of deserialize_lattice, by its message.
+ROUND_TRIP = "serialize_lattice does not write the entry back byte for byte"
+UNREADABLE_ENTRY = "unreadable entry"
+NO_SUBSET = "name no subset of g that holds the identity"
+NO_ENDS = "lack the trivial subgroup or the group"
 
 
 def test_default_dir_honors_env(monkeypatch, tmp_path):
@@ -105,12 +112,7 @@ def test_version_and_group_mismatches_miss(tmp_path):
     g = build_group("dihedral:16")
     memo_lattice(g, cache)
     # bump the version field in place
-    path = cache.path_for(g)
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["format_version"] = 99
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    edit_cache_entry(cache.path_for(g), lambda doc: doc.update(format_version=99))
     assert cache.get(g) is None
     # an entry for a different group is invisible to this one
     cache2 = LatticeCache(str(tmp_path))
@@ -174,12 +176,8 @@ def test_memo_backed_by_disk_cache(tmp_path):
 
 
 def _edit_entry(cache, g, edit):
-    path = cache.path_for(g)
-    with open(path) as fh:
-        doc = json.load(fh)
-    edit(doc["subgroups"])
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    """Edit the records of g's entry under their old digest."""
+    edit_cache_entry(cache.path_for(g), lambda doc: edit(doc["subgroups"]), digest=False)
 
 
 def test_edited_subgroup_bits_are_recomputed(tmp_path):
@@ -220,27 +218,39 @@ def test_flipped_flag_is_recomputed(tmp_path):
 
 def _malformed_record(doc):
     doc["subgroups"][0]["bits"] = "not hex"
-    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
-    return json.dumps(doc)
 
 
 def _cyclic_8_deleted(doc):
     # D16 has three subgroups of order 8; two break the count 1 mod 2.
     doc["subgroups"] = [row for row in doc["subgroups"] if not cyclic_8(row)]
-    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
-    return json.dumps(doc)
 
 
-# Each edit reaches one refusal of deserialize_lattice, named by its message.
+def _other_group(doc):
+    # same order, other table
+    return json.loads(serialize_lattice(enumerate_subgroups(build_group("quaternion:16"))))
+
+
+# Each edit of dihedral:16's entry, written back by edit_cache_entry, and
+# the refusal of deserialize_lattice it reaches.  An extra top-level key, like
+# a re-indented entry (below), was a hit while the envelope was checked key
+# by key.
 REFUSED = {
-    "top level is not an object": lambda doc: json.dumps(doc["subgroups"]),
-    "content key does not match": lambda doc: serialize_lattice(
-        enumerate_subgroups(build_group("quaternion:16"))  # same order, other table
-    ),
-    "order does not match": lambda doc: json.dumps({**doc, "order": 32}),
-    "malformed subgroup record": _malformed_record,
-    "2 subgroups of order 8, not 1 mod 2": _cyclic_8_deleted,
+    "top level is not an object": (lambda doc: doc["subgroups"], UNREADABLE_ENTRY),
+    "content key does not match": (_other_group, ROUND_TRIP),
+    "order does not match": (lambda doc: doc.update(order=32), ROUND_TRIP),
+    "extra-top-level-key": (lambda doc: doc.update(note=""), ROUND_TRIP),
+    "malformed subgroup record": (_malformed_record, f"{UNREADABLE_ENTRY}: ValueError"),
+    "2 subgroups of order 8, not 1 mod 2": (_cyclic_8_deleted, "2 subgroups of order 8, not 1 mod 2"),
 }
+
+
+def _assert_refused_and_rewritten(cache, g, text, refusal):
+    with pytest.raises(CacheEntryError, match=refusal):
+        deserialize_lattice(text, g)
+    assert cache.get(g) is None
+    memo_lattice(g, cache)
+    with open(cache.path_for(g)) as fh:
+        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
 
 
 @pytest.mark.parametrize("reason", REFUSED)
@@ -248,17 +258,21 @@ def test_refused_entries_miss_and_are_rewritten(tmp_path, reason):
     g = build_group("dihedral:16")
     memo_lattice(g, LatticeCache(str(tmp_path)))
     cache = LatticeCache(str(tmp_path))
-    path = cache.path_for(g)
-    with open(path) as fh:
-        text = REFUSED[reason](json.load(fh))
-    with open(path, "w") as fh:
-        fh.write(text)
-    with pytest.raises(CacheEntryError, match=reason):
-        deserialize_lattice(text, g)
-    assert cache.get(g) is None
-    assert len(memo_lattice(g, cache)) == 19
-    with open(path) as fh:
-        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+    edit, refusal = REFUSED[reason]
+    text = edit_cache_entry(cache.path_for(g), edit)
+    _assert_refused_and_rewritten(cache, g, text, refusal)
+
+
+def test_a_reindented_entry_misses_and_is_rewritten(tmp_path):
+    # The same JSON value as the entry, so a reader that checked it key by
+    # key used it; serialize_lattice writes no spaces or line breaks in it.
+    g = build_group("dihedral:16")
+    memo_lattice(g, LatticeCache(str(tmp_path)))
+    cache = LatticeCache(str(tmp_path))
+    path = Path(cache.path_for(g))
+    text = json.dumps(json.loads(path.read_text()), indent=1)
+    path.write_text(text)
+    _assert_refused_and_rewritten(cache, g, text, ROUND_TRIP)
 
 
 # Entries that are not JSON text: each reads as a miss, not as an error.
@@ -374,38 +388,40 @@ def _group_deleted(records):
     del records[-1]  # 6 is no prime power, so no count reads G's order
 
 
-# Records no enumeration writes, each under a recomputed digest, so that only
-# Subgroup.from_record can refuse them.
+# Records no enumeration writes, each under a recomputed digest:
+# (group, edit, the refusal of deserialize_lattice).  from_record refuses
+# bits that are no subgroup's; every other record does not write back to
+# itself.
 BAD_RECORDS = {
-    "proper-kept": ("dihedral:16", _proper_kept),
-    "powerful-no": ("dihedral:16", _powerful_no),
-    "order-kept": ("dihedral:16", _order_kept),
-    "maximal-kept": ("dihedral:16", _maximal_kept),
-    "abelian-one": ("dihedral:16", _abelian_one),
-    "powerful-null": ("dihedral:16", _powerful_null),
-    "tag-kept": ("dihedral:16", _tag_kept),
-    "unknown-key": ("dihedral:16", _unknown_key),
-    "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups),
-    "negative-bits": ("dihedral:16", _negative_bits),
-    "bit-at-order": ("dihedral:16", _bit_at_order),
-    "hex-prefix": ("dihedral:16", _trivial_bits("0x1")),
-    "hex-space": ("dihedral:16", _trivial_bits(" 1")),
-    "hex-sign": ("dihedral:16", _trivial_bits("+1")),
-    "hex-underscore": ("dihedral:16", _trivial_bits("0_1")),
-    "hex-uppercase": ("dihedral:16", _uppercase_bits),
-    "identity-dropped": ("dihedral:16", _identity_dropped),
-    "empty-twice": ("dihedral:8", _empty_twice),
+    "proper-kept": ("dihedral:16", _proper_kept, ROUND_TRIP),
+    "powerful-no": ("dihedral:16", _powerful_no, ROUND_TRIP),
+    "order-kept": ("dihedral:16", _order_kept, ROUND_TRIP),
+    "maximal-kept": ("dihedral:16", _maximal_kept, ROUND_TRIP),
+    "abelian-one": ("dihedral:16", _abelian_one, ROUND_TRIP),
+    "powerful-null": ("dihedral:16", _powerful_null, ROUND_TRIP),
+    "tag-kept": ("dihedral:16", _tag_kept, ROUND_TRIP),
+    "unknown-key": ("dihedral:16", _unknown_key, ROUND_TRIP),
+    "powerful-off-p-groups": ("cyclic:6", _powerful_off_p_groups, ROUND_TRIP),
+    "negative-bits": ("dihedral:16", _negative_bits, NO_SUBSET),
+    "bit-at-order": ("dihedral:16", _bit_at_order, NO_SUBSET),
+    "hex-prefix": ("dihedral:16", _trivial_bits("0x1"), ROUND_TRIP),
+    "hex-space": ("dihedral:16", _trivial_bits(" 1"), ROUND_TRIP),
+    "hex-sign": ("dihedral:16", _trivial_bits("+1"), ROUND_TRIP),
+    "hex-underscore": ("dihedral:16", _trivial_bits("0_1"), ROUND_TRIP),
+    "hex-uppercase": ("dihedral:16", _uppercase_bits, ROUND_TRIP),
+    "identity-dropped": ("dihedral:16", _identity_dropped, NO_SUBSET),
+    "empty-twice": ("dihedral:8", _empty_twice, NO_SUBSET),
 }
 
 # Record lists no enumeration writes, though each of their records could be
 # one: (group, edit, the refusal of deserialize_lattice).
 BAD_LISTS = {
-    "reversed-within-orders": ("elementary:2^3", _reversed_within_orders, "out of canonical order"),
-    "repeated": ("dihedral:8", _repeated, "out of canonical order or repeat"),
-    "trivial-deleted": ("dihedral:8", _trivial_deleted, "lack the trivial subgroup or the group"),
-    "group-deleted": ("cyclic:6", _group_deleted, "lack the trivial subgroup or the group"),
+    "reversed-within-orders": ("elementary:2^3", _reversed_within_orders, ROUND_TRIP),
+    "repeated": ("dihedral:8", _repeated, ROUND_TRIP),
+    "trivial-deleted": ("dihedral:8", _trivial_deleted, NO_ENDS),
+    "group-deleted": ("cyclic:6", _group_deleted, NO_ENDS),
 }
-UNWRITABLE = {**{case: (*bad, "malformed subgroup record") for case, bad in BAD_RECORDS.items()}, **BAD_LISTS}
+UNWRITABLE = {**BAD_RECORDS, **BAD_LISTS}
 
 
 @pytest.mark.parametrize("case", UNWRITABLE)
@@ -414,20 +430,8 @@ def test_records_the_enumeration_cannot_write_are_recomputed(tmp_path, case):
     g = build_group(descriptor)
     memo_lattice(g, LatticeCache(str(tmp_path)))
     cache = LatticeCache(str(tmp_path))
-    path = cache.path_for(g)
-    with open(path) as fh:
-        doc = json.load(fh)
-    edit(doc["subgroups"])
-    doc["subgroups_sha256"] = _records_digest(doc["subgroups"])
-    text = json.dumps(doc)
-    with open(path, "w") as fh:
-        fh.write(text)
-    with pytest.raises(CacheEntryError, match=refusal):
-        deserialize_lattice(text, g)
-    assert cache.get(g) is None
-    memo_lattice(g, cache)
-    with open(path) as fh:
-        assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+    text = edit_cache_entry(cache.path_for(g), lambda doc: edit(doc["subgroups"]))
+    _assert_refused_and_rewritten(cache, g, text, refusal)
 
 
 def _format_4_entry(lat):
@@ -444,22 +448,17 @@ def _format_4_entry(lat):
 
 
 def test_a_format_4_entry_misses_and_is_rewritten_as_format_5(tmp_path):
-    # Caches written before format 5 recompute each lattice once; the same
-    # entry edited to say 5 is refused by its records.
+    # Caches written before format 5 recompute each lattice once, and so
+    # does the same entry edited to say 5: neither writes back to itself.
     g = build_group("dihedral:16")
     cache = LatticeCache(str(tmp_path))
     path = cache.path_for(g)
     doc = _format_4_entry(enumerate_subgroups(g))
-    for version, refusal in ((4, "format version 4 != 5"), (5, "malformed subgroup record")):
-        text = json.dumps({**doc, "format_version": version})
-        with pytest.raises(CacheEntryError, match=refusal):
-            deserialize_lattice(text, g)
+    for version in (4, 5):
+        text = _dump({**doc, "format_version": version}) + "\n"
         with open(path, "w") as fh:
             fh.write(text)
-        assert LatticeCache(str(tmp_path)).get(g) is None
-        memo_lattice(g, LatticeCache(str(tmp_path)))
-        with open(path) as fh:
-            assert fh.read() == serialize_lattice(enumerate_subgroups(g))
+        _assert_refused_and_rewritten(LatticeCache(str(tmp_path)), g, text, ROUND_TRIP)
     assert json.loads(serialize_lattice(enumerate_subgroups(g)))["format_version"] == 5
 
 

@@ -60,10 +60,12 @@ def test_sigma_ignores_an_edited_cache_entry(capsys, tmp_path):
     rc, first, _ = run(capsys, "sigma", "dihedral:16", "powerful")
     assert rc == 0
     (path,) = (tmp_path / "cache").iterdir()
-    doc = json.loads(path.read_text())
-    (row,) = filter(cyclic_8, doc["subgroups"])
-    row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")  # add s to <r>
-    path.write_text(json.dumps(doc))
+
+    def add_reflection(doc):
+        (row,) = filter(cyclic_8, doc["subgroups"])
+        row["bits"] = format(int(row["bits"], 16) | 1 << 8, "x")  # add s to <r>
+
+    edit_cache_entry(path, add_reflection, digest=False)
     rc, second, _ = run(capsys, "sigma", "dihedral:16", "powerful")
     assert rc == 0
     assert second == first
@@ -83,14 +85,37 @@ def test_sigma_recomputes_an_entry_that_is_not_json_text(capsys, tmp_path, entry
     assert path.read_text() == powcov.cache.serialize_lattice(fresh)
 
 
+def _entry_text(doc, digest: bool = True) -> str:
+    """doc as serialize_lattice writes an entry: compact JSON with sorted
+    keys and a newline, the records' digest recomputed unless digest is
+    false."""
+    if digest and isinstance(doc, dict):
+        doc = {**doc, "subgroups_sha256": powcov.cache._records_digest(doc.get("subgroups"))}
+    return powcov.cache._dump(doc) + "\n"
+
+
+def edit_cache_entry(path, edit, digest: bool = True) -> str:
+    """Rewrite the cache entry at path as edit leaves its JSON document, or
+    as the document edit returns, written as serialize_lattice writes one
+    (with the old digest of the records unless digest); returns the text.
+    Written so, the unedited document gives the entry's own bytes, so it is
+    still a hit: a case is refused for its edit alone, never for its
+    formatting."""
+    path = Path(path)
+    text = path.read_text()
+    doc = json.loads(text)
+    assert _entry_text(doc) == text, "the unedited entry would not be a hit"
+    edited = edit(doc)
+    text = _entry_text(doc if edited is None else edited, digest)
+    path.write_text(text)
+    return text
+
+
 def _edit_cached_records(tmp_path, edit):
-    """Apply edit to the records of the one cache entry and recompute their
-    digest, so that no envelope check refuses the entry."""
+    """Apply edit to the records of the one cache entry, so that no check of
+    the envelope refuses the entry."""
     (path,) = (tmp_path / "cache").iterdir()
-    doc = json.loads(path.read_text())
-    edit(doc["subgroups"])
-    doc["subgroups_sha256"] = powcov.cache._records_digest(doc["subgroups"])
-    path.write_text(json.dumps(doc))
+    edit_cache_entry(path, lambda doc: edit(doc["subgroups"]))
 
 
 def _proper_whole_group(records):
@@ -228,6 +253,24 @@ def test_sigma_bad_family_is_usage_error(capsys):
     assert "family" in err
 
 
+def _nested_product(depth: int, factor: str = "cyclic:2") -> str:
+    """cyclic:2 inside depth products, each with factor on its right."""
+    return "product:(" * depth + "cyclic:2" + f",{factor})" * depth
+
+
+# The refusal of a product nested past 10 levels, at its eleventh product:.
+TOO_DEEP = "products nest deeper than 10 levels (in "
+
+
+@pytest.mark.parametrize("depth, factor", [(1200, "cyclic:2"), (990, "cyclic:1")])
+def test_sigma_refuses_a_product_nested_too_deep(capsys, depth, factor):
+    # Once a RecursionError's traceback and exit 1, the code for "no cover".
+    rc, out, err = run(capsys, "sigma", _nested_product(depth, factor), "all")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {TOO_DEEP}") and err.endswith(" at position 90)\n")
+    assert err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ lattice
 
 def test_lattice_counts(capsys):
@@ -277,6 +320,33 @@ def test_verify_main_theorem_to_order_512(capsys):
     assert out.startswith("suite main-theorem: PASS  [dihedral groups of order 8..512]")
     assert "dihedral:256: tower index n=7: sigma_P = 65, expected 65" in out
     assert "dihedral:512: tower index n=8: sigma_P = 129, expected 129" in out
+
+
+@pytest.mark.parametrize("max_n", [9, 30000])
+def test_main_theorem_refuses_a_tower_past_the_cap_before_any_lattice(
+    capsys, monkeypatch, max_n
+):
+    # n=9 once enumerated dihedral:8..512 first; n=30000 failed converting
+    # 2^30001 to a string, with Python's message.
+    keys = []
+
+    def counted(g):
+        keys.append(g.content_key())
+        return enumerate_subgroups(g)
+
+    monkeypatch.setattr(powcov.cache, "enumerate_subgroups", counted)
+    rc, out, err = run(capsys, "verify", "main-theorem", "--max-n", str(max_n))
+    assert (rc, out, keys) == (2, "", [])
+    assert err == f"error: tower index n={max_n} gives order 2^{max_n + 1}, past the cap 512\n"
+
+
+def test_verify_names_a_catalog_entry_nested_too_deep(tmp_path, capsys):
+    cat = tmp_path / "deep.catalog"
+    cat.write_text(f"d8 dihedral:8\ndeep {_nested_product(1200)}\nq8 quaternion:8\n")
+    rc, out, err = run(capsys, "verify", "sigma-equals-p-plus-1", "--catalog", str(cat))
+    assert rc == 2
+    assert out.startswith("suite sigma-equals-p-plus-1: PASS  [2 catalog groups]")
+    assert err.startswith(f"error: skipped deep: {TOO_DEEP}") and err.count("\n") == 1
 
 
 def test_verify_with_catalog_file(tmp_path, capsys):
@@ -423,6 +493,23 @@ def test_an_empty_out_path_is_refused(tmp_path, capsys, monkeypatch, argv):
     assert os.listdir(work) == []
 
 
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--max-order", "4"], ["construct", "dihedral:8"]], ids=["sweep", "construct"]
+)
+def test_an_out_path_ending_in_a_separator_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # Once refused only by the last rename, after every sweep row, in a
+    # message that named the temporary file.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    out = "new" + os.sep
+    rc, stdout, err = run(capsys, *argv, "--out", out)
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: {out} ends in a path separator, so names a directory; not writing it\n"
+    assert sorted(os.listdir(tmp_path)) == ["work"]  # no row cached a lattice
+    assert os.listdir(work) == []
+
+
 def test_sweep_refuses_a_directory_before_its_first_row(tmp_path, capsys, monkeypatch):
     rows = []
     monkeypatch.setattr(powcov.sweep, "sweep_entry", lambda *args, **kwargs: rows.append(args))
@@ -445,6 +532,21 @@ def test_sweep_catalog_with_bad_entry(tmp_path, capsys):
     rows = out_csv.read_text().splitlines()
     assert rows[1].startswith("good,8,2,")
     assert "DescriptorError" in rows[2]
+
+
+def test_sweep_records_a_product_nested_too_deep_and_goes_on(tmp_path, capsys):
+    cat = tmp_path / "deep.catalog"
+    cat.write_text(f"d8 dihedral:8\ndeep {_nested_product(1200)}\nc4 cyclic:4\n")
+    out_csv = tmp_path / "r.csv"
+    rc, out, _ = run(
+        capsys, "sweep", "--catalog", str(cat), "--out", str(out_csv), "--stable-timing"
+    )
+    assert rc == 0
+    assert "(1 errors)" in out
+    rows = out_csv.read_text().splitlines()
+    assert rows[1] == "d8,8,2,2,1,3,3,3,INF,0,"
+    assert rows[2].startswith(f'deep,,,,,,,,,0,"DescriptorError: {TOO_DEEP}')
+    assert rows[3] == "c4,4,2,1,1,INF,INF,INF,INF,0,"
 
 
 def test_sweep_catalog_max_order_builds_only_swept_groups(tmp_path, capsys, constructions):

@@ -32,6 +32,16 @@ def test_product_nesting():
     assert nested.params[0].kind == "product"
 
 
+def test_products_nest_at_most_ten_deep():
+    # cyclic:1 factors keep the order at 2 however deep the nesting runs; at
+    # 990 levels the parser once raised RecursionError.
+    ten = "product:(" * 10 + "cyclic:2" + ",cyclic:1)" * 10
+    assert parse_descriptor(ten).order == 2
+    eleven = f"product:({ten},cyclic:1)"
+    with pytest.raises(DescriptorError, match=r"nest deeper than 10 levels .* at position 90\)$"):
+        parse_descriptor(eleven)
+
+
 def test_file_kind():
     d = parse_descriptor("file:/tmp/some.cayley")
     assert d.kind == "file" and d.params == ("/tmp/some.cayley",)
