@@ -21,8 +21,8 @@ recomputed and overwritten.  With the digest recomputed, p records deleted
 at one order or a flipped flag still pass.  `powcov sigma`'s re-checks
 refuse such an entry where it gives a wrong witness or a wrong INF, but
 not where it only inflates a finite answer: two Klein records deleted from
-dihedral:16 give sigma_P = 7, not 5.  I/O failures degrade to
-recomputation and are logged.
+dihedral:16 give sigma_P = 7, not 5.  I/O failures (an entry that is not
+a regular file too) degrade to recomputation and are logged.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 from typing import Dict, Optional
 
 from .descriptors import factorize
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .groups import FiniteGroup
 from .lattice import Lattice, Subgroup, _canonical_key, enumerate_subgroups
 
@@ -141,8 +141,7 @@ class LatticeCache:
             return None
         path = self.path_for(g)
         try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            text = read_text(path)
         except (FileNotFoundError, UnicodeDecodeError):
             return None
         except OSError as e:

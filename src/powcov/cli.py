@@ -127,12 +127,9 @@ def cmd_sweep(args) -> int:
     entries = select_entries(catalog, args.max_order)
     if not entries:
         raise ValueError("the catalog selects no entry to sweep")
-    if args.families:
-        families = tuple(
-            FamilySelector.from_name(f.strip()) for f in args.families.split(",")
-        )
-    else:
-        families = ALL_FAMILIES
+    families = ALL_FAMILIES
+    if args.families is not None:  # '' names no family, so it is refused
+        families = tuple(FamilySelector.from_name(f.strip()) for f in args.families.split(","))
     rows = run_sweep(
         entries,
         families=families,

@@ -47,6 +47,9 @@ class DescriptorError(ValueError):
 
     def __init__(self, message: str, text: str = "", position: int = 0):
         self.position = position
+        if len(text) > 80:  # quote 40 characters each side of position: one short line
+            lo, hi = max(0, position - 40), position + 40
+            text = ("..." if lo else "") + text[lo:hi] + ("..." if hi < len(text) else "")
         if text:
             message = f"{message} (in {text!r} at position {position})"
         super().__init__(message)
@@ -109,11 +112,14 @@ def prime_power(n: int) -> Optional[tuple[int, int]]:
 
 def _parse_int(text: str, pos: int, what: str) -> tuple[int, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":  # ASCII only: isdigit() takes '²'
         pos += 1
     if pos == start:
         raise DescriptorError(f"expected {what}", text, start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # more digits than int() converts
+        raise DescriptorError(f"{what} has {pos - start} digits, too many", text, start) from None
 
 
 def _parse(text: str, pos: int, depth: int = 0) -> tuple[GroupDescriptor, int]:
@@ -162,9 +168,11 @@ def _parse(text: str, pos: int, depth: int = 0) -> tuple[GroupDescriptor, int]:
             raise DescriptorError(f"{p} is not prime", text, pos)
         if k < 1:
             raise DescriptorError("exponent must be >= 1", text, pos)
-        if max(p, k) > HARD_MAX_ORDER:  # then p^k > HARD_MAX_ORDER too
+        big = max(p, k)
+        if big > HARD_MAX_ORDER:  # then p^k > HARD_MAX_ORDER too
+            order = f"{p}^{k}" if big >> 64 == 0 else f"P^K with P or K of {big.bit_length()} bits"
             raise DescriptorError(
-                f"group order {p}^{k} exceeds construction cap {HARD_MAX_ORDER}", text, pos
+                f"group order {order} exceeds construction cap {HARD_MAX_ORDER}", text, pos
             )
         return GroupDescriptor("elementary", (p, k)), pos
 

@@ -32,16 +32,18 @@ Permutation file — generators in image notation::
 
 The generators are closed under composition; element 0 of the resulting
 group is the identity permutation, and the remaining elements are numbered
-in breadth-first discovery order (stable for a given file).
+in breadth-first discovery order (stable for a given file).  Every file is
+read by read_text, which refuses a FIFO or a device before opening it, and
+groups._check_order checks each order against the cap.
 """
 
 from __future__ import annotations
 
 import os
+import stat
 from typing import Dict, List, Tuple
 
-from .descriptors import HARD_MAX_ORDER
-from .groups import CapError, FiniteGroup, GroupError
+from .groups import FiniteGroup, GroupError, _check_order
 
 __all__ = [
     "FileFormatError",
@@ -50,6 +52,7 @@ __all__ = [
     "load_permutation_generators",
     "atomic_write_text",
     "check_replaceable",
+    "read_text",
     "content_lines",
 ]
 
@@ -70,6 +73,15 @@ def check_replaceable(path: str) -> None:
         raise OSError(f"{path} ends in a path separator, so names a directory; not writing it")
     if os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path} exists and is not a regular file; not replacing it")
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of path; OSError unless it is a regular file.  The
+    path is stat'ed before it is opened: opening a FIFO to read blocks."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path} is not a regular file; not reading it")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -95,12 +107,11 @@ def atomic_write_text(path: str, text: str) -> None:
 def content_lines(path: str) -> List[Tuple[int, str]]:
     """(line_number, stripped_text) for every non-blank, non-comment line."""
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            out.append((lineno, text))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        out.append((lineno, text))
     return out
 
 
@@ -140,13 +151,10 @@ def _read_header(path: str, key: str, symbol: str) -> Tuple[List[Tuple[int, str]
 def load_cayley_file(path: str) -> FiniteGroup:
     """Read a Cayley file and validate it as a group.
 
-    An order header above HARD_MAX_ORDER is refused before any row is read.
+    An order header past the construction cap is refused before any row is read.
     """
     lines, lineno, order = _read_header(path, "order", "N")
-    if order > HARD_MAX_ORDER:
-        raise CapError(
-            f"line {lineno}: group order {order} exceeds construction cap {HARD_MAX_ORDER}"
-        )
+    _check_order(order, f"line {lineno}: ")
     if len(lines) < 3 or lines[2][1] != "table":
         raise FileFormatError(f"{path}: expected a 'table' section")
     pos = 3
@@ -211,7 +219,8 @@ def load_permutation_generators(path: str) -> FiniteGroup:
     """Close a set of permutation generators into a full Cayley table.
 
     Composition is (p * q)(i) = p(q(i)): q acts first.  Raises CapError as
-    soon as the closure exceeds HARD_MAX_ORDER.
+    soon as the closure exceeds the construction cap; the order it names is
+    the count found so far, a lower bound.
     """
     lines, _, degree = _read_header(path, "degree", "d")
 
@@ -227,18 +236,11 @@ def load_permutation_generators(path: str) -> FiniteGroup:
     identity = tuple(range(degree))
     elements: List[Tuple[int, ...]] = [identity]
     index: Dict[Tuple[int, ...], int] = {identity: 0}
-    cursor = 0
-    while cursor < len(elements):
-        p = elements[cursor]
-        cursor += 1
+    for p in elements:  # breadth first: the loop reaches what it appends
         for q in gens:
             r = tuple(p[q[i]] for i in range(degree))
             if r not in index:
-                if len(elements) >= HARD_MAX_ORDER:
-                    raise CapError(
-                        f"permutation closure exceeds the construction cap of "
-                        f"{HARD_MAX_ORDER} elements"
-                    )
+                _check_order(len(elements) + 1, "permutation closure: a lower bound on the ")
                 index[r] = len(elements)
                 elements.append(r)
 

@@ -21,6 +21,7 @@ from powcov.groups import build_group
 from powcov.lattice import FLAGS, Subgroup, classify_small, enumerate_subgroups
 
 from test_cli import cyclic_8, edit_cache_entry
+from test_files import run_child
 
 # Each refusal of deserialize_lattice, by its message.
 ROUND_TRIP = "serialize_lattice does not write the entry back byte for byte"
@@ -118,6 +119,18 @@ def test_version_and_group_mismatches_miss(tmp_path):
     cache2 = LatticeCache(str(tmp_path))
     other = build_group("quaternion:16")
     assert cache2.get(other) is None
+
+
+def test_a_fifo_at_an_entry_path_is_a_miss(tmp_path):
+    # Once every `sigma dihedral:8 all` blocked opening it, and put would
+    # not replace it, so the next run blocked too.
+    path = LatticeCache(str(tmp_path / "cache")).path_for(build_group("dihedral:8"))
+    os.makedirs(os.path.dirname(path))
+    os.mkfifo(path)
+    for _ in range(2):
+        proc = run_child(tmp_path, "sigma", "dihedral:8", "all")
+        assert (proc.returncode, proc.stdout.splitlines()[0]) == (0, "sigma = 3")
+        assert "lattice cache read failed" in proc.stderr and "is not a regular file" in proc.stderr
 
 
 def test_unwritable_directory_degrades_gracefully(tmp_path, caplog):

@@ -176,6 +176,43 @@ def test_a_huge_elementary_descriptor_is_refused_at_once(text, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
+        ("cyclic:\u00b2", "expected order (in 'cyclic:\u00b2' at position 7)"),
+        ("dihedral:1\u0666", "dihedral order must be a power of 2, >= 4; got 1 "),
+        ("elementary:\u0662^\u0663", "expected prime (in 'elementary:\u0662^\u0663' at position 11)"),
+        ("cyclic:" + "9" * 5000, "order has 5000 digits, too many (in 'cyclic:99"),
+    ],
+    ids=["superscript", "arabic-indic-order", "arabic-indic-elementary", "past-int-digit-limit"],
+)
+def test_descriptor_numbers_are_ascii_digits(text, message):
+    # Once int()'s own message with no position, dihedral:16, elementary:2^3
+    # and int()'s 4300-digit message.
+    with pytest.raises(DescriptorError) as exc:
+        parse_descriptor(text)
+    assert str(exc.value).startswith(message)
+    assert exc.value.position == text.index(":") + 1
+
+
+def test_a_long_descriptor_is_quoted_in_a_window():
+    # A product nested 1200 deep once gave a 22,874-character line.
+    text = "product:(" * 1200 + "cyclic:2" + ",cyclic:2)" * 1200
+    with pytest.raises(DescriptorError) as exc:
+        parse_descriptor(text)
+    message = str(exc.value)
+    assert "\n" not in message and len(message) < 300
+    assert message.endswith("...' at position 90)") and exc.value.position == 90
+    assert text[50:130] in message
+
+
+def test_a_huge_elementary_order_is_named_by_its_bits():
+    with pytest.raises(DescriptorError) as exc:
+        parse_descriptor(f"elementary:{'9' * 4000}^2")
+    assert str(exc.value).startswith("group order P^K with P or K of 13288 bits exceeds construction cap 512")
+    assert len(str(exc.value)) < 200
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         ("elementary:4^2", "4 is not prime"),
         ("elementary:4^99999999999", "4 is not prime"),
         ("elementary:3^0", "exponent must be >= 1"),

@@ -1,6 +1,8 @@
 import os
 import re
 import stat
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -14,6 +16,8 @@ from powcov.fileio import (
     save_cayley_file,
 )
 from powcov.groups import CapError, ConstructionError, FiniteGroup, GroupError, build_group
+
+from test_cli import child_env
 
 
 def write(tmp_path, name, text):
@@ -88,6 +92,43 @@ def test_atomic_write_refuses_a_path_that_is_not_a_regular_file(tmp_path):
         atomic_write_text(str(fifo), "new contents\n")
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
+
+
+# ----------------------------------------------------- files that are not files
+
+def run_child(tmp_path, *argv):
+    """Run the command line in a child process that a hang cannot outlive."""
+    return subprocess.run(
+        [sys.executable, "-m", "powcov", *argv],
+        capture_output=True, text=True, env=child_env(tmp_path / "cache"), timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sigma", "file:{}", "all"], ["sigma", "perm:{}", "all"], ["sweep", "--catalog", "{}", "--out", "r.csv"]],
+    ids=["cayley-file", "permutation-file", "catalog"],
+)
+def test_a_fifo_is_refused_not_read(tmp_path, argv):
+    # Opening a FIFO to read once blocked the run until it was killed.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    proc = run_child(tmp_path, *(a.format(fifo) for a in argv))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {fifo} is not a regular file; not reading it\n"
+    assert sorted(os.listdir(tmp_path)) == ["pipe"]
+
+
+def test_a_catalog_entry_naming_a_fifo_fills_its_error_cell(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    cat = write(tmp_path, "c.catalog", "x file:pipe\nd8 dihedral:8\n")
+    out = tmp_path / "r.csv"
+    proc = run_child(tmp_path, "sweep", "--catalog", cat, "--out", str(out), "--stable-timing")
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_text().splitlines()
+    assert rows[1] == f"x,,,,,,,,,0,OSError: {fifo} is not a regular file; not reading it"
+    assert rows[2] == "d8,8,2,2,1,3,3,3,INF,0,"
 
 
 # ------------------------------------------------------------- cayley files
@@ -225,6 +266,17 @@ def test_permutation_closure_cap(tmp_path):
     path = write(tmp_path, "big.perm", f"version 1\ndegree 600\ngen {images}\n")
     with pytest.raises(CapError, match="512"):
         load_permutation_generators(path)
+
+
+def test_permutation_closure_cap_names_a_lower_bound(tmp_path):
+    # The closure stops at its 513th element, so it knows no more than that.
+    images = " ".join(str((i + 1) % 600) for i in range(600))
+    path = write(tmp_path, "big.perm", f"version 1\ndegree 600\ngen {images}\n")
+    with pytest.raises(CapError) as exc:
+        load_permutation_generators(path)
+    assert str(exc.value) == (
+        "permutation closure: a lower bound on the group order 513 exceeds construction cap 512"
+    )
 
 
 @pytest.mark.parametrize(

@@ -372,6 +372,42 @@ def test_hard_cap():
     assert build_group("dihedral:512").order == 512
 
 
+@pytest.mark.parametrize("n", [513, 10**19, 2**64 - 1])
+def test_cap_message_below_2_to_64_names_the_order(n):
+    with pytest.raises(CapError) as exc:
+        build_group(f"cyclic:{n}")
+    assert str(exc.value) == f"group order {n} exceeds construction cap 512"
+
+
+@pytest.mark.parametrize(
+    "spec, bits",
+    [
+        ("cyclic:18446744073709551616", 65),
+        ("cyclic:" + "9" * 4000, 13288),
+        ("product:(cyclic:{0},cyclic:{0})".format("9" * 4000), 26576),
+    ],
+    ids=["2^64", "4000-digits", "product-of-two"],
+)
+def test_cap_message_names_a_huge_order_by_its_bits(spec, bits):
+    # Once a 4049-character line, and for the product Python's "Exceeds
+    # the limit (4300 digits) for integer string conversion".
+    with pytest.raises(CapError) as exc:
+        build_group(spec)
+    assert str(exc.value) == f"group order of {bits} bits exceeds construction cap 512"
+
+
+def test_row_count_is_checked_before_any_entry_is_read():
+    class Unreadable:
+        def __len__(self):
+            return 513
+
+        def __iter__(self):
+            raise AssertionError("an entry was read")
+
+    with pytest.raises(CapError, match="^group order 513 exceeds construction cap 512$"):
+        FiniteGroup([Unreadable()] * 513)
+
+
 # ------------------------------------------------------------ property tests
 
 small_groups = st.sampled_from(

@@ -136,6 +136,32 @@ def test_every_public_name_is_used_outside_its_export_list():
     assert sorted(unused) == []
 
 
+def _scoped(tree, scope=""):
+    """(the dotted name of the innermost def or class around it, node) for
+    each node below tree."""
+    for node in ast.iter_child_nodes(tree):
+        yield scope, node
+        named = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _scoped(node, f"{scope}.{node.name}" if named else scope)
+
+
+def test_one_place_compares_an_order_with_the_cap():
+    """groups._check_order is the one size gate.  Beside it only verify's
+    tower guard raises CapError, and only descriptors' elementary guard,
+    groups and verify read HARD_MAX_ORDER: each guard refuses before the
+    number it would check exists."""
+    raisers, readers = set(), set()
+    for path in (ROOT / "src" / "powcov").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if "HARD_MAX_ORDER" in _referenced(tree):
+            readers.add(path.stem)
+        for scope, node in _scoped(tree):
+            if isinstance(node, ast.Raise) and node.exc and "CapError" in _referenced(node.exc):
+                raisers.add(path.stem + scope)
+    assert raisers == {"groups._check_order", "verify.suite_main_theorem"}
+    assert readers <= {"descriptors", "groups", "verify"}
+
+
 # A launcher that blocks `import numpy`, then runs the command line as the
 # console script does.
 WITHOUT_NUMPY = "import sys; sys.modules['numpy'] = None; from powcov.__main__ import run; sys.exit(run())"
